@@ -13,9 +13,9 @@ Pb because its target is full, clearing at the unblock rate.  The finite
 M/M/1/K queue supplies the probability that a neighbor is full, which is
 where Pb comes from in the first place.
 
-Steady states are solved from the global balance equations; the blocking
-node also has a closed form, kept separate so the two can be checked against
-each other.
+Steady states are solved from the global balance equations with LAPACK
+(``np.linalg.solve``); the blocking node also has a closed form, kept
+separate so the two can be checked against each other.
 """
 
 from __future__ import annotations
@@ -32,10 +32,8 @@ from .errors import (
     NumericalFailureError,
     ProbabilityOutOfRangeError,
     ReducibleChainError,
-    SingularMatrixError,
     UnknownStateError,
 )
-from .linalg import solve_dense
 
 RHO_ONE_TOL = 1e-9
 STEADY_RESIDUAL_TOL = 1e-10
@@ -206,7 +204,8 @@ def steady_state(gen: Generator) -> MarginalDistribution:
 
     Raises:
         ReducibleChainError: zero or several closed classes.
-        NumericalFailureError: singular solve or residual above 1e-10.
+        NumericalFailureError: singular solve, non-finite solution, or
+            residual above 1e-10.
     """
     classes = closed_class_count(gen)
     if classes != 1:
@@ -221,9 +220,11 @@ def steady_state(gen: Generator) -> MarginalDistribution:
     b = np.zeros(n)
     b[drop] = 1.0
     try:
-        pi = solve_dense(a, b)
-    except SingularMatrixError as e:
+        pi = np.linalg.solve(a, b)
+    except np.linalg.LinAlgError as e:
         raise NumericalFailureError(f"steady-state solve failed: {e}") from e
+    if not np.all(np.isfinite(pi)):
+        raise NumericalFailureError("steady-state solution is not finite")
     if np.min(pi) < -1e-9:
         raise NumericalFailureError(f"steady-state solution has negative mass {np.min(pi)!r}")
     pi = np.maximum(pi, 0.0)

@@ -162,14 +162,6 @@ class UnreachableError(InputError):
 
 # -- numerics ----------------------------------------------------------------
 
-class SingularMatrixError(NumericsError):
-    def __init__(self, pivot: float, column: int):
-        self.pivot = float(pivot)
-        self.column = column
-        super().__init__(
-            f"pivot {self.pivot!r} below tolerance in column {column}")
-
-
 class SingularRoutingError(NumericsError):
     def __init__(self, detail: str = ""):
         msg = "traffic equations are singular"

@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 from .errors import (
@@ -90,10 +91,17 @@ class LayoutGraph:
             if s not in known:
                 raise SchemaError("queues", f"unknown site {s!r}")
 
+    @cached_property
+    def _adjacency(self) -> dict[str, tuple[str, ...]]:
+        adj: dict[str, list[str]] = {}
+        for a, b in self.edges:
+            adj.setdefault(a, []).append(b)
+            adj.setdefault(b, []).append(a)
+        return {s: tuple(sorted(nbrs)) for s, nbrs in adj.items()}
+
     def neighbors(self, site: str) -> tuple[str, ...]:
-        out = [b for a, b in self.edges if a == site]
-        out += [a for a, b in self.edges if b == site]
-        return tuple(sorted(out))
+        """Sorted adjacent sites; () for an isolated or unknown site."""
+        return self._adjacency.get(site, ())
 
 
 def _check_connected(layout: LayoutGraph):
@@ -225,8 +233,9 @@ def build_lattice_network(
         share = 1.0 / len(nbrs)
         for t in nbrs:
             entries[(ids[s], ids[t])] = share
+    interior_set = set(interior)
     for s in sources:
-        targets = [t for t in layout.neighbors(s) if t in set(interior)]
+        targets = [t for t in layout.neighbors(s) if t in interior_set]
         if targets:
             share = 1.0 / len(targets)
             for t in targets:

@@ -5,10 +5,18 @@ routed there from other nodes:
 
     lambda_i = lambda0_i + sum_j p_ji * lambda_j
 
-which is the linear system ``(I - P^T) lambda = lambda0``.  The direct solver
-is the production path; a damped fixed-point iteration is kept alongside it
-as an independent cross-check.  Nodes listed in ``known_arrival_rates`` are
-pinned to their given values and excluded from the residual check.
+which is the linear system ``(I - P^T) lambda = lambda0``.  The direct
+solver (LAPACK, through ``np.linalg.solve``) is the production path; a damped
+fixed-point iteration is kept alongside it as an independent cross-check.
+Nodes listed in ``known_arrival_rates`` are pinned to their given values and
+excluded from the residual check.
+
+The system is singular when some unpinned node has no routing path that
+leaves the network or reaches a pinned node: jobs that enter such a closed
+subnetwork never leave.  An exit probability within ``ROW_SUM_TOL`` of zero
+counts as no exit, since it is rounding in the routing row, not a real leak.
+The direct solver finds those nodes from the routing graph before solving, so
+the error names them.
 """
 
 from __future__ import annotations
@@ -21,12 +29,11 @@ import numpy as np
 from .errors import (
     NonConvergentError,
     NumericalFailureError,
-    SingularMatrixError,
     SingularRoutingError,
 )
-from .linalg import solve_dense
-from .model import NetworkSpec, validate_network
+from .model import ROW_SUM_TOL, NetworkSpec, validate_network
 
+# Largest accepted residual, relative to the largest input rate.
 RESIDUAL_TOL = 1e-10
 
 
@@ -63,6 +70,27 @@ def _system(spec: NetworkSpec):
     return ids, index, p, lam0
 
 
+def _undrained(spec: NetworkSpec, pinned: Mapping[int, float]) -> list[int]:
+    """Unpinned nodes with no routing path out of the network or to a pinned node.
+
+    A node drains if its exit probability exceeds ``ROW_SUM_TOL``, if it is
+    pinned, or if it routes with positive probability to a node that
+    drains.  One reverse search from the draining nodes, O(nodes + edges).
+    """
+    preds: dict[int, list[int]] = {i: [] for i in spec.ids()}
+    for (i, j), prob in spec.routing.entries.items():
+        if prob > 0.0:
+            preds[j].append(i)
+    drains = set(pinned) | {i for i in preds if spec.exit_probability(i) > ROW_SUM_TOL}
+    stack = list(drains)
+    while stack:
+        for i in preds[stack.pop()]:
+            if i not in drains:
+                drains.add(i)
+                stack.append(i)
+    return [i for i in preds if i not in drains]
+
+
 def solve_traffic(
     spec: NetworkSpec,
     method: str = "direct",
@@ -74,7 +102,7 @@ def solve_traffic(
 
     Args:
         spec: network description (validated lazily if needed).
-        method: "direct" (Gaussian elimination) or "fixed_point" (damped
+        method: "direct" (LAPACK solve) or "fixed_point" (damped
             iteration, kept as an independent cross-check).
         tol: step-size stopping threshold for the fixed-point method.
         max_iter: iteration cap for the fixed-point method.
@@ -85,10 +113,13 @@ def solve_traffic(
         ``known_arrival_rates`` are returned verbatim.
 
     Raises:
-        SingularRoutingError: the linear system has no unique solution
-            (for example a closed subnetwork with no path to an exit).
+        SingularRoutingError: the direct method found nodes with no path to
+            an exit or a pinned node (a closed subnetwork), so the linear
+            system has no unique solution.
         NonConvergentError: the fixed-point method hit ``max_iter``.
-        NumericalFailureError: the solution fails the residual check.
+        NumericalFailureError: the solution is not finite, or its residual
+            exceeds ``RESIDUAL_TOL`` times the largest external or pinned
+            rate.
     """
     if not spec.is_validated:
         spec = validate_network(spec)
@@ -98,6 +129,10 @@ def solve_traffic(
     known_rows = {index[i] for i in known}
 
     if method == "direct":
+        closed = _undrained(spec, known)
+        if closed:
+            raise SingularRoutingError(
+                f"nodes {closed} have no routing path to an exit or a pinned rate")
         a = np.eye(n) - p.T
         b = lam0.copy()
         for i, r in known.items():
@@ -106,8 +141,8 @@ def solve_traffic(
             a[k, k] = 1.0
             b[k] = r
         try:
-            lam = solve_dense(a, b)
-        except SingularMatrixError as e:
+            lam = np.linalg.solve(a, b)
+        except np.linalg.LinAlgError as e:
             raise SingularRoutingError(str(e)) from e
     elif method == "fixed_point":
         lam = lam0.copy()
@@ -129,16 +164,18 @@ def solve_traffic(
     else:
         raise ValueError(f"unknown method {method!r}")
 
-    # Elimination noise can leave rates a hair below zero.
+    # Rounding in the solve can leave rates a hair below zero.
     lam = np.where((lam < 0) & (lam > -1e-12), 0.0, lam)
 
     residual = lam - (lam0 + p.T @ lam)
     free = [k for k in range(n) if k not in known_rows]
     if free:
+        scale = max(float(np.max(lam0)), max(known.values(), default=0.0))
         worst = float(np.max(np.abs(residual[free])))
-        if worst > RESIDUAL_TOL:
+        if not worst <= RESIDUAL_TOL * scale:  # also rejects NaN
             raise NumericalFailureError(
                 f"traffic solution residual {worst:.3e} exceeds {RESIDUAL_TOL:.0e}"
+                f" x largest input rate {scale:.3e}"
             )
 
     return ArrivalRates(

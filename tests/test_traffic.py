@@ -1,5 +1,8 @@
 """Traffic equations: direct solve against the fixed-point oracle."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,8 @@ from qnswap import (
     NonConvergentError,
     RoutingMatrix,
     SingularRoutingError,
+    build_lattice_network,
+    parse_layout,
     solve_traffic,
     total_external_rate,
     validate_network,
@@ -125,6 +130,34 @@ def closed_cycle_spec():
     return validate_network(spec)
 
 
+def rounded_fan_cycle_spec():
+    # 0.7 + 0.2 + 0.1 sums to 0.9999999999999999: node 2 leaks 1.1e-16,
+    # below ROW_SUM_TOL, so the fan 2 -> {3, 4, 5} -> 2 is closed
+    spec = NetworkSpec(
+        nodes=tuple(
+            NodeSpec(id=i, kind=NodeKind.SOURCE, capacity=2, service_rate=1.0)
+            for i in (1, 2, 3, 4, 5)
+        ),
+        routing=RoutingMatrix({(2, 3): 0.7, (2, 4): 0.2, (2, 5): 0.1,
+                               (3, 2): 1.0, (4, 2): 1.0, (5, 2): 1.0}),
+        external_arrivals={1: 0.5, 2: 0.5},
+    )
+    return validate_network(spec)
+
+
+def leaky_cycle_spec():
+    # the 2 <-> 3 cycle leaks 1e-13 per pass, below ROW_SUM_TOL
+    spec = NetworkSpec(
+        nodes=tuple(
+            NodeSpec(id=i, kind=NodeKind.SOURCE, capacity=2, service_rate=1.0)
+            for i in (1, 2, 3)
+        ),
+        routing=RoutingMatrix({(2, 3): 1.0, (3, 2): 1.0 - 1e-13}),
+        external_arrivals={1: 0.5, 2: 0.5},
+    )
+    return validate_network(spec)
+
+
 def test_closed_cycle_is_singular_for_direct_solve():
     with pytest.raises(SingularRoutingError):
         solve_traffic(closed_cycle_spec(), method="direct")
@@ -133,6 +166,61 @@ def test_closed_cycle_is_singular_for_direct_solve():
 def test_closed_cycle_diverges_for_fixed_point():
     with pytest.raises(NonConvergentError):
         solve_traffic(closed_cycle_spec(), method="fixed_point", max_iter=2000)
+
+
+NEAR_CLOSED_SPECS = {
+    "rounded_fan_cycle": (rounded_fan_cycle_spec, [2, 3, 4, 5]),
+    "leaky_cycle": (leaky_cycle_spec, [2, 3]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NEAR_CLOSED_SPECS))
+def test_near_closed_cycle_is_singular_for_direct_solve(name):
+    build, nodes = NEAR_CLOSED_SPECS[name]
+    with pytest.raises(SingularRoutingError, match=re.escape(f"nodes {nodes}")):
+        solve_traffic(build(), method="direct")
+
+
+@pytest.mark.parametrize("name", sorted(NEAR_CLOSED_SPECS))
+def test_near_closed_cycle_diverges_for_fixed_point(name):
+    build, _ = NEAR_CLOSED_SPECS[name]
+    with pytest.raises(NonConvergentError):
+        solve_traffic(build(), method="fixed_point", max_iter=2000)
+
+
+def test_routing_into_a_pinned_node_drains():
+    # 2, 3 and 4 never route out, but 3 feeds node 4, whose rate is pinned:
+    # lam2 = 0.5 + 0.5 lam3 + 0.25 and lam3 = lam2, so both are 1.5
+    spec = validate_network(NetworkSpec(
+        nodes=tuple(
+            NodeSpec(id=i, kind=NodeKind.SOURCE, capacity=2, service_rate=1.0)
+            for i in (1, 2, 3, 4)
+        ),
+        routing=RoutingMatrix({(2, 3): 1.0, (3, 2): 0.5, (3, 4): 0.5, (4, 2): 1.0}),
+        external_arrivals={1: 0.5, 2: 0.5},
+        known_arrival_rates={4: 0.25},
+    ))
+    rates = solve_traffic(spec)
+    assert rates.rate(4) == 0.25
+    assert rates.rate(2) == pytest.approx(1.5, rel=1e-12)
+    assert rates.rate(3) == pytest.approx(1.5, rel=1e-12)
+
+
+def grid_layout(side: int):
+    sites = [f"s{r}_{c}" for r in range(side) for c in range(side)]
+    edges = ([[f"s{r}_{c}", f"s{r}_{c + 1}"] for r in range(side) for c in range(side - 1)]
+             + [[f"s{r}_{c}", f"s{r + 1}_{c}"] for r in range(side - 1) for c in range(side)])
+    queues = [{"site": "s0_0", "role": "source", "capacity": 8},
+              {"site": f"s{side - 1}_{side - 1}", "role": "sink", "capacity": 8}]
+    return parse_layout(json.dumps({"sites": sites, "edges": edges, "queues": queues}))
+
+
+def test_residual_check_scales_with_input_rates():
+    layout = grid_layout(12)
+    base = solve_traffic(build_lattice_network(layout, arrival_rate=0.1))
+    large = solve_traffic(build_lattice_network(layout, arrival_rate=1e5))
+    for i, lam in base.rates.items():
+        assert large.rate(i) == pytest.approx(1e6 * lam, rel=1e-12)
 
 
 def test_unknown_method_rejected(fixture_spec):
