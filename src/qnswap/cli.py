@@ -139,13 +139,7 @@ def _analyze_output(analysis: NetworkAnalysis, fmt: str, digits: int | None,
         if subset is not None:
             keep = set(subset)
             doc["nodes"] = [n for n in doc["nodes"] if n["node"] in keep]
-        doc["network"] = {
-            "mean_jobs": net.mean_jobs,
-            "mean_response_time": net.mean_response_time,
-            "external_rate": net.external_rate,
-            "total_jobs": net.total_jobs,
-            "nodes": list(net.nodes),
-        }
+            doc["network"] = net.to_jsonable()
         return json.dumps(_round_floats(doc, digits), sort_keys=True, indent=2) + "\n"
 
     if fmt == "csv":

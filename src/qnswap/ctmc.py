@@ -292,6 +292,24 @@ def blocking_node_closed_form(
     ))
 
 
+def _check_mm1k(rho: float, capacity: int):
+    if isinstance(capacity, bool) or not isinstance(capacity, int) or capacity < 1:
+        raise ValueError(f"capacity must be a positive integer, got {capacity!r}")
+    if rho < 0:
+        raise NegativeRhoError(rho)
+
+
+def _mm1k_term(rho: float, capacity: int, n: int) -> float:
+    """Probability of n jobs in an M/M/1/K queue with utilization rho."""
+    if abs(rho - 1.0) <= RHO_ONE_TOL:
+        return 1.0 / (capacity + 1)
+    if rho > 1.0:
+        # Reciprocal form; algebraically identical, no overflow in rho**K.
+        r = 1.0 / rho
+        return r ** (capacity - n) * (1.0 - r) / (1.0 - r ** (capacity + 1))
+    return rho ** n * (1.0 - rho) / (1.0 - rho ** (capacity + 1))
+
+
 def mm1k_full_probability(rho: float, capacity: int) -> float:
     """Probability that an M/M/1/K queue with utilization rho is full.
 
@@ -303,37 +321,17 @@ def mm1k_full_probability(rho: float, capacity: int) -> float:
         NegativeRhoError: rho < 0.
         ValueError: capacity below 1.
     """
-    if isinstance(capacity, bool) or not isinstance(capacity, int) or capacity < 1:
-        raise ValueError(f"capacity must be a positive integer, got {capacity!r}")
-    if rho < 0:
-        raise NegativeRhoError(rho)
-    if abs(rho - 1.0) <= RHO_ONE_TOL:
-        return 1.0 / (capacity + 1)
-    if rho > 1.0:
-        # Reciprocal form; algebraically identical, no overflow in rho**K.
-        r = 1.0 / rho
-        return (1.0 - r) / (1.0 - r ** (capacity + 1))
-    return rho ** capacity * (1.0 - rho) / (1.0 - rho ** (capacity + 1))
+    _check_mm1k(rho, capacity)
+    return _mm1k_term(rho, capacity, capacity)
 
 
 def mm1k_distribution(rho: float, capacity: int) -> MarginalDistribution:
     """Full occupancy distribution of an M/M/1/K queue (labels 0..K).
 
-    The last entry is computed by the exact same expression as
+    The last entry is computed by the same expression as
     :func:`mm1k_full_probability`, so the two agree bit for bit.
     """
-    if isinstance(capacity, bool) or not isinstance(capacity, int) or capacity < 1:
-        raise ValueError(f"capacity must be a positive integer, got {capacity!r}")
-    if rho < 0:
-        raise NegativeRhoError(rho)
-    states = StateSpace(tuple(range(capacity + 1)))
-    if abs(rho - 1.0) <= RHO_ONE_TOL:
-        return MarginalDistribution(states, (1.0 / (capacity + 1),) * (capacity + 1))
-    if rho > 1.0:
-        r = 1.0 / rho
-        probs = tuple(r ** (capacity - n) * (1.0 - r) / (1.0 - r ** (capacity + 1))
-                      for n in range(capacity + 1))
-    else:
-        probs = tuple(rho ** n * (1.0 - rho) / (1.0 - rho ** (capacity + 1))
-                      for n in range(capacity + 1))
-    return MarginalDistribution(states, probs)
+    _check_mm1k(rho, capacity)
+    levels = range(capacity + 1)
+    return MarginalDistribution(StateSpace(tuple(levels)),
+                                tuple(_mm1k_term(rho, capacity, n) for n in levels))

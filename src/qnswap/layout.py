@@ -32,13 +32,7 @@ from .errors import (
     SchemaError,
     UnreachableError,
 )
-from .model import (
-    NetworkSpec,
-    NodeKind,
-    NodeSpec,
-    RoutingMatrix,
-    validate_network,
-)
+from .model import NetworkSpec, NodeKind, NodeSpec, RoutingMatrix
 
 DEFAULT_BOUNDARY_CAPACITY = 8
 
@@ -64,7 +58,13 @@ class QueueSite:
 
 @dataclass(frozen=True)
 class LayoutGraph:
-    """Undirected site graph with queue-site annotations."""
+    """Connected undirected site graph with queue-site annotations.
+
+    Raises:
+        SchemaError: no sites, a self-edge, a duplicate site, or an edge or
+            queue naming an unknown site.
+        DisconnectedLayoutError: some sites cannot be reached from the first.
+    """
 
     sites: tuple[str, ...]
     edges: tuple[tuple[str, str], ...]
@@ -90,6 +90,7 @@ class LayoutGraph:
         for s in self.queue_sites:
             if s not in known:
                 raise SchemaError("queues", f"unknown site {s!r}")
+        _check_connected(self)
 
     @cached_property
     def _adjacency(self) -> dict[str, tuple[str, ...]]:
@@ -163,9 +164,7 @@ def parse_layout(text: str) -> LayoutGraph:
         if q["site"] in queues:
             raise SchemaError(path, f"duplicate queue entry for site {q['site']!r}")
         queues[q["site"]] = QueueSite(role=NodeKind(q["role"]), capacity=cap)
-    layout = LayoutGraph(tuple(doc["sites"]), tuple(edges), queues)
-    _check_connected(layout)
-    return layout
+    return LayoutGraph(tuple(doc["sites"]), tuple(edges), queues)
 
 
 def build_lattice_network(
@@ -188,8 +187,7 @@ def build_lattice_network(
     sites first (1..m), then sources, then sinks.
 
     Args:
-        layout: site graph; must be connected and declare at least one
-            source and one sink.
+        layout: site graph; must declare at least one source and one sink.
         service_rate: mu for every node.
         unblock_rate: mu_b for the interior nodes.
         arrival_rate: external rate per source, either one number for all
@@ -197,9 +195,8 @@ def build_lattice_network(
         boundary_capacity: buffer size for queue sites that do not fix one.
 
     Returns:
-        A validated NetworkSpec.
+        The generated NetworkSpec.
     """
-    _check_connected(layout)
     interior = [s for s in layout.sites if s not in layout.queue_sites]
     sources = [s for s in layout.sites
                if layout.queue_sites.get(s, None) is not None
@@ -251,11 +248,11 @@ def build_lattice_network(
     else:
         external = {ids[s]: float(arrival_rate) for s in sources}
 
-    return validate_network(NetworkSpec(
+    return NetworkSpec(
         nodes=tuple(nodes),
         routing=RoutingMatrix(entries),
         external_arrivals=external,
-    ))
+    )
 
 
 # Reference 15-node network: 11 capacity-one interior nodes (1..11), two
@@ -302,12 +299,12 @@ def munoz15_fixture() -> NetworkSpec:
         NodeSpec(14, NodeKind.SINK, DEFAULT_BOUNDARY_CAPACITY, 1.0, 0.0),
         NodeSpec(15, NodeKind.SINK, DEFAULT_BOUNDARY_CAPACITY, 1.0, 0.0),
     ]
-    return validate_network(NetworkSpec(
+    return NetworkSpec(
         nodes=tuple(nodes),
         routing=RoutingMatrix(_FIXTURE_ROUTING),
         external_arrivals=_FIXTURE_EXTERNAL,
         known_arrival_rates=_FIXTURE_ARRIVAL,
-    ))
+    )
 
 
 def shortest_hops(spec: NetworkSpec, src: int, dst: int) -> int:

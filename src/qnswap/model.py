@@ -8,7 +8,7 @@ traffic solver.
 The JSON document format is strict: unknown keys are rejected, node ids are
 positive integers, and rates may be given either as numbers or as decimal
 strings.  Serialization always emits decimal strings (``repr`` of the float),
-so ``parse_network(serialize_network(spec)) == spec`` for any validated spec.
+so ``parse_network(serialize_network(spec)) == spec`` for any spec.
 
 Top-level document shape::
 
@@ -20,15 +20,19 @@ Top-level document shape::
     }
 
 ``kind`` is one of ``"source"``, ``"sink"``, ``"intermediate"``.  ``mu_b``
-(the unblock rate) and ``servers`` may be omitted; they default to 0 and 1.
-All model values are immutable after validation and safe to share.
+(the unblock rate) may be omitted and defaults to 0.  ``servers`` may also be
+omitted; the model is single-server, so the only value accepted is 1.
+
+A ``NetworkSpec`` checks every structural invariant when it is constructed,
+so every spec that exists is valid; all model values are immutable and safe
+to share.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Mapping
@@ -68,7 +72,6 @@ class NodeSpec:
         unblock_rate: exponential rate at which a blocked job clears
             (mu_b).  Required positive for intermediate nodes; unused
             elsewhere.
-        servers: fixed at 1 in this model.
     """
 
     id: int
@@ -76,7 +79,6 @@ class NodeSpec:
     capacity: int
     service_rate: float
     unblock_rate: float = 0.0
-    servers: int = 1
 
 
 @dataclass(frozen=True)
@@ -115,13 +117,27 @@ class RoutingMatrix:
 
 @dataclass(frozen=True)
 class NetworkSpec:
-    """A validated or yet-to-be-validated open network description."""
+    """An open network description, checked on construction.
+
+    Raises:
+        InvalidNodeError: bad id or capacity value, or a field inconsistent
+            with the node kind.
+        NegativeRateError: any negative rate.
+        MissingUnblockRateError: intermediate node without a positive
+            unblock rate.
+        UnknownNodeReferenceError: routing or arrival entry naming a node
+            that does not exist.
+        ProbabilityOutOfRangeError: routing probability outside [0, 1].
+        RowSumExceedsOneError: routing row summing above 1.
+        ClosedNetworkError: no external arrival or no way out.
+        ValidationError: other structural violations (sink with outgoing
+            routing, incomplete known arrival rates, ...).
+    """
 
     nodes: tuple[NodeSpec, ...]
     routing: RoutingMatrix
     external_arrivals: Mapping[int, float]
     known_arrival_rates: Mapping[int, float] | None = None
-    exit_probabilities: Mapping[int, float] | None = field(default=None, compare=True)
 
     def __post_init__(self):
         object.__setattr__(self, "nodes",
@@ -135,18 +151,85 @@ class NetworkSpec:
             object.__setattr__(self, "known_arrival_rates",
                                {int(k): float(v)
                                 for k, v in sorted(self.known_arrival_rates.items())})
-        if self.exit_probabilities is not None:
-            object.__setattr__(self, "exit_probabilities",
-                               {int(k): float(v)
-                                for k, v in sorted(self.exit_probabilities.items())})
+
+        if not self.nodes:
+            raise ClosedNetworkError("network has no nodes")
+
+        seen: set[int] = set()
+        for n in self.nodes:
+            if isinstance(n.id, bool) or not isinstance(n.id, int) or n.id <= 0:
+                raise InvalidNodeError(f"node id {n.id!r} must be a positive integer")
+            if n.id in seen:
+                raise InvalidNodeError(f"duplicate node id {n.id}")
+            seen.add(n.id)
+            if not isinstance(n.capacity, int) or n.capacity < 1:
+                raise InvalidNodeError(f"node {n.id}: capacity must be a positive integer")
+            if n.service_rate < 0:
+                raise NegativeRateError(f"node {n.id} service rate", n.service_rate)
+            if n.unblock_rate < 0:
+                raise NegativeRateError(f"node {n.id} unblock rate", n.unblock_rate)
+            if n.kind is NodeKind.INTERMEDIATE:
+                if n.capacity != 1:
+                    raise InvalidNodeError(
+                        f"node {n.id}: intermediate nodes hold exactly one job"
+                    )
+                if n.unblock_rate <= 0:
+                    raise MissingUnblockRateError(n.id)
+
+        by_id = self._by_id
+        for (i, j), p in self.routing.entries.items():
+            if i not in by_id:
+                raise UnknownNodeReferenceError(f"routing entry {i}->{j}", i)
+            if j not in by_id:
+                raise UnknownNodeReferenceError(f"routing entry {i}->{j}", j)
+            if p < 0.0 or p > 1.0:
+                raise ProbabilityOutOfRangeError(f"routing {i}->{j}", p)
+            if p > 0.0 and by_id[i].kind is NodeKind.SINK:
+                raise ValidationError(f"sink node {i} cannot route onward")
+
+        for i in by_id:
+            total = self.routing.row_sum(i)
+            if total > 1.0 + ROW_SUM_TOL:
+                raise RowSumExceedsOneError(i, total)
+
+        for i, rate in self.external_arrivals.items():
+            if i not in by_id:
+                raise UnknownNodeReferenceError("external arrival", i)
+            if rate < 0:
+                raise NegativeRateError(f"external arrival rate at node {i}", rate)
+            if by_id[i].kind is NodeKind.SINK:
+                raise ValidationError(f"external arrivals cannot target sink node {i}")
+
+        if self.known_arrival_rates is not None:
+            for i, rate in self.known_arrival_rates.items():
+                if i not in by_id:
+                    raise UnknownNodeReferenceError("known arrival rate", i)
+                if rate < 0:
+                    raise NegativeRateError(f"known arrival rate at node {i}", rate)
+            missing = [n.id for n in self.intermediates()
+                       if n.id not in self.known_arrival_rates]
+            if missing:
+                raise ValidationError(
+                    f"known arrival rates must cover every intermediate node; missing {missing}"
+                )
+
+        # A node that can ever hold a job must be able to serve it.
+        incoming = {j for (i, j), p in self.routing.entries.items() if p > 0.0}
+        for n in self.nodes:
+            receives = n.id in incoming or self.external_arrivals.get(n.id, 0.0) > 0.0
+            if receives and n.service_rate <= 0:
+                raise InvalidNodeError(
+                    f"node {n.id} receives jobs but has no positive service rate"
+                )
+
+        if not any(r > 0 for r in self.external_arrivals.values()):
+            raise ClosedNetworkError("no node has a positive external arrival rate")
+        if not any(self.exit_probability(i) > 0 for i in by_id):
+            raise ClosedNetworkError("no node has a positive exit probability")
 
     @cached_property
     def _by_id(self) -> dict[int, NodeSpec]:
         return {n.id: n for n in self.nodes}
-
-    @property
-    def is_validated(self) -> bool:
-        return self.exit_probabilities is not None
 
     def node(self, node_id: int) -> NodeSpec:
         try:
@@ -167,116 +250,8 @@ class NetworkSpec:
         return tuple(n for n in self.nodes if n.kind is NodeKind.INTERMEDIATE)
 
     def exit_probability(self, node_id: int) -> float:
-        if self.exit_probabilities is not None and node_id in self.exit_probabilities:
-            return self.exit_probabilities[node_id]
-        if node_id not in self._by_id:
-            raise UnknownNodeReferenceError("lookup", node_id)
+        self.node(node_id)
         return max(0.0, min(1.0, 1.0 - self.routing.row_sum(node_id)))
-
-
-def validate_network(spec: NetworkSpec) -> NetworkSpec:
-    """Check every structural invariant and materialize exit probabilities.
-
-    Returns the spec unchanged apart from the filled-in
-    ``exit_probabilities`` map.  Deterministic and side-effect free.
-
-    Raises:
-        InvalidNodeError: bad id, capacity, or servers value, or a field
-            inconsistent with the node kind.
-        NegativeRateError: any negative rate.
-        MissingUnblockRateError: intermediate node without a positive
-            unblock rate.
-        UnknownNodeReferenceError: routing or arrival entry naming a node
-            that does not exist.
-        ProbabilityOutOfRangeError: routing probability outside [0, 1].
-        RowSumExceedsOneError: routing row summing above 1.
-        ClosedNetworkError: no external arrival or no way out.
-        ValidationError: other structural violations (sink with outgoing
-            routing, incomplete known arrival rates, ...).
-    """
-    if not spec.nodes:
-        raise ClosedNetworkError("network has no nodes")
-
-    seen: set[int] = set()
-    for n in spec.nodes:
-        if isinstance(n.id, bool) or not isinstance(n.id, int) or n.id <= 0:
-            raise InvalidNodeError(f"node id {n.id!r} must be a positive integer")
-        if n.id in seen:
-            raise InvalidNodeError(f"duplicate node id {n.id}")
-        seen.add(n.id)
-        if not isinstance(n.capacity, int) or n.capacity < 1:
-            raise InvalidNodeError(f"node {n.id}: capacity must be a positive integer")
-        if n.servers != 1:
-            raise InvalidNodeError(f"node {n.id}: this model is single-server only")
-        if n.service_rate < 0:
-            raise NegativeRateError(f"node {n.id} service rate", n.service_rate)
-        if n.unblock_rate < 0:
-            raise NegativeRateError(f"node {n.id} unblock rate", n.unblock_rate)
-        if n.kind is NodeKind.INTERMEDIATE:
-            if n.capacity != 1:
-                raise InvalidNodeError(
-                    f"node {n.id}: intermediate nodes hold exactly one job"
-                )
-            if n.unblock_rate <= 0:
-                raise MissingUnblockRateError(n.id)
-
-    ids = seen
-    by_id = {n.id: n for n in spec.nodes}
-
-    for (i, j), p in spec.routing.entries.items():
-        if i not in ids:
-            raise UnknownNodeReferenceError(f"routing entry {i}->{j}", i)
-        if j not in ids:
-            raise UnknownNodeReferenceError(f"routing entry {i}->{j}", j)
-        if p < 0.0 or p > 1.0:
-            raise ProbabilityOutOfRangeError(f"routing {i}->{j}", p)
-        if p > 0.0 and by_id[i].kind is NodeKind.SINK:
-            raise ValidationError(f"sink node {i} cannot route onward")
-
-    row_sums = {i: 0.0 for i in ids}
-    for (i, j), p in spec.routing.entries.items():
-        row_sums[i] += p
-    for i, total in row_sums.items():
-        if total > 1.0 + ROW_SUM_TOL:
-            raise RowSumExceedsOneError(i, total)
-
-    for i, rate in spec.external_arrivals.items():
-        if i not in ids:
-            raise UnknownNodeReferenceError("external arrival", i)
-        if rate < 0:
-            raise NegativeRateError(f"external arrival rate at node {i}", rate)
-        if by_id[i].kind is NodeKind.SINK:
-            raise ValidationError(f"external arrivals cannot target sink node {i}")
-
-    if spec.known_arrival_rates is not None:
-        for i, rate in spec.known_arrival_rates.items():
-            if i not in ids:
-                raise UnknownNodeReferenceError("known arrival rate", i)
-            if rate < 0:
-                raise NegativeRateError(f"known arrival rate at node {i}", rate)
-        missing = [n.id for n in spec.intermediates()
-                   if n.id not in spec.known_arrival_rates]
-        if missing:
-            raise ValidationError(
-                f"known arrival rates must cover every intermediate node; missing {missing}"
-            )
-
-    # A node that can ever hold a job must be able to serve it.
-    incoming = {j for (i, j), p in spec.routing.entries.items() if p > 0.0}
-    for n in spec.nodes:
-        receives = n.id in incoming or spec.external_arrivals.get(n.id, 0.0) > 0.0
-        if receives and n.service_rate <= 0:
-            raise InvalidNodeError(
-                f"node {n.id} receives jobs but has no positive service rate"
-            )
-
-    exits = {i: max(0.0, min(1.0, 1.0 - row_sums[i])) for i in sorted(ids)}
-    if not any(r > 0 for r in spec.external_arrivals.values()):
-        raise ClosedNetworkError("no node has a positive external arrival rate")
-    if not any(p > 0 for p in exits.values()):
-        raise ClosedNetworkError("no node has a positive exit probability")
-
-    return replace(spec, exit_probabilities=exits)
 
 
 # -- document parsing --------------------------------------------------------
@@ -340,12 +315,13 @@ def parse_network(text: str) -> NetworkSpec:
         text: JSON document in the format described in the module docstring.
 
     Returns:
-        A validated NetworkSpec (exit probabilities materialized).
+        The NetworkSpec the document describes.
 
     Raises:
         ParseError: text is not valid JSON (carries the line number).
         SchemaError: JSON shape or value types are wrong (carries a path).
-        ValidationError: any structural invariant fails.
+        ValidationError: any structural invariant fails, including a
+            ``servers`` value other than 1 (InvalidNodeError).
     """
     try:
         doc = json.loads(text, parse_constant=_no_nonfinite)
@@ -377,13 +353,16 @@ def parse_network(text: str) -> NetworkSpec:
                 f"{path}.kind",
                 f"must be one of {sorted(k.value for k in NodeKind)}, got {kind_raw!r}",
             ) from None
+        node_id = _as_int(obj["id"], f"{path}.id")
+        servers = obj.get("servers", 1)
+        if type(servers) is not int or servers != 1:
+            raise InvalidNodeError(f"node {node_id}: this model is single-server only")
         nodes.append(NodeSpec(
-            id=_as_int(obj["id"], f"{path}.id"),
+            id=node_id,
             kind=kind,
             capacity=_as_int(obj["capacity"], f"{path}.capacity"),
             service_rate=_as_rate(obj["mu"], f"{path}.mu"),
             unblock_rate=_as_rate(obj["mu_b"], f"{path}.mu_b") if "mu_b" in obj else 0.0,
-            servers=_as_int(obj["servers"], f"{path}.servers") if "servers" in obj else 1,
         ))
 
     entries: dict[tuple[int, int], float] = {}
@@ -420,13 +399,12 @@ def parse_network(text: str) -> NetworkSpec:
                 raise SchemaError(path, f"duplicate known arrival rate for node {i}")
             known[i] = _as_rate(obj["lambda"], f"{path}.lambda")
 
-    spec = NetworkSpec(
+    return NetworkSpec(
         nodes=tuple(nodes),
         routing=RoutingMatrix(entries),
         external_arrivals=external,
         known_arrival_rates=known,
     )
-    return validate_network(spec)
 
 
 def _dec(x: float) -> str:
@@ -447,7 +425,7 @@ def serialize_network(spec: NetworkSpec) -> str:
                 "capacity": n.capacity,
                 "mu": _dec(n.service_rate),
                 "mu_b": _dec(n.unblock_rate),
-                "servers": n.servers,
+                "servers": 1,
             }
             for n in spec.nodes
         ],

@@ -21,13 +21,12 @@ from .ctmc import (
 )
 from .errors import (
     DimensionMismatchError,
-    MissingUnblockRateError,
     NodeNotIntermediateError,
     ProbabilityOutOfRangeError,
     ZeroArrivalRateError,
 )
 from .metrics import NetworkMetrics, NodeMetrics, network_metrics, node_metrics
-from .model import NetworkSpec, NodeKind, validate_network
+from .model import NetworkSpec, NodeKind
 from .traffic import ArrivalRates, solve_traffic
 
 
@@ -41,20 +40,15 @@ class AnalysisAssumptions:
             utilizations come from the solved arrival rates.
         blocking_probability_override: if set, use this value verbatim for
             every node instead of computing anything.
-        normalization_constant: fixed at 1 for an open network; any other
-            value is rejected rather than silently accepted.
     """
 
     rho_one: bool = True
     blocking_probability_override: float | None = None
-    normalization_constant: float = 1.0
 
     def __post_init__(self):
         pb = self.blocking_probability_override
         if pb is not None and (pb < 0.0 or pb > 1.0):
             raise ProbabilityOutOfRangeError("blocking probability override", pb)
-        if self.normalization_constant != 1.0:
-            raise ValueError("open-network product form requires a normalization constant of 1")
 
 
 DEFAULT_ASSUMPTIONS = AnalysisAssumptions()
@@ -101,16 +95,11 @@ class NetworkAnalysis:
                 "rho_one": self.assumptions.rho_one,
                 "blocking_probability_override":
                     self.assumptions.blocking_probability_override,
-                "normalization_constant": self.assumptions.normalization_constant,
+                # an open network's product form is normalized as it stands
+                "normalization_constant": 1.0,
             },
             "nodes": nodes,
-            "network": {
-                "mean_jobs": self.network.mean_jobs,
-                "mean_response_time": self.network.mean_response_time,
-                "external_rate": self.network.external_rate,
-                "total_jobs": self.network.total_jobs,
-                "nodes": list(self.network.nodes),
-            },
+            "network": self.network.to_jsonable(),
         }
 
 
@@ -129,8 +118,6 @@ def worst_case_blocking_probability(
     Raises:
         NodeNotIntermediateError: the node is a source or sink.
     """
-    if not spec.is_validated:
-        spec = validate_network(spec)
     node = spec.node(node_id)
     if node.kind is not NodeKind.INTERMEDIATE:
         raise NodeNotIntermediateError(node_id)
@@ -165,21 +152,15 @@ def analyze_network(
     the blocking probabilities and the traffic solution.
 
     Raises:
-        MissingUnblockRateError: an intermediate node without a positive
-            unblock rate.
         ZeroArrivalRateError: an intermediate node whose solved arrival
             rate is not positive.
     """
-    if not spec.is_validated:
-        spec = validate_network(spec)
     rates = solve_traffic(spec)
 
     marginals: dict[int, MarginalDistribution] = {}
     blocking: dict[int, float] = {}
     per_node: dict[int, NodeMetrics] = {}
     for node in spec.intermediates():
-        if node.unblock_rate <= 0:
-            raise MissingUnblockRateError(node.id)
         lam = rates.rates[node.id]
         if lam <= 0:
             raise ZeroArrivalRateError(node.id)

@@ -32,8 +32,8 @@ from typing import Mapping
 import numpy as np
 
 from .ctmc import Generator, is_irreducible
-from .errors import ReducibleChainError, ZeroHorizonError
-from .model import NetworkSpec, validate_network
+from .errors import NumericalFailureError, ReducibleChainError, ZeroHorizonError
+from .model import NetworkSpec
 
 _ARRIVAL = 0
 _COMPLETE = 1
@@ -482,7 +482,11 @@ class _NetworkRun:
         window = t_end - min(self.t_warm, t_end)
 
         in_flight = sum(self._count(k) for k in range(len(self.ids)))
-        assert in_flight == self.arrivals - self.completed - self.dropped
+        if in_flight != self.arrivals - self.completed - self.dropped:
+            raise NumericalFailureError(
+                f"flow not conserved: {in_flight} jobs in flight, but"
+                f" {self.arrivals} arrivals - {self.completed} completed"
+                f" - {self.dropped} dropped")
 
         return {
             "occ_time": self.occ_time,
@@ -507,9 +511,6 @@ def simulate_blocking_network(spec: NetworkSpec, config: SimConfig) -> SimResult
     blocking, diversion, and drop rules.  Identical (spec, config) pairs
     produce identical results.
     """
-    if not spec.is_validated:
-        spec = validate_network(spec)
-
     reps = []
     for rep in range(config.replications):
         run = _NetworkRun(spec, _rep_rng(config.seed, rep), config.unit,

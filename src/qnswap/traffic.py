@@ -31,7 +31,7 @@ from .errors import (
     NumericalFailureError,
     SingularRoutingError,
 )
-from .model import ROW_SUM_TOL, NetworkSpec, validate_network
+from .model import ROW_SUM_TOL, NetworkSpec
 
 # Largest accepted residual, relative to the largest input rate.
 RESIDUAL_TOL = 1e-10
@@ -101,7 +101,7 @@ def solve_traffic(
     """Solve the traffic equations.
 
     Args:
-        spec: network description (validated lazily if needed).
+        spec: network description.
         method: "direct" (LAPACK solve) or "fixed_point" (damped
             iteration, kept as an independent cross-check).
         tol: step-size stopping threshold for the fixed-point method.
@@ -121,8 +121,6 @@ def solve_traffic(
             exceeds ``RESIDUAL_TOL`` times the largest external or pinned
             rate.
     """
-    if not spec.is_validated:
-        spec = validate_network(spec)
     ids, index, p, lam0 = _system(spec)
     n = len(ids)
     known = dict(spec.known_arrival_rates or {})

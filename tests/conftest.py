@@ -7,7 +7,6 @@ from qnswap import (
     NodeSpec,
     RoutingMatrix,
     munoz15_fixture,
-    validate_network,
 )
 
 
@@ -42,7 +41,7 @@ def random_open_network(rng: np.random.Generator, max_nodes: int = 20) -> Networ
         routing=RoutingMatrix(entries),
         external_arrivals=external,
     )
-    return validate_network(spec)
+    return spec
 
 
 def single_queue_spec(arrival_rate: float, capacity: int,
@@ -54,7 +53,7 @@ def single_queue_spec(arrival_rate: float, capacity: int,
         routing=RoutingMatrix({}),
         external_arrivals={1: arrival_rate},
     )
-    return validate_network(spec)
+    return spec
 
 
 @pytest.fixture(scope="session")

@@ -165,6 +165,22 @@ class TestValidateAndFixture:
         assert out == ""
         assert json.loads(err)["error"] == "SchemaError"
 
+    @pytest.mark.parametrize("servers, code, error",
+                             [(1, 0, None), (2, 2, "InvalidNodeError")])
+    def test_servers_must_be_one(self, capsys, tmp_path, servers, code, error):
+        doc = json.loads(serialize_network(single_queue_spec(0.5, 2)))
+        doc["nodes"][0]["servers"] = servers
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        got, out, err = run_cli(capsys, "validate", "--network", str(path))
+        assert got == code
+        if error is None:
+            assert out == "ok: 1 nodes, 0 routing entries\n"
+        else:
+            assert out == ""
+            assert json.loads(err)["error"] == error
+            assert "single-server only" in json.loads(err)["message"]
+
     def test_fixture_summary(self, capsys):
         code, out, _ = run_cli(capsys, "fixture", "munoz15")
         assert code == 0

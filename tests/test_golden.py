@@ -1,9 +1,11 @@
 """Frozen CLI outputs on the bundled fixture, reproduced byte for byte.
 
-The files under ``golden/`` were written by the CLI before the traffic and
-steady-state solves moved to LAPACK.  Any refactor that changes a printed
-byte of these four outputs shows up here.  Regenerate them only for a
-deliberate change of output, and record that change.
+The analysis and simulation files under ``golden/`` were written by the CLI
+before the traffic and steady-state solves moved to LAPACK, and the emitted
+fixture document before network specs were checked on construction.  Any
+refactor that changes a printed byte of these five outputs shows up here.
+Regenerate them only for a deliberate change of output, and record that
+change.
 """
 
 from pathlib import Path
@@ -21,6 +23,14 @@ CASES = {
     "munoz15_simulate_seed11_h500.json": [
         "simulate", "--seed", "11", "--horizon", "500", "--format", "json"],
 }
+
+
+def test_fixture_emit_matches_golden_bytes(capsys):
+    code = cli.run(["fixture", "munoz15", "--emit"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == ""
+    assert captured.out.encode("utf-8") == (GOLDEN / "munoz15_fixture_emit.json").read_bytes()
 
 
 @pytest.fixture()

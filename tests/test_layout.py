@@ -20,7 +20,6 @@ from qnswap import (
     parse_layout,
     shortest_hops,
     solve_traffic,
-    validate_network,
 )
 import _expected
 
@@ -110,7 +109,6 @@ class TestLatticeBuilder:
         assert net.node(5).capacity == 4
         assert net.node(6).capacity == 6
         assert net.external_arrivals == {5: 0.3}
-        assert net.is_validated
 
     def test_interior_rows_are_uniform_over_all_neighbors(self):
         net = build_lattice_network(parse_layout(GRID))

@@ -22,7 +22,6 @@ from qnswap import (
     ValidationError,
     parse_network,
     serialize_network,
-    validate_network,
 )
 from conftest import random_open_network
 
@@ -42,8 +41,7 @@ def two_node_spec(routing, external={1: 1.0}):
 
 class TestValidation:
     def test_valid_network_passes_and_materializes_exits(self):
-        spec = validate_network(two_node_spec({(1, 2): 0.7}))
-        assert spec.is_validated
+        spec = two_node_spec({(1, 2): 0.7})
         assert spec.exit_probability(1) == pytest.approx(0.3)
         assert spec.exit_probability(2) == 1.0
 
@@ -55,18 +53,13 @@ class TestValidation:
                 total = spec.routing.row_sum(i) + spec.exit_probability(i)
                 assert abs(total - 1.0) <= 1e-9
 
-    def test_validate_is_idempotent(self):
-        spec = two_node_spec({(1, 2): 0.7})
-        assert validate_network(spec) == validate_network(spec)
-
     def test_row_sum_above_one(self):
-        spec = NetworkSpec(
-            nodes=(node(1), node(2), node(3)),
-            routing=RoutingMatrix({(1, 2): 0.8, (1, 3): 0.5}),
-            external_arrivals={1: 1.0},
-        )
         with pytest.raises(RowSumExceedsOneError, match="node 1"):
-            validate_network(spec)
+            NetworkSpec(
+                nodes=(node(1), node(2), node(3)),
+                routing=RoutingMatrix({(1, 2): 0.8, (1, 3): 0.5}),
+                external_arrivals={1: 1.0},
+            )
 
     def test_row_sum_tolerates_decimal_rounding(self):
         # three equal thirds land a hair above 1.0 in binary; still accepted
@@ -75,86 +68,89 @@ class TestValidation:
             routing=RoutingMatrix({(1, 2): 1 / 3, (1, 3): 1 / 3, (1, 4): 1 / 3 + 5e-10}),
             external_arrivals={1: 1.0},
         )
-        validated = validate_network(spec)
-        assert validated.exit_probability(1) == 0.0
+        assert spec.exit_probability(1) == 0.0
 
     def test_unknown_routing_target(self):
         with pytest.raises(UnknownNodeReferenceError, match="unknown node 9"):
-            validate_network(two_node_spec({(1, 9): 0.5}))
+            two_node_spec({(1, 9): 0.5})
 
     def test_sink_cannot_route(self):
-        spec = NetworkSpec(
-            nodes=(node(1), node(2, kind=NodeKind.SINK)),
-            routing=RoutingMatrix({(1, 2): 0.5, (2, 1): 0.5}),
-            external_arrivals={1: 1.0},
-        )
         with pytest.raises(ValidationError, match="sink node 2"):
-            validate_network(spec)
+            NetworkSpec(
+                nodes=(node(1), node(2, kind=NodeKind.SINK)),
+                routing=RoutingMatrix({(1, 2): 0.5, (2, 1): 0.5}),
+                external_arrivals={1: 1.0},
+            )
 
     def test_external_arrivals_cannot_target_sink(self):
-        spec = NetworkSpec(
-            nodes=(node(1), node(2, kind=NodeKind.SINK)),
-            routing=RoutingMatrix({(1, 2): 0.5}),
-            external_arrivals={2: 1.0},
-        )
         with pytest.raises(ValidationError, match="sink node 2"):
-            validate_network(spec)
+            NetworkSpec(
+                nodes=(node(1), node(2, kind=NodeKind.SINK)),
+                routing=RoutingMatrix({(1, 2): 0.5}),
+                external_arrivals={2: 1.0},
+            )
 
     def test_closed_network_no_exit(self):
         with pytest.raises(ClosedNetworkError, match="exit"):
-            validate_network(two_node_spec({(1, 2): 1.0, (2, 1): 1.0}))
+            two_node_spec({(1, 2): 1.0, (2, 1): 1.0})
 
     def test_closed_network_no_arrivals(self):
         with pytest.raises(ClosedNetworkError, match="external"):
-            validate_network(two_node_spec({(1, 2): 0.5}, external={}))
+            two_node_spec({(1, 2): 0.5}, external={})
 
     def test_intermediate_requires_unblock_rate(self):
-        spec = NetworkSpec(
-            nodes=(node(1, kind=NodeKind.INTERMEDIATE, capacity=1), node(2)),
-            routing=RoutingMatrix({(1, 2): 0.5}),
-            external_arrivals={1: 1.0},
-        )
         with pytest.raises(MissingUnblockRateError):
-            validate_network(spec)
+            NetworkSpec(
+                nodes=(node(1, kind=NodeKind.INTERMEDIATE, capacity=1), node(2)),
+                routing=RoutingMatrix({(1, 2): 0.5}),
+                external_arrivals={1: 1.0},
+            )
 
     def test_intermediate_capacity_is_one(self):
-        spec = NetworkSpec(
-            nodes=(node(1, kind=NodeKind.INTERMEDIATE, capacity=2, mu_b=0.1), node(2)),
-            routing=RoutingMatrix({(1, 2): 0.5}),
-            external_arrivals={1: 1.0},
-        )
         with pytest.raises(InvalidNodeError, match="exactly one job"):
-            validate_network(spec)
+            NetworkSpec(
+                nodes=(node(1, kind=NodeKind.INTERMEDIATE, capacity=2, mu_b=0.1), node(2)),
+                routing=RoutingMatrix({(1, 2): 0.5}),
+                external_arrivals={1: 1.0},
+            )
 
     def test_negative_service_rate(self):
-        spec = NetworkSpec(
-            nodes=(node(1, mu=-1.0),),
-            routing=RoutingMatrix({}),
-            external_arrivals={1: 1.0},
-        )
         with pytest.raises(NegativeRateError):
-            validate_network(spec)
+            NetworkSpec(
+                nodes=(node(1, mu=-1.0),),
+                routing=RoutingMatrix({}),
+                external_arrivals={1: 1.0},
+            )
+
+    def test_checked_on_construction(self):
+        # a negative service rate inside a closed 1 <-> 2 cycle: no spec
+        # that exists can carry it on to the traffic solver or the simulator
+        with pytest.raises(NegativeRateError):
+            NetworkSpec(
+                nodes=(node(1, mu=-1.0), node(2)),
+                routing=RoutingMatrix({(1, 2): 1.0, (2, 1): 1.0}),
+                external_arrivals={1: 1.0},
+            )
 
     def test_probability_out_of_range(self):
         with pytest.raises(ProbabilityOutOfRangeError):
-            validate_network(two_node_spec({(1, 2): 1.2}))
+            two_node_spec({(1, 2): 1.2})
 
     def test_receiving_node_needs_service(self):
-        spec = NetworkSpec(
-            nodes=(node(1), node(2, mu=0.0)),
-            routing=RoutingMatrix({(1, 2): 0.5}),
-            external_arrivals={1: 1.0},
-        )
         with pytest.raises(InvalidNodeError, match="no positive service rate"):
-            validate_network(spec)
+            NetworkSpec(
+                nodes=(node(1), node(2, mu=0.0)),
+                routing=RoutingMatrix({(1, 2): 0.5}),
+                external_arrivals={1: 1.0},
+            )
 
     def test_duplicate_node_ids_rejected(self):
         with pytest.raises(ValidationError):
-            validate_network(NetworkSpec(
+            NetworkSpec(
                 nodes=(node(1), node(1)),
                 routing=RoutingMatrix({}),
                 external_arrivals={1: 1.0},
-            ))
+            )
 
 
 class TestCanonicalForm:

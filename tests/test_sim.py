@@ -16,6 +16,7 @@ from qnswap import (
     NetworkSpec,
     NodeKind,
     NodeSpec,
+    NumericalFailureError,
     ReducibleChainError,
     RoutingMatrix,
     SERVING,
@@ -28,7 +29,7 @@ from qnswap import (
     mm1k_distribution,
     simulate_blocking_network,
     simulate_ctmc,
-    validate_network,
+    sim,
 )
 from conftest import random_open_network, single_queue_spec
 
@@ -136,7 +137,7 @@ class TestTrajectorySampler:
 
 def blocking_chain_spec():
     """Fast station feeding a slow single-slot sink; heavy blocking."""
-    return validate_network(NetworkSpec(
+    return NetworkSpec(
         nodes=(
             NodeSpec(id=1, kind=NodeKind.INTERMEDIATE, capacity=1,
                      service_rate=5.0, unblock_rate=0.15),
@@ -144,7 +145,7 @@ def blocking_chain_spec():
         ),
         routing=RoutingMatrix({(1, 2): 1.0}),
         external_arrivals={1: 1.0},
-    ))
+    )
 
 
 class TestBlockingNetwork:
@@ -165,6 +166,19 @@ class TestBlockingNetwork:
             for ns in res.nodes:
                 assert abs(sum(ns.occupancy) - 1.0) <= 1e-9
                 assert 0.0 <= ns.blocked_fraction <= 1.0
+
+    def test_conservation_failure_raises(self, fixture_spec, monkeypatch):
+        # a departure the counters miss breaks conservation; the check must
+        # raise the documented error, also under python -O
+        depart = sim._NetworkRun._depart
+
+        def uncounted(run, k, job):
+            depart(run, k, job)
+            run.completed -= 1
+
+        monkeypatch.setattr(sim._NetworkRun, "_depart", uncounted)
+        with pytest.raises(NumericalFailureError, match="flow not conserved"):
+            simulate_blocking_network(fixture_spec, SimConfig(seed=7, horizon=500.0))
 
     def test_single_full_queue_drops_half(self):
         res = simulate_blocking_network(

@@ -17,7 +17,6 @@ from qnswap import (
     parse_layout,
     solve_traffic,
     total_external_rate,
-    validate_network,
 )
 from conftest import random_open_network
 import _expected
@@ -36,7 +35,7 @@ def feedback_pair():
         routing=RoutingMatrix({(1, 2): 0.5, (2, 1): 0.25}),
         external_arrivals={1: 1.0},
     )
-    return validate_network(spec)
+    return spec
 
 
 def test_hand_solved_feedback_pair():
@@ -78,11 +77,11 @@ def test_linearity_in_external_rates():
         spec = random_open_network(rng)
         base = solve_traffic(spec)
         for c in (2.0, 1.7):
-            scaled_spec = validate_network(NetworkSpec(
+            scaled_spec = NetworkSpec(
                 nodes=spec.nodes,
                 routing=spec.routing,
                 external_arrivals={i: c * r for i, r in spec.external_arrivals.items()},
-            ))
+            )
             scaled = solve_traffic(scaled_spec)
             for i in spec.ids():
                 if c == 2.0:
@@ -108,7 +107,7 @@ def test_pinned_rate_feeds_downstream_nodes():
         external_arrivals={1: 1.0},
         known_arrival_rates={1: 3.0},
     )
-    rates = solve_traffic(validate_network(spec))
+    rates = solve_traffic(spec)
     assert rates.rate(1) == 3.0
     assert rates.rate(2) == pytest.approx(1.5, abs=1e-12)
 
@@ -127,7 +126,7 @@ def closed_cycle_spec():
         routing=RoutingMatrix({(2, 3): 1.0, (3, 2): 1.0}),
         external_arrivals={1: 0.5, 2: 0.5},
     )
-    return validate_network(spec)
+    return spec
 
 
 def rounded_fan_cycle_spec():
@@ -142,7 +141,7 @@ def rounded_fan_cycle_spec():
                                (3, 2): 1.0, (4, 2): 1.0, (5, 2): 1.0}),
         external_arrivals={1: 0.5, 2: 0.5},
     )
-    return validate_network(spec)
+    return spec
 
 
 def leaky_cycle_spec():
@@ -155,7 +154,7 @@ def leaky_cycle_spec():
         routing=RoutingMatrix({(2, 3): 1.0, (3, 2): 1.0 - 1e-13}),
         external_arrivals={1: 0.5, 2: 0.5},
     )
-    return validate_network(spec)
+    return spec
 
 
 def test_closed_cycle_is_singular_for_direct_solve():
@@ -191,7 +190,7 @@ def test_near_closed_cycle_diverges_for_fixed_point(name):
 def test_routing_into_a_pinned_node_drains():
     # 2, 3 and 4 never route out, but 3 feeds node 4, whose rate is pinned:
     # lam2 = 0.5 + 0.5 lam3 + 0.25 and lam3 = lam2, so both are 1.5
-    spec = validate_network(NetworkSpec(
+    spec = NetworkSpec(
         nodes=tuple(
             NodeSpec(id=i, kind=NodeKind.SOURCE, capacity=2, service_rate=1.0)
             for i in (1, 2, 3, 4)
@@ -199,7 +198,7 @@ def test_routing_into_a_pinned_node_drains():
         routing=RoutingMatrix({(2, 3): 1.0, (3, 2): 0.5, (3, 4): 0.5, (4, 2): 1.0}),
         external_arrivals={1: 0.5, 2: 0.5},
         known_arrival_rates={4: 0.25},
-    ))
+    )
     rates = solve_traffic(spec)
     assert rates.rate(4) == 0.25
     assert rates.rate(2) == pytest.approx(1.5, rel=1e-12)
