@@ -244,6 +244,16 @@ def _positive(name: str, value: float) -> float:
     return float(value)
 
 
+def _check_blocking_node(arrival_rate, service_rate, unblock_rate, blocking_probability):
+    lam = _positive("arrival rate", arrival_rate)
+    mu = _positive("service rate", service_rate)
+    mu_b = _positive("unblock rate", unblock_rate)
+    pb = blocking_probability
+    if pb < 0.0 or pb > 1.0:
+        raise ProbabilityOutOfRangeError("blocking probability", pb)
+    return lam, mu, mu_b, pb
+
+
 def blocking_node_chain(
     arrival_rate: float,
     service_rate: float,
@@ -251,12 +261,8 @@ def blocking_node_chain(
     blocking_probability: float,
 ) -> Generator:
     """Generator of the three-state blocking node (see module docstring)."""
-    lam = _positive("arrival rate", arrival_rate)
-    mu = _positive("service rate", service_rate)
-    mu_b = _positive("unblock rate", unblock_rate)
-    pb = blocking_probability
-    if pb < 0.0 or pb > 1.0:
-        raise ProbabilityOutOfRangeError("blocking probability", pb)
+    lam, mu, mu_b, pb = _check_blocking_node(
+        arrival_rate, service_rate, unblock_rate, blocking_probability)
     return build_generator(BLOCKING_STATES, [
         (EMPTY, SERVING, lam),
         (SERVING, EMPTY, mu * (1.0 - pb)),
@@ -276,12 +282,8 @@ def blocking_node_closed_form(
     Independent of :func:`steady_state`; the two must agree to solver
     precision, which the test suite checks on random draws.
     """
-    lam = _positive("arrival rate", arrival_rate)
-    mu = _positive("service rate", service_rate)
-    mu_b = _positive("unblock rate", unblock_rate)
-    pb = blocking_probability
-    if pb < 0.0 or pb > 1.0:
-        raise ProbabilityOutOfRangeError("blocking probability", pb)
+    lam, mu, mu_b, pb = _check_blocking_node(
+        arrival_rate, service_rate, unblock_rate, blocking_probability)
     serving_weight = lam / mu
     blocked_weight = lam * pb / mu_b
     denom = 1.0 + serving_weight + blocked_weight

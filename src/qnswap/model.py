@@ -140,6 +140,10 @@ class NetworkSpec:
     known_arrival_rates: Mapping[int, float] | None = None
 
     def __post_init__(self):
+        # Ids are checked before sorting: mixed id types cannot be ordered.
+        for n in self.nodes:
+            if isinstance(n.id, bool) or not isinstance(n.id, int) or n.id <= 0:
+                raise InvalidNodeError(f"node id {n.id!r} must be a positive integer")
         object.__setattr__(self, "nodes",
                            tuple(sorted(self.nodes, key=lambda n: n.id)))
         if not isinstance(self.routing, RoutingMatrix):
@@ -157,8 +161,6 @@ class NetworkSpec:
 
         seen: set[int] = set()
         for n in self.nodes:
-            if isinstance(n.id, bool) or not isinstance(n.id, int) or n.id <= 0:
-                raise InvalidNodeError(f"node id {n.id!r} must be a positive integer")
             if n.id in seen:
                 raise InvalidNodeError(f"duplicate node id {n.id}")
             seen.add(n.id)

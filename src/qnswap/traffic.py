@@ -5,11 +5,25 @@ routed there from other nodes:
 
     lambda_i = lambda0_i + sum_j p_ji * lambda_j
 
-which is the linear system ``(I - P^T) lambda = lambda0``.  The direct
-solver (LAPACK, through ``np.linalg.solve``) is the production path; a damped
-fixed-point iteration is kept alongside it as an independent cross-check.
-Nodes listed in ``known_arrival_rates`` are pinned to their given values and
-excluded from the residual check.
+which is the linear system ``(I - P^T) lambda = lambda0``.  The routing is
+kept sparse, as (row, column, probability) triplets, and every product
+``P^T lambda`` is one ``np.bincount``; no n x n matrix is formed.
+
+The direct solver is the production path.  Nodes listed in
+``known_arrival_rates`` are pinned to their given values: they move to the
+right-hand side as inputs to the free nodes and are excluded from the
+residual check.  The free nodes get levels, their BFS depth within their
+component of the routing graph (edges taken as undirected), so every
+routing entry links levels at most one apart and ``I - P^T`` over the free
+nodes is block-tridiagonal.  Block Gaussian elimination runs down the
+levels, each diagonal block solved by LAPACK (``np.linalg.solve``, partial
+pivoting), and back-substitution runs up.  No pivoting across blocks is
+needed: the free block of ``I - P^T`` is a nonsingular M-matrix (each column
+sums to at least that node's exit probability, and every free node drains),
+and Schur complements of such a matrix are nonsingular M-matrices too.  When
+no routing entry links two free nodes the free system is the identity and
+the rates are the right-hand side.  A damped fixed-point iteration is kept
+alongside as an independent cross-check.
 
 The system is singular when some unpinned node has no routing path that
 leaves the network or reaches a pinned node: jobs that enter such a closed
@@ -58,16 +72,102 @@ def total_external_rate(spec: NetworkSpec) -> float:
 
 
 def _system(spec: NetworkSpec):
+    """Routing as triplets (row index, column index, probability), plus lam0."""
     ids = spec.ids()
     index = {i: k for k, i in enumerate(ids)}
-    n = len(ids)
-    p = np.zeros((n, n))
-    for (i, j), prob in spec.routing.entries.items():
-        p[index[i], index[j]] = prob
-    lam0 = np.zeros(n)
+    entries = spec.routing.entries
+    m = len(entries)
+    rows = np.fromiter((index[i] for i, _ in entries), dtype=np.intp, count=m)
+    cols = np.fromiter((index[j] for _, j in entries), dtype=np.intp, count=m)
+    probs = np.fromiter(entries.values(), dtype=float, count=m)
+    lam0 = np.zeros(len(ids))
     for i, r in spec.external_arrivals.items():
         lam0[index[i]] = r
-    return ids, index, p, lam0
+    return ids, index, rows, cols, probs, lam0
+
+
+def _inflow(rows, cols, probs, lam, n: int) -> np.ndarray:
+    """``P^T lam``: the rate routed into each of the n nodes."""
+    return np.bincount(cols, weights=probs * lam[rows], minlength=n)
+
+
+def _levels(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """BFS depth of each node within its component, edges taken as undirected.
+
+    Every component starts at level 0, so an edge links levels that differ
+    by at most 1.
+    """
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for i, j in zip(src.tolist(), dst.tolist()):
+        adj[i].append(j)
+        adj[j].append(i)
+    level = [-1] * n
+    for root in range(n):
+        if level[root] >= 0:
+            continue
+        level[root] = 0
+        frontier, depth = [root], 0
+        while frontier:
+            depth += 1
+            reached = []
+            for u in frontier:
+                for v in adj[u]:
+                    if level[v] < 0:
+                        level[v] = depth
+                        reached.append(v)
+            frontier = reached
+    return np.array(level, dtype=np.intp)
+
+
+def _solve_levels(src, dst, probs, rhs) -> np.ndarray:
+    """Solve ``x_j - sum_i p_ij x_i = rhs_j`` over ``len(rhs)`` nodes by level blocks.
+
+    The routing entries (src -> dst, probs) all link two of those nodes.
+    Ordered by ``_levels``, the matrix is block-tridiagonal; see the module
+    docstring for the elimination and why it needs no pivoting across blocks.
+    """
+    n = len(rhs)
+    level = _levels(n, src, dst)
+    order = np.argsort(level, kind="stable")
+    pos = np.empty(n, dtype=np.intp)
+    pos[order] = np.arange(n)
+    starts = np.searchsorted(level[order], np.arange(level[order[-1]] + 2))
+    n_levels = len(starts) - 1
+
+    # Triplets of I - P^T in level order: equation of dst, unknown of src.
+    diag = np.arange(n)
+    eq = pos[np.concatenate((diag, dst))]
+    var = pos[np.concatenate((diag, src))]
+    val = np.concatenate((np.ones(n), -probs))
+    by_eq = np.argsort(eq, kind="stable")
+    eq, var, val = eq[by_eq], var[by_eq], val[by_eq]
+    cut = np.searchsorted(eq, starts)
+
+    coupling, partial = [], []
+    for lv in range(n_levels):
+        lo = starts[max(lv - 1, 0)]
+        s0, s1 = starts[lv], starts[lv + 1]
+        hi = starts[min(lv + 2, n_levels)]
+        size, width = s1 - s0, hi - lo
+        k = slice(cut[lv], cut[lv + 1])
+        strip = np.bincount((eq[k] - s0) * width + (var[k] - lo), weights=val[k],
+                            minlength=size * width).reshape(size, width)
+        lower = strip[:, :s0 - lo]
+        block = strip[:, s0 - lo:s1 - lo]
+        b = rhs[order[s0:s1]]
+        if lv > 0:
+            block = block - lower @ coupling[-1]
+            b = b - lower @ partial[-1]
+        sol = np.linalg.solve(block, np.column_stack((strip[:, s1 - lo:], b)))
+        coupling.append(sol[:, :-1])
+        partial.append(sol[:, -1])
+
+    x = np.empty(n)
+    x_next = np.zeros(0)
+    for lv in range(n_levels - 1, -1, -1):
+        x_next = partial[lv] - coupling[lv] @ x_next
+        x[order[starts[lv]:starts[lv + 1]]] = x_next
+    return x
 
 
 def _undrained(spec: NetworkSpec, pinned: Mapping[int, float]) -> list[int]:
@@ -102,8 +202,10 @@ def solve_traffic(
 
     Args:
         spec: network description.
-        method: "direct" (LAPACK solve) or "fixed_point" (damped
-            iteration, kept as an independent cross-check).
+        method: "direct" (block elimination over BFS levels of the
+            routing graph, LAPACK on each diagonal block; see the module
+            docstring) or "fixed_point" (damped iteration, kept as an
+            independent cross-check).
         tol: step-size stopping threshold for the fixed-point method.
         max_iter: iteration cap for the fixed-point method.
         damping: relaxation weight on the fixed-point update, in (0, 1].
@@ -121,35 +223,42 @@ def solve_traffic(
             exceeds ``RESIDUAL_TOL`` times the largest external or pinned
             rate.
     """
-    ids, index, p, lam0 = _system(spec)
+    ids, index, rows, cols, probs, lam0 = _system(spec)
     n = len(ids)
     known = dict(spec.known_arrival_rates or {})
-    known_rows = {index[i] for i in known}
+    pinned = np.zeros(n, dtype=bool)
+    pinned[[index[i] for i in known]] = True
 
     if method == "direct":
         closed = _undrained(spec, known)
         if closed:
             raise SingularRoutingError(
                 f"nodes {closed} have no routing path to an exit or a pinned rate")
-        a = np.eye(n) - p.T
-        b = lam0.copy()
+        lam = np.zeros(n)
         for i, r in known.items():
-            k = index[i]
-            a[k, :] = 0.0
-            a[k, k] = 1.0
-            b[k] = r
-        try:
-            lam = np.linalg.solve(a, b)
-        except np.linalg.LinAlgError as e:
-            raise SingularRoutingError(str(e)) from e
+            lam[index[i]] = r
+        # Pinned rates are inputs: they reach the free nodes as right-hand side.
+        free = np.flatnonzero(~pinned)
+        rhs = (lam0 + _inflow(rows, cols, probs, lam, n))[free]
+        linked = ~pinned[rows] & ~pinned[cols]
+        if linked.any():
+            local = np.empty(n, dtype=np.intp)
+            local[free] = np.arange(len(free))
+            try:
+                lam[free] = _solve_levels(local[rows[linked]], local[cols[linked]],
+                                          probs[linked], rhs)
+            except np.linalg.LinAlgError as e:
+                raise SingularRoutingError(str(e)) from e
+        else:
+            # no entry links two free nodes: the free system is the identity
+            lam[free] = rhs
     elif method == "fixed_point":
         lam = lam0.copy()
         for i, r in known.items():
             lam[index[i]] = r
-        pt = p.T
         step = np.inf
         for _ in range(max_iter):
-            nxt = lam0 + pt @ lam
+            nxt = lam0 + _inflow(rows, cols, probs, lam, n)
             for i, r in known.items():
                 nxt[index[i]] = r
             nxt = (1.0 - damping) * lam + damping * nxt
@@ -165,11 +274,10 @@ def solve_traffic(
     # Rounding in the solve can leave rates a hair below zero.
     lam = np.where((lam < 0) & (lam > -1e-12), 0.0, lam)
 
-    residual = lam - (lam0 + p.T @ lam)
-    free = [k for k in range(n) if k not in known_rows]
-    if free:
+    residual = (lam - (lam0 + _inflow(rows, cols, probs, lam, n)))[~pinned]
+    if residual.size:
         scale = max(float(np.max(lam0)), max(known.values(), default=0.0))
-        worst = float(np.max(np.abs(residual[free])))
+        worst = float(np.max(np.abs(residual)))
         if not worst <= RESIDUAL_TOL * scale:  # also rejects NaN
             raise NumericalFailureError(
                 f"traffic solution residual {worst:.3e} exceeds {RESIDUAL_TOL:.0e}"

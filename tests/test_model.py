@@ -152,6 +152,15 @@ class TestValidation:
                 external_arrivals={1: 1.0},
             )
 
+    def test_mixed_id_types_rejected_before_sorting(self):
+        # "a" and 1 cannot be ordered; the id check must come first
+        with pytest.raises(InvalidNodeError, match="'a' must be a positive integer"):
+            NetworkSpec(
+                nodes=(node("a"), node(1)),
+                routing=RoutingMatrix({}),
+                external_arrivals={1: 1.0},
+            )
+
 
 class TestCanonicalForm:
     def test_nodes_sorted_by_id(self):

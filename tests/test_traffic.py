@@ -2,6 +2,7 @@
 
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from qnswap import (
     RoutingMatrix,
     SingularRoutingError,
     build_lattice_network,
+    munoz15_fixture,
     parse_layout,
     solve_traffic,
     total_external_rate,
@@ -220,6 +222,80 @@ def test_residual_check_scales_with_input_rates():
     large = solve_traffic(build_lattice_network(layout, arrival_rate=1e5))
     for i, lam in base.rates.items():
         assert large.rate(i) == pytest.approx(1e6 * lam, rel=1e-12)
+
+
+def sources(ids, routing, external, known=None):
+    # every node a source: no intermediates, so any subset may be pinned
+    return NetworkSpec(
+        nodes=tuple(NodeSpec(id=i, kind=NodeKind.SOURCE, capacity=2, service_rate=1.0)
+                    for i in ids),
+        routing=RoutingMatrix(routing),
+        external_arrivals=external,
+        known_arrival_rates=known,
+    )
+
+
+DENSE_REFERENCE_SPECS = {
+    "lattice_20x20": lambda: build_lattice_network(grid_layout(20)),
+    "two_components": lambda: sources(
+        range(1, 7),
+        {(1, 2): 0.6, (2, 3): 0.5, (3, 1): 0.3, (4, 5): 0.9, (5, 6): 0.4, (6, 4): 0.2},
+        {1: 1.0, 4: 0.5}),
+    "pinned_mid_chain": lambda: sources(
+        range(1, 6),
+        {(1, 2): 0.9, (2, 3): 0.8, (3, 4): 0.7, (3, 2): 0.2, (4, 5): 0.6, (5, 4): 0.3},
+        {1: 1.0}, known={3: 0.7}),
+    "self_loop": lambda: sources(
+        range(1, 4),
+        {(1, 2): 0.8, (2, 2): 0.5, (2, 3): 0.4, (3, 1): 0.1},
+        {1: 1.0}),
+    # the leaves 2..9 share one BFS level and two pairs route within it
+    "star": lambda: sources(
+        range(1, 10),
+        {**{(1, j): 0.1 for j in range(2, 10)}, **{(j, 1): 0.3 for j in range(2, 10)},
+         (2, 3): 0.2, (5, 9): 0.1},
+        {1: 1.0, 4: 0.25}),
+    # every routing entry touches a pinned node: the free system is the identity
+    "munoz15": munoz15_fixture,
+}
+
+
+def dense_reference(spec):
+    """Rates from one dense solve of (I - P^T) lam = lam0, pinned rows replaced."""
+    ids = spec.ids()
+    index = {i: k for k, i in enumerate(ids)}
+    a = np.identity(len(ids))
+    b = np.zeros(len(ids))
+    for (i, j), p in spec.routing.entries.items():
+        a[index[j], index[i]] -= p
+    for i, r in spec.external_arrivals.items():
+        b[index[i]] = r
+    for i, r in (spec.known_arrival_rates or {}).items():
+        a[index[i], :] = 0.0
+        a[index[i], index[i]] = 1.0
+        b[index[i]] = r
+    return np.linalg.solve(a, b)
+
+
+@pytest.mark.parametrize("name", sorted(DENSE_REFERENCE_SPECS))
+def test_direct_solve_matches_dense_reference(name):
+    spec = DENSE_REFERENCE_SPECS[name]()
+    rates = solve_traffic(spec)
+    got = np.array([rates.rate(i) for i in spec.ids()])
+    np.testing.assert_allclose(got, dense_reference(spec), rtol=1e-12, atol=0.0)
+
+
+def test_direct_solve_allocates_no_dense_matrix():
+    # one dense 4096 x 4096 float64 copy is 134 MB; allow a quarter of it
+    spec = build_lattice_network(grid_layout(64))
+    n = len(spec.nodes)
+    tracemalloc.start()
+    try:
+        solve_traffic(spec)  # raises if the residual check fails
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * n / 4
 
 
 def test_unknown_method_rejected(fixture_spec):
