@@ -22,34 +22,11 @@ from .ctmc import (
     steady_state,
 )
 from .errors import (
-    ClosedNetworkError,
-    DimensionMismatchError,
-    DisconnectedLayoutError,
-    EmptySubsetError,
     InputError,
-    InvalidNodeError,
-    MissingUnblockRateError,
-    NegativeRateError,
-    NegativeRhoError,
-    NoSinkError,
-    NoSourceError,
-    NonConvergentError,
-    NodeNotIntermediateError,
-    NumericalFailureError,
     NumericsError,
     ParseError,
-    ProbabilityOutOfRangeError,
     QnswapError,
-    ReducibleChainError,
-    RowSumExceedsOneError,
     SchemaError,
-    SingularRoutingError,
-    UnknownNodeReferenceError,
-    UnknownStateError,
-    UnreachableError,
-    ValidationError,
-    ZeroArrivalRateError,
-    ZeroHorizonError,
 )
 from .layout import (
     LayoutGraph,
@@ -98,52 +75,29 @@ __all__ = [
     "ArrivalRates",
     "BLOCKED",
     "BLOCKING_STATES",
-    "ClosedNetworkError",
-    "DimensionMismatchError",
-    "DisconnectedLayoutError",
     "EMPTY",
-    "EmptySubsetError",
     "Generator",
     "InputError",
-    "InvalidNodeError",
     "LayoutGraph",
     "MarginalDistribution",
-    "MissingUnblockRateError",
-    "NegativeRateError",
-    "NegativeRhoError",
     "NetworkAnalysis",
     "NetworkMetrics",
     "NetworkSpec",
-    "NoSinkError",
-    "NoSourceError",
     "NodeKind",
     "NodeMetrics",
-    "NodeNotIntermediateError",
     "NodeSpec",
     "NodeStats",
-    "NonConvergentError",
-    "NumericalFailureError",
     "NumericsError",
     "ParseError",
-    "ProbabilityOutOfRangeError",
     "QnswapError",
     "QueueSite",
-    "ReducibleChainError",
     "RoutingMatrix",
-    "RowSumExceedsOneError",
     "SERVING",
     "SchemaError",
     "SimConfig",
     "SimResult",
-    "SingularRoutingError",
     "StateSpace",
     "SwapDepthReport",
-    "UnknownNodeReferenceError",
-    "UnknownStateError",
-    "UnreachableError",
-    "ValidationError",
-    "ZeroArrivalRateError",
-    "ZeroHorizonError",
     "analyze_network",
     "blocking_node_chain",
     "blocking_node_closed_form",

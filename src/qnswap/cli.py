@@ -130,14 +130,14 @@ def _analyze_output(analysis: NetworkAnalysis, fmt: str, digits: int | None,
     net = analysis.network
     rows = analysis.rows()
     if subset is not None:
+        keep = set(subset)
         net = network_metrics(analysis.node_metrics.values(),
-                              analysis.arrival_rates.total_external, subset)
-        rows = [r for r in rows if r["node"] in set(subset)]
+                              analysis.arrival_rates.total_external, keep)
+        rows = [r for r in rows if r["node"] in keep]
 
     if fmt == "json":
         doc = analysis.to_jsonable()
         if subset is not None:
-            keep = set(subset)
             doc["nodes"] = [n for n in doc["nodes"] if n["node"] in keep]
             doc["network"] = net.to_jsonable()
         return json.dumps(_round_floats(doc, digits), sort_keys=True, indent=2) + "\n"
@@ -222,8 +222,10 @@ def _parse_subset(raw: str | None, spec: NetworkSpec) -> list[int] | None:
         raise _UsageError(f"--subset must be comma-separated integers, got {raw!r}") from None
     if not ids:
         raise _UsageError("--subset must name at least one node")
+    known = set(spec.ids())
     for i in ids:
-        spec.node(i)  # raises UnknownNodeReferenceError
+        if i not in known:
+            raise InputError(f"--subset references unknown node {i}")
     return ids
 
 
@@ -246,8 +248,8 @@ def _dispatch(args: argparse.Namespace) -> str:
     if args.command == "analyze":
         spec = parse_network(_read_text(args.network))
         assumptions = AnalysisAssumptions(blocking_probability_override=args.pb)
-        analysis = analyze_network(spec, assumptions)
         subset = _parse_subset(args.subset, spec)
+        analysis = analyze_network(spec, assumptions)
         return _analyze_output(analysis, args.format, args.digits, subset)
 
     if args.command == "simulate":

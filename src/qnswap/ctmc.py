@@ -26,14 +26,7 @@ from typing import Hashable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import (
-    NegativeRateError,
-    NegativeRhoError,
-    NumericalFailureError,
-    ProbabilityOutOfRangeError,
-    ReducibleChainError,
-    UnknownStateError,
-)
+from .errors import InputError, NumericsError
 
 RHO_ONE_TOL = 1e-9
 STEADY_RESIDUAL_TOL = 1e-10
@@ -62,7 +55,7 @@ class StateSpace:
         try:
             return self._index[label]
         except (KeyError, TypeError):
-            raise UnknownStateError(label) from None
+            raise InputError(f"state {label!r} is not in the state space") from None
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -134,8 +127,8 @@ def build_generator(
     so that every row sums to zero.
 
     Raises:
-        UnknownStateError: a label is not in ``states``.
-        NegativeRateError: a negative transition rate.
+        InputError: a label is not in ``states``, or a negative transition
+            rate.
         ValueError: an explicit self-transition.
     """
     n = len(states)
@@ -146,7 +139,7 @@ def build_generator(
         if ia == ib:
             raise ValueError(f"self-transition on {a!r}; diagonals are implicit")
         if r < 0:
-            raise NegativeRateError(f"transition {a!r}->{b!r}", r)
+            raise InputError(f"transition {a!r}->{b!r} must be nonnegative, got {r!r}")
         q[ia, ib] += r
     np.fill_diagonal(q, 0.0)
     np.fill_diagonal(q, -q.sum(axis=1))
@@ -203,13 +196,12 @@ def steady_state(gen: Generator) -> MarginalDistribution:
     normalization row before solving.
 
     Raises:
-        ReducibleChainError: zero or several closed classes.
-        NumericalFailureError: singular solve, non-finite solution, or
-            residual above 1e-10.
+        NumericsError: zero or several closed classes, a singular solve, a
+            non-finite solution, or a residual above 1e-10.
     """
     classes = closed_class_count(gen)
     if classes != 1:
-        raise ReducibleChainError(
+        raise NumericsError(
             f"chain has {classes} closed communicating classes, need exactly 1"
         )
     q = gen.rates
@@ -222,15 +214,15 @@ def steady_state(gen: Generator) -> MarginalDistribution:
     try:
         pi = np.linalg.solve(a, b)
     except np.linalg.LinAlgError as e:
-        raise NumericalFailureError(f"steady-state solve failed: {e}") from e
+        raise NumericsError(f"steady-state solve failed: {e}") from e
     if not np.all(np.isfinite(pi)):
-        raise NumericalFailureError("steady-state solution is not finite")
+        raise NumericsError("steady-state solution is not finite")
     if np.min(pi) < -1e-9:
-        raise NumericalFailureError(f"steady-state solution has negative mass {np.min(pi)!r}")
+        raise NumericsError(f"steady-state solution has negative mass {np.min(pi)!r}")
     pi = np.maximum(pi, 0.0)
     residual = float(np.max(np.abs(pi @ q)))
     if residual > STEADY_RESIDUAL_TOL:
-        raise NumericalFailureError(
+        raise NumericsError(
             f"balance residual {residual:.3e} exceeds {STEADY_RESIDUAL_TOL:.0e}"
         )
     return MarginalDistribution(gen.states, tuple(pi))
@@ -238,7 +230,7 @@ def steady_state(gen: Generator) -> MarginalDistribution:
 
 def _positive(name: str, value: float) -> float:
     if value < 0:
-        raise NegativeRateError(name, value)
+        raise InputError(f"{name} must be nonnegative, got {value!r}")
     if value == 0:
         raise ValueError(f"{name} must be positive")
     return float(value)
@@ -249,8 +241,8 @@ def _check_blocking_node(arrival_rate, service_rate, unblock_rate, blocking_prob
     mu = _positive("service rate", service_rate)
     mu_b = _positive("unblock rate", unblock_rate)
     pb = blocking_probability
-    if pb < 0.0 or pb > 1.0:
-        raise ProbabilityOutOfRangeError("blocking probability", pb)
+    if not 0.0 <= pb <= 1.0:
+        raise InputError(f"blocking probability: probability {pb!r} outside [0, 1]")
     return lam, mu, mu_b, pb
 
 
@@ -298,7 +290,7 @@ def _check_mm1k(rho: float, capacity: int):
     if isinstance(capacity, bool) or not isinstance(capacity, int) or capacity < 1:
         raise ValueError(f"capacity must be a positive integer, got {capacity!r}")
     if rho < 0:
-        raise NegativeRhoError(rho)
+        raise InputError(f"utilization must be nonnegative, got {rho!r}")
 
 
 def _mm1k_term(rho: float, capacity: int, n: int) -> float:
@@ -320,7 +312,7 @@ def mm1k_full_probability(rho: float, capacity: int) -> float:
     The limit branch is taken when ``|rho - 1| <= 1e-9``.
 
     Raises:
-        NegativeRhoError: rho < 0.
+        InputError: rho < 0.
         ValueError: capacity below 1.
     """
     _check_mm1k(rho, capacity)

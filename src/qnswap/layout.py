@@ -24,14 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
 
-from .errors import (
-    DisconnectedLayoutError,
-    NoSinkError,
-    NoSourceError,
-    ParseError,
-    SchemaError,
-    UnreachableError,
-)
+from .errors import InputError, ParseError, SchemaError
 from .model import NetworkSpec, NodeKind, NodeSpec, RoutingMatrix
 
 DEFAULT_BOUNDARY_CAPACITY = 8
@@ -63,7 +56,7 @@ class LayoutGraph:
     Raises:
         SchemaError: no sites, a self-edge, a duplicate site, or an edge or
             queue naming an unknown site.
-        DisconnectedLayoutError: some sites cannot be reached from the first.
+        InputError: some sites cannot be reached from the first.
     """
 
     sites: tuple[str, ...]
@@ -118,7 +111,7 @@ def _check_connected(layout: LayoutGraph):
                 frontier.append(w)
     missing = [s for s in layout.sites if s not in seen]
     if missing:
-        raise DisconnectedLayoutError(missing)
+        raise InputError(f"layout is not connected; unreachable sites: {missing}")
 
 
 def parse_layout(text: str) -> LayoutGraph:
@@ -205,9 +198,9 @@ def build_lattice_network(
              if layout.queue_sites.get(s, None) is not None
              and layout.queue_sites[s].role is NodeKind.SINK]
     if not sources:
-        raise NoSourceError()
+        raise InputError("layout declares no source site")
     if not sinks:
-        raise NoSinkError()
+        raise InputError("layout declares no sink site")
 
     ids: dict[str, int] = {}
     next_id = 1
@@ -323,4 +316,4 @@ def shortest_hops(spec: NetworkSpec, src: int, dst: int) -> int:
                 if w == dst:
                     return dist[w]
                 frontier.append(w)
-    raise UnreachableError(src, dst)
+    raise InputError(f"no routing path from node {src} to node {dst}")

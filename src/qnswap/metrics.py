@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .ctmc import BLOCKED, EMPTY, SERVING, MarginalDistribution
-from .errors import EmptySubsetError, ZeroArrivalRateError
+from .errors import InputError
 
 
 @dataclass(frozen=True)
@@ -68,11 +68,11 @@ def node_metrics(marginal: MarginalDistribution, arrival_rate: float,
     """Utilization, mean jobs, and mean response time of one blocking node.
 
     ``marginal`` must be a distribution over the three blocking-node states.
-    Raises ZeroArrivalRateError when ``arrival_rate`` is not positive, since
-    per-job time is undefined for a node that never receives work.
+    Raises InputError when ``arrival_rate`` is not positive, since per-job
+    time is undefined for a node that never receives work.
     """
     if arrival_rate <= 0:
-        raise ZeroArrivalRateError(node)
+        raise InputError(f"node {node} has zero arrival rate; per-job metrics undefined")
     rho = 1.0 - marginal.probability(EMPTY)
     kbar = marginal.probability(SERVING) + marginal.probability(BLOCKED)
     return NodeMetrics(
@@ -88,7 +88,8 @@ def network_metrics(per_node: Iterable[NodeMetrics], external_rate: float,
     """Aggregate node metrics over a subset (default: everything given).
 
     Summation runs in node-id order, so the result does not depend on the
-    order of ``per_node``.
+    order of ``per_node``.  Raises InputError when the subset selects no
+    node or ``external_rate`` is not positive.
     """
     wanted = None if subset is None else set(subset)
     chosen = sorted(
@@ -96,9 +97,9 @@ def network_metrics(per_node: Iterable[NodeMetrics], external_rate: float,
         key=lambda m: m.node,
     )
     if not chosen:
-        raise EmptySubsetError()
+        raise InputError("metric subset contains no nodes")
     if external_rate <= 0:
-        raise ZeroArrivalRateError()
+        raise InputError("subset has zero arrival rate; per-job metrics undefined")
     total = 0.0
     for m in chosen:
         total += m.mean_jobs

@@ -37,18 +37,7 @@ from enum import Enum
 from functools import cached_property
 from typing import Mapping
 
-from .errors import (
-    ClosedNetworkError,
-    InvalidNodeError,
-    MissingUnblockRateError,
-    NegativeRateError,
-    ParseError,
-    ProbabilityOutOfRangeError,
-    RowSumExceedsOneError,
-    SchemaError,
-    UnknownNodeReferenceError,
-    ValidationError,
-)
+from .errors import InputError, ParseError, SchemaError
 
 ROW_SUM_TOL = 1e-9
 
@@ -120,18 +109,12 @@ class NetworkSpec:
     """An open network description, checked on construction.
 
     Raises:
-        InvalidNodeError: bad id or capacity value, or a field inconsistent
-            with the node kind.
-        NegativeRateError: any negative rate.
-        MissingUnblockRateError: intermediate node without a positive
-            unblock rate.
-        UnknownNodeReferenceError: routing or arrival entry naming a node
-            that does not exist.
-        ProbabilityOutOfRangeError: routing probability outside [0, 1].
-        RowSumExceedsOneError: routing row summing above 1.
-        ClosedNetworkError: no external arrival or no way out.
-        ValidationError: other structural violations (sink with outgoing
-            routing, incomplete known arrival rates, ...).
+        InputError: a bad id, capacity or kind-dependent field; a negative
+            rate; an intermediate node without a positive unblock rate; a
+            routing or arrival entry naming a node that does not exist; a
+            routing probability outside [0, 1] or a row summing above 1; a
+            sink with outgoing routing; incomplete known arrival rates; or
+            no external arrival or no way out.
     """
 
     nodes: tuple[NodeSpec, ...]
@@ -143,7 +126,7 @@ class NetworkSpec:
         # Ids are checked before sorting: mixed id types cannot be ordered.
         for n in self.nodes:
             if isinstance(n.id, bool) or not isinstance(n.id, int) or n.id <= 0:
-                raise InvalidNodeError(f"node id {n.id!r} must be a positive integer")
+                raise InputError(f"node id {n.id!r} must be a positive integer")
         object.__setattr__(self, "nodes",
                            tuple(sorted(self.nodes, key=lambda n: n.id)))
         if not isinstance(self.routing, RoutingMatrix):
@@ -157,61 +140,65 @@ class NetworkSpec:
                                 for k, v in sorted(self.known_arrival_rates.items())})
 
         if not self.nodes:
-            raise ClosedNetworkError("network has no nodes")
+            raise InputError("network has no nodes")
 
         seen: set[int] = set()
         for n in self.nodes:
             if n.id in seen:
-                raise InvalidNodeError(f"duplicate node id {n.id}")
+                raise InputError(f"duplicate node id {n.id}")
             seen.add(n.id)
             if not isinstance(n.capacity, int) or n.capacity < 1:
-                raise InvalidNodeError(f"node {n.id}: capacity must be a positive integer")
+                raise InputError(f"node {n.id}: capacity must be a positive integer")
             if n.service_rate < 0:
-                raise NegativeRateError(f"node {n.id} service rate", n.service_rate)
+                raise InputError(
+                    f"node {n.id} service rate must be nonnegative, got {n.service_rate!r}")
             if n.unblock_rate < 0:
-                raise NegativeRateError(f"node {n.id} unblock rate", n.unblock_rate)
+                raise InputError(
+                    f"node {n.id} unblock rate must be nonnegative, got {n.unblock_rate!r}")
             if n.kind is NodeKind.INTERMEDIATE:
                 if n.capacity != 1:
-                    raise InvalidNodeError(
+                    raise InputError(
                         f"node {n.id}: intermediate nodes hold exactly one job"
                     )
                 if n.unblock_rate <= 0:
-                    raise MissingUnblockRateError(n.id)
+                    raise InputError(f"node {n.id} needs a positive unblock rate")
 
         by_id = self._by_id
         for (i, j), p in self.routing.entries.items():
             if i not in by_id:
-                raise UnknownNodeReferenceError(f"routing entry {i}->{j}", i)
+                raise InputError(f"routing entry {i}->{j} references unknown node {i}")
             if j not in by_id:
-                raise UnknownNodeReferenceError(f"routing entry {i}->{j}", j)
-            if p < 0.0 or p > 1.0:
-                raise ProbabilityOutOfRangeError(f"routing {i}->{j}", p)
+                raise InputError(f"routing entry {i}->{j} references unknown node {j}")
+            if not 0.0 <= p <= 1.0:
+                raise InputError(f"routing {i}->{j}: probability {p!r} outside [0, 1]")
             if p > 0.0 and by_id[i].kind is NodeKind.SINK:
-                raise ValidationError(f"sink node {i} cannot route onward")
+                raise InputError(f"sink node {i} cannot route onward")
 
         for i in by_id:
             total = self.routing.row_sum(i)
             if total > 1.0 + ROW_SUM_TOL:
-                raise RowSumExceedsOneError(i, total)
+                raise InputError(f"routing probabilities out of node {i} sum to {total!r} > 1")
 
         for i, rate in self.external_arrivals.items():
             if i not in by_id:
-                raise UnknownNodeReferenceError("external arrival", i)
+                raise InputError(f"external arrival references unknown node {i}")
             if rate < 0:
-                raise NegativeRateError(f"external arrival rate at node {i}", rate)
+                raise InputError(
+                    f"external arrival rate at node {i} must be nonnegative, got {rate!r}")
             if by_id[i].kind is NodeKind.SINK:
-                raise ValidationError(f"external arrivals cannot target sink node {i}")
+                raise InputError(f"external arrivals cannot target sink node {i}")
 
         if self.known_arrival_rates is not None:
             for i, rate in self.known_arrival_rates.items():
                 if i not in by_id:
-                    raise UnknownNodeReferenceError("known arrival rate", i)
+                    raise InputError(f"known arrival rate references unknown node {i}")
                 if rate < 0:
-                    raise NegativeRateError(f"known arrival rate at node {i}", rate)
+                    raise InputError(
+                        f"known arrival rate at node {i} must be nonnegative, got {rate!r}")
             missing = [n.id for n in self.intermediates()
                        if n.id not in self.known_arrival_rates]
             if missing:
-                raise ValidationError(
+                raise InputError(
                     f"known arrival rates must cover every intermediate node; missing {missing}"
                 )
 
@@ -220,14 +207,14 @@ class NetworkSpec:
         for n in self.nodes:
             receives = n.id in incoming or self.external_arrivals.get(n.id, 0.0) > 0.0
             if receives and n.service_rate <= 0:
-                raise InvalidNodeError(
+                raise InputError(
                     f"node {n.id} receives jobs but has no positive service rate"
                 )
 
         if not any(r > 0 for r in self.external_arrivals.values()):
-            raise ClosedNetworkError("no node has a positive external arrival rate")
+            raise InputError("no node has a positive external arrival rate")
         if not any(self.exit_probability(i) > 0 for i in by_id):
-            raise ClosedNetworkError("no node has a positive exit probability")
+            raise InputError("no node has a positive exit probability")
 
     @cached_property
     def _by_id(self) -> dict[int, NodeSpec]:
@@ -237,7 +224,7 @@ class NetworkSpec:
         try:
             return self._by_id[node_id]
         except KeyError:
-            raise UnknownNodeReferenceError("lookup", node_id) from None
+            raise InputError(f"lookup references unknown node {node_id}") from None
 
     def ids(self) -> tuple[int, ...]:
         return tuple(n.id for n in self.nodes)
@@ -320,15 +307,15 @@ def parse_network(text: str) -> NetworkSpec:
         The NetworkSpec the document describes.
 
     Raises:
-        ParseError: text is not valid JSON (carries the line number).
-        SchemaError: JSON shape or value types are wrong (carries a path).
-        ValidationError: any structural invariant fails, including a
-            ``servers`` value other than 1 (InvalidNodeError).
+        ParseError: text is not valid JSON (the message starts with the
+            line number).
+        SchemaError: JSON shape or value types are wrong (the message starts
+            with the JSON path).
+        InputError: any structural invariant fails, including a ``servers``
+            value other than 1.
     """
     try:
         doc = json.loads(text, parse_constant=_no_nonfinite)
-    except ParseError:
-        raise
     except json.JSONDecodeError as e:
         raise ParseError(e.msg, line=e.lineno) from None
 
@@ -358,7 +345,7 @@ def parse_network(text: str) -> NetworkSpec:
         node_id = _as_int(obj["id"], f"{path}.id")
         servers = obj.get("servers", 1)
         if type(servers) is not int or servers != 1:
-            raise InvalidNodeError(f"node {node_id}: this model is single-server only")
+            raise InputError(f"node {node_id}: this model is single-server only")
         nodes.append(NodeSpec(
             id=node_id,
             kind=kind,

@@ -19,12 +19,7 @@ from .ctmc import (
     blocking_node_closed_form,
     mm1k_full_probability,
 )
-from .errors import (
-    DimensionMismatchError,
-    NodeNotIntermediateError,
-    ProbabilityOutOfRangeError,
-    ZeroArrivalRateError,
-)
+from .errors import InputError
 from .metrics import NetworkMetrics, NodeMetrics, network_metrics, node_metrics
 from .model import NetworkSpec, NodeKind
 from .traffic import ArrivalRates, solve_traffic
@@ -47,8 +42,9 @@ class AnalysisAssumptions:
 
     def __post_init__(self):
         pb = self.blocking_probability_override
-        if pb is not None and (pb < 0.0 or pb > 1.0):
-            raise ProbabilityOutOfRangeError("blocking probability override", pb)
+        if pb is not None and not 0.0 <= pb <= 1.0:
+            raise InputError(
+                f"blocking probability override: probability {pb!r} outside [0, 1]")
 
 
 DEFAULT_ASSUMPTIONS = AnalysisAssumptions()
@@ -116,11 +112,11 @@ def worst_case_blocking_probability(
     worst-case assumption.  An override in ``assumptions`` wins outright.
 
     Raises:
-        NodeNotIntermediateError: the node is a source or sink.
+        InputError: the node is a source or sink.
     """
     node = spec.node(node_id)
     if node.kind is not NodeKind.INTERMEDIATE:
-        raise NodeNotIntermediateError(node_id)
+        raise InputError(f"node {node_id} is not an intermediate node")
     if assumptions.blocking_probability_override is not None:
         return assumptions.blocking_probability_override
 
@@ -152,8 +148,8 @@ def analyze_network(
     the blocking probabilities and the traffic solution.
 
     Raises:
-        ZeroArrivalRateError: an intermediate node whose solved arrival
-            rate is not positive.
+        InputError: an intermediate node whose solved arrival rate is not
+            positive.
     """
     rates = solve_traffic(spec)
 
@@ -163,7 +159,8 @@ def analyze_network(
     for node in spec.intermediates():
         lam = rates.rates[node.id]
         if lam <= 0:
-            raise ZeroArrivalRateError(node.id)
+            raise InputError(
+                f"node {node.id} has zero arrival rate; per-job metrics undefined")
         pb = worst_case_blocking_probability(spec, node.id, assumptions, rates)
         marginal = blocking_node_closed_form(
             lam, node.service_rate, node.unblock_rate, pb)
@@ -189,11 +186,12 @@ def joint_probability(
     """Probability of a joint state as the product of node marginals.
 
     Raises:
-        DimensionMismatchError: label count differs from marginal count.
-        UnknownStateError: a label missing from its node's state space.
+        InputError: the label count differs from the marginal count, or a
+            label is missing from its node's state space.
     """
     if len(marginals) != len(joint_state):
-        raise DimensionMismatchError(len(marginals), len(joint_state))
+        raise InputError(
+            f"expected {len(marginals)} state labels, got {len(joint_state)}")
     p = 1.0
     for marginal, label in zip(marginals, joint_state):
         p *= marginal.probability(label)

@@ -32,7 +32,7 @@ from typing import Mapping
 import numpy as np
 
 from .ctmc import Generator, is_irreducible
-from .errors import NumericalFailureError, ReducibleChainError, ZeroHorizonError
+from .errors import InputError, NumericsError
 from .model import NetworkSpec
 
 _ARRIVAL = 0
@@ -51,7 +51,7 @@ class SimConfig:
     Args:
         seed: root seed; replication r uses the substream (seed, r).
         horizon: run length, in model time units or in events depending on
-            ``unit``.
+            ``unit``; positive and finite.
         unit: "time" or "events".
         replications: independent replications to merge.
         warmup_fraction: leading fraction of the horizon excluded from all
@@ -67,8 +67,9 @@ class SimConfig:
     def __post_init__(self):
         if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
-        if not self.horizon > 0:
-            raise ZeroHorizonError(self.horizon)
+        if not 0 < self.horizon < math.inf:  # also rejects NaN
+            raise InputError(
+                f"simulation horizon must be positive and finite, got {self.horizon!r}")
         if self.unit not in ("time", "events"):
             raise ValueError(f"unit must be 'time' or 'events', got {self.unit!r}")
         if not isinstance(self.replications, int) or self.replications < 1:
@@ -205,7 +206,7 @@ def _ctmc_rep(gen: Generator, rng, unit: str, horizon: float,
     if unit == "events":
         budget = int(round(horizon))
         if budget < 1:
-            raise ZeroHorizonError(horizon)
+            raise InputError(f"simulation horizon must be positive, got {horizon!r}")
         warm = int(budget * warmup)
         for k in range(budget):
             dt = draws.exponential(1.0) * hold[state]
@@ -248,7 +249,7 @@ def simulate_ctmc(gen: Generator, config: SimConfig) -> SimResult:
     """Empirical state occupancy of an irreducible chain.
 
     Raises:
-        ReducibleChainError: the chain is not irreducible.
+        NumericsError: the chain is not irreducible.
     """
     n = len(gen.states)
     if n == 1:
@@ -258,7 +259,7 @@ def simulate_ctmc(gen: Generator, config: SimConfig) -> SimResult:
                          replications=config.replications,
                          states=gen.states.labels, occupancy=(1.0,))
     if not is_irreducible(gen):
-        raise ReducibleChainError("trajectory simulation needs an irreducible chain")
+        raise NumericsError("trajectory simulation needs an irreducible chain")
 
     occ_total = np.zeros(n)
     window_total = 0.0
@@ -331,7 +332,7 @@ class _NetworkRun:
         if unit == "events":
             self.budget = int(round(horizon))
             if self.budget < 1:
-                raise ZeroHorizonError(horizon)
+                raise InputError(f"simulation horizon must be positive, got {horizon!r}")
             self.warm_events = int(self.budget * warmup)
             self.t_warm = 0.0 if self.warm_events == 0 else math.inf
         else:
@@ -483,7 +484,7 @@ class _NetworkRun:
 
         in_flight = sum(self._count(k) for k in range(len(self.ids)))
         if in_flight != self.arrivals - self.completed - self.dropped:
-            raise NumericalFailureError(
+            raise NumericsError(
                 f"flow not conserved: {in_flight} jobs in flight, but"
                 f" {self.arrivals} arrivals - {self.completed} completed"
                 f" - {self.dropped} dropped")
@@ -520,7 +521,8 @@ def simulate_blocking_network(spec: NetworkSpec, config: SimConfig) -> SimResult
     ids = list(spec.ids())
     window = sum(r["window"] for r in reps)
     if window <= 0:
-        raise ZeroHorizonError(config.horizon)
+        raise InputError(
+            f"simulation horizon must be positive, got {config.horizon!r}")
 
     nodes = []
     mean_jobs_total = 0.0

@@ -40,11 +40,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import (
-    NonConvergentError,
-    NumericalFailureError,
-    SingularRoutingError,
-)
+from .errors import NumericsError
 from .model import ROW_SUM_TOL, NetworkSpec
 
 # Largest accepted residual, relative to the largest input rate.
@@ -215,13 +211,12 @@ def solve_traffic(
         ``known_arrival_rates`` are returned verbatim.
 
     Raises:
-        SingularRoutingError: the direct method found nodes with no path to
-            an exit or a pinned node (a closed subnetwork), so the linear
-            system has no unique solution.
-        NonConvergentError: the fixed-point method hit ``max_iter``.
-        NumericalFailureError: the solution is not finite, or its residual
-            exceeds ``RESIDUAL_TOL`` times the largest external or pinned
-            rate.
+        NumericsError: the direct method found nodes with no path to an
+            exit or a pinned node (a closed subnetwork), so the linear
+            system has no unique solution ("traffic equations are
+            singular"); the fixed-point method hit ``max_iter``; or the
+            solution is not finite, or its residual exceeds
+            ``RESIDUAL_TOL`` times the largest external or pinned rate.
     """
     ids, index, rows, cols, probs, lam0 = _system(spec)
     n = len(ids)
@@ -232,8 +227,9 @@ def solve_traffic(
     if method == "direct":
         closed = _undrained(spec, known)
         if closed:
-            raise SingularRoutingError(
-                f"nodes {closed} have no routing path to an exit or a pinned rate")
+            raise NumericsError(
+                f"traffic equations are singular: nodes {closed} have no routing"
+                " path to an exit or a pinned rate")
         lam = np.zeros(n)
         for i, r in known.items():
             lam[index[i]] = r
@@ -248,7 +244,7 @@ def solve_traffic(
                 lam[free] = _solve_levels(local[rows[linked]], local[cols[linked]],
                                           probs[linked], rhs)
             except np.linalg.LinAlgError as e:
-                raise SingularRoutingError(str(e)) from e
+                raise NumericsError(f"traffic equations are singular: {e}") from e
         else:
             # no entry links two free nodes: the free system is the identity
             lam[free] = rhs
@@ -267,7 +263,10 @@ def solve_traffic(
             if step <= tol:
                 break
         else:
-            raise NonConvergentError(max_iter, step)
+            raise NumericsError(
+                f"fixed-point iteration did not converge after {max_iter} steps"
+                f" (residual {step:.3e})"
+            )
     else:
         raise ValueError(f"unknown method {method!r}")
 
@@ -279,7 +278,7 @@ def solve_traffic(
         scale = max(float(np.max(lam0)), max(known.values(), default=0.0))
         worst = float(np.max(np.abs(residual)))
         if not worst <= RESIDUAL_TOL * scale:  # also rejects NaN
-            raise NumericalFailureError(
+            raise NumericsError(
                 f"traffic solution residual {worst:.3e} exceeds {RESIDUAL_TOL:.0e}"
                 f" x largest input rate {scale:.3e}"
             )

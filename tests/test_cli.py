@@ -86,7 +86,18 @@ class TestAnalyze:
             capsys, "analyze", "--network", fixture_file, "--subset", "99")
         assert code == 2
         assert out == ""
-        assert json.loads(err)["error"] == "UnknownNodeReferenceError"
+        error = json.loads(err)
+        assert error["error"] == "InputError"
+        assert error["message"] == "--subset references unknown node 99"
+
+    def test_nan_pb_is_an_input_error(self, capsys, fixture_file):
+        code, out, err = run_cli(
+            capsys, "analyze", "--network", fixture_file, "--pb", "nan",
+            "--format", "json")
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["message"] == (
+            "blocking probability override: probability nan outside [0, 1]")
 
     def test_stdin_network(self, capsys, monkeypatch):
         text = serialize_network(munoz15_fixture())
@@ -140,6 +151,13 @@ class TestSimulate:
         assert "blocked" in measures
         assert "mean_jobs" in measures
 
+    def test_infinite_horizon_is_an_input_error(self, capsys, fixture_file):
+        code, out, err = run_cli(
+            capsys, "simulate", "--network", fixture_file, "--horizon", "inf")
+        assert code == 2
+        assert out == ""
+        assert "must be positive and finite" in json.loads(err)["message"]
+
     def test_replications_flag(self, capsys, fixture_file):
         code, out, _ = run_cli(
             capsys, "simulate", "--network", fixture_file, "--seed", "1",
@@ -166,7 +184,7 @@ class TestValidateAndFixture:
         assert json.loads(err)["error"] == "SchemaError"
 
     @pytest.mark.parametrize("servers, code, error",
-                             [(1, 0, None), (2, 2, "InvalidNodeError")])
+                             [(1, 0, None), (2, 2, "InputError")])
     def test_servers_must_be_one(self, capsys, tmp_path, servers, code, error):
         doc = json.loads(serialize_network(single_queue_spec(0.5, 2)))
         doc["nodes"][0]["servers"] = servers
@@ -222,7 +240,9 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "analyze", "--network", str(path))
         assert code == 3
         assert out == ""
-        assert json.loads(err)["error"] == "SingularRoutingError"
+        error = json.loads(err)
+        assert error["error"] == "NumericsError"
+        assert error["message"].startswith("traffic equations are singular: nodes [2, 3]")
 
     def test_usage_error_exit_code(self, capsys):
         code, out, err = run_cli(capsys, "frobnicate")

@@ -15,13 +15,11 @@ from qnswap import (
     BLOCKING_STATES,
     EMPTY,
     Generator,
+    InputError,
     MarginalDistribution,
-    NegativeRateError,
-    NegativeRhoError,
-    ReducibleChainError,
+    NumericsError,
     SERVING,
     StateSpace,
-    UnknownStateError,
     blocking_node_chain,
     blocking_node_closed_form,
     build_generator,
@@ -55,7 +53,7 @@ class TestStateSpace:
             StateSpace(("a", "a"))
 
     def test_unknown_label(self):
-        with pytest.raises(UnknownStateError):
+        with pytest.raises(InputError, match=r"state \(9, 9\) is not in the state space"):
             BLOCKING_STATES.index((9, 9))
 
 
@@ -79,11 +77,11 @@ class TestGeneratorConstruction:
             build_generator(StateSpace((0, 1)), [(0, 0, 1.0)])
 
     def test_negative_rate_rejected(self):
-        with pytest.raises(NegativeRateError):
+        with pytest.raises(InputError, match="transition 0->1 must be nonnegative, got -0.1"):
             build_generator(StateSpace((0, 1)), [(0, 1, -0.1)])
 
     def test_unknown_label_rejected(self):
-        with pytest.raises(UnknownStateError):
+        with pytest.raises(InputError, match="state 2 is not in the state space"):
             build_generator(StateSpace((0, 1)), [(0, 2, 1.0)])
 
     def test_rows_always_sum_to_zero(self):
@@ -140,7 +138,7 @@ class TestSteadyState:
             [(0, 1, 1.0), (0, 2, 1.0)],  # two absorbing targets
         )
         assert closed_class_count(gen) == 2
-        with pytest.raises(ReducibleChainError):
+        with pytest.raises(NumericsError, match="chain has 2 closed communicating classes"):
             steady_state(gen)
 
     def test_closed_form_matches_balance_solver(self):
@@ -170,8 +168,14 @@ class TestBlockingClosedForm:
         mm11 = mm1k_distribution(0.7, 1)
         assert pi.probability(EMPTY) == pytest.approx(mm11.probabilities[0], abs=1e-15)
 
+    def test_blocking_probability_range_checked(self):
+        for pb in (1.5, -0.1, float("nan")):
+            with pytest.raises(InputError, match=rf"blocking probability: probability {pb!r}"):
+                blocking_node_closed_form(0.7, 1.0, 0.2, pb)
+
     def test_zero_unblock_rate_rejected_when_blocking(self):
-        with pytest.raises((NegativeRateError, ValueError, ZeroDivisionError)):
+        with pytest.raises((InputError, ValueError, ZeroDivisionError),
+                           match="unblock rate must be"):
             blocking_node_closed_form(0.7, 1.0, 0.0, 0.5)
 
 
@@ -232,7 +236,7 @@ class TestFiniteQueueFormulas:
         assert mm1k_full_probability(0.0, 3) == 0.0
 
     def test_negative_rho_rejected(self):
-        with pytest.raises(NegativeRhoError):
+        with pytest.raises(InputError, match="utilization must be nonnegative, got -0.1"):
             mm1k_full_probability(-0.1, 3)
 
     @pytest.mark.parametrize("capacity", [0, -1, 2.5])

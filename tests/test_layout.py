@@ -6,15 +6,12 @@ import json
 import pytest
 
 from qnswap import (
-    DisconnectedLayoutError,
+    InputError,
     LayoutGraph,
     NodeKind,
-    NoSinkError,
-    NoSourceError,
     ParseError,
     QueueSite,
     SchemaError,
-    UnreachableError,
     build_lattice_network,
     munoz15_fixture,
     parse_layout,
@@ -74,7 +71,8 @@ class TestParseLayout:
     def test_disconnected_layout(self):
         doc = json.loads(GRID)
         doc["sites"].append("island")
-        with pytest.raises(DisconnectedLayoutError):
+        with pytest.raises(InputError,
+                           match=r"layout is not connected; unreachable sites: \['island'\]"):
             parse_layout(json.dumps(doc))
 
 
@@ -142,13 +140,13 @@ class TestLatticeBuilder:
     def test_no_source(self):
         doc = json.loads(GRID)
         doc["queues"] = [q for q in doc["queues"] if q["role"] != "source"]
-        with pytest.raises(NoSourceError):
+        with pytest.raises(InputError, match="layout declares no source site"):
             build_lattice_network(parse_layout(json.dumps(doc)))
 
     def test_no_sink(self):
         doc = json.loads(GRID)
         doc["queues"] = [q for q in doc["queues"] if q["role"] != "sink"]
-        with pytest.raises(NoSinkError):
+        with pytest.raises(InputError, match="layout declares no sink site"):
             build_lattice_network(parse_layout(json.dumps(doc)))
 
     def test_default_boundary_capacity(self):
@@ -202,5 +200,5 @@ class TestShortestHops:
 
     def test_unreachable(self, fixture_spec):
         # sinks absorb, so nothing is reachable from them
-        with pytest.raises(UnreachableError):
+        with pytest.raises(InputError, match="no routing path from node 14 to node 12"):
             shortest_hops(fixture_spec, 14, 12)

@@ -5,9 +5,8 @@ import pytest
 
 from qnswap import (
     BLOCKING_STATES,
-    EmptySubsetError,
+    InputError,
     MarginalDistribution,
-    ZeroArrivalRateError,
     blocking_node_closed_form,
     network_metrics,
     node_metrics,
@@ -56,7 +55,7 @@ def test_utilization_equals_mean_jobs_for_single_slot_nodes():
 
 def test_zero_arrival_rate_rejected():
     pi = MarginalDistribution(BLOCKING_STATES, (0.5, 0.25, 0.25))
-    with pytest.raises(ZeroArrivalRateError):
+    with pytest.raises(InputError, match="node 0 has zero arrival rate"):
         node_metrics(pi, 0.0)
 
 
@@ -94,11 +93,11 @@ class TestNetworkMetrics:
         assert net.nodes == (1,)
 
     def test_empty_subset_rejected(self):
-        with pytest.raises(EmptySubsetError):
+        with pytest.raises(InputError, match="metric subset contains no nodes"):
             network_metrics(self.nodes(), external_rate=0.5, subset=[])
 
     def test_zero_external_rate_rejected(self):
-        with pytest.raises(ZeroArrivalRateError):
+        with pytest.raises(InputError, match="subset has zero arrival rate"):
             network_metrics(self.nodes(), external_rate=0.0)
 
 

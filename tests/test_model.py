@@ -6,20 +6,13 @@ import numpy as np
 import pytest
 
 from qnswap import (
-    ClosedNetworkError,
-    InvalidNodeError,
-    MissingUnblockRateError,
-    NegativeRateError,
+    InputError,
     NetworkSpec,
     NodeKind,
     NodeSpec,
     ParseError,
-    ProbabilityOutOfRangeError,
     RoutingMatrix,
-    RowSumExceedsOneError,
     SchemaError,
-    UnknownNodeReferenceError,
-    ValidationError,
     parse_network,
     serialize_network,
 )
@@ -54,7 +47,7 @@ class TestValidation:
                 assert abs(total - 1.0) <= 1e-9
 
     def test_row_sum_above_one(self):
-        with pytest.raises(RowSumExceedsOneError, match="node 1"):
+        with pytest.raises(InputError, match="routing probabilities out of node 1 sum to"):
             NetworkSpec(
                 nodes=(node(1), node(2), node(3)),
                 routing=RoutingMatrix({(1, 2): 0.8, (1, 3): 0.5}),
@@ -71,11 +64,11 @@ class TestValidation:
         assert spec.exit_probability(1) == 0.0
 
     def test_unknown_routing_target(self):
-        with pytest.raises(UnknownNodeReferenceError, match="unknown node 9"):
+        with pytest.raises(InputError, match="routing entry 1->9 references unknown node 9"):
             two_node_spec({(1, 9): 0.5})
 
     def test_sink_cannot_route(self):
-        with pytest.raises(ValidationError, match="sink node 2"):
+        with pytest.raises(InputError, match="sink node 2 cannot route onward"):
             NetworkSpec(
                 nodes=(node(1), node(2, kind=NodeKind.SINK)),
                 routing=RoutingMatrix({(1, 2): 0.5, (2, 1): 0.5}),
@@ -83,7 +76,7 @@ class TestValidation:
             )
 
     def test_external_arrivals_cannot_target_sink(self):
-        with pytest.raises(ValidationError, match="sink node 2"):
+        with pytest.raises(InputError, match="external arrivals cannot target sink node 2"):
             NetworkSpec(
                 nodes=(node(1), node(2, kind=NodeKind.SINK)),
                 routing=RoutingMatrix({(1, 2): 0.5}),
@@ -91,15 +84,15 @@ class TestValidation:
             )
 
     def test_closed_network_no_exit(self):
-        with pytest.raises(ClosedNetworkError, match="exit"):
+        with pytest.raises(InputError, match="no node has a positive exit probability"):
             two_node_spec({(1, 2): 1.0, (2, 1): 1.0})
 
     def test_closed_network_no_arrivals(self):
-        with pytest.raises(ClosedNetworkError, match="external"):
+        with pytest.raises(InputError, match="no node has a positive external arrival rate"):
             two_node_spec({(1, 2): 0.5}, external={})
 
     def test_intermediate_requires_unblock_rate(self):
-        with pytest.raises(MissingUnblockRateError):
+        with pytest.raises(InputError, match="node 1 needs a positive unblock rate"):
             NetworkSpec(
                 nodes=(node(1, kind=NodeKind.INTERMEDIATE, capacity=1), node(2)),
                 routing=RoutingMatrix({(1, 2): 0.5}),
@@ -107,7 +100,7 @@ class TestValidation:
             )
 
     def test_intermediate_capacity_is_one(self):
-        with pytest.raises(InvalidNodeError, match="exactly one job"):
+        with pytest.raises(InputError, match="node 1: intermediate nodes hold exactly one job"):
             NetworkSpec(
                 nodes=(node(1, kind=NodeKind.INTERMEDIATE, capacity=2, mu_b=0.1), node(2)),
                 routing=RoutingMatrix({(1, 2): 0.5}),
@@ -115,7 +108,8 @@ class TestValidation:
             )
 
     def test_negative_service_rate(self):
-        with pytest.raises(NegativeRateError):
+        with pytest.raises(InputError,
+                           match="node 1 service rate must be nonnegative, got -1.0"):
             NetworkSpec(
                 nodes=(node(1, mu=-1.0),),
                 routing=RoutingMatrix({}),
@@ -125,7 +119,8 @@ class TestValidation:
     def test_checked_on_construction(self):
         # a negative service rate inside a closed 1 <-> 2 cycle: no spec
         # that exists can carry it on to the traffic solver or the simulator
-        with pytest.raises(NegativeRateError):
+        with pytest.raises(InputError,
+                           match="node 1 service rate must be nonnegative, got -1.0"):
             NetworkSpec(
                 nodes=(node(1, mu=-1.0), node(2)),
                 routing=RoutingMatrix({(1, 2): 1.0, (2, 1): 1.0}),
@@ -133,11 +128,14 @@ class TestValidation:
             )
 
     def test_probability_out_of_range(self):
-        with pytest.raises(ProbabilityOutOfRangeError):
-            two_node_spec({(1, 2): 1.2})
+        for p in (1.2, -0.1, float("nan")):
+            with pytest.raises(InputError,
+                               match=rf"routing 1->2: probability {p!r} outside \[0, 1\]"):
+                two_node_spec({(1, 2): p})
 
     def test_receiving_node_needs_service(self):
-        with pytest.raises(InvalidNodeError, match="no positive service rate"):
+        with pytest.raises(InputError,
+                           match="node 2 receives jobs but has no positive service rate"):
             NetworkSpec(
                 nodes=(node(1), node(2, mu=0.0)),
                 routing=RoutingMatrix({(1, 2): 0.5}),
@@ -145,7 +143,7 @@ class TestValidation:
             )
 
     def test_duplicate_node_ids_rejected(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(InputError, match="duplicate node id 1"):
             NetworkSpec(
                 nodes=(node(1), node(1)),
                 routing=RoutingMatrix({}),
@@ -154,7 +152,7 @@ class TestValidation:
 
     def test_mixed_id_types_rejected_before_sorting(self):
         # "a" and 1 cannot be ordered; the id check must come first
-        with pytest.raises(InvalidNodeError, match="'a' must be a positive integer"):
+        with pytest.raises(InputError, match="node id 'a' must be a positive integer"):
             NetworkSpec(
                 nodes=(node("a"), node(1)),
                 routing=RoutingMatrix({}),

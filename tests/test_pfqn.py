@@ -1,6 +1,7 @@
 """Analytic pipeline: blocking probabilities, marginal composition, reports."""
 
 import itertools
+import re
 
 import pytest
 
@@ -8,18 +9,14 @@ from qnswap import (
     AnalysisAssumptions,
     BLOCKED,
     BLOCKING_STATES,
-    DimensionMismatchError,
     EMPTY,
+    InputError,
     MarginalDistribution,
     NetworkSpec,
     NodeKind,
-    NodeNotIntermediateError,
     NodeSpec,
-    ProbabilityOutOfRangeError,
     RoutingMatrix,
     SERVING,
-    UnknownStateError,
-    ZeroArrivalRateError,
     analyze_network,
     joint_probability,
     mm1k_full_probability,
@@ -50,10 +47,10 @@ class TestAssumptions:
     def test_override_range_checked(self):
         AnalysisAssumptions(blocking_probability_override=0.0)
         AnalysisAssumptions(blocking_probability_override=1.0)
-        with pytest.raises(ProbabilityOutOfRangeError):
-            AnalysisAssumptions(blocking_probability_override=1.5)
-        with pytest.raises(ProbabilityOutOfRangeError):
-            AnalysisAssumptions(blocking_probability_override=-0.1)
+        for pb in (1.5, -0.1, float("nan")):
+            with pytest.raises(InputError, match=re.escape(
+                    f"blocking probability override: probability {pb!r} outside [0, 1]")):
+                AnalysisAssumptions(blocking_probability_override=pb)
 
     def test_normalization_constant_is_pinned(self):
         with pytest.raises(TypeError):
@@ -87,7 +84,7 @@ class TestWorstCaseBlocking:
         assert got == pytest.approx(want, abs=1e-15)
 
     def test_only_intermediates_have_blocking(self):
-        with pytest.raises(NodeNotIntermediateError):
+        with pytest.raises(InputError, match="node 3 is not an intermediate node"):
             worst_case_blocking_probability(chain_spec(), 3)
 
 
@@ -144,7 +141,7 @@ class TestAnalyzeNetwork:
             external_arrivals={1: 0.1},
             known_arrival_rates={1: 0.0},
         )
-        with pytest.raises(ZeroArrivalRateError):
+        with pytest.raises(InputError, match="node 1 has zero arrival rate"):
             analyze_network(spec)
 
     def test_jsonable_shape(self, fixture_spec):
@@ -178,9 +175,9 @@ class TestJointProbability:
         assert abs(total - 1.0) <= 1e-12
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(InputError, match="expected 2 state labels, got 3"):
             joint_probability(self.marginals(2), (EMPTY, SERVING, BLOCKED))
 
     def test_unknown_label(self):
-        with pytest.raises(UnknownStateError):
+        with pytest.raises(InputError, match=r"state \(7, 7\) is not in the state space"):
             joint_probability(self.marginals(2), (EMPTY, (7, 7)))

@@ -15,14 +15,13 @@ from qnswap import (
     EMPTY,
     NetworkSpec,
     NodeKind,
+    InputError,
     NodeSpec,
-    NumericalFailureError,
-    ReducibleChainError,
+    NumericsError,
     RoutingMatrix,
     SERVING,
     SimConfig,
     StateSpace,
-    ZeroHorizonError,
     blocking_node_chain,
     blocking_node_closed_form,
     build_generator,
@@ -46,8 +45,11 @@ class TestSimConfig:
             SimConfig(seed=-1, horizon=10.0)
 
     def test_nonpositive_horizon_rejected(self):
-        with pytest.raises(ZeroHorizonError):
-            SimConfig(seed=0, horizon=0.0)
+        # an infinite horizon would never end a time-unit run
+        for horizon in (0.0, -1.0, float("inf"), float("nan")):
+            with pytest.raises(InputError,
+                               match="simulation horizon must be positive and finite"):
+                SimConfig(seed=0, horizon=horizon)
 
     def test_bad_unit_rejected(self):
         with pytest.raises(ValueError, match="unit"):
@@ -122,7 +124,8 @@ class TestTrajectorySampler:
 
     def test_reducible_chain_rejected(self):
         gen = build_generator(StateSpace(("t", "a")), [("t", "a", 1.0)])
-        with pytest.raises(ReducibleChainError):
+        with pytest.raises(NumericsError,
+                           match="trajectory simulation needs an irreducible chain"):
             simulate_ctmc(gen, SimConfig(seed=0, horizon=100.0))
 
     def test_single_state_chain(self):
@@ -131,7 +134,8 @@ class TestTrajectorySampler:
         assert res.occupancy == (1.0,)
 
     def test_zero_event_budget_rejected(self):
-        with pytest.raises(ZeroHorizonError):
+        with pytest.raises(InputError,
+                           match="simulation horizon must be positive, got 0.4"):
             simulate_ctmc(self.chain(), SimConfig(seed=0, horizon=0.4, unit="events"))
 
 
@@ -177,7 +181,7 @@ class TestBlockingNetwork:
             run.completed -= 1
 
         monkeypatch.setattr(sim._NetworkRun, "_depart", uncounted)
-        with pytest.raises(NumericalFailureError, match="flow not conserved"):
+        with pytest.raises(NumericsError, match="flow not conserved"):
             simulate_blocking_network(fixture_spec, SimConfig(seed=7, horizon=500.0))
 
     def test_single_full_queue_drops_half(self):

@@ -19,3 +19,26 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == [], f"{path.name}: assert statement on line(s) {lines}"
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_error_hierarchy_is_two_families():
+    # callers tell apart InputError (exit 2) and NumericsError (exit 3); the
+    # message carries the rest, so the hierarchy stays this small
+    from qnswap import InputError, NumericsError, ParseError, QnswapError, SchemaError
+
+    assert set(_subclasses(QnswapError)) == {InputError, NumericsError,
+                                             ParseError, SchemaError}
+
+
+def test_public_names_resolve_once():
+    import qnswap
+
+    assert len(qnswap.__all__) == len(set(qnswap.__all__))
+    missing = [name for name in qnswap.__all__ if not hasattr(qnswap, name)]
+    assert missing == []
