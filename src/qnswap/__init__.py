@@ -1,26 +1,12 @@
 """Open blocking queueing networks: analytic pipeline and simulation oracle.
 
 The package predicts the mean time a routed job spends per hop in a network
-of capacity-one blocking nodes (plus finite boundary queues), composes the
-per-node marginals into a product-form joint distribution, and ships a
-discrete-event simulator to check the analytic answers against.
+of capacity-one blocking nodes (plus finite boundary queues) from
+independent per-node marginals (product form), and ships a discrete-event
+simulator to check the analytic answers against.
 """
 
-from .ctmc import (
-    BLOCKED,
-    BLOCKING_STATES,
-    EMPTY,
-    SERVING,
-    Generator,
-    MarginalDistribution,
-    StateSpace,
-    blocking_node_chain,
-    blocking_node_closed_form,
-    build_generator,
-    mm1k_distribution,
-    mm1k_full_probability,
-    steady_state,
-)
+from .ctmc import NodeMarginal, blocking_node_closed_form, mm1k_full_probability
 from .errors import (
     InputError,
     NumericsError,
@@ -56,7 +42,6 @@ from .pfqn import (
     AnalysisAssumptions,
     NetworkAnalysis,
     analyze_network,
-    joint_probability,
     worst_case_blocking_probability,
 )
 from .sim import (
@@ -64,7 +49,6 @@ from .sim import (
     SimConfig,
     SimResult,
     simulate_blocking_network,
-    simulate_ctmc,
 )
 from .traffic import ArrivalRates, solve_traffic, total_external_rate
 
@@ -73,17 +57,13 @@ __version__ = "0.1.0"
 __all__ = [
     "AnalysisAssumptions",
     "ArrivalRates",
-    "BLOCKED",
-    "BLOCKING_STATES",
-    "EMPTY",
-    "Generator",
     "InputError",
     "LayoutGraph",
-    "MarginalDistribution",
     "NetworkAnalysis",
     "NetworkMetrics",
     "NetworkSpec",
     "NodeKind",
+    "NodeMarginal",
     "NodeMetrics",
     "NodeSpec",
     "NodeStats",
@@ -92,19 +72,13 @@ __all__ = [
     "QnswapError",
     "QueueSite",
     "RoutingMatrix",
-    "SERVING",
     "SchemaError",
     "SimConfig",
     "SimResult",
-    "StateSpace",
     "SwapDepthReport",
     "analyze_network",
-    "blocking_node_chain",
     "blocking_node_closed_form",
-    "build_generator",
     "build_lattice_network",
-    "joint_probability",
-    "mm1k_distribution",
     "mm1k_full_probability",
     "munoz15_fixture",
     "network_metrics",
@@ -114,9 +88,7 @@ __all__ = [
     "serialize_network",
     "shortest_hops",
     "simulate_blocking_network",
-    "simulate_ctmc",
     "solve_traffic",
-    "steady_state",
     "swap_depth_report",
     "total_external_rate",
     "worst_case_blocking_probability",

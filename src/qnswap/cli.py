@@ -21,7 +21,7 @@ import sys
 from .errors import InputError, NumericsError
 from .layout import munoz15_fixture
 from .metrics import network_metrics
-from .model import NetworkSpec, parse_network, serialize_network
+from .model import NetworkSpec, NodeKind, parse_network, serialize_network
 from .pfqn import AnalysisAssumptions, NetworkAnalysis, analyze_network
 from .sim import SimConfig, SimResult, simulate_blocking_network
 
@@ -226,6 +226,8 @@ def _parse_subset(raw: str | None, spec: NetworkSpec) -> list[int] | None:
     for i in ids:
         if i not in known:
             raise InputError(f"--subset references unknown node {i}")
+    if all(spec.node(i).kind is not NodeKind.INTERMEDIATE for i in ids):
+        raise InputError(f"--subset {raw!r} selects no intermediate node")
     return ids
 
 

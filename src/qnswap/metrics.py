@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .ctmc import BLOCKED, EMPTY, SERVING, MarginalDistribution
+from .ctmc import NodeMarginal
 from .errors import InputError
 
 
@@ -63,18 +63,17 @@ class SwapDepthReport:
         }
 
 
-def node_metrics(marginal: MarginalDistribution, arrival_rate: float,
+def node_metrics(marginal: NodeMarginal, arrival_rate: float,
                  node: int = 0) -> NodeMetrics:
     """Utilization, mean jobs, and mean response time of one blocking node.
 
-    ``marginal`` must be a distribution over the three blocking-node states.
     Raises InputError when ``arrival_rate`` is not positive, since per-job
     time is undefined for a node that never receives work.
     """
     if arrival_rate <= 0:
         raise InputError(f"node {node} has zero arrival rate; per-job metrics undefined")
-    rho = 1.0 - marginal.probability(EMPTY)
-    kbar = marginal.probability(SERVING) + marginal.probability(BLOCKED)
+    rho = 1.0 - marginal.pi00
+    kbar = marginal.pi10 + marginal.pi01
     return NodeMetrics(
         node=node,
         utilization=rho,

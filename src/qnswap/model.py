@@ -104,17 +104,24 @@ class RoutingMatrix:
         return tuple(j for j, p in sorted(self._rows.get(i, {}).items()) if p > 0.0)
 
 
+def _check_rate(rate: float, name: str) -> None:
+    if rate < 0:
+        raise InputError(f"{name} must be nonnegative, got {rate!r}")
+    if not math.isfinite(rate):
+        raise InputError(f"{name} must be finite, got {rate!r}")
+
+
 @dataclass(frozen=True)
 class NetworkSpec:
     """An open network description, checked on construction.
 
     Raises:
         InputError: a bad id, capacity or kind-dependent field; a negative
-            rate; an intermediate node without a positive unblock rate; a
-            routing or arrival entry naming a node that does not exist; a
-            routing probability outside [0, 1] or a row summing above 1; a
-            sink with outgoing routing; incomplete known arrival rates; or
-            no external arrival or no way out.
+            or non-finite rate; an intermediate node without a positive
+            unblock rate; a routing or arrival entry naming a node that does
+            not exist; a routing probability outside [0, 1] or a row summing
+            above 1; a sink with outgoing routing; incomplete known arrival
+            rates; or no external arrival or no way out.
     """
 
     nodes: tuple[NodeSpec, ...]
@@ -149,12 +156,8 @@ class NetworkSpec:
             seen.add(n.id)
             if not isinstance(n.capacity, int) or n.capacity < 1:
                 raise InputError(f"node {n.id}: capacity must be a positive integer")
-            if n.service_rate < 0:
-                raise InputError(
-                    f"node {n.id} service rate must be nonnegative, got {n.service_rate!r}")
-            if n.unblock_rate < 0:
-                raise InputError(
-                    f"node {n.id} unblock rate must be nonnegative, got {n.unblock_rate!r}")
+            _check_rate(n.service_rate, f"node {n.id} service rate")
+            _check_rate(n.unblock_rate, f"node {n.id} unblock rate")
             if n.kind is NodeKind.INTERMEDIATE:
                 if n.capacity != 1:
                     raise InputError(
@@ -182,9 +185,7 @@ class NetworkSpec:
         for i, rate in self.external_arrivals.items():
             if i not in by_id:
                 raise InputError(f"external arrival references unknown node {i}")
-            if rate < 0:
-                raise InputError(
-                    f"external arrival rate at node {i} must be nonnegative, got {rate!r}")
+            _check_rate(rate, f"external arrival rate at node {i}")
             if by_id[i].kind is NodeKind.SINK:
                 raise InputError(f"external arrivals cannot target sink node {i}")
 
@@ -192,9 +193,7 @@ class NetworkSpec:
             for i, rate in self.known_arrival_rates.items():
                 if i not in by_id:
                     raise InputError(f"known arrival rate references unknown node {i}")
-                if rate < 0:
-                    raise InputError(
-                        f"known arrival rate at node {i} must be nonnegative, got {rate!r}")
+                _check_rate(rate, f"known arrival rate at node {i}")
             missing = [n.id for n in self.intermediates()
                        if n.id not in self.known_arrival_rates]
             if missing:

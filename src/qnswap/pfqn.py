@@ -12,13 +12,9 @@ override can replace the computed value wholesale.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
-from .ctmc import (
-    MarginalDistribution,
-    blocking_node_closed_form,
-    mm1k_full_probability,
-)
+from .ctmc import NodeMarginal, blocking_node_closed_form, mm1k_full_probability
 from .errors import InputError
 from .metrics import NetworkMetrics, NodeMetrics, network_metrics, node_metrics
 from .model import NetworkSpec, NodeKind
@@ -56,7 +52,7 @@ class NetworkAnalysis:
 
     assumptions: AnalysisAssumptions
     arrival_rates: ArrivalRates
-    marginals: Mapping[int, MarginalDistribution]
+    marginals: Mapping[int, NodeMarginal]
     blocking_probabilities: Mapping[int, float]
     node_metrics: Mapping[int, NodeMetrics]
     network: NetworkMetrics
@@ -67,12 +63,11 @@ class NetworkAnalysis:
         for i in sorted(self.marginals):
             m = self.marginals[i]
             nm = self.node_metrics[i]
-            pi_empty, pi_serving, pi_blocked = m.probabilities
             out.append({
                 "node": i,
-                "pi00": pi_empty,
-                "pi10": pi_serving,
-                "pi01": pi_blocked,
+                "pi00": m.pi00,
+                "pi10": m.pi10,
+                "pi01": m.pi01,
                 "rho": nm.utilization,
                 "kbar": nm.mean_jobs,
                 "tbar": nm.mean_response_time,
@@ -153,7 +148,7 @@ def analyze_network(
     """
     rates = solve_traffic(spec)
 
-    marginals: dict[int, MarginalDistribution] = {}
+    marginals: dict[int, NodeMarginal] = {}
     blocking: dict[int, float] = {}
     per_node: dict[int, NodeMetrics] = {}
     for node in spec.intermediates():
@@ -177,22 +172,3 @@ def analyze_network(
         node_metrics=per_node,
         network=network,
     )
-
-
-def joint_probability(
-    marginals: Sequence[MarginalDistribution],
-    joint_state: Sequence,
-) -> float:
-    """Probability of a joint state as the product of node marginals.
-
-    Raises:
-        InputError: the label count differs from the marginal count, or a
-            label is missing from its node's state space.
-    """
-    if len(marginals) != len(joint_state):
-        raise InputError(
-            f"expected {len(marginals)} state labels, got {len(joint_state)}")
-    p = 1.0
-    for marginal, label in zip(marginals, joint_state):
-        p *= marginal.probability(label)
-    return p

@@ -1,7 +1,5 @@
-"""Discrete-event simulation oracles.
+"""Discrete-event simulation of the blocking network.
 
-Two entry points share one deterministic machinery: ``simulate_ctmc`` runs a
-single continuous-time chain and reports empirical state occupancy;
 ``simulate_blocking_network`` runs the whole network with
 blocking-after-service semantics and reports per-node occupancy, blocking,
 drops, and source-to-sink response times.
@@ -27,11 +25,9 @@ import math
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
-from .ctmc import Generator, is_irreducible
 from .errors import InputError, NumericsError
 from .model import NetworkSpec
 
@@ -90,44 +86,34 @@ class NodeStats:
 
 @dataclass(frozen=True)
 class SimResult:
-    """Merged statistics of one simulation (either mode).
+    """Merged statistics of one network simulation.
 
-    CTMC mode fills ``states``/``occupancy``; network mode fills the node
-    and job-flow fields.  ``duration`` is the total measured (post-warmup)
-    time across replications; the whole-run job counters satisfy
+    ``duration`` is the total measured (post-warmup) time across
+    replications; the whole-run job counters satisfy
     arrivals == completed + dropped + in_flight exactly.
     """
 
-    mode: str
     events: int
     duration: float
     replications: int
-    states: tuple | None = None
-    occupancy: tuple[float, ...] | None = None
-    nodes: tuple[NodeStats, ...] | None = None
-    mean_jobs: float | None = None
-    arrivals: int = 0
-    completed: int = 0
-    dropped: int = 0
-    in_flight: int = 0
-    drop_fraction: float | None = None
-    response_mean: float | None = None
-    response_stderr: float | None = None
-    mean_hops: float | None = None
+    nodes: tuple[NodeStats, ...]
+    mean_jobs: float
+    arrivals: int
+    completed: int
+    dropped: int
+    in_flight: int
+    drop_fraction: float | None
+    response_mean: float | None
+    response_stderr: float | None
+    mean_hops: float | None
 
     def to_jsonable(self) -> dict:
-        out: dict = {
-            "mode": self.mode,
+        return {
+            "mode": "network",  # part of the document format
             "events": self.events,
             "duration": self.duration,
             "replications": self.replications,
-        }
-        if self.mode == "ctmc":
-            out["states"] = [list(s) if isinstance(s, tuple) else s
-                             for s in self.states]
-            out["occupancy"] = list(self.occupancy)
-        else:
-            out["nodes"] = [
+            "nodes": [
                 {
                     "node": ns.node,
                     "occupancy": list(ns.occupancy),
@@ -135,17 +121,17 @@ class SimResult:
                     "mean_jobs": ns.mean_jobs,
                 }
                 for ns in self.nodes
-            ]
-            out["mean_jobs"] = self.mean_jobs
-            out["arrivals"] = self.arrivals
-            out["completed"] = self.completed
-            out["dropped"] = self.dropped
-            out["in_flight"] = self.in_flight
-            out["drop_fraction"] = self.drop_fraction
-            out["response_mean"] = self.response_mean
-            out["response_stderr"] = self.response_stderr
-            out["mean_hops"] = self.mean_hops
-        return out
+            ],
+            "mean_jobs": self.mean_jobs,
+            "arrivals": self.arrivals,
+            "completed": self.completed,
+            "dropped": self.dropped,
+            "in_flight": self.in_flight,
+            "drop_fraction": self.drop_fraction,
+            "response_mean": self.response_mean,
+            "response_stderr": self.response_stderr,
+            "mean_hops": self.mean_hops,
+        }
 
 
 def _rep_rng(seed: int, rep: int) -> np.random.Generator:
@@ -178,107 +164,6 @@ class _Draws:
         v = float(self._uni[self._ui])
         self._ui += 1
         return v
-
-
-# -- single-chain trajectories ------------------------------------------------
-
-def _ctmc_rep(gen: Generator, rng, unit: str, horizon: float,
-              warmup: float) -> tuple[list[float], float, int]:
-    q = gen.rates
-    n = q.shape[0]
-    hold = [float(1.0 / -q[l, l]) for l in range(n)]  # mean holding times
-    cum_rows: list[list[float]] = []
-    tgt_rows: list[list[int]] = []
-    for l in range(n):
-        targets = [m for m in range(n) if m != l and q[l, m] > 0]
-        acc, cums = 0.0, []
-        for m in targets:
-            acc += float(q[l, m] / -q[l, l])
-            cums.append(acc)
-        cum_rows.append(cums)
-        tgt_rows.append(targets)
-    draws = _Draws(rng)
-
-    occ = [0.0] * n
-    state = 0
-    window = 0.0
-    events = 0
-    if unit == "events":
-        budget = int(round(horizon))
-        if budget < 1:
-            raise InputError(f"simulation horizon must be positive, got {horizon!r}")
-        warm = int(budget * warmup)
-        for k in range(budget):
-            dt = draws.exponential(1.0) * hold[state]
-            if k >= warm:
-                occ[state] += dt
-                window += dt
-            u = draws.uniform()
-            cum = cum_rows[state]
-            pos = bisect_right(cum, u)
-            if pos >= len(cum):
-                pos = len(cum) - 1
-            state = tgt_rows[state][pos]
-        events = budget
-    else:
-        total = horizon
-        t_warm = warmup * total
-        t = 0.0
-        while t < total:
-            dt = draws.exponential(1.0) * hold[state]
-            t_next = t + dt
-            lo = t_warm if t_warm > t else t
-            hi = total if total < t_next else t_next
-            if hi > lo:
-                occ[state] += hi - lo
-            if t_next > total:
-                break
-            t = t_next
-            events += 1
-            u = draws.uniform()
-            cum = cum_rows[state]
-            pos = bisect_right(cum, u)
-            if pos >= len(cum):
-                pos = len(cum) - 1
-            state = tgt_rows[state][pos]
-        window = total - t_warm
-    return occ, window, events
-
-
-def simulate_ctmc(gen: Generator, config: SimConfig) -> SimResult:
-    """Empirical state occupancy of an irreducible chain.
-
-    Raises:
-        NumericsError: the chain is not irreducible.
-    """
-    n = len(gen.states)
-    if n == 1:
-        duration = config.horizon * (1 - config.warmup_fraction) \
-            if config.unit == "time" else 0.0
-        return SimResult(mode="ctmc", events=0, duration=duration,
-                         replications=config.replications,
-                         states=gen.states.labels, occupancy=(1.0,))
-    if not is_irreducible(gen):
-        raise NumericsError("trajectory simulation needs an irreducible chain")
-
-    occ_total = np.zeros(n)
-    window_total = 0.0
-    events_total = 0
-    for rep in range(config.replications):
-        rng = _rep_rng(config.seed, rep)
-        occ, window, events = _ctmc_rep(
-            gen, rng, config.unit, config.horizon, config.warmup_fraction)
-        occ_total += occ
-        window_total += window
-        events_total += events
-    return SimResult(
-        mode="ctmc",
-        events=events_total,
-        duration=float(window_total),
-        replications=config.replications,
-        states=gen.states.labels,
-        occupancy=tuple(float(x) for x in occ_total / window_total),
-    )
 
 
 # -- full network -------------------------------------------------------------
@@ -508,8 +393,7 @@ class _NetworkRun:
 def simulate_blocking_network(spec: NetworkSpec, config: SimConfig) -> SimResult:
     """Simulate the network under blocking-after-service semantics.
 
-    Returns a SimResult in network mode; see the module docstring for the
-    blocking, diversion, and drop rules.  Identical (spec, config) pairs
+    See the module docstring for the blocking, diversion, and drop rules.  Identical (spec, config) pairs
     produce identical results.
     """
     reps = []
@@ -559,7 +443,6 @@ def simulate_blocking_network(spec: NetworkSpec, config: SimConfig) -> SimResult
     dropped_w = sum(r["dropped_w"] for r in reps)
 
     return SimResult(
-        mode="network",
         events=sum(r["events"] for r in reps),
         duration=window,
         replications=config.replications,

@@ -9,28 +9,26 @@ which is the linear system ``(I - P^T) lambda = lambda0``.  The routing is
 kept sparse, as (row, column, probability) triplets, and every product
 ``P^T lambda`` is one ``np.bincount``; no n x n matrix is formed.
 
-The direct solver is the production path.  Nodes listed in
-``known_arrival_rates`` are pinned to their given values: they move to the
-right-hand side as inputs to the free nodes and are excluded from the
-residual check.  The free nodes get levels, their BFS depth within their
-component of the routing graph (edges taken as undirected), so every
-routing entry links levels at most one apart and ``I - P^T`` over the free
-nodes is block-tridiagonal.  Block Gaussian elimination runs down the
-levels, each diagonal block solved by LAPACK (``np.linalg.solve``, partial
-pivoting), and back-substitution runs up.  No pivoting across blocks is
-needed: the free block of ``I - P^T`` is a nonsingular M-matrix (each column
-sums to at least that node's exit probability, and every free node drains),
-and Schur complements of such a matrix are nonsingular M-matrices too.  When
-no routing entry links two free nodes the free system is the identity and
-the rates are the right-hand side.  A damped fixed-point iteration is kept
-alongside as an independent cross-check.
+Nodes listed in ``known_arrival_rates`` are pinned to their given values:
+they move to the right-hand side as inputs to the free nodes and are
+excluded from the residual check.  The free nodes get levels, their BFS
+depth within their component of the routing graph (edges taken as
+undirected), so every routing entry links levels at most one apart and
+``I - P^T`` over the free nodes is block-tridiagonal.  Block Gaussian
+elimination runs down the levels, each diagonal block solved by LAPACK
+(``np.linalg.solve``, partial pivoting), and back-substitution runs up.  No
+pivoting across blocks is needed: the free block of ``I - P^T`` is a
+nonsingular M-matrix (each column sums to at least that node's exit
+probability, and every free node drains), and Schur complements of such a
+matrix are nonsingular M-matrices too.  When no routing entry links two free
+nodes the free system is the identity and the rates are the right-hand side.
 
 The system is singular when some unpinned node has no routing path that
 leaves the network or reaches a pinned node: jobs that enter such a closed
 subnetwork never leave.  An exit probability within ``ROW_SUM_TOL`` of zero
 counts as no exit, since it is rounding in the routing row, not a real leak.
-The direct solver finds those nodes from the routing graph before solving, so
-the error names them.
+The solver finds those nodes from the routing graph before solving, so the
+error names them.
 """
 
 from __future__ import annotations
@@ -187,93 +185,13 @@ def _undrained(spec: NetworkSpec, pinned: Mapping[int, float]) -> list[int]:
     return [i for i in preds if i not in drains]
 
 
-def solve_traffic(
-    spec: NetworkSpec,
-    method: str = "direct",
-    tol: float = 1e-12,
-    max_iter: int = 100_000,
-    damping: float = 0.9,
-) -> ArrivalRates:
-    """Solve the traffic equations.
+def _check_residual(lam, lam0, rows, cols, probs, pinned, known) -> None:
+    """Raise unless ``lam`` balances every unpinned node.
 
-    Args:
-        spec: network description.
-        method: "direct" (block elimination over BFS levels of the
-            routing graph, LAPACK on each diagonal block; see the module
-            docstring) or "fixed_point" (damped iteration, kept as an
-            independent cross-check).
-        tol: step-size stopping threshold for the fixed-point method.
-        max_iter: iteration cap for the fixed-point method.
-        damping: relaxation weight on the fixed-point update, in (0, 1].
-
-    Returns:
-        ArrivalRates with one nonnegative rate per node.  Nodes covered by
-        ``known_arrival_rates`` are returned verbatim.
-
-    Raises:
-        NumericsError: the direct method found nodes with no path to an
-            exit or a pinned node (a closed subnetwork), so the linear
-            system has no unique solution ("traffic equations are
-            singular"); the fixed-point method hit ``max_iter``; or the
-            solution is not finite, or its residual exceeds
-            ``RESIDUAL_TOL`` times the largest external or pinned rate.
+    The residual may be at most ``RESIDUAL_TOL`` times the largest external
+    or pinned rate; a NaN residual fails too.
     """
-    ids, index, rows, cols, probs, lam0 = _system(spec)
-    n = len(ids)
-    known = dict(spec.known_arrival_rates or {})
-    pinned = np.zeros(n, dtype=bool)
-    pinned[[index[i] for i in known]] = True
-
-    if method == "direct":
-        closed = _undrained(spec, known)
-        if closed:
-            raise NumericsError(
-                f"traffic equations are singular: nodes {closed} have no routing"
-                " path to an exit or a pinned rate")
-        lam = np.zeros(n)
-        for i, r in known.items():
-            lam[index[i]] = r
-        # Pinned rates are inputs: they reach the free nodes as right-hand side.
-        free = np.flatnonzero(~pinned)
-        rhs = (lam0 + _inflow(rows, cols, probs, lam, n))[free]
-        linked = ~pinned[rows] & ~pinned[cols]
-        if linked.any():
-            local = np.empty(n, dtype=np.intp)
-            local[free] = np.arange(len(free))
-            try:
-                lam[free] = _solve_levels(local[rows[linked]], local[cols[linked]],
-                                          probs[linked], rhs)
-            except np.linalg.LinAlgError as e:
-                raise NumericsError(f"traffic equations are singular: {e}") from e
-        else:
-            # no entry links two free nodes: the free system is the identity
-            lam[free] = rhs
-    elif method == "fixed_point":
-        lam = lam0.copy()
-        for i, r in known.items():
-            lam[index[i]] = r
-        step = np.inf
-        for _ in range(max_iter):
-            nxt = lam0 + _inflow(rows, cols, probs, lam, n)
-            for i, r in known.items():
-                nxt[index[i]] = r
-            nxt = (1.0 - damping) * lam + damping * nxt
-            step = float(np.max(np.abs(nxt - lam)))
-            lam = nxt
-            if step <= tol:
-                break
-        else:
-            raise NumericsError(
-                f"fixed-point iteration did not converge after {max_iter} steps"
-                f" (residual {step:.3e})"
-            )
-    else:
-        raise ValueError(f"unknown method {method!r}")
-
-    # Rounding in the solve can leave rates a hair below zero.
-    lam = np.where((lam < 0) & (lam > -1e-12), 0.0, lam)
-
-    residual = (lam - (lam0 + _inflow(rows, cols, probs, lam, n)))[~pinned]
+    residual = (lam - (lam0 + _inflow(rows, cols, probs, lam, len(lam))))[~pinned]
     if residual.size:
         scale = max(float(np.max(lam0)), max(known.values(), default=0.0))
         worst = float(np.max(np.abs(residual)))
@@ -283,6 +201,57 @@ def solve_traffic(
                 f" x largest input rate {scale:.3e}"
             )
 
+
+def solve_traffic(spec: NetworkSpec) -> ArrivalRates:
+    """Solve the traffic equations.
+
+    Block elimination over BFS levels of the routing graph, LAPACK on each
+    diagonal block; see the module docstring.
+
+    Returns:
+        ArrivalRates with one nonnegative rate per node.  Nodes covered by
+        ``known_arrival_rates`` are returned verbatim.
+
+    Raises:
+        NumericsError: some nodes have no path to an exit or a pinned node
+            (a closed subnetwork), so the linear system has no unique
+            solution ("traffic equations are singular"); or the solution is
+            not finite, or its residual exceeds ``RESIDUAL_TOL`` times the
+            largest external or pinned rate.
+    """
+    ids, index, rows, cols, probs, lam0 = _system(spec)
+    n = len(ids)
+    known = dict(spec.known_arrival_rates or {})
+    pinned = np.zeros(n, dtype=bool)
+    pinned[[index[i] for i in known]] = True
+
+    closed = _undrained(spec, known)
+    if closed:
+        raise NumericsError(
+            f"traffic equations are singular: nodes {closed} have no routing"
+            " path to an exit or a pinned rate")
+    lam = np.zeros(n)
+    for i, r in known.items():
+        lam[index[i]] = r
+    # Pinned rates are inputs: they reach the free nodes as right-hand side.
+    free = np.flatnonzero(~pinned)
+    rhs = (lam0 + _inflow(rows, cols, probs, lam, n))[free]
+    linked = ~pinned[rows] & ~pinned[cols]
+    if linked.any():
+        local = np.empty(n, dtype=np.intp)
+        local[free] = np.arange(len(free))
+        try:
+            lam[free] = _solve_levels(local[rows[linked]], local[cols[linked]],
+                                      probs[linked], rhs)
+        except np.linalg.LinAlgError as e:
+            raise NumericsError(f"traffic equations are singular: {e}") from e
+    else:
+        # no entry links two free nodes: the free system is the identity
+        lam[free] = rhs
+
+    # Rounding in the solve can leave rates a hair below zero.
+    lam = np.where((lam < 0) & (lam > -1e-12), 0.0, lam)
+    _check_residual(lam, lam0, rows, cols, probs, pinned, known)
     return ArrivalRates(
         rates={i: float(lam[index[i]]) for i in ids},
         total_external=total_external_rate(spec),

@@ -15,23 +15,26 @@ import pytest
 
 from qnswap import (
     AnalysisAssumptions,
-    BLOCKED,
-    EMPTY,
-    SERVING,
     SimConfig,
     analyze_network,
-    blocking_node_chain,
     blocking_node_closed_form,
     cli,
-    joint_probability,
-    mm1k_distribution,
     mm1k_full_probability,
     munoz15_fixture,
     serialize_network,
     shortest_hops,
     simulate_blocking_network,
+)
+from oracle import (
+    BLOCKED,
+    BLOCKING_STATES,
+    EMPTY,
+    SERVING,
+    blocking_node_chain,
+    fixed_point_traffic,
+    joint_probability,
+    mm1k_distribution,
     simulate_ctmc,
-    solve_traffic,
     steady_state,
 )
 from conftest import random_open_network, single_queue_spec
@@ -109,8 +112,8 @@ def test_criterion_4_closed_form_vs_solver(capsys):
         pb = float(rng.uniform(0.0, 1.0))
         closed = blocking_node_closed_form(lam, mu, mu_b, pb)
         solved = steady_state(blocking_node_chain(lam, mu, mu_b, pb))
-        for s in (EMPTY, SERVING, BLOCKED):
-            worst = max(worst, abs(closed.probability(s) - solved.probability(s)))
+        for got, s in zip(closed, (EMPTY, SERVING, BLOCKED)):
+            worst = max(worst, abs(got - solved.probability(s)))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-10 and elapsed < 5.0
     report(capsys, 4, ok,
@@ -124,7 +127,7 @@ def test_criterion_5_traffic_solver(capsys):
     worst_conserve = 0.0
     for _ in range(100):
         spec = random_open_network(rng, max_nodes=20)
-        rates = solve_traffic(spec, method="fixed_point")
+        rates = fixed_point_traffic(spec)
         for i in spec.ids():
             inflow = spec.external_arrivals.get(i, 0.0) + sum(
                 spec.routing.row(j).get(i, 0.0) * rates.rate(j)
@@ -140,7 +143,7 @@ def test_criterion_5_traffic_solver(capsys):
 
 def test_criterion_6_product_form_normalization(capsys, fixture_spec):
     marginals = list(analyze_network(fixture_spec).marginals.values())[:3]
-    states = marginals[0].states.labels
+    states = BLOCKING_STATES.labels
     total = sum(
         joint_probability(marginals, joint)
         for joint in itertools.product(states, repeat=3)

@@ -90,6 +90,14 @@ class TestAnalyze:
         assert error["error"] == "InputError"
         assert error["message"] == "--subset references unknown node 99"
 
+    def test_subset_without_intermediate_is_an_input_error(self, capsys, fixture_file):
+        # 14 is a sink: checked before the analysis, naming the option
+        code, out, err = run_cli(
+            capsys, "analyze", "--network", fixture_file, "--subset", "14")
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["message"] == "--subset '14' selects no intermediate node"
+
     def test_nan_pb_is_an_input_error(self, capsys, fixture_file):
         code, out, err = run_cli(
             capsys, "analyze", "--network", fixture_file, "--pb", "nan",

@@ -11,23 +11,26 @@ import numpy as np
 import pytest
 
 from qnswap import (
+    InputError,
+    NumericsError,
+    blocking_node_closed_form,
+    mm1k_full_probability,
+)
+from oracle import (
     BLOCKED,
     BLOCKING_STATES,
     EMPTY,
     Generator,
-    InputError,
     MarginalDistribution,
-    NumericsError,
     SERVING,
     StateSpace,
     blocking_node_chain,
-    blocking_node_closed_form,
     build_generator,
+    closed_class_count,
+    is_irreducible,
     mm1k_distribution,
-    mm1k_full_probability,
     steady_state,
 )
-from qnswap.ctmc import closed_class_count, is_irreducible
 
 
 def random_irreducible_generator(rng, max_states=8):
@@ -151,27 +154,32 @@ class TestSteadyState:
             pb = float(rng.uniform(0.0, 1.0))
             closed = blocking_node_closed_form(lam, mu, mu_b, pb)
             solved = steady_state(blocking_node_chain(lam, mu, mu_b, pb))
-            for s in (EMPTY, SERVING, BLOCKED):
-                assert abs(closed.probability(s) - solved.probability(s)) <= 1e-10
+            for got, s in zip(closed, (EMPTY, SERVING, BLOCKED)):
+                assert abs(got - solved.probability(s)) <= 1e-10
 
 
 class TestBlockingClosedForm:
     def test_node_one_values(self):
         pi = blocking_node_closed_form(0.94, 1.0, 0.136, 0.5)
-        assert pi.probability(EMPTY) == pytest.approx(0.18532650168974166, abs=1e-15)
-        assert pi.probability(SERVING) == pytest.approx(0.17420691158835713, abs=1e-15)
-        assert pi.probability(BLOCKED) == pytest.approx(0.6404665867219013, abs=1e-15)
+        assert pi.pi00 == pytest.approx(0.18532650168974166, abs=1e-15)
+        assert pi.pi10 == pytest.approx(0.17420691158835713, abs=1e-15)
+        assert pi.pi01 == pytest.approx(0.6404665867219013, abs=1e-15)
 
     def test_no_blocking_reduces_to_two_states(self):
         pi = blocking_node_closed_form(0.7, 1.0, 0.2, 0.0)
-        assert pi.probability(BLOCKED) == 0.0
+        assert pi.pi01 == 0.0
         mm11 = mm1k_distribution(0.7, 1)
-        assert pi.probability(EMPTY) == pytest.approx(mm11.probabilities[0], abs=1e-15)
+        assert pi.pi00 == pytest.approx(mm11.probabilities[0], abs=1e-15)
 
     def test_blocking_probability_range_checked(self):
         for pb in (1.5, -0.1, float("nan")):
             with pytest.raises(InputError, match=rf"blocking probability: probability {pb!r}"):
                 blocking_node_closed_form(0.7, 1.0, 0.2, pb)
+
+    def test_overflow_is_not_a_distribution(self):
+        # finite rates, but lambda / mu overflows: the marginal would hold NaN
+        with pytest.raises(NumericsError, match="is not a distribution"):
+            blocking_node_closed_form(1e200, 1e-200, 1.0, 0.5)
 
     def test_zero_unblock_rate_rejected_when_blocking(self):
         with pytest.raises((InputError, ValueError, ZeroDivisionError),

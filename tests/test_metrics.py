@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from qnswap import (
-    BLOCKING_STATES,
     InputError,
-    MarginalDistribution,
+    NodeMarginal,
     blocking_node_closed_form,
     network_metrics,
     node_metrics,
@@ -15,7 +14,7 @@ from qnswap import (
 
 
 def make_node(pi, lam, node=1):
-    return node_metrics(MarginalDistribution(BLOCKING_STATES, pi), lam, node=node)
+    return node_metrics(NodeMarginal(*pi), lam, node=node)
 
 
 def test_node_metrics_hand_values():
@@ -54,7 +53,7 @@ def test_utilization_equals_mean_jobs_for_single_slot_nodes():
 
 
 def test_zero_arrival_rate_rejected():
-    pi = MarginalDistribution(BLOCKING_STATES, (0.5, 0.25, 0.25))
+    pi = NodeMarginal(0.5, 0.25, 0.25)
     with pytest.raises(InputError, match="node 0 has zero arrival rate"):
         node_metrics(pi, 0.0)
 

@@ -13,6 +13,7 @@ from qnswap import (
     ParseError,
     RoutingMatrix,
     SchemaError,
+    blocking_node_closed_form,
     parse_network,
     serialize_network,
 )
@@ -158,6 +159,43 @@ class TestValidation:
                 routing=RoutingMatrix({}),
                 external_arrivals={1: 1.0},
             )
+
+
+NON_FINITE_RATES = {
+    "service_rate": (lambda x: NetworkSpec(
+        nodes=(node(1, mu=x),),
+        routing=RoutingMatrix({}),
+        external_arrivals={1: 1.0},
+    ), "node 1 service rate must be finite"),
+    "unblock_rate": (lambda x: NetworkSpec(
+        nodes=(node(1, kind=NodeKind.INTERMEDIATE, capacity=1, mu_b=x), node(2)),
+        routing=RoutingMatrix({(1, 2): 0.5}),
+        external_arrivals={1: 1.0},
+    ), "node 1 unblock rate must be finite"),
+    "external_rate": (lambda x: two_node_spec({(1, 2): 0.5}, external={1: 1.0, 2: x}),
+                      "external arrival rate at node 2 must be finite"),
+    "known_rate": (lambda x: NetworkSpec(
+        nodes=(node(1), node(2)),
+        routing=RoutingMatrix({(1, 2): 0.5}),
+        external_arrivals={1: 1.0},
+        known_arrival_rates={2: x},
+    ), "known arrival rate at node 2 must be finite"),
+    "closed_form_arrival": (lambda x: blocking_node_closed_form(x, 1.0, 0.2, 0.5),
+                            "arrival rate must be finite"),
+    "closed_form_service": (lambda x: blocking_node_closed_form(0.7, x, 0.2, 0.5),
+                            "service rate must be finite"),
+    "closed_form_unblock": (lambda x: blocking_node_closed_form(0.7, 1.0, x, 0.5),
+                            "unblock rate must be finite"),
+}
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+@pytest.mark.parametrize("name", sorted(NON_FINITE_RATES))
+def test_non_finite_rate_rejected(name, value):
+    # comparisons with NaN are False, so "< 0" and "<= 0" checks let it pass
+    build, message = NON_FINITE_RATES[name]
+    with pytest.raises(InputError, match=message):
+        build(value)
 
 
 class TestCanonicalForm:

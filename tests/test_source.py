@@ -42,3 +42,35 @@ def test_public_names_resolve_once():
     assert len(qnswap.__all__) == len(set(qnswap.__all__))
     missing = [name for name in qnswap.__all__ if not hasattr(qnswap, name)]
     assert missing == []
+
+
+# Reference implementations that live in tests/oracle.py; the package keeps
+# one traffic method, one simulator entry point and one M/M/1/K formula.
+ORACLE_ONLY = {
+    "StateSpace", "Generator", "MarginalDistribution", "build_generator",
+    "_reach_sets", "closed_class_count", "is_irreducible", "steady_state",
+    "blocking_node_chain", "BLOCKING_STATES", "EMPTY", "SERVING", "BLOCKED",
+    "mm1k_distribution", "simulate_ctmc", "_ctmc_rep", "joint_probability",
+}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_oracle_code_stays_out_of_the_package(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.asname or alias.name for alias in node.names)
+    assert sorted(names & ORACLE_ONLY) == []
+
+
+def test_one_traffic_method():
+    import inspect
+
+    from qnswap import solve_traffic
+
+    assert list(inspect.signature(solve_traffic).parameters) == ["spec"]

@@ -20,6 +20,7 @@ from qnswap import (
     total_external_rate,
 )
 from conftest import random_open_network
+from oracle import fixed_point_traffic
 import _expected
 
 
@@ -47,8 +48,8 @@ def test_hand_solved_feedback_pair():
 
 
 def test_fixed_point_agrees_on_feedback_pair():
-    direct = solve_traffic(feedback_pair(), method="direct")
-    fixed = solve_traffic(feedback_pair(), method="fixed_point")
+    direct = solve_traffic(feedback_pair())
+    fixed = fixed_point_traffic(feedback_pair())
     for i in (1, 2):
         assert abs(direct.rate(i) - fixed.rate(i)) <= 1e-9
 
@@ -57,8 +58,8 @@ def test_methods_agree_on_random_networks():
     rng = np.random.default_rng(42)
     for _ in range(100):
         spec = random_open_network(rng)
-        direct = solve_traffic(spec, method="direct")
-        fixed = solve_traffic(spec, method="fixed_point")
+        direct = solve_traffic(spec)
+        fixed = fixed_point_traffic(spec)
         for i in spec.ids():
             assert abs(direct.rate(i) - fixed.rate(i)) <= 1e-9
 
@@ -160,13 +161,13 @@ def leaky_cycle_spec():
 
 def test_closed_cycle_is_singular_for_direct_solve():
     with pytest.raises(NumericsError, match="traffic equations are singular: nodes"):
-        solve_traffic(closed_cycle_spec(), method="direct")
+        solve_traffic(closed_cycle_spec())
 
 
 def test_closed_cycle_diverges_for_fixed_point():
     with pytest.raises(NumericsError,
                        match="fixed-point iteration did not converge after 2000 steps"):
-        solve_traffic(closed_cycle_spec(), method="fixed_point", max_iter=2000)
+        fixed_point_traffic(closed_cycle_spec(), max_iter=2000)
 
 
 NEAR_CLOSED_SPECS = {
@@ -180,7 +181,7 @@ def test_near_closed_cycle_is_singular_for_direct_solve(name):
     build, nodes = NEAR_CLOSED_SPECS[name]
     with pytest.raises(NumericsError,
                        match=re.escape(f"traffic equations are singular: nodes {nodes}")):
-        solve_traffic(build(), method="direct")
+        solve_traffic(build())
 
 
 @pytest.mark.parametrize("name", sorted(NEAR_CLOSED_SPECS))
@@ -188,7 +189,7 @@ def test_near_closed_cycle_diverges_for_fixed_point(name):
     build, _ = NEAR_CLOSED_SPECS[name]
     with pytest.raises(NumericsError,
                        match="fixed-point iteration did not converge after 2000 steps"):
-        solve_traffic(build(), method="fixed_point", max_iter=2000)
+        fixed_point_traffic(build(), max_iter=2000)
 
 
 def test_routing_into_a_pinned_node_drains():
@@ -299,7 +300,3 @@ def test_direct_solve_allocates_no_dense_matrix():
         tracemalloc.stop()
     assert peak < 8 * n * n / 4
 
-
-def test_unknown_method_rejected(fixture_spec):
-    with pytest.raises(ValueError, match="method"):
-        solve_traffic(fixture_spec, method="magic")
