@@ -24,10 +24,8 @@ from .layout import (
 )
 from .metrics import (
     NetworkMetrics,
-    NodeMetrics,
     SwapDepthReport,
     network_metrics,
-    node_metrics,
     swap_depth_report,
 )
 from .model import (
@@ -42,7 +40,6 @@ from .pfqn import (
     AnalysisAssumptions,
     NetworkAnalysis,
     analyze_network,
-    worst_case_blocking_probability,
 )
 from .sim import (
     NodeStats,
@@ -64,7 +61,6 @@ __all__ = [
     "NetworkSpec",
     "NodeKind",
     "NodeMarginal",
-    "NodeMetrics",
     "NodeSpec",
     "NodeStats",
     "NumericsError",
@@ -82,7 +78,6 @@ __all__ = [
     "mm1k_full_probability",
     "munoz15_fixture",
     "network_metrics",
-    "node_metrics",
     "parse_layout",
     "parse_network",
     "serialize_network",
@@ -91,5 +86,4 @@ __all__ = [
     "solve_traffic",
     "swap_depth_report",
     "total_external_rate",
-    "worst_case_blocking_probability",
 ]

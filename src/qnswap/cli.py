@@ -131,7 +131,7 @@ def _analyze_output(analysis: NetworkAnalysis, fmt: str, digits: int | None,
     rows = analysis.rows()
     if subset is not None:
         keep = set(subset)
-        net = network_metrics(analysis.node_metrics.values(),
+        net = network_metrics(analysis.nodes, analysis.kbar,
                               analysis.arrival_rates.total_external, keep)
         rows = [r for r in rows if r["node"] in keep]
 

@@ -23,6 +23,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
+import numpy as np
+
 from .errors import InputError, NumericsError
 
 RHO_ONE_TOL = 1e-9
@@ -40,7 +42,7 @@ def _positive(name: str, value: float) -> float:
     if value < 0:
         raise InputError(f"{name} must be nonnegative, got {value!r}")
     if value == 0:
-        raise ValueError(f"{name} must be positive")
+        raise InputError(f"{name} must be positive")
     if not math.isfinite(value):
         raise InputError(f"{name} must be finite, got {value!r}")
     return float(value)
@@ -57,30 +59,50 @@ def _check_blocking_node(arrival_rate, service_rate, unblock_rate, blocking_prob
 
 
 def blocking_node_closed_form(
-    arrival_rate: float,
-    service_rate: float,
-    unblock_rate: float,
-    blocking_probability: float,
+    arrival_rate: float | np.ndarray,
+    service_rate: float | np.ndarray,
+    unblock_rate: float | np.ndarray,
+    blocking_probability: float | np.ndarray,
 ) -> NodeMarginal:
     """Stationary distribution of the blocking node (see module docstring).
 
+    Works elementwise: array arguments (broadcast together) give a
+    ``NodeMarginal`` of arrays, all-scalar arguments one of Python floats.
+    The first bad element, in order, raises the error that a scalar call on
+    that element raises.
+
     Raises:
-        InputError: a negative or non-finite rate, or a blocking probability
-            outside [0, 1].
-        ValueError: a zero rate.
+        InputError: a non-positive or non-finite rate, or a blocking
+            probability outside [0, 1].
         NumericsError: the result is not a distribution, as when finite
             rates overflow ``lambda / mu``.
     """
-    lam, mu, mu_b, pb = _check_blocking_node(
-        arrival_rate, service_rate, unblock_rate, blocking_probability)
-    serving_weight = lam / mu
-    blocked_weight = lam * pb / mu_b
-    denom = 1.0 + serving_weight + blocked_weight
-    probs = (1.0 / denom, serving_weight / denom, blocked_weight / denom)
-    # the comparisons are False for NaN, so NaN fails them too
-    if not (all(0.0 <= p < math.inf for p in probs)
-            and abs(sum(probs) - 1.0) <= 1e-12):
-        raise NumericsError(f"blocking-node marginal {probs!r} is not a distribution")
+    args = (arrival_rate, service_rate, unblock_rate, blocking_probability)
+    lam, mu, mu_b, pb = (np.asarray(a, dtype=float) for a in args)
+    # Bad inputs and overflow leave zero divisions, inf and NaN here; every
+    # such element fails ``ok`` and is reported below.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        serving_weight = lam / mu
+        blocked_weight = lam * pb / mu_b
+        denom = 1.0 + serving_weight + blocked_weight
+        probs = (1.0 / denom, serving_weight / denom, blocked_weight / denom)
+        # true exactly where the checks in _check_blocking_node pass; the
+        # comparisons are False for NaN, so NaN fails them too
+        inputs_ok = ((0.0 < lam) & (lam < math.inf) & (0.0 < mu) & (mu < math.inf)
+                     & (0.0 < mu_b) & (mu_b < math.inf) & (0.0 <= pb) & (pb <= 1.0))
+        # With good inputs each weight over denom lies in [0, 1] unless it is
+        # NaN (inf / inf after an overflow), which fails the sum test.
+        ok = inputs_ok & (abs(probs[0] + probs[1] + probs[2] - 1.0) <= 1e-12)
+    if not ok.all():
+        k = int(np.argmin(ok.ravel()))
+        if not inputs_ok.ravel()[k]:
+            _check_blocking_node(*(a if np.ndim(a) == 0
+                                   else np.broadcast_to(x, ok.shape).ravel()[k].item()
+                                   for a, x in zip(args, (lam, mu, mu_b, pb))))
+        bad = tuple(p.ravel()[k].item() for p in probs)
+        raise NumericsError(f"blocking-node marginal {bad!r} is not a distribution")
+    if ok.ndim == 0:
+        return NodeMarginal(*(float(p) for p in probs))
     return NodeMarginal(*probs)
 
 
@@ -92,12 +114,12 @@ def mm1k_full_probability(rho: float, capacity: int) -> float:
     The limit branch is taken when ``|rho - 1| <= 1e-9``.
 
     Raises:
-        InputError: rho < 0.
+        InputError: rho < 0 or NaN.
         ValueError: capacity below 1.
     """
     if isinstance(capacity, bool) or not isinstance(capacity, int) or capacity < 1:
         raise ValueError(f"capacity must be a positive integer, got {capacity!r}")
-    if rho < 0:
+    if not rho >= 0:  # also rejects NaN
         raise InputError(f"utilization must be nonnegative, got {rho!r}")
     if abs(rho - 1.0) <= RHO_ONE_TOL:
         return 1.0 / (capacity + 1)

@@ -1,9 +1,10 @@
-"""Per-node and network performance metrics.
+"""Network performance metrics.
 
-Conventions: utilization of a capacity-one blocking node is the probability
-of not being empty, its mean job count is serving + blocked mass, and mean
-response time follows from Little's law.  The network-level mean job count
-is the *average* of the per-node means over the chosen subset (matching the
+The per-node columns come from :func:`qnswap.pfqn.analyze_network`:
+utilization of a capacity-one blocking node is the probability of not being
+empty, its mean job count is serving + blocked mass, and mean response time
+follows from Little's law.  The network-level mean job count is the
+*average* of the per-node means over the chosen subset (matching the
 per-hop reading of the response-time prediction), while the conventional
 population sum is carried separately as ``total_jobs``.
 """
@@ -13,16 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .ctmc import NodeMarginal
+import numpy as np
+
 from .errors import InputError
-
-
-@dataclass(frozen=True)
-class NodeMetrics:
-    node: int
-    utilization: float
-    mean_jobs: float
-    mean_response_time: float
 
 
 @dataclass(frozen=True)
@@ -63,52 +57,34 @@ class SwapDepthReport:
         }
 
 
-def node_metrics(marginal: NodeMarginal, arrival_rate: float,
-                 node: int = 0) -> NodeMetrics:
-    """Utilization, mean jobs, and mean response time of one blocking node.
-
-    Raises InputError when ``arrival_rate`` is not positive, since per-job
-    time is undefined for a node that never receives work.
-    """
-    if arrival_rate <= 0:
-        raise InputError(f"node {node} has zero arrival rate; per-job metrics undefined")
-    rho = 1.0 - marginal.pi00
-    kbar = marginal.pi10 + marginal.pi01
-    return NodeMetrics(
-        node=node,
-        utilization=rho,
-        mean_jobs=kbar,
-        mean_response_time=kbar / arrival_rate,
-    )
-
-
-def network_metrics(per_node: Iterable[NodeMetrics], external_rate: float,
+def network_metrics(nodes: Sequence[int], mean_jobs: Sequence[float],
+                    external_rate: float,
                     subset: Iterable[int] | None = None) -> NetworkMetrics:
-    """Aggregate node metrics over a subset (default: everything given).
+    """Aggregate per-node mean job counts over a subset (default: every node).
 
-    Summation runs in node-id order, so the result does not depend on the
-    order of ``per_node``.  Raises InputError when the subset selects no
-    node or ``external_rate`` is not positive.
+    ``nodes`` and ``mean_jobs`` are matching columns.  The sum runs left to
+    right in node-id order, so the result does not depend on the order of
+    the columns.  Raises InputError when the subset selects no node or
+    ``external_rate`` is not positive.
     """
-    wanted = None if subset is None else set(subset)
-    chosen = sorted(
-        (m for m in per_node if wanted is None or m.node in wanted),
-        key=lambda m: m.node,
-    )
-    if not chosen:
+    nodes = np.asarray(nodes, dtype=np.intp)
+    chosen = np.argsort(nodes, kind="stable")
+    if subset is not None:
+        wanted = set(subset)
+        chosen = chosen[[i in wanted for i in nodes[chosen].tolist()]]
+    if not chosen.size:
         raise InputError("metric subset contains no nodes")
     if external_rate <= 0:
         raise InputError("subset has zero arrival rate; per-job metrics undefined")
-    total = 0.0
-    for m in chosen:
-        total += m.mean_jobs
-    mean_jobs = total / len(chosen)
+    # accumulate adds in order; np.sum adds pairwise, which changes the last digits
+    total = float(np.add.accumulate(np.asarray(mean_jobs, dtype=float)[chosen])[-1])
+    mean = total / chosen.size
     return NetworkMetrics(
-        mean_jobs=mean_jobs,
-        mean_response_time=mean_jobs / external_rate,
+        mean_jobs=mean,
+        mean_response_time=mean / external_rate,
         external_rate=external_rate,
         total_jobs=total,
-        nodes=tuple(m.node for m in chosen),
+        nodes=tuple(nodes[chosen].tolist()),
     )
 
 

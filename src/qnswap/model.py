@@ -37,6 +37,8 @@ from enum import Enum
 from functools import cached_property
 from typing import Mapping
 
+import numpy as np
+
 from .errors import InputError, ParseError, SchemaError
 
 ROW_SUM_TOL = 1e-9
@@ -218,6 +220,23 @@ class NetworkSpec:
     @cached_property
     def _by_id(self) -> dict[int, NodeSpec]:
         return {n.id: n for n in self.nodes}
+
+    @cached_property
+    def routing_triplets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Routing as read-only arrays (row, column, probability).
+
+        Rows and columns are positions in ``ids()``; the entries are in
+        (from, to) order, as in ``routing.entries``.
+        """
+        index = {i: k for k, i in enumerate(self.ids())}
+        entries = self.routing.entries
+        m = len(entries)
+        rows = np.fromiter((index[i] for i, _ in entries), dtype=np.intp, count=m)
+        cols = np.fromiter((index[j] for _, j in entries), dtype=np.intp, count=m)
+        probs = np.fromiter(entries.values(), dtype=float, count=m)
+        for a in (rows, cols, probs):
+            a.flags.writeable = False
+        return rows, cols, probs
 
     def node(self, node_id: int) -> NodeSpec:
         try:

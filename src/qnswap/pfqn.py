@@ -3,20 +3,29 @@
 Each intermediate node is analyzed as an independent three-state blocking
 chain fed by its solved arrival rate; the joint stationary distribution is
 the plain product of the marginals (open network, normalization constant 1).
-The blocking probability seen by a node is the chance its routing target is
-full.  Under the worst-case assumption every neighbor is driven at full
-utilization, so a capacity-one neighbor is full half the time; an explicit
-override can replace the computed value wholesale.
+The blocking probability seen by a node is the routing-weighted chance
+that its target is full, ``sum_j p_ij * P_full(target j)``.  Under the
+worst-case assumption every neighbor is driven at full utilization, so a
+capacity-one neighbor is full half the time; otherwise target utilizations
+come from the solved rates, and an explicit override can replace the
+computed value wholesale.
+
+The analysis is one pass of array operations over the intermediate nodes in
+id order, with one column per per-node field: P_full once per routing
+target, the blocking probabilities as one ``np.bincount`` over the routing
+triplets, the closed form elementwise, and ``rho``/``kbar``/``tbar`` from
+the marginals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
-from .ctmc import NodeMarginal, blocking_node_closed_form, mm1k_full_probability
+import numpy as np
+
+from .ctmc import blocking_node_closed_form, mm1k_full_probability
 from .errors import InputError
-from .metrics import NetworkMetrics, NodeMetrics, network_metrics, node_metrics
+from .metrics import NetworkMetrics, network_metrics
 from .model import NetworkSpec, NodeKind
 from .traffic import ArrivalRates, solve_traffic
 
@@ -46,41 +55,37 @@ class AnalysisAssumptions:
 DEFAULT_ASSUMPTIONS = AnalysisAssumptions()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NetworkAnalysis:
-    """Everything the analytic pipeline produces for one network."""
+    """Everything the analytic pipeline produces for one network.
 
+    The per-node fields are columns over the intermediate nodes in id order:
+    entry k of each belongs to node ``nodes[k]``.
+    """
+
+    nodes: np.ndarray
+    blocking_probability: np.ndarray
+    pi00: np.ndarray
+    pi10: np.ndarray
+    pi01: np.ndarray
+    rho: np.ndarray
+    kbar: np.ndarray
+    tbar: np.ndarray
     assumptions: AnalysisAssumptions
     arrival_rates: ArrivalRates
-    marginals: Mapping[int, NodeMarginal]
-    blocking_probabilities: Mapping[int, float]
-    node_metrics: Mapping[int, NodeMetrics]
     network: NetworkMetrics
 
     def rows(self) -> list[dict]:
         """One row per analyzed node, in id order, ready for tabulation."""
-        out = []
-        for i in sorted(self.marginals):
-            m = self.marginals[i]
-            nm = self.node_metrics[i]
-            out.append({
-                "node": i,
-                "pi00": m.pi00,
-                "pi10": m.pi10,
-                "pi01": m.pi01,
-                "rho": nm.utilization,
-                "kbar": nm.mean_jobs,
-                "tbar": nm.mean_response_time,
-            })
-        return out
+        keys = ("node", "pi00", "pi10", "pi01", "rho", "kbar", "tbar")
+        columns = (self.nodes, self.pi00, self.pi10, self.pi01, self.rho, self.kbar, self.tbar)
+        return [dict(zip(keys, row)) for row in zip(*(c.tolist() for c in columns))]
 
     def to_jsonable(self) -> dict:
-        nodes = []
-        for row, i in zip(self.rows(), sorted(self.marginals)):
-            row = dict(row)
-            row["arrival_rate"] = self.arrival_rates.rates[i]
-            row["blocking_probability"] = self.blocking_probabilities[i]
-            nodes.append(row)
+        nodes = self.rows()
+        for row, pb in zip(nodes, self.blocking_probability.tolist()):
+            row["arrival_rate"] = self.arrival_rates.rates[row["node"]]
+            row["blocking_probability"] = pb
         return {
             "assumptions": {
                 "rho_one": self.assumptions.rho_one,
@@ -94,81 +99,67 @@ class NetworkAnalysis:
         }
 
 
-def worst_case_blocking_probability(
-    spec: NetworkSpec,
-    node_id: int,
-    assumptions: AnalysisAssumptions = DEFAULT_ASSUMPTIONS,
-    rates: ArrivalRates | None = None,
-) -> float:
-    """Blocking probability for one intermediate node.
-
-    The routing-weighted chance that the node's target is full:
-    ``sum_j p_ij * P_full(target j)``, with target utilization 1 under the
-    worst-case assumption.  An override in ``assumptions`` wins outright.
-
-    Raises:
-        InputError: the node is a source or sink.
-    """
-    node = spec.node(node_id)
-    if node.kind is not NodeKind.INTERMEDIATE:
-        raise InputError(f"node {node_id} is not an intermediate node")
-    if assumptions.blocking_probability_override is not None:
-        return assumptions.blocking_probability_override
-
-    row = spec.routing.row(node_id)
-    if not assumptions.rho_one and rates is None:
-        rates = solve_traffic(spec)
-    total = 0.0
-    for j, p in sorted(row.items()):
-        if p <= 0.0:
-            continue
-        target = spec.node(j)
-        if assumptions.rho_one:
-            rho_j = 1.0
-        else:
-            rho_j = rates.rates[j] / target.service_rate
-        total += p * mm1k_full_probability(rho_j, target.capacity)
-    return total
-
-
 def analyze_network(
     spec: NetworkSpec,
     assumptions: AnalysisAssumptions = DEFAULT_ASSUMPTIONS,
 ) -> NetworkAnalysis:
-    """Run the full analytic pipeline on a network.
+    """Run the full analytic pipeline on a network (see module docstring).
 
-    Solves the traffic equations, builds the three-state marginal for every
-    intermediate node from its closed form, and aggregates node and network
-    metrics.  Boundary (source/sink) nodes get no marginal; they only shape
-    the blocking probabilities and the traffic solution.
+    Solves the traffic equations, then computes the per-node columns.
+    Boundary (source/sink) nodes get no marginal; they only shape the
+    blocking probabilities and the traffic solution.
 
     Raises:
-        InputError: an intermediate node whose solved arrival rate is not
-            positive.
+        InputError: an intermediate node whose solved arrival rate or whose
+            service rate is not positive; the first such node in id order
+            is named.
+        NumericsError: a node's marginal is not a distribution.
     """
     rates = solve_traffic(spec)
+    nodes = spec.nodes
+    inner = np.array([n.kind is NodeKind.INTERMEDIATE for n in nodes], dtype=bool)
+    ids = np.array(spec.ids(), dtype=np.intp)[inner]
+    mu = np.array([n.service_rate for n in nodes], dtype=float)[inner]
+    mu_b = np.array([n.unblock_rate for n in nodes], dtype=float)[inner]
+    lam = np.fromiter(rates.rates.values(), dtype=float, count=len(nodes))[inner]
 
-    marginals: dict[int, NodeMarginal] = {}
-    blocking: dict[int, float] = {}
-    per_node: dict[int, NodeMetrics] = {}
-    for node in spec.intermediates():
-        lam = rates.rates[node.id]
-        if lam <= 0:
-            raise InputError(
-                f"node {node.id} has zero arrival rate; per-job metrics undefined")
-        pb = worst_case_blocking_probability(spec, node.id, assumptions, rates)
-        marginal = blocking_node_closed_form(
-            lam, node.service_rate, node.unblock_rate, pb)
-        marginals[node.id] = marginal
-        blocking[node.id] = pb
-        per_node[node.id] = node_metrics(marginal, lam, node=node.id)
+    override = assumptions.blocking_probability_override
+    if override is not None:
+        pb = np.full(len(ids), override, dtype=float)
+    else:
+        rows, cols, probs = spec.routing_triplets
+        used = (probs > 0.0) & inner[rows]
+        rows, cols, probs = rows[used], cols[used], probs[used]
+        targets = np.flatnonzero(np.bincount(cols, minlength=len(nodes))).tolist()
+        full = np.zeros(len(nodes))
+        full[targets] = [
+            mm1k_full_probability(
+                1.0 if assumptions.rho_one
+                else rates.rates[nodes[t].id] / nodes[t].service_rate,
+                nodes[t].capacity)
+            for t in targets
+        ]
+        # bincount adds in triplet order, (from, to), so each sum runs over
+        # the targets in id order
+        pb = np.bincount(rows, weights=probs * full[cols], minlength=len(nodes))[inner]
 
-    network = network_metrics(per_node.values(), rates.total_external)
+    zero = np.flatnonzero(lam <= 0)
+    good = int(zero[0]) if zero.size else len(ids)  # nodes before the first zero rate
+    marginal = blocking_node_closed_form(lam[:good], mu[:good], mu_b[:good], pb[:good])
+    if good < len(ids):
+        raise InputError(
+            f"node {ids[good]} has zero arrival rate; per-job metrics undefined")
+    kbar = marginal.pi10 + marginal.pi01
     return NetworkAnalysis(
+        nodes=ids,
+        blocking_probability=pb,
+        pi00=marginal.pi00,
+        pi10=marginal.pi10,
+        pi01=marginal.pi01,
+        rho=1.0 - marginal.pi00,
+        kbar=kbar,
+        tbar=kbar / lam,
         assumptions=assumptions,
         arrival_rates=rates,
-        marginals=marginals,
-        blocking_probabilities=blocking,
-        node_metrics=per_node,
-        network=network,
+        network=network_metrics(ids, kbar, rates.total_external),
     )

@@ -65,19 +65,14 @@ def total_external_rate(spec: NetworkSpec) -> float:
     return float(sum(spec.external_arrivals.values()))
 
 
-def _system(spec: NetworkSpec):
-    """Routing as triplets (row index, column index, probability), plus lam0."""
+def _external(spec: NetworkSpec):
+    """Node ids, their positions, and the external rates lam0 by position."""
     ids = spec.ids()
     index = {i: k for k, i in enumerate(ids)}
-    entries = spec.routing.entries
-    m = len(entries)
-    rows = np.fromiter((index[i] for i, _ in entries), dtype=np.intp, count=m)
-    cols = np.fromiter((index[j] for _, j in entries), dtype=np.intp, count=m)
-    probs = np.fromiter(entries.values(), dtype=float, count=m)
     lam0 = np.zeros(len(ids))
     for i, r in spec.external_arrivals.items():
         lam0[index[i]] = r
-    return ids, index, rows, cols, probs, lam0
+    return ids, index, lam0
 
 
 def _inflow(rows, cols, probs, lam, n: int) -> np.ndarray:
@@ -219,7 +214,8 @@ def solve_traffic(spec: NetworkSpec) -> ArrivalRates:
             not finite, or its residual exceeds ``RESIDUAL_TOL`` times the
             largest external or pinned rate.
     """
-    ids, index, rows, cols, probs, lam0 = _system(spec)
+    ids, index, lam0 = _external(spec)
+    rows, cols, probs = spec.routing_triplets
     n = len(ids)
     known = dict(spec.known_arrival_rates or {})
     pinned = np.zeros(n, dtype=bool)

@@ -432,7 +432,8 @@ def fixed_point_traffic(spec, tol: float = 1e-12, max_iter: int = 100_000,
         NumericsError: no convergence within ``max_iter`` steps (a closed
             subnetwork never drains), or the residual check fails.
     """
-    ids, index, rows, cols, probs, lam0 = traffic._system(spec)
+    ids, index, lam0 = traffic._external(spec)
+    rows, cols, probs = spec.routing_triplets
     n = len(ids)
     known = dict(spec.known_arrival_rates or {})
     pinned = np.zeros(n, dtype=bool)

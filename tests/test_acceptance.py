@@ -15,6 +15,7 @@ import pytest
 
 from qnswap import (
     AnalysisAssumptions,
+    NodeMarginal,
     SimConfig,
     analyze_network,
     blocking_node_closed_form,
@@ -142,7 +143,9 @@ def test_criterion_5_traffic_solver(capsys):
 
 
 def test_criterion_6_product_form_normalization(capsys, fixture_spec):
-    marginals = list(analyze_network(fixture_spec).marginals.values())[:3]
+    analysis = analyze_network(fixture_spec)
+    marginals = [NodeMarginal(*pi) for pi in zip(
+        analysis.pi00[:3], analysis.pi10[:3], analysis.pi01[:3])]
     states = BLOCKING_STATES.labels
     total = sum(
         joint_probability(marginals, joint)

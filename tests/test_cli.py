@@ -107,6 +107,29 @@ class TestAnalyze:
         assert json.loads(err)["message"] == (
             "blocking probability override: probability nan outside [0, 1]")
 
+    def test_zero_service_rate_is_an_input_error(self, capsys, tmp_path):
+        # node 1 never receives a job, so the spec accepts mu = 0, but its
+        # pinned rate is positive; node 4's zero rate comes later in id order
+        doc = {
+            "nodes": [
+                {"id": 1, "kind": "intermediate", "capacity": 1, "mu": 0, "mu_b": 0.2},
+                {"id": 2, "kind": "source", "capacity": 8, "mu": 1},
+                {"id": 3, "kind": "sink", "capacity": 8, "mu": 1},
+                {"id": 4, "kind": "intermediate", "capacity": 1, "mu": 1, "mu_b": 0.2},
+            ],
+            "routing": [{"from": 1, "to": 3, "p": 1}, {"from": 2, "to": 3, "p": 1},
+                        {"from": 4, "to": 3, "p": 1}],
+            "external_arrivals": [{"node": 2, "lambda0": 0.1}],
+            "known_arrival_rates": [{"node": 1, "lambda": 0.5}, {"node": 4, "lambda": 0}],
+        }
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run_cli(capsys, "analyze", "--network", str(path))
+        assert code == 2
+        assert out == ""
+        assert json.loads(err) == {"error": "InputError",
+                                   "message": "service rate must be positive"}
+
     def test_stdin_network(self, capsys, monkeypatch):
         text = serialize_network(munoz15_fixture())
         import io

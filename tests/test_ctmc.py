@@ -186,6 +186,31 @@ class TestBlockingClosedForm:
                            match="unblock rate must be"):
             blocking_node_closed_form(0.7, 1.0, 0.0, 0.5)
 
+    def test_zero_rate_is_an_input_error(self):
+        with pytest.raises(InputError, match="^arrival rate must be positive$"):
+            blocking_node_closed_form(0.0, 1.0, 0.2, 0.5)
+
+    def test_scalar_call_returns_floats(self):
+        pi = blocking_node_closed_form(0.94, 1.0, 0.136, 0.5)
+        assert [type(p) for p in pi] == [float, float, float]
+
+    def test_array_call_matches_scalar_calls(self):
+        lam = np.array([0.94, 0.7, 1.6])
+        pi = blocking_node_closed_form(lam, 1.0, np.array([0.136, 0.2, 0.173]), 0.5)
+        for k in range(3):
+            want = blocking_node_closed_form(float(lam[k]), 1.0, [0.136, 0.2, 0.173][k], 0.5)
+            assert [float(p[k]) for p in pi] == list(want)
+
+    def test_array_call_reports_first_bad_element(self):
+        # element 1 fails two checks; the scalar order picks the service rate
+        with pytest.raises(InputError, match=r"^service rate must be nonnegative, got -1\.0$"):
+            blocking_node_closed_form([0.7, 0.7, -1.0], [1.0, -1.0, 1.0], 0.2, [0.5, 2.0, 0.5])
+        # an overflow before the first bad input is reported first, and after it not
+        with pytest.raises(NumericsError, match="is not a distribution"):
+            blocking_node_closed_form([1e200, -1.0], [1e-200, 1.0], 1.0, 0.5)
+        with pytest.raises(InputError, match="arrival rate must be nonnegative"):
+            blocking_node_closed_form([-1.0, 1e200], [1.0, 1e-200], 1.0, 0.5)
+
 
 def geometric_occupancy(rho: float, capacity: int) -> list[float]:
     """Direct normalization of the birth-death weights; test-local oracle."""
@@ -246,6 +271,12 @@ class TestFiniteQueueFormulas:
     def test_negative_rho_rejected(self):
         with pytest.raises(InputError, match="utilization must be nonnegative, got -0.1"):
             mm1k_full_probability(-0.1, 3)
+
+    def test_nan_rho_rejected(self):
+        with pytest.raises(InputError, match="utilization must be nonnegative, got nan"):
+            mm1k_full_probability(float("nan"), 1)
+        # an infinite utilization keeps its limit: the queue is always full
+        assert mm1k_full_probability(math.inf, 1) == 1.0
 
     @pytest.mark.parametrize("capacity", [0, -1, 2.5])
     def test_bad_capacity_rejected(self, capacity):

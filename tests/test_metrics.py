@@ -1,111 +1,127 @@
-"""Per-node and network performance measures."""
+"""Per-node columns of the analysis and network performance measures."""
 
 import numpy as np
 import pytest
 
 from qnswap import (
+    AnalysisAssumptions,
     InputError,
-    NodeMarginal,
-    blocking_node_closed_form,
+    NetworkSpec,
+    NodeKind,
+    NodeSpec,
+    RoutingMatrix,
+    analyze_network,
     network_metrics,
-    node_metrics,
     swap_depth_report,
 )
 
 
-def make_node(pi, lam, node=1):
-    return node_metrics(NodeMarginal(*pi), lam, node=node)
+def pinned_nodes_spec(lam, mu, mu_b, exit_to_sink):
+    """Independent intermediates 1..n with pinned arrival rates.
+
+    Node i sends ``1 - exit_to_sink[i]`` of its jobs out of the network and
+    the rest to a capacity-one sink, so under the worst-case assumption its
+    blocking probability is ``exit_to_sink[i] / 2``.
+    """
+    n = len(lam)
+    sink = n + 1
+    nodes = tuple(
+        NodeSpec(id=i + 1, kind=NodeKind.INTERMEDIATE, capacity=1,
+                 service_rate=float(mu[i]), unblock_rate=float(mu_b[i]))
+        for i in range(n)) + (
+        NodeSpec(id=sink, kind=NodeKind.SINK, capacity=1, service_rate=1.0),)
+    return NetworkSpec(
+        nodes=nodes,
+        routing=RoutingMatrix({(i + 1, sink): float(exit_to_sink[i]) for i in range(n)}),
+        external_arrivals={1: 1.0},
+        known_arrival_rates={i + 1: float(lam[i]) for i in range(n)},
+    )
+
+
+def random_nodes_analysis(seed, n=200):
+    rng = np.random.default_rng(seed)
+    lam = rng.uniform(0.05, 3.0, n)
+    spec = pinned_nodes_spec(lam, rng.uniform(0.1, 3.0, n), rng.uniform(0.05, 1.0, n),
+                             rng.uniform(0.0, 1.0, n))
+    return lam, analyze_network(spec)
 
 
 def test_node_metrics_hand_values():
-    m = make_node((0.2, 0.3, 0.5), lam=2.0)
-    assert m.utilization == pytest.approx(0.8, abs=1e-15)
-    assert m.mean_jobs == pytest.approx(0.8, abs=1e-15)
-    assert m.mean_response_time == pytest.approx(0.4, abs=1e-15)
+    # lambda/mu = 1/2 and lambda*Pb/mu_b = 2, so pi = (2, 1, 4) / 7
+    spec = pinned_nodes_spec([2.0], [4.0], [0.5], [1.0])
+    a = analyze_network(spec, AnalysisAssumptions(blocking_probability_override=0.5))
+    assert a.rho[0] == pytest.approx(5 / 7, abs=1e-15)
+    assert a.kbar[0] == pytest.approx(5 / 7, abs=1e-15)
+    assert a.tbar[0] == pytest.approx(5 / 14, abs=1e-15)
 
 
 def test_littles_law_holds_per_node():
-    rng = np.random.default_rng(31)
-    for _ in range(200):
-        lam = float(rng.uniform(0.05, 3.0))
-        pi = blocking_node_closed_form(
-            lam,
-            float(rng.uniform(0.1, 3.0)),
-            float(rng.uniform(0.05, 1.0)),
-            float(rng.uniform(0.0, 1.0)),
-        )
-        m = node_metrics(pi, lam)
-        assert abs(m.mean_response_time * lam - m.mean_jobs) <= 1e-12
+    lam, a = random_nodes_analysis(31)
+    assert np.all(np.abs(a.tbar * lam - a.kbar) <= 1e-12)
 
 
 def test_utilization_equals_mean_jobs_for_single_slot_nodes():
-    rng = np.random.default_rng(32)
-    for _ in range(200):
-        pi = blocking_node_closed_form(
-            float(rng.uniform(0.1, 3.0)),
-            float(rng.uniform(0.1, 3.0)),
-            float(rng.uniform(0.05, 1.0)),
-            float(rng.uniform(0.0, 1.0)),
-        )
-        m = node_metrics(pi, 1.0)
-        assert abs(m.utilization - m.mean_jobs) <= 1e-12
-        assert 0.0 <= m.utilization <= 1.0
+    _, a = random_nodes_analysis(32)
+    assert np.all(np.abs(a.rho - a.kbar) <= 1e-12)
+    assert np.all((0.0 <= a.rho) & (a.rho <= 1.0))
 
 
 def test_zero_arrival_rate_rejected():
-    pi = NodeMarginal(0.5, 0.25, 0.25)
-    with pytest.raises(InputError, match="node 0 has zero arrival rate"):
-        node_metrics(pi, 0.0)
+    # the first node with a zero rate is named, not the first node
+    spec = pinned_nodes_spec([0.5, 0.0, 0.0], [1.0] * 3, [0.2] * 3, [0.5] * 3)
+    with pytest.raises(InputError, match="node 2 has zero arrival rate"):
+        analyze_network(spec)
+
+
+NODES = [1, 2]
+KBAR = [0.8, 0.4]
 
 
 class TestNetworkMetrics:
-    def nodes(self):
-        return [
-            make_node((0.2, 0.3, 0.5), lam=2.0, node=1),   # kbar 0.8
-            make_node((0.6, 0.3, 0.1), lam=1.0, node=2),   # kbar 0.4
-        ]
-
     def test_mean_and_total(self):
-        net = network_metrics(self.nodes(), external_rate=0.5)
+        net = network_metrics(NODES, KBAR, external_rate=0.5)
         assert net.mean_jobs == pytest.approx(0.6, abs=1e-14)
         assert net.total_jobs == pytest.approx(1.2, abs=1e-14)
         assert net.mean_response_time == pytest.approx(1.2, abs=1e-14)
         assert net.nodes == (1, 2)
 
     def test_littles_law_at_network_level(self):
-        net = network_metrics(self.nodes(), external_rate=0.5)
+        net = network_metrics(NODES, KBAR, external_rate=0.5)
         assert abs(net.mean_response_time * net.external_rate - net.mean_jobs) <= 1e-12
 
     def test_permutation_invariance(self):
-        a, b = self.nodes()
-        fwd = network_metrics([a, b], external_rate=0.5)
-        rev = network_metrics([b, a], external_rate=0.5)
+        fwd = network_metrics(NODES, KBAR, external_rate=0.5)
+        rev = network_metrics(NODES[::-1], KBAR[::-1], external_rate=0.5)
         assert fwd == rev
 
     def test_subset_selection(self):
-        net = network_metrics(self.nodes(), external_rate=0.5, subset=[2])
+        net = network_metrics(NODES, KBAR, external_rate=0.5, subset=[2])
         assert net.mean_jobs == pytest.approx(0.4, abs=1e-14)
         assert net.nodes == (2,)
 
     def test_subset_ignores_unknown_ids(self):
-        net = network_metrics(self.nodes(), external_rate=0.5, subset=[1, 99])
+        net = network_metrics(NODES, KBAR, external_rate=0.5, subset=[1, 99])
         assert net.nodes == (1,)
 
     def test_empty_subset_rejected(self):
         with pytest.raises(InputError, match="metric subset contains no nodes"):
-            network_metrics(self.nodes(), external_rate=0.5, subset=[])
+            network_metrics(NODES, KBAR, external_rate=0.5, subset=[])
 
     def test_zero_external_rate_rejected(self):
         with pytest.raises(InputError, match="subset has zero arrival rate"):
-            network_metrics(self.nodes(), external_rate=0.0)
+            network_metrics(NODES, KBAR, external_rate=0.0)
+
+    def test_sum_runs_left_to_right(self):
+        # each +1 rounds away one at a time; np.sum's pairwise order keeps them
+        kbar = [1e16] + [1.0] * 16
+        net = network_metrics(range(1, 18), kbar, external_rate=1.0)
+        assert net.total_jobs == 1e16
+        assert np.sum(kbar) != 1e16
 
 
 class TestSwapDepthReport:
     def net(self):
-        return network_metrics([
-            make_node((0.2, 0.3, 0.5), lam=2.0, node=1),
-            make_node((0.6, 0.3, 0.1), lam=1.0, node=2),
-        ], external_rate=0.5)
+        return network_metrics(NODES, KBAR, external_rate=0.5)
 
     def test_gap_arithmetic(self):
         rep = swap_depth_report(self.net(), observed_depth=5.0, hop_bounds=(3, 5))

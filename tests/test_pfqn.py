@@ -1,6 +1,7 @@
 """Analytic pipeline: blocking probabilities, marginal composition, reports."""
 
 import itertools
+import json
 import re
 
 import pytest
@@ -13,9 +14,12 @@ from qnswap import (
     NodeSpec,
     RoutingMatrix,
     analyze_network,
+    blocking_node_closed_form,
+    build_lattice_network,
     mm1k_full_probability,
+    munoz15_fixture,
+    parse_layout,
     solve_traffic,
-    worst_case_blocking_probability,
 )
 from oracle import (
     BLOCKED,
@@ -59,35 +63,94 @@ class TestAssumptions:
             AnalysisAssumptions(normalization_constant=2.0)
 
 
+def lattice_spec(side):
+    """A side x side grid, sources and sinks on opposite borders."""
+    site = "g{}_{}".format
+    edges = ([[site(r, c), site(r, c + 1)] for r in range(side) for c in range(side - 1)]
+             + [[site(r, c), site(r + 1, c)] for r in range(side - 1) for c in range(side)])
+    queues = ([{"site": site(r, 0), "role": "source", "capacity": 8} for r in (1, side - 2)]
+              + [{"site": site(r, side - 1), "role": "sink", "capacity": 8}
+                 for r in (1, side - 2)])
+    layout = parse_layout(json.dumps({
+        "sites": [site(r, c) for r in range(side) for c in range(side)],
+        "edges": edges, "queues": queues}))
+    return build_lattice_network(layout, arrival_rate=0.05)
+
+
+def reference_columns(spec, assumptions):
+    """The analysis columns computed node by node with the scalar closed forms."""
+    rates = solve_traffic(spec)
+    cols = {k: [] for k in ("nodes", "blocking_probability", "pi00", "pi10", "pi01",
+                            "rho", "kbar", "tbar")}
+    for node in spec.intermediates():
+        lam = rates.rate(node.id)
+        pb = assumptions.blocking_probability_override
+        if pb is None:
+            pb = 0.0
+            for j, p in sorted(spec.routing.row(node.id).items()):
+                if p > 0.0:
+                    target = spec.node(j)
+                    rho = 1.0 if assumptions.rho_one else rates.rate(j) / target.service_rate
+                    pb += p * mm1k_full_probability(rho, target.capacity)
+        pi = blocking_node_closed_form(lam, node.service_rate, node.unblock_rate, pb)
+        kbar = pi.pi10 + pi.pi01
+        for k, v in zip(cols, (node.id, pb, *pi, 1.0 - pi.pi00, kbar, kbar / lam)):
+            cols[k].append(v)
+    total = 0.0
+    for k in cols["kbar"]:
+        total += k
+    return cols, total
+
+
+SPECS = {"munoz15": munoz15_fixture, "chain": chain_spec,
+         "lattice12": lambda: lattice_spec(12)}
+ASSUMPTIONS = {
+    "worst_case": AnalysisAssumptions(),
+    "solved_rates": AnalysisAssumptions(rho_one=False),
+    "override": AnalysisAssumptions(blocking_probability_override=0.37),
+}
+
+
+@pytest.mark.parametrize("assumed", sorted(ASSUMPTIONS))
+@pytest.mark.parametrize("network", sorted(SPECS))
+def test_columns_equal_node_by_node_reference(network, assumed):
+    spec, assumptions = SPECS[network](), ASSUMPTIONS[assumed]
+    analysis = analyze_network(spec, assumptions)
+    want, total = reference_columns(spec, assumptions)
+    for name, column in want.items():
+        assert getattr(analysis, name).tolist() == column, name
+    assert analysis.network.total_jobs == total
+    assert analysis.network.mean_jobs == total / len(want["nodes"])
+
+
 class TestWorstCaseBlocking:
     def test_all_single_slot_neighbors_gives_exactly_half(self, fixture_spec):
         # node 1 routes only to capacity-one stations, so the saturated
         # full probability is 1/2 on every branch
-        assert worst_case_blocking_probability(fixture_spec, 1) == 0.5
+        analysis = analyze_network(fixture_spec)
+        assert analysis.nodes[0] == 1
+        assert analysis.blocking_probability[0] == 0.5
 
     def test_mixed_capacity_neighbors(self):
-        spec = chain_spec()
-        assert worst_case_blocking_probability(spec, 1) == \
-            pytest.approx(0.5 * 0.5 + 0.5 / 9, abs=1e-15)
-        assert worst_case_blocking_probability(spec, 2) == \
-            pytest.approx(1 / 9, abs=1e-15)
+        pb = analyze_network(chain_spec()).blocking_probability
+        assert pb[0] == pytest.approx(0.5 * 0.5 + 0.5 / 9, abs=1e-15)
+        assert pb[1] == pytest.approx(1 / 9, abs=1e-15)
 
     def test_override_is_used_verbatim(self, fixture_spec):
         a = AnalysisAssumptions(blocking_probability_override=0.37)
-        assert worst_case_blocking_probability(fixture_spec, 1, a) == 0.37
+        assert analyze_network(fixture_spec, a).blocking_probability.tolist() == [0.37] * 11
 
     def test_solved_rates_replace_saturation(self):
         spec = chain_spec()
         rates = solve_traffic(spec)
-        got = worst_case_blocking_probability(
-            spec, 1, AnalysisAssumptions(rho_one=False))
+        got = analyze_network(spec, AnalysisAssumptions(rho_one=False))
         want = (0.5 * mm1k_full_probability(rates.rate(2) / 1.0, 1)
                 + 0.5 * mm1k_full_probability(rates.rate(3) / 1.0, 8))
-        assert got == pytest.approx(want, abs=1e-15)
+        assert got.blocking_probability[0] == pytest.approx(want, abs=1e-15)
 
     def test_only_intermediates_have_blocking(self):
-        with pytest.raises(InputError, match="node 3 is not an intermediate node"):
-            worst_case_blocking_probability(chain_spec(), 3)
+        # node 3 is the sink: it has no row in the columns
+        assert analyze_network(chain_spec()).nodes.tolist() == [1, 2]
 
 
 class TestAnalyzeNetwork:
@@ -115,11 +178,10 @@ class TestAnalyzeNetwork:
         assert net.mean_response_time == pytest.approx(3.323132449742126, abs=1e-12)
 
     def test_default_assumptions_derive_per_node_blocking(self, fixture_spec):
-        analysis = analyze_network(fixture_spec)
-        assert analysis.blocking_probabilities[1] == 0.5
+        pb = analyze_network(fixture_spec).blocking_probability
+        assert pb[0] == 0.5
         # node 2 splits between a capacity-one station and a buffered sink
-        assert analysis.blocking_probabilities[2] == \
-            pytest.approx(0.25 + 0.5 / 9, abs=1e-15)
+        assert pb[1] == pytest.approx(0.25 + 0.5 / 9, abs=1e-15)
 
     def test_input_spec_not_mutated(self, fixture_spec):
         before = fixture_spec
@@ -128,9 +190,9 @@ class TestAnalyzeNetwork:
 
     def test_marginals_cover_intermediates_and_normalize(self, fixture_spec):
         analysis = analyze_network(fixture_spec)
-        assert sorted(analysis.marginals) == list(range(1, 12))
-        for pi in analysis.marginals.values():
-            assert abs(sum((pi.pi00, pi.pi10, pi.pi01)) - 1.0) <= 1e-12
+        assert analysis.nodes.tolist() == list(range(1, 12))
+        for pi in zip(analysis.pi00, analysis.pi10, analysis.pi01):
+            assert abs(sum(pi) - 1.0) <= 1e-12
 
     def test_zero_pinned_rate_refused(self):
         spec = NetworkSpec(

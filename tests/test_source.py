@@ -44,6 +44,15 @@ def test_public_names_resolve_once():
     assert missing == []
 
 
+def test_per_node_pipeline_is_gone():
+    # analyze_network computes node columns in one pass; these per-node
+    # entry points were its loop body
+    import qnswap
+
+    deleted = {"worst_case_blocking_probability", "node_metrics", "NodeMetrics"}
+    assert deleted & set(qnswap.__all__) == set()
+
+
 # Reference implementations that live in tests/oracle.py; the package keeps
 # one traffic method, one simulator entry point and one M/M/1/K formula.
 ORACLE_ONLY = {
