@@ -15,12 +15,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
+from itertools import compress, repeat
 
 from .errors import InputError, NumericsError
 from .layout import munoz15_fixture
-from .metrics import network_metrics
+from .metrics import NetworkMetrics, network_metrics
 from .model import NetworkSpec, NodeKind, parse_network, serialize_network
 from .pfqn import AnalysisAssumptions, NetworkAnalysis, analyze_network
 from .sim import SimConfig, SimResult, simulate_blocking_network
@@ -124,23 +126,104 @@ def _table(headers: list[str], rows: list[list[str]]) -> list[str]:
 
 _ROW_COLUMNS = ("pi00", "pi10", "pi01", "rho", "kbar", "tbar")
 
+# The analyze JSON document as json.dumps(..., sort_keys=True, indent=2)
+# lays it out; every %s is one value's JSON text.  The normalization
+# constant is always 1.0, and so is its rounding.
+_ANALYZE_JSON = """{
+  "assumptions": {
+    "blocking_probability_override": %s,
+    "normalization_constant": 1.0,
+    "rho_one": %s
+  },
+  "network": {
+    "external_rate": %s,
+    "mean_jobs": %s,
+    "mean_response_time": %s,
+    "nodes": %s,
+    "total_jobs": %s
+  },
+  "nodes": %s
+}
+"""
+_ANALYZE_JSON_NODE = """    {
+      "arrival_rate": %s,
+      "blocking_probability": %s,
+      "kbar": %s,
+      "node": %s,
+      "pi00": %s,
+      "pi01": %s,
+      "pi10": %s,
+      "rho": %s,
+      "tbar": %s
+    }"""
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_floats(values: list[float], digits: int | None) -> list[str]:
+    """Each float as json.dumps writes it, after ``round(v, digits)`` if given."""
+    if digits is not None:
+        values = list(map(round, values, repeat(digits)))
+    text = list(map(float.__repr__, values))
+    if not all(map(math.isfinite, values)):
+        text = [_JSON_NON_FINITE.get(t, t) for t in text]
+    return text
+
+
+def _json_array(items: list[str], closing_indent: str) -> str:
+    """A JSON array of items already formatted and indented, one per line."""
+    if not items:
+        return "[]"
+    return "[\n" + ",\n".join(items) + "\n" + closing_indent + "]"
+
+
+def _analyze_json(analysis: NetworkAnalysis, net: NetworkMetrics,
+                  digits: int | None, keep: set[int] | None) -> str:
+    """The analyze JSON document, written from the analysis columns.
+
+    Byte for byte what ``json.dumps(doc, sort_keys=True, indent=2)`` gives
+    for ``doc = analysis.to_jsonable()``, with ``nodes`` cut to ``keep`` and
+    ``network`` replaced by ``net``, after every float went through
+    ``round(v, digits)``.
+    """
+    ids = analysis.nodes.tolist()
+    rates = analysis.arrival_rates.rates
+    # the node fields in key order, less "node" itself (position 3)
+    columns = [list(map(rates.__getitem__, ids))] + [c.tolist() for c in (
+        analysis.blocking_probability, analysis.kbar, analysis.pi00, analysis.pi01,
+        analysis.pi10, analysis.rho, analysis.tbar)]
+    if keep is not None:
+        mask = [i in keep for i in ids]
+        ids = list(compress(ids, mask))
+        columns = [list(compress(c, mask)) for c in columns]
+    text = [_json_floats(c, digits) for c in columns]
+    text.insert(3, list(map(str, ids)))
+    nodes = list(map(_ANALYZE_JSON_NODE.__mod__, zip(*text)))
+
+    override = analysis.assumptions.blocking_probability_override
+    override = "null" if override is None else _json_floats([override], digits)[0]
+    rho_one = "true" if analysis.assumptions.rho_one else "false"
+    network = _json_floats([net.external_rate, net.mean_jobs, net.mean_response_time,
+                            net.total_jobs], digits)
+    members = _json_array(["      %d" % i for i in net.nodes], "    ")
+    return _ANALYZE_JSON % (override, rho_one, *network[:3], members, network[3],
+                            _json_array(nodes, "  "))
+
 
 def _analyze_output(analysis: NetworkAnalysis, fmt: str, digits: int | None,
                     subset: list[int] | None) -> str:
     net = analysis.network
-    rows = analysis.rows()
+    keep = None
     if subset is not None:
         keep = set(subset)
         net = network_metrics(analysis.nodes, analysis.kbar,
                               analysis.arrival_rates.total_external, keep)
-        rows = [r for r in rows if r["node"] in keep]
 
     if fmt == "json":
-        doc = analysis.to_jsonable()
-        if subset is not None:
-            doc["nodes"] = [n for n in doc["nodes"] if n["node"] in keep]
-            doc["network"] = net.to_jsonable()
-        return json.dumps(_round_floats(doc, digits), sort_keys=True, indent=2) + "\n"
+        return _analyze_json(analysis, net, digits, keep)
+
+    rows = analysis.rows()
+    if keep is not None:
+        rows = [r for r in rows if r["node"] in keep]
 
     if fmt == "csv":
         lines = ["node," + ",".join(_ROW_COLUMNS)]

@@ -21,21 +21,39 @@ Top-level document shape::
 
 ``kind`` is one of ``"source"``, ``"sink"``, ``"intermediate"``.  ``mu_b``
 (the unblock rate) may be omitted and defaults to 0.  ``servers`` may also be
-omitted; the model is single-server, so the only value accepted is 1.
+omitted; the model is single-server, so the only value accepted is 1.  When
+an object lacks several required keys, the first one in the order above is
+named.
 
 A ``NetworkSpec`` checks every structural invariant when it is constructed,
 so every spec that exists is valid; all model values are immutable and safe
 to share.
+
+Validation runs column by column.  The parser reads each document section
+as one list per field and checks whole lists with builtins: the set of key
+layouts of the objects, the set of value types of a field, one ``float``
+pass per rate field, and repeated keys by set size.  A ``NetworkSpec``
+gathers its nodes once into read-only numpy columns in id order
+(``NetworkSpec.columns``: id, kind code, capacity, mu, mu_b and exit
+probability, next to ``routing_triplets``) and runs each structural
+rule as one array expression over them, in a fixed rule order.  A failing
+column only flags items: the flagged items go, in document order (parser)
+or id order (spec), through the per-item check that owns the error text,
+and the first one it rejects raises.  So an error names the same item with
+the same message as a check run one item at a time, and a valid document
+costs a few passes per column instead of several calls per item.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
-from typing import Mapping
+from functools import cached_property, partial
+from itertools import chain, compress, repeat
+from operator import attrgetter, itemgetter
+from typing import Mapping, NamedTuple, NoReturn
 
 import numpy as np
 
@@ -48,6 +66,10 @@ class NodeKind(str, Enum):
     SOURCE = "source"
     SINK = "sink"
     INTERMEDIATE = "intermediate"
+
+
+# Codes of ``NodeColumns.kind``; a kind that is no NodeKind member gets -1.
+KIND_CODES = {kind: code for code, kind in enumerate(NodeKind)}
 
 
 @dataclass(frozen=True)
@@ -85,9 +107,15 @@ class RoutingMatrix:
     entries: Mapping[tuple[int, int], float]
 
     def __post_init__(self):
-        normalized = {(int(i), int(j)): float(p)
-                      for (i, j), p in sorted(self.entries.items())}
-        object.__setattr__(self, "entries", normalized)
+        entries = self.entries
+        keys = list(entries)
+        # Entries already keyed by (int, int) in order, with float values,
+        # as the parser builds them, need no rebuilding.
+        if not (set(map(type, keys)) <= {tuple} and set(map(len, keys)) <= {2}
+                and set(map(type, chain.from_iterable(keys))) <= {int}
+                and set(map(type, entries.values())) <= {float} and keys == sorted(keys)):
+            entries = {(int(i), int(j)): float(p) for (i, j), p in sorted(entries.items())}
+        object.__setattr__(self, "entries", dict(entries))
 
     @cached_property
     def _rows(self) -> dict[int, dict[int, float]]:
@@ -106,6 +134,20 @@ class RoutingMatrix:
         return tuple(j for j, p in sorted(self._rows.get(i, {}).items()) if p > 0.0)
 
 
+class NodeColumns(NamedTuple):
+    """The nodes of a NetworkSpec as read-only arrays, entry k for ``nodes[k]``."""
+
+    id: np.ndarray
+    kind: np.ndarray  # KIND_CODES value
+    capacity: np.ndarray
+    service_rate: np.ndarray
+    unblock_rate: np.ndarray
+    exit_probability: np.ndarray  # 1 - routing row sum, clipped to [0, 1]
+
+
+_NODE_FIELDS = attrgetter("id", "kind", "capacity", "service_rate", "unblock_rate")
+
+
 def _check_rate(rate: float, name: str) -> None:
     if rate < 0:
         raise InputError(f"{name} must be nonnegative, got {rate!r}")
@@ -113,9 +155,41 @@ def _check_rate(rate: float, name: str) -> None:
         raise InputError(f"{name} must be finite, got {rate!r}")
 
 
+def _check_node(n: NodeSpec, duplicate: bool) -> None:
+    """The per-node rules, in order; ``duplicate``: the previous node has this id."""
+    if duplicate:
+        raise InputError(f"duplicate node id {n.id}")
+    if not isinstance(n.capacity, int) or n.capacity < 1:
+        raise InputError(f"node {n.id}: capacity must be a positive integer")
+    _check_rate(n.service_rate, f"node {n.id} service rate")
+    _check_rate(n.unblock_rate, f"node {n.id} unblock rate")
+    if n.kind is NodeKind.INTERMEDIATE:
+        if n.capacity != 1:
+            raise InputError(
+                f"node {n.id}: intermediate nodes hold exactly one job"
+            )
+        if n.unblock_rate <= 0:
+            raise InputError(f"node {n.id} needs a positive unblock rate")
+
+
+def _rate_faults(rates: np.ndarray) -> np.ndarray:
+    """Flags the rates ``_check_rate`` rejects: negative, infinite or NaN."""
+    return ~(np.isfinite(rates) & (rates >= 0.0))
+
+
+def _read_only(*arrays: np.ndarray) -> None:
+    for a in arrays:
+        a.flags.writeable = False
+
+
 @dataclass(frozen=True)
 class NetworkSpec:
     """An open network description, checked on construction.
+
+    Besides its fields, a spec carries its nodes as ``columns``
+    (:class:`NodeColumns`) and its routing as ``routing_triplets``: read-only
+    arrays (row, column, probability) whose rows and columns are positions
+    in ``ids()``, in (from, to) order as in ``routing.entries``.
 
     Raises:
         InputError: a bad id, capacity or kind-dependent field; a negative
@@ -130,14 +204,19 @@ class NetworkSpec:
     routing: RoutingMatrix
     external_arrivals: Mapping[int, float]
     known_arrival_rates: Mapping[int, float] | None = None
+    columns: NodeColumns = field(init=False, repr=False, compare=False)
+    routing_triplets: tuple[np.ndarray, np.ndarray, np.ndarray] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # Ids are checked before sorting: mixed id types cannot be ordered.
-        for n in self.nodes:
-            if isinstance(n.id, bool) or not isinstance(n.id, int) or n.id <= 0:
-                raise InputError(f"node id {n.id!r} must be a positive integer")
+        ids = [n.id for n in self.nodes]
+        if not (set(map(type, ids)) <= {int} and min(ids, default=1) > 0):
+            for i in ids:
+                if isinstance(i, bool) or not isinstance(i, int) or i <= 0:
+                    raise InputError(f"node id {i!r} must be a positive integer")
         object.__setattr__(self, "nodes",
-                           tuple(sorted(self.nodes, key=lambda n: n.id)))
+                           tuple(sorted(self.nodes, key=attrgetter("id"))))
         if not isinstance(self.routing, RoutingMatrix):
             object.__setattr__(self, "routing", RoutingMatrix(self.routing))
         object.__setattr__(self, "external_arrivals",
@@ -150,97 +229,110 @@ class NetworkSpec:
 
         if not self.nodes:
             raise InputError("network has no nodes")
+        nodes, n = self.nodes, len(self.nodes)
 
-        seen: set[int] = set()
-        for n in self.nodes:
-            if n.id in seen:
-                raise InputError(f"duplicate node id {n.id}")
-            seen.add(n.id)
-            if not isinstance(n.capacity, int) or n.capacity < 1:
-                raise InputError(f"node {n.id}: capacity must be a positive integer")
-            _check_rate(n.service_rate, f"node {n.id} service rate")
-            _check_rate(n.unblock_rate, f"node {n.id} unblock rate")
-            if n.kind is NodeKind.INTERMEDIATE:
-                if n.capacity != 1:
-                    raise InputError(
-                        f"node {n.id}: intermediate nodes hold exactly one job"
-                    )
-                if n.unblock_rate <= 0:
-                    raise InputError(f"node {n.id} needs a positive unblock rate")
+        ids, kinds, caps, mu, mu_b = map(list, zip(*map(_NODE_FIELDS, nodes)))
+        # A repeated id or a field of another type: every node, in turn, goes
+        # through the per-node rules (the numpy columns come after them).
+        if not (len(set(ids)) == n and set(map(type, caps)) <= {int}
+                and set(map(type, mu + mu_b)) <= {int, float}):
+            for k in range(n):
+                _check_node(nodes[k], k > 0 and ids[k] == ids[k - 1])
+        # Kind tests are by identity: a plain string is no kind.
+        kind = np.array([KIND_CODES[k] if type(k) is NodeKind else -1 for k in kinds],
+                        dtype=np.int8)
+        id_col, cap = np.array(ids), np.array(caps)
+        mu, mu_b = np.array(mu, dtype=float), np.array(mu_b, dtype=float)
+        inner = kind == KIND_CODES[NodeKind.INTERMEDIATE]
+        sink = kind == KIND_CODES[NodeKind.SINK]
+        flagged = ((cap < 1) | _rate_faults(mu) | _rate_faults(mu_b)
+                   | (inner & ((cap != 1) | (mu_b <= 0.0))))
+        for node in compress(nodes, flagged.tolist()):
+            _check_node(node, duplicate=False)
 
-        by_id = self._by_id
-        for (i, j), p in self.routing.entries.items():
-            if i not in by_id:
+        index = self._index
+        entries = self.routing.entries
+        m = len(entries)
+        sources, targets = zip(*entries) if m else ((), ())
+        rows = np.fromiter(map(index.get, sources, repeat(-1)), dtype=np.intp, count=m)
+        cols = np.fromiter(map(index.get, targets, repeat(-1)), dtype=np.intp, count=m)
+        probs = np.fromiter(entries.values(), dtype=float, count=m)
+        flagged = ((rows < 0) | (cols < 0) | ~((probs >= 0.0) & (probs <= 1.0))
+                   | ((probs > 0.0) & sink[rows]))
+        for i, j in compress(entries, flagged.tolist()):
+            p = entries[i, j]
+            if i not in index:
                 raise InputError(f"routing entry {i}->{j} references unknown node {i}")
-            if j not in by_id:
+            if j not in index:
                 raise InputError(f"routing entry {i}->{j} references unknown node {j}")
             if not 0.0 <= p <= 1.0:
                 raise InputError(f"routing {i}->{j}: probability {p!r} outside [0, 1]")
-            if p > 0.0 and by_id[i].kind is NodeKind.SINK:
+            if p > 0.0 and self.node(i).kind is NodeKind.SINK:
                 raise InputError(f"sink node {i} cannot route onward")
 
-        for i in by_id:
+        # bincount adds in triplet order, so each row sums left to right over
+        # its targets in id order, as routing.row_sum does
+        row_sum = np.bincount(rows, weights=probs, minlength=n)
+        for i in compress(ids, (row_sum > 1.0 + ROW_SUM_TOL).tolist()):
             total = self.routing.row_sum(i)
-            if total > 1.0 + ROW_SUM_TOL:
-                raise InputError(f"routing probabilities out of node {i} sum to {total!r} > 1")
+            raise InputError(f"routing probabilities out of node {i} sum to {total!r} > 1")
+        exit_probability = np.clip(1.0 - row_sum, 0.0, 1.0)
 
-        for i, rate in self.external_arrivals.items():
-            if i not in by_id:
+        external = self.external_arrivals
+        at, lam0 = self._positions(external)
+        for i in compress(external, ((at < 0) | _rate_faults(lam0) | sink[at]).tolist()):
+            if i not in index:
                 raise InputError(f"external arrival references unknown node {i}")
-            _check_rate(rate, f"external arrival rate at node {i}")
-            if by_id[i].kind is NodeKind.SINK:
+            _check_rate(external[i], f"external arrival rate at node {i}")
+            if self.node(i).kind is NodeKind.SINK:
                 raise InputError(f"external arrivals cannot target sink node {i}")
 
-        if self.known_arrival_rates is not None:
-            for i, rate in self.known_arrival_rates.items():
-                if i not in by_id:
+        known = self.known_arrival_rates
+        if known is not None:
+            known_at, known_rates = self._positions(known)
+            for i in compress(known, ((known_at < 0) | _rate_faults(known_rates)).tolist()):
+                if i not in index:
                     raise InputError(f"known arrival rate references unknown node {i}")
-                _check_rate(rate, f"known arrival rate at node {i}")
-            missing = [n.id for n in self.intermediates()
-                       if n.id not in self.known_arrival_rates]
+                _check_rate(known[i], f"known arrival rate at node {i}")
+            missing = [i for i in compress(ids, inner.tolist()) if i not in known]
             if missing:
                 raise InputError(
                     f"known arrival rates must cover every intermediate node; missing {missing}"
                 )
 
         # A node that can ever hold a job must be able to serve it.
-        incoming = {j for (i, j), p in self.routing.entries.items() if p > 0.0}
-        for n in self.nodes:
-            receives = n.id in incoming or self.external_arrivals.get(n.id, 0.0) > 0.0
-            if receives and n.service_rate <= 0:
+        receives = np.bincount(cols[probs > 0.0], minlength=n) > 0
+        receives[at[lam0 > 0.0]] = True
+        for node in compress(nodes, (receives & (mu <= 0.0)).tolist()):
+            if node.service_rate <= 0:
                 raise InputError(
-                    f"node {n.id} receives jobs but has no positive service rate"
+                    f"node {node.id} receives jobs but has no positive service rate"
                 )
 
-        if not any(r > 0 for r in self.external_arrivals.values()):
+        if not any(r > 0 for r in external.values()):
             raise InputError("no node has a positive external arrival rate")
-        if not any(self.exit_probability(i) > 0 for i in by_id):
+        if not (exit_probability > 0.0).any():
             raise InputError("no node has a positive exit probability")
 
-    @cached_property
-    def _by_id(self) -> dict[int, NodeSpec]:
-        return {n.id: n for n in self.nodes}
+        _read_only(id_col, kind, cap, mu, mu_b, exit_probability, rows, cols, probs)
+        object.__setattr__(self, "columns",
+                           NodeColumns(id_col, kind, cap, mu, mu_b, exit_probability))
+        object.__setattr__(self, "routing_triplets", (rows, cols, probs))
 
     @cached_property
-    def routing_triplets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Routing as read-only arrays (row, column, probability).
+    def _index(self) -> dict[int, int]:
+        """Position of each node id in ``nodes``."""
+        return dict(zip(self.ids(), range(len(self.nodes))))
 
-        Rows and columns are positions in ``ids()``; the entries are in
-        (from, to) order, as in ``routing.entries``.
-        """
-        index = {i: k for k, i in enumerate(self.ids())}
-        entries = self.routing.entries
-        m = len(entries)
-        rows = np.fromiter((index[i] for i, _ in entries), dtype=np.intp, count=m)
-        cols = np.fromiter((index[j] for _, j in entries), dtype=np.intp, count=m)
-        probs = np.fromiter(entries.values(), dtype=float, count=m)
-        for a in (rows, cols, probs):
-            a.flags.writeable = False
-        return rows, cols, probs
+    def _positions(self, rates: Mapping[int, float]) -> tuple[np.ndarray, np.ndarray]:
+        """Node positions (-1 for an unknown id) and values of a rate map."""
+        count = len(rates)
+        at = np.fromiter(map(self._index.get, rates, repeat(-1)), dtype=np.intp, count=count)
+        return at, np.fromiter(rates.values(), dtype=float, count=count)
 
     def node(self, node_id: int) -> NodeSpec:
         try:
-            return self._by_id[node_id]
+            return self.nodes[self._index[node_id]]
         except KeyError:
             raise InputError(f"lookup references unknown node {node_id}") from None
 
@@ -258,20 +350,32 @@ class NetworkSpec:
 
     def exit_probability(self, node_id: int) -> float:
         self.node(node_id)
-        return max(0.0, min(1.0, 1.0 - self.routing.row_sum(node_id)))
+        return float(self.columns.exit_probability[self._index[node_id]])
 
 
 # -- document parsing --------------------------------------------------------
 
-_NODE_KEYS = {"id", "kind", "capacity", "mu", "mu_b", "servers"}
-_NODE_REQUIRED = {"id", "kind", "capacity", "mu"}
+# Keys in schema order (module docstring); the required ones come first.
+_TOP_KEYS = ("nodes", "routing", "external_arrivals", "known_arrival_rates")
+_NODE_KEYS = ("id", "kind", "capacity", "mu", "mu_b", "servers")
+_NODE_REQUIRED = _NODE_KEYS[:4]
+_KINDS = {k.value: k for k in NodeKind}
+
+# Routing and arrival sections: (name, keys, duplicate message).  The keys
+# are the integer key fields, then the rate field; every one is required.
+_ROUTING = ("routing", ("from", "to", "p"), "duplicate routing entry {}->{}")
+_EXTERNAL = ("external_arrivals", ("node", "lambda0"),
+             "duplicate external arrival for node {}")
+_KNOWN = ("known_arrival_rates", ("node", "lambda"),
+          "duplicate known arrival rate for node {}")
 
 
 def _no_nonfinite(token: str):
     raise ParseError(f"non-finite number {token!r} is not allowed")
 
 
-def _check_keys(obj: dict, path: str, allowed: set[str], required: set[str]):
+def _check_keys(obj: dict, path: str, allowed: tuple[str, ...],
+                required: tuple[str, ...]):
     for k in obj:
         if k not in allowed:
             raise SchemaError(f"{path}.{k}", "unknown key")
@@ -315,8 +419,110 @@ def _as_rate(value, path: str) -> float:
     return x
 
 
+def _check_node_item(item, path: str, seen: set) -> None:
+    """Every document rule for one node object, in order."""
+    obj = _as_object(item, path)
+    _check_keys(obj, path, _NODE_KEYS, _NODE_REQUIRED)
+    kind = obj["kind"]
+    if not isinstance(kind, str):
+        raise SchemaError(f"{path}.kind", "must be a string")
+    if kind not in _KINDS:
+        raise SchemaError(
+            f"{path}.kind", f"must be one of {sorted(_KINDS)}, got {kind!r}")
+    node_id = _as_int(obj["id"], f"{path}.id")
+    servers = obj.get("servers", 1)
+    if type(servers) is not int or servers != 1:
+        raise InputError(f"node {node_id}: this model is single-server only")
+    _as_int(obj["capacity"], f"{path}.capacity")
+    _as_rate(obj["mu"], f"{path}.mu")
+    if "mu_b" in obj:
+        _as_rate(obj["mu_b"], f"{path}.mu_b")
+
+
+def _check_keyed_item(item, path: str, seen: set, keys: tuple[str, ...],
+                      duplicate: str) -> None:
+    """Every document rule for one routing or arrival object, in order."""
+    obj = _as_object(item, path)
+    _check_keys(obj, path, keys, keys)
+    key = tuple(_as_int(obj[k], f"{path}.{k}") for k in keys[:-1])
+    if key in seen:
+        raise SchemaError(path, duplicate.format(*key))
+    seen.add(key)
+    _as_rate(obj[keys[-1]], f"{path}.{keys[-1]}")
+
+
+def _raise_first_fault(items: list, path: str, check) -> NoReturn:
+    """Run the per-item ``check`` over ``items`` in order; the first bad item raises."""
+    seen: set = set()
+    for k, item in enumerate(items):
+        check(item, f"{path}[{k}]", seen)
+    raise AssertionError(f"{path}: the column check rejected items that pass one by one")
+
+
+def _ints(column: list) -> bool:
+    """Whether ``_as_int`` accepts every value (JSON gives exact types)."""
+    return set(map(type, column)) <= {int}
+
+
+def _rates(column: list) -> list[float] | None:
+    """``_as_rate`` of every value, or None if it rejects one."""
+    if not set(map(type, column)) <= {int, float, str}:
+        return None
+    try:
+        values = list(map(float, column))
+    except (ValueError, OverflowError):
+        return None
+    return values if all(map(math.isfinite, values)) else None
+
+
+def _node_columns(items: list) -> tuple[list, ...] | None:
+    """The NodeSpec fields of the node objects, one list each, or None if
+    some object fails a document rule."""
+    layouts = set(map(tuple, items)) if set(map(type, items)) <= {dict} else None
+    if layouts is None or not all(set(_NODE_REQUIRED) <= set(keys) <= set(_NODE_KEYS)
+                                  for keys in layouts):
+        return None
+    ids, kinds, capacity, mu = (list(map(itemgetter(k), items)) for k in _NODE_REQUIRED)
+    servers = [obj.get("servers", 1) for obj in items]
+    mu, mu_b = _rates(mu), _rates([obj.get("mu_b", 0.0) for obj in items])
+    if not (set(map(type, kinds)) <= {str} and set(kinds) <= _KINDS.keys()
+            and _ints(ids) and _ints(servers) and set(servers) <= {1}
+            and _ints(capacity) and mu is not None and mu_b is not None):
+        return None
+    return ids, list(map(_KINDS.__getitem__, kinds)), capacity, mu, mu_b
+
+
+def _keyed_rates(items: list, keys: tuple[str, ...]) -> dict | None:
+    """A routing or arrival section as {key: rate}, or None if some object
+    fails a document rule or repeats a key."""
+    if not (set(map(type, items)) <= {dict} and set(map(len, items)) <= {len(keys)}):
+        return None
+    try:  # with exactly len(keys) keys each, having all of them rules out others
+        fields = [list(map(itemgetter(k), items)) for k in keys]
+    except KeyError:
+        return None
+    rates = _rates(fields.pop())
+    if rates is None or not all(map(_ints, fields)):
+        return None
+    table = dict(zip(zip(*fields) if len(fields) > 1 else fields[0], rates))
+    return table if len(table) == len(items) else None
+
+
+def _section(doc: dict, name: str, keys: tuple[str, ...], duplicate: str) -> dict:
+    path = f"$.{name}"
+    items = _as_array(doc[name], path)
+    table = _keyed_rates(items, keys)
+    if table is None:
+        _raise_first_fault(items, path,
+                           partial(_check_keyed_item, keys=keys, duplicate=duplicate))
+    return table
+
+
 def parse_network(text: str) -> NetworkSpec:
     """Parse and validate a network description document.
+
+    Each section is checked as columns (module docstring); a section with a
+    fault raises at its first bad item, as an item-by-item parse would.
 
     Args:
         text: JSON document in the format described in the module docstring.
@@ -338,79 +544,20 @@ def parse_network(text: str) -> NetworkSpec:
         raise ParseError(e.msg, line=e.lineno) from None
 
     doc = _as_object(doc, "$")
-    _check_keys(doc, "$",
-                {"nodes", "routing", "external_arrivals", "known_arrival_rates"},
-                {"nodes", "routing", "external_arrivals"})
+    _check_keys(doc, "$", _TOP_KEYS, _TOP_KEYS[:3])
 
-    nodes: list[NodeSpec] = []
-    raw_nodes = _as_array(doc["nodes"], "$.nodes")
-    if not raw_nodes:
+    items = _as_array(doc["nodes"], "$.nodes")
+    if not items:
         raise SchemaError("$.nodes", "must contain at least one node")
-    for k, item in enumerate(raw_nodes):
-        path = f"$.nodes[{k}]"
-        obj = _as_object(item, path)
-        _check_keys(obj, path, _NODE_KEYS, _NODE_REQUIRED)
-        kind_raw = obj["kind"]
-        if not isinstance(kind_raw, str):
-            raise SchemaError(f"{path}.kind", "must be a string")
-        try:
-            kind = NodeKind(kind_raw)
-        except ValueError:
-            raise SchemaError(
-                f"{path}.kind",
-                f"must be one of {sorted(k.value for k in NodeKind)}, got {kind_raw!r}",
-            ) from None
-        node_id = _as_int(obj["id"], f"{path}.id")
-        servers = obj.get("servers", 1)
-        if type(servers) is not int or servers != 1:
-            raise InputError(f"node {node_id}: this model is single-server only")
-        nodes.append(NodeSpec(
-            id=node_id,
-            kind=kind,
-            capacity=_as_int(obj["capacity"], f"{path}.capacity"),
-            service_rate=_as_rate(obj["mu"], f"{path}.mu"),
-            unblock_rate=_as_rate(obj["mu_b"], f"{path}.mu_b") if "mu_b" in obj else 0.0,
-        ))
-
-    entries: dict[tuple[int, int], float] = {}
-    for k, item in enumerate(_as_array(doc["routing"], "$.routing")):
-        path = f"$.routing[{k}]"
-        obj = _as_object(item, path)
-        _check_keys(obj, path, {"from", "to", "p"}, {"from", "to", "p"})
-        i = _as_int(obj["from"], f"{path}.from")
-        j = _as_int(obj["to"], f"{path}.to")
-        if (i, j) in entries:
-            raise SchemaError(path, f"duplicate routing entry {i}->{j}")
-        entries[(i, j)] = _as_rate(obj["p"], f"{path}.p")
-
-    external: dict[int, float] = {}
-    for k, item in enumerate(_as_array(doc["external_arrivals"], "$.external_arrivals")):
-        path = f"$.external_arrivals[{k}]"
-        obj = _as_object(item, path)
-        _check_keys(obj, path, {"node", "lambda0"}, {"node", "lambda0"})
-        i = _as_int(obj["node"], f"{path}.node")
-        if i in external:
-            raise SchemaError(path, f"duplicate external arrival for node {i}")
-        external[i] = _as_rate(obj["lambda0"], f"{path}.lambda0")
-
-    known: dict[int, float] | None = None
-    if "known_arrival_rates" in doc:
-        known = {}
-        for k, item in enumerate(_as_array(doc["known_arrival_rates"],
-                                           "$.known_arrival_rates")):
-            path = f"$.known_arrival_rates[{k}]"
-            obj = _as_object(item, path)
-            _check_keys(obj, path, {"node", "lambda"}, {"node", "lambda"})
-            i = _as_int(obj["node"], f"{path}.node")
-            if i in known:
-                raise SchemaError(path, f"duplicate known arrival rate for node {i}")
-            known[i] = _as_rate(obj["lambda"], f"{path}.lambda")
+    columns = _node_columns(items)
+    if columns is None:
+        _raise_first_fault(items, "$.nodes", _check_node_item)
 
     return NetworkSpec(
-        nodes=tuple(nodes),
-        routing=RoutingMatrix(entries),
-        external_arrivals=external,
-        known_arrival_rates=known,
+        nodes=tuple(map(NodeSpec, *columns)),
+        routing=RoutingMatrix(_section(doc, *_ROUTING)),
+        external_arrivals=_section(doc, *_EXTERNAL),
+        known_arrival_rates=_section(doc, *_KNOWN) if "known_arrival_rates" in doc else None,
     )
 
 

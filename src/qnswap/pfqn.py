@@ -26,7 +26,7 @@ import numpy as np
 from .ctmc import blocking_node_closed_form, mm1k_full_probability
 from .errors import InputError
 from .metrics import NetworkMetrics, network_metrics
-from .model import NetworkSpec, NodeKind
+from .model import KIND_CODES, NetworkSpec, NodeKind
 from .traffic import ArrivalRates, solve_traffic
 
 
@@ -116,12 +116,11 @@ def analyze_network(
         NumericsError: a node's marginal is not a distribution.
     """
     rates = solve_traffic(spec)
-    nodes = spec.nodes
-    inner = np.array([n.kind is NodeKind.INTERMEDIATE for n in nodes], dtype=bool)
-    ids = np.array(spec.ids(), dtype=np.intp)[inner]
-    mu = np.array([n.service_rate for n in nodes], dtype=float)[inner]
-    mu_b = np.array([n.unblock_rate for n in nodes], dtype=float)[inner]
-    lam = np.fromiter(rates.rates.values(), dtype=float, count=len(nodes))[inner]
+    col = spec.columns
+    inner = col.kind == KIND_CODES[NodeKind.INTERMEDIATE]
+    ids = col.id[inner]
+    lam_all = np.fromiter(rates.rates.values(), dtype=float, count=len(inner))
+    lam, mu, mu_b = lam_all[inner], col.service_rate[inner], col.unblock_rate[inner]
 
     override = assumptions.blocking_probability_override
     if override is not None:
@@ -130,18 +129,15 @@ def analyze_network(
         rows, cols, probs = spec.routing_triplets
         used = (probs > 0.0) & inner[rows]
         rows, cols, probs = rows[used], cols[used], probs[used]
-        targets = np.flatnonzero(np.bincount(cols, minlength=len(nodes))).tolist()
-        full = np.zeros(len(nodes))
-        full[targets] = [
-            mm1k_full_probability(
-                1.0 if assumptions.rho_one
-                else rates.rates[nodes[t].id] / nodes[t].service_rate,
-                nodes[t].capacity)
-            for t in targets
-        ]
+        targets = np.flatnonzero(np.bincount(cols, minlength=len(inner)))
+        rho = (np.ones(len(targets)) if assumptions.rho_one
+               else lam_all[targets] / col.service_rate[targets])
+        full = np.zeros(len(inner))
+        full[targets] = list(map(mm1k_full_probability, rho.tolist(),
+                                 col.capacity[targets].tolist()))
         # bincount adds in triplet order, (from, to), so each sum runs over
         # the targets in id order
-        pb = np.bincount(rows, weights=probs * full[cols], minlength=len(nodes))[inner]
+        pb = np.bincount(rows, weights=probs * full[cols], minlength=len(inner))[inner]
 
     zero = np.flatnonzero(lam <= 0)
     good = int(zero[0]) if zero.size else len(ids)  # nodes before the first zero rate

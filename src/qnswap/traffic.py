@@ -159,25 +159,28 @@ def _solve_levels(src, dst, probs, rhs) -> np.ndarray:
     return x
 
 
-def _undrained(spec: NetworkSpec, pinned: Mapping[int, float]) -> list[int]:
+def _undrained(spec: NetworkSpec, pinned: np.ndarray) -> list[int]:
     """Unpinned nodes with no routing path out of the network or to a pinned node.
 
     A node drains if its exit probability exceeds ``ROW_SUM_TOL``, if it is
-    pinned, or if it routes with positive probability to a node that
-    drains.  One reverse search from the draining nodes, O(nodes + edges).
+    pinned (``pinned`` flags positions in ``spec.ids()``), or if it routes
+    with positive probability to a node that drains.  One reverse search
+    from the draining nodes, O(nodes + edges).
     """
-    preds: dict[int, list[int]] = {i: [] for i in spec.ids()}
-    for (i, j), prob in spec.routing.entries.items():
-        if prob > 0.0:
-            preds[j].append(i)
-    drains = set(pinned) | {i for i in preds if spec.exit_probability(i) > ROW_SUM_TOL}
-    stack = list(drains)
+    rows, cols, probs = spec.routing_triplets
+    preds: list[list[int]] = [[] for _ in spec.nodes]
+    used = probs > 0.0
+    for i, j in zip(rows[used].tolist(), cols[used].tolist()):
+        preds[j].append(i)
+    drains = pinned | (spec.columns.exit_probability > ROW_SUM_TOL)
+    stack = np.flatnonzero(drains).tolist()
+    drains = drains.tolist()
     while stack:
         for i in preds[stack.pop()]:
-            if i not in drains:
-                drains.add(i)
+            if not drains[i]:
+                drains[i] = True
                 stack.append(i)
-    return [i for i in preds if i not in drains]
+    return [i for i, drained in zip(spec.ids(), drains) if not drained]
 
 
 def _check_residual(lam, lam0, rows, cols, probs, pinned, known) -> None:
@@ -221,7 +224,7 @@ def solve_traffic(spec: NetworkSpec) -> ArrivalRates:
     pinned = np.zeros(n, dtype=bool)
     pinned[[index[i] for i in known]] = True
 
-    closed = _undrained(spec, known)
+    closed = _undrained(spec, pinned)
     if closed:
         raise NumericsError(
             f"traffic equations are singular: nodes {closed} have no routing"
@@ -249,6 +252,6 @@ def solve_traffic(spec: NetworkSpec) -> ArrivalRates:
     lam = np.where((lam < 0) & (lam > -1e-12), 0.0, lam)
     _check_residual(lam, lam0, rows, cols, probs, pinned, known)
     return ArrivalRates(
-        rates={i: float(lam[index[i]]) for i in ids},
+        rates=dict(zip(ids, lam.tolist())),
         total_external=total_external_rate(spec),
     )

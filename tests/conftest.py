@@ -1,3 +1,6 @@
+import functools
+import json
+
 import numpy as np
 import pytest
 
@@ -6,7 +9,10 @@ from qnswap import (
     NodeKind,
     NodeSpec,
     RoutingMatrix,
+    build_lattice_network,
     munoz15_fixture,
+    parse_layout,
+    serialize_network,
 )
 
 
@@ -54,6 +60,31 @@ def single_queue_spec(arrival_rate: float, capacity: int,
         external_arrivals={1: arrival_rate},
     )
     return spec
+
+
+@functools.lru_cache(maxsize=None)
+def grid_document(side: int) -> str:
+    """The network document of a ``side`` x ``side`` grid chip.
+
+    Two sources and two sinks sit on the top and bottom rows, one site in
+    from the corners; the sources take external rates 0.1 and 0.2.
+    """
+    def site(r, c):
+        return f"g{r:02d}_{c:02d}"
+
+    edges = [[site(r, c), site(r, c + 1)] for r in range(side) for c in range(side - 1)]
+    edges += [[site(r, c), site(r + 1, c)] for r in range(side - 1) for c in range(side)]
+    sources = [site(0, 1), site(side - 1, 1)]
+    sinks = [site(0, side - 2), site(side - 1, side - 2)]
+    layout = {
+        "sites": [site(r, c) for r in range(side) for c in range(side)],
+        "edges": edges,
+        "queues": ([{"site": s, "role": "source", "capacity": 8} for s in sources]
+                   + [{"site": s, "role": "sink", "capacity": 8} for s in sinks]),
+    }
+    spec = build_lattice_network(parse_layout(json.dumps(layout)),
+                                 arrival_rate=dict(zip(sources, (0.1, 0.2))))
+    return serialize_network(spec)
 
 
 @pytest.fixture(scope="session")

@@ -6,7 +6,9 @@ Nothing in ``qnswap`` calls these; they exist to cross-check it:
   solver) against the blocking-node and M/M/1/K closed forms;
 - a single-chain trajectory sampler against the same closed forms;
 - a damped fixed-point iteration against the block traffic solve;
-- the product of node marginals, for product-form normalization.
+- the product of node marginals, for product-form normalization;
+- an item-by-item document parser and spec check against the column
+  checks of ``parse_network`` and ``NetworkSpec``.
 
 They import package internals where that makes them draw or compute the
 same numbers the package would: the sampler uses the simulator's seeded
@@ -16,6 +18,8 @@ and residual check.
 
 from __future__ import annotations
 
+import json
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -26,13 +30,18 @@ import numpy as np
 from qnswap import (
     ArrivalRates,
     InputError,
+    NodeKind,
     NodeMarginal,
+    NodeSpec,
     NumericsError,
+    ParseError,
+    SchemaError,
     SimConfig,
     ctmc,
     mm1k_full_probability,
     traffic,
 )
+from qnswap.model import ROW_SUM_TOL
 from qnswap.sim import _Draws, _rep_rng
 
 STEADY_RESIDUAL_TOL = 1e-10
@@ -464,3 +473,228 @@ def fixed_point_traffic(spec, tol: float = 1e-12, max_iter: int = 100_000,
         rates={i: float(lam[index[i]]) for i in ids},
         total_external=traffic.total_external_rate(spec),
     )
+
+
+# -- item-by-item document parser ----------------------------------------------
+
+def _scalar_check_keys(obj: dict, path: str, allowed: tuple, required: tuple):
+    for k in obj:
+        if k not in allowed:
+            raise SchemaError(f"{path}.{k}", "unknown key")
+    # Schema order.  The parser this copies looped over a set here, so which
+    # of several missing keys it named depended on the hash seed.
+    for k in required:
+        if k not in obj:
+            raise SchemaError(path, f"missing required key {k!r}")
+
+
+def _scalar_object(value, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise SchemaError(path, "must be an object")
+    return value
+
+
+def _scalar_array(value, path: str) -> list:
+    if not isinstance(value, list):
+        raise SchemaError(path, "must be an array")
+    return value
+
+
+def _scalar_int(value, path: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SchemaError(path, "must be an integer")
+    return value
+
+
+def _scalar_rate(value, path: str) -> float:
+    if isinstance(value, bool):
+        raise SchemaError(path, "must be a number or decimal string")
+    if isinstance(value, (int, float)):
+        x = float(value)
+    elif isinstance(value, str):
+        try:
+            x = float(value)
+        except ValueError:
+            raise SchemaError(path, f"not a decimal number: {value!r}") from None
+    else:
+        raise SchemaError(path, "must be a number or decimal string")
+    if not math.isfinite(x):
+        raise SchemaError(path, "must be finite")
+    return x
+
+
+def _scalar_check_rate(rate: float, name: str) -> None:
+    if rate < 0:
+        raise InputError(f"{name} must be nonnegative, got {rate!r}")
+    if not math.isfinite(rate):
+        raise InputError(f"{name} must be finite, got {rate!r}")
+
+
+def scalar_parse_network(text: str) -> tuple:
+    """Parse and check a network document one item at a time.
+
+    The reference for ``qnswap.parse_network``, which checks columns: the
+    document rules of the parser and then every ``NetworkSpec`` rule, each a
+    loop over items in the order the package applies them, raising the same
+    family and message at the first fault.  Returns the canonical spec
+    fields ``(nodes sorted by id, routing entries sorted by (from, to),
+    external rates, known rates or None)`` without building a spec, so the
+    package's own checks cannot stand in for these.
+    """
+    try:
+        doc = json.loads(text, parse_constant=_scalar_nonfinite)
+    except json.JSONDecodeError as e:
+        raise ParseError(e.msg, line=e.lineno) from None
+
+    doc = _scalar_object(doc, "$")
+    _scalar_check_keys(doc, "$",
+                       ("nodes", "routing", "external_arrivals", "known_arrival_rates"),
+                       ("nodes", "routing", "external_arrivals"))
+
+    node_keys = ("id", "kind", "capacity", "mu", "mu_b", "servers")
+    nodes = []
+    raw_nodes = _scalar_array(doc["nodes"], "$.nodes")
+    if not raw_nodes:
+        raise SchemaError("$.nodes", "must contain at least one node")
+    for k, item in enumerate(raw_nodes):
+        path = f"$.nodes[{k}]"
+        obj = _scalar_object(item, path)
+        _scalar_check_keys(obj, path, node_keys, node_keys[:4])
+        kind_raw = obj["kind"]
+        if not isinstance(kind_raw, str):
+            raise SchemaError(f"{path}.kind", "must be a string")
+        try:
+            kind = NodeKind(kind_raw)
+        except ValueError:
+            raise SchemaError(
+                f"{path}.kind",
+                f"must be one of {sorted(k.value for k in NodeKind)}, got {kind_raw!r}",
+            ) from None
+        node_id = _scalar_int(obj["id"], f"{path}.id")
+        servers = obj.get("servers", 1)
+        if type(servers) is not int or servers != 1:
+            raise InputError(f"node {node_id}: this model is single-server only")
+        nodes.append(NodeSpec(
+            id=node_id,
+            kind=kind,
+            capacity=_scalar_int(obj["capacity"], f"{path}.capacity"),
+            service_rate=_scalar_rate(obj["mu"], f"{path}.mu"),
+            unblock_rate=_scalar_rate(obj["mu_b"], f"{path}.mu_b") if "mu_b" in obj else 0.0,
+        ))
+
+    entries = {}
+    for k, item in enumerate(_scalar_array(doc["routing"], "$.routing")):
+        path = f"$.routing[{k}]"
+        obj = _scalar_object(item, path)
+        _scalar_check_keys(obj, path, ("from", "to", "p"), ("from", "to", "p"))
+        i = _scalar_int(obj["from"], f"{path}.from")
+        j = _scalar_int(obj["to"], f"{path}.to")
+        if (i, j) in entries:
+            raise SchemaError(path, f"duplicate routing entry {i}->{j}")
+        entries[(i, j)] = _scalar_rate(obj["p"], f"{path}.p")
+
+    external = {}
+    for k, item in enumerate(_scalar_array(doc["external_arrivals"], "$.external_arrivals")):
+        path = f"$.external_arrivals[{k}]"
+        obj = _scalar_object(item, path)
+        _scalar_check_keys(obj, path, ("node", "lambda0"), ("node", "lambda0"))
+        i = _scalar_int(obj["node"], f"{path}.node")
+        if i in external:
+            raise SchemaError(path, f"duplicate external arrival for node {i}")
+        external[i] = _scalar_rate(obj["lambda0"], f"{path}.lambda0")
+
+    known = None
+    if "known_arrival_rates" in doc:
+        known = {}
+        for k, item in enumerate(_scalar_array(doc["known_arrival_rates"],
+                                               "$.known_arrival_rates")):
+            path = f"$.known_arrival_rates[{k}]"
+            obj = _scalar_object(item, path)
+            _scalar_check_keys(obj, path, ("node", "lambda"), ("node", "lambda"))
+            i = _scalar_int(obj["node"], f"{path}.node")
+            if i in known:
+                raise SchemaError(path, f"duplicate known arrival rate for node {i}")
+            known[i] = _scalar_rate(obj["lambda"], f"{path}.lambda")
+
+    return _scalar_spec(nodes, entries, external, known)
+
+
+def _scalar_nonfinite(token: str):
+    raise ParseError(f"non-finite number {token!r} is not allowed")
+
+
+def _scalar_spec(nodes, entries, external, known) -> tuple:
+    """The NetworkSpec rules, one node or entry at a time, in package order."""
+    for n in nodes:
+        if isinstance(n.id, bool) or not isinstance(n.id, int) or n.id <= 0:
+            raise InputError(f"node id {n.id!r} must be a positive integer")
+    nodes = tuple(sorted(nodes, key=lambda n: n.id))
+    entries = {(int(i), int(j)): float(p) for (i, j), p in sorted(entries.items())}
+    external = {int(k): float(v) for k, v in sorted(external.items())}
+    if known is not None:
+        known = {int(k): float(v) for k, v in sorted(known.items())}
+
+    if not nodes:
+        raise InputError("network has no nodes")
+
+    by_id = {}
+    for n in nodes:
+        if n.id in by_id:
+            raise InputError(f"duplicate node id {n.id}")
+        by_id[n.id] = n
+        if not isinstance(n.capacity, int) or n.capacity < 1:
+            raise InputError(f"node {n.id}: capacity must be a positive integer")
+        _scalar_check_rate(n.service_rate, f"node {n.id} service rate")
+        _scalar_check_rate(n.unblock_rate, f"node {n.id} unblock rate")
+        if n.kind is NodeKind.INTERMEDIATE:
+            if n.capacity != 1:
+                raise InputError(f"node {n.id}: intermediate nodes hold exactly one job")
+            if n.unblock_rate <= 0:
+                raise InputError(f"node {n.id} needs a positive unblock rate")
+
+    rows = {}
+    for (i, j), p in entries.items():
+        if i not in by_id:
+            raise InputError(f"routing entry {i}->{j} references unknown node {i}")
+        if j not in by_id:
+            raise InputError(f"routing entry {i}->{j} references unknown node {j}")
+        if not 0.0 <= p <= 1.0:
+            raise InputError(f"routing {i}->{j}: probability {p!r} outside [0, 1]")
+        if p > 0.0 and by_id[i].kind is NodeKind.SINK:
+            raise InputError(f"sink node {i} cannot route onward")
+        rows.setdefault(i, []).append(p)
+
+    for i in by_id:
+        total = sum(rows.get(i, []))
+        if total > 1.0 + ROW_SUM_TOL:
+            raise InputError(f"routing probabilities out of node {i} sum to {total!r} > 1")
+
+    for i, rate in external.items():
+        if i not in by_id:
+            raise InputError(f"external arrival references unknown node {i}")
+        _scalar_check_rate(rate, f"external arrival rate at node {i}")
+        if by_id[i].kind is NodeKind.SINK:
+            raise InputError(f"external arrivals cannot target sink node {i}")
+
+    if known is not None:
+        for i, rate in known.items():
+            if i not in by_id:
+                raise InputError(f"known arrival rate references unknown node {i}")
+            _scalar_check_rate(rate, f"known arrival rate at node {i}")
+        missing = [n.id for n in nodes
+                   if n.kind is NodeKind.INTERMEDIATE and n.id not in known]
+        if missing:
+            raise InputError(
+                f"known arrival rates must cover every intermediate node; missing {missing}")
+
+    incoming = {j for (i, j), p in entries.items() if p > 0.0}
+    for n in nodes:
+        receives = n.id in incoming or external.get(n.id, 0.0) > 0.0
+        if receives and n.service_rate <= 0:
+            raise InputError(f"node {n.id} receives jobs but has no positive service rate")
+
+    if not any(r > 0 for r in external.values()):
+        raise InputError("no node has a positive external arrival rate")
+    if not any(1.0 - sum(rows.get(i, [])) > 0 for i in by_id):
+        raise InputError("no node has a positive exit probability")
+    return nodes, entries, external, known

@@ -1,11 +1,23 @@
 """Command-line interface: formats, exit codes, and output stability."""
 
+import dataclasses
+import hashlib
 import json
 
+import numpy as np
 import pytest
 
-from qnswap import cli, munoz15_fixture, parse_network, serialize_network
-from conftest import single_queue_spec
+from qnswap import (
+    AnalysisAssumptions,
+    ArrivalRates,
+    analyze_network,
+    cli,
+    munoz15_fixture,
+    network_metrics,
+    parse_network,
+    serialize_network,
+)
+from conftest import grid_document, single_queue_spec
 
 
 @pytest.fixture()
@@ -137,6 +149,59 @@ class TestAnalyze:
         code, out, _ = run_cli(capsys, "analyze", "--network", "-")
         assert code == 0
         assert out.splitlines()[1].startswith("1 ") or "1" in out.splitlines()[1]
+
+
+# sha256 of ``analyze --format json`` on ``grid_document(40)``, written by
+# the CLI before the analyze JSON was printed from columns.
+LATTICE40_SHA256 = {
+    (): "ed30f0128b8743323c86e9c7d5a85d3eb5cd231cabbad01565339881933f580f",
+    ("--round", "4"): "ca24ea674da24e513810e523bc04a5614755841d5a97c41c3e01ebee832750c7",
+    ("--pb", "0.3"): "53084a75922401e06d24f5497f8e72a3a1c69c645b7aecdfb61f095d79dd5307",
+    ("--subset", "5,6,7,300"):
+        "ae6af34492795750aac28548cdd4d8a95027f65aaeb390bcddbada5588fe4ade",
+}
+
+EDGE_FLOATS = (-0.0, 5e-324, 1e16, 0.1 + 0.2, 2.5, -1.5e-7, float("nan"), float("inf"))
+
+
+class TestAnalyzeJsonWriter:
+    @pytest.mark.parametrize("extra", sorted(LATTICE40_SHA256), ids=" ".join)
+    def test_lattice40_bytes_unchanged(self, capsys, tmp_path, extra):
+        path = tmp_path / "grid40.json"
+        path.write_text(grid_document(40), encoding="utf-8")
+        code, out, err = run_cli(capsys, "analyze", "--network", str(path),
+                                 "--format", "json", *extra)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == LATTICE40_SHA256[extra]
+
+    @pytest.mark.parametrize("digits", [None, 0, 4])
+    @pytest.mark.parametrize("subset", [None, [2, 5, 9]])
+    @pytest.mark.parametrize("assumptions", [
+        AnalysisAssumptions(),
+        AnalysisAssumptions(rho_one=False),
+        AnalysisAssumptions(blocking_probability_override=0.1 + 0.2),
+    ], ids=["worst_case", "solved_rates", "pb_override"])
+    def test_matches_json_dumps_on_edge_floats(self, assumptions, subset, digits):
+        analysis = analyze_network(munoz15_fixture(), assumptions)
+        n = len(analysis.nodes)
+        fields = ("blocking_probability", "pi00", "pi10", "pi01", "rho", "kbar", "tbar")
+        edge = {name: np.resize(np.roll(EDGE_FLOATS, k), n)
+                for k, name in enumerate(fields)}
+        rates = dict(zip(analysis.nodes.tolist(), np.resize(EDGE_FLOATS, n).tolist()))
+        analysis = dataclasses.replace(
+            analysis, **edge,
+            arrival_rates=ArrivalRates(rates, analysis.arrival_rates.total_external),
+            network=dataclasses.replace(analysis.network, mean_jobs=1e16,
+                                        mean_response_time=-0.0, total_jobs=5e-324))
+        doc = analysis.to_jsonable()
+        net = analysis.network
+        if subset is not None:
+            net = network_metrics(analysis.nodes, analysis.kbar,
+                                  analysis.arrival_rates.total_external, subset)
+            doc["nodes"] = [row for row in doc["nodes"] if row["node"] in subset]
+            doc["network"] = net.to_jsonable()
+        want = json.dumps(cli._round_floats(doc, digits), sort_keys=True, indent=2) + "\n"
+        assert cli._analyze_output(analysis, "json", digits, subset) == want
 
 
 class TestSimulate:

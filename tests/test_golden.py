@@ -3,8 +3,9 @@
 The first munoz15 analysis and simulation files under ``golden/`` were
 written by the CLI before the traffic and steady-state solves moved to
 LAPACK, and the emitted fixture document before network specs were checked
-on construction; the ``--subset``, ``--round`` and 6x6 lattice outputs
-before the analysis became one pass over node columns.  Any refactor that
+on construction; the ``--subset``, ``--round 3`` and 6x6 lattice outputs
+before the analysis became one pass over node columns; the ``--round 4``
+JSON before the analyze JSON was printed from columns.  Any refactor that
 changes a printed byte of these outputs shows up here.  Regenerate them only
 for a deliberate change of output, and record that change.
 
@@ -28,6 +29,7 @@ CASES = {
     "munoz15_analyze_subset1-3.json": [
         "analyze", "--format", "json", "--subset", "1,2,3"],
     "munoz15_analyze_round3.txt": ["analyze", "--round", "3"],
+    "munoz15_analyze_round4.json": ["analyze", "--format", "json", "--round", "4"],
     "lattice6_analyze.json": [
         "analyze", "--format", "json",
         "--network", str(GOLDEN / "lattice6_network.json")],

@@ -17,6 +17,7 @@ from qnswap import (
     parse_network,
     serialize_network,
 )
+from qnswap.model import KIND_CODES
 from conftest import random_open_network
 
 
@@ -161,6 +162,36 @@ class TestValidation:
             )
 
 
+class TestColumns:
+    def test_columns_follow_the_nodes(self, fixture_spec):
+        rng = np.random.default_rng(5)
+        for spec in [fixture_spec] + [random_open_network(rng) for _ in range(10)]:
+            cols = spec.columns
+            assert cols.id.tolist() == list(spec.ids())
+            assert cols.kind.tolist() == [KIND_CODES[n.kind] for n in spec.nodes]
+            assert cols.capacity.tolist() == [n.capacity for n in spec.nodes]
+            assert cols.service_rate.tolist() == [n.service_rate for n in spec.nodes]
+            assert cols.unblock_rate.tolist() == [n.unblock_rate for n in spec.nodes]
+            # the row sums add in the order routing.row_sum adds: same bits
+            assert cols.exit_probability.tolist() == [
+                max(0.0, min(1.0, 1.0 - spec.routing.row_sum(i))) for i in spec.ids()]
+
+    def test_columns_and_triplets_are_read_only(self, fixture_spec):
+        for a in (*fixture_spec.columns, *fixture_spec.routing_triplets):
+            with pytest.raises(ValueError):
+                a[0] = 0
+
+    def test_plain_string_kind_is_no_kind(self):
+        # every kind test is by identity, so "sink" is not NodeKind.SINK
+        spec = NetworkSpec(
+            nodes=(node(1), NodeSpec(2, "sink", 2, 1.0)),
+            routing=RoutingMatrix({(1, 2): 0.5, (2, 1): 0.5}),
+            external_arrivals={1: 1.0},
+        )
+        assert spec.columns.kind.tolist() == [KIND_CODES[NodeKind.SOURCE], -1]
+        assert spec.sinks() == ()
+
+
 NON_FINITE_RATES = {
     "service_rate": (lambda x: NetworkSpec(
         nodes=(node(1, mu=x),),
@@ -206,6 +237,20 @@ class TestCanonicalForm:
             external_arrivals={1: 1.0},
         )
         assert [n.id for n in spec.nodes] == [1, 2]
+
+    @pytest.mark.parametrize("given", [
+        {(1, 2): 0.5, (1, 3): 0.25},
+        {(1, 3): 0.25, (1, 2): 0.5},
+        {(1, 2): 1 / 2, (1, np.int64(3)): np.float64(0.25)},
+        {(1.0, 2): "0.5", (1, 3): 0.25},
+    ], ids=["canonical", "out_of_order", "numpy_types", "converted"])
+    def test_routing_entries_are_canonical_copies(self, given):
+        rm = RoutingMatrix(given)
+        entries = list(rm.entries.items())
+        assert entries == [((1, 2), 0.5), ((1, 3), 0.25)]
+        assert [type(x) for (i, j), p in entries for x in (i, j, p)] == [int, int, float] * 2
+        given[(5, 6)] = 1.0
+        assert len(rm.entries) == 2
 
     def test_routing_helpers(self):
         rm = RoutingMatrix({(1, 3): 0.25, (1, 2): 0.5})
