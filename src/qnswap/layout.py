@@ -18,14 +18,14 @@ Layout document shape::
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
 
-from .errors import InputError, ParseError, SchemaError
-from .model import NetworkSpec, NodeKind, NodeSpec, RoutingMatrix
+from .errors import InputError, SchemaError
+from .model import (NetworkSpec, NodeKind, NodeSpec, RoutingMatrix, _as_array, _as_object,
+                    _check_keys, _load_json)
 
 DEFAULT_BOUNDARY_CAPACITY = 8
 
@@ -114,39 +114,30 @@ def _check_connected(layout: LayoutGraph):
         raise InputError(f"layout is not connected; unreachable sites: {missing}")
 
 
+# Keys of a layout document and of its queue objects, every one required;
+# of several missing keys the first in this order is named.
+_LAYOUT_KEYS = ("sites", "edges", "queues")
+_QUEUE_KEYS = ("site", "role", "capacity")
+
+
 def parse_layout(text: str) -> LayoutGraph:
     """Parse a layout document (strict keys, connectivity checked)."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(e.msg, line=e.lineno) from None
+    doc = _load_json(text)
     if not isinstance(doc, dict):
         raise SchemaError("$", "top level must be an object")
-    for k in doc:
-        if k not in {"sites", "edges", "queues"}:
-            raise SchemaError(f"$.{k}", "unknown key")
-    for k in ("sites", "edges", "queues"):
-        if k not in doc:
-            raise SchemaError("$", f"missing required key {k!r}")
+    _check_keys(doc, "$", _LAYOUT_KEYS, _LAYOUT_KEYS)
     if not isinstance(doc["sites"], list) or not all(isinstance(s, str) for s in doc["sites"]):
         raise SchemaError("$.sites", "must be an array of site names")
     edges = []
-    for k, e in enumerate(doc["edges"]):
+    for k, e in enumerate(_as_array(doc["edges"], "$.edges")):
         if (not isinstance(e, list) or len(e) != 2
                 or not all(isinstance(s, str) for s in e)):
             raise SchemaError(f"$.edges[{k}]", "must be a pair of site names")
         edges.append((e[0], e[1]))
     queues = {}
-    for k, q in enumerate(doc["queues"]):
+    for k, q in enumerate(_as_array(doc["queues"], "$.queues")):
         path = f"$.queues[{k}]"
-        if not isinstance(q, dict):
-            raise SchemaError(path, "must be an object")
-        for key in q:
-            if key not in {"site", "role", "capacity"}:
-                raise SchemaError(f"{path}.{key}", "unknown key")
-        for key in ("site", "role", "capacity"):
-            if key not in q:
-                raise SchemaError(path, f"missing required key {key!r}")
+        _check_keys(_as_object(q, path), path, _QUEUE_KEYS, _QUEUE_KEYS)
         if not isinstance(q["site"], str):
             raise SchemaError(f"{path}.site", "must be a site name")
         if q["role"] not in ("source", "sink"):

@@ -34,14 +34,15 @@ as one list per field and checks whole lists with builtins: the set of key
 layouts of the objects, the set of value types of a field, one ``float``
 pass per rate field, and repeated keys by set size.  A ``NetworkSpec``
 gathers its nodes once into read-only numpy columns in id order
-(``NetworkSpec.columns``: id, kind code, capacity, mu, mu_b and exit
-probability, next to ``routing_triplets``) and runs each structural
-rule as one array expression over them, in a fixed rule order.  A failing
-column only flags items: the flagged items go, in document order (parser)
-or id order (spec), through the per-item check that owns the error text,
-and the first one it rejects raises.  So an error names the same item with
-the same message as a check run one item at a time, and a valid document
-costs a few passes per column instead of several calls per item.
+(``NetworkSpec.columns``: id, kind code, capacity, mu, mu_b, exit
+probability, external rate and pinned rate, next to ``routing_triplets``;
+the solvers read these tables) and runs each structural rule as one array
+expression over them, in a fixed rule order.  A failing column only flags
+items: the flagged items go, in document order (parser) or id order (spec),
+through the per-item check that owns the error text, and the first one it
+rejects raises.  So an error names the same item with the same message as a
+check run one item at a time, and a valid document costs a few passes per
+column instead of several calls per item.
 """
 
 from __future__ import annotations
@@ -143,6 +144,8 @@ class NodeColumns(NamedTuple):
     service_rate: np.ndarray
     unblock_rate: np.ndarray
     exit_probability: np.ndarray  # 1 - routing row sum, clipped to [0, 1]
+    external_rate: np.ndarray  # lambda0, 0.0 where a node has none
+    known_rate: np.ndarray  # the pinned arrival rate, NaN where a node is not pinned
 
 
 _NODE_FIELDS = attrgetter("id", "kind", "capacity", "service_rate", "unblock_rate")
@@ -286,14 +289,18 @@ class NetworkSpec:
             _check_rate(external[i], f"external arrival rate at node {i}")
             if self.node(i).kind is NodeKind.SINK:
                 raise InputError(f"external arrivals cannot target sink node {i}")
+        external_rate = np.zeros(n)
+        external_rate[at] = lam0
 
         known = self.known_arrival_rates
+        known_rate = np.full(n, math.nan)  # pins are finite: NaN marks a free node
         if known is not None:
             known_at, known_rates = self._positions(known)
             for i in compress(known, ((known_at < 0) | _rate_faults(known_rates)).tolist()):
                 if i not in index:
                     raise InputError(f"known arrival rate references unknown node {i}")
                 _check_rate(known[i], f"known arrival rate at node {i}")
+            known_rate[known_at] = known_rates
             missing = [i for i in compress(ids, inner.tolist()) if i not in known]
             if missing:
                 raise InputError(
@@ -314,9 +321,10 @@ class NetworkSpec:
         if not (exit_probability > 0.0).any():
             raise InputError("no node has a positive exit probability")
 
-        _read_only(id_col, kind, cap, mu, mu_b, exit_probability, rows, cols, probs)
-        object.__setattr__(self, "columns",
-                           NodeColumns(id_col, kind, cap, mu, mu_b, exit_probability))
+        columns = NodeColumns(id_col, kind, cap, mu, mu_b, exit_probability,
+                              external_rate, known_rate)
+        _read_only(*columns, rows, cols, probs)
+        object.__setattr__(self, "columns", columns)
         object.__setattr__(self, "routing_triplets", (rows, cols, probs))
 
     @cached_property
@@ -370,6 +378,16 @@ _KNOWN = ("known_arrival_rates", ("node", "lambda"),
           "duplicate known arrival rate for node {}")
 
 
+def _load_json(text: str, **options):
+    """``json.loads``, raising ParseError for any text it cannot decode."""
+    try:
+        return json.loads(text, **options)
+    except json.JSONDecodeError as e:
+        raise ParseError(e.msg, line=e.lineno) from None
+    except RecursionError:  # nested deeper than the decoder recurses
+        raise ParseError("arrays or objects nested too deeply") from None
+
+
 def _no_nonfinite(token: str):
     raise ParseError(f"non-finite number {token!r} is not allowed")
 
@@ -403,17 +421,14 @@ def _as_int(value, path: str) -> int:
 
 
 def _as_rate(value, path: str) -> float:
-    if isinstance(value, bool):
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise SchemaError(path, "must be a number or decimal string")
-    if isinstance(value, (int, float)):
+    try:
         x = float(value)
-    elif isinstance(value, str):
-        try:
-            x = float(value)
-        except ValueError:
-            raise SchemaError(path, f"not a decimal number: {value!r}") from None
-    else:
-        raise SchemaError(path, "must be a number or decimal string")
+    except ValueError:  # a string that is no number
+        raise SchemaError(path, f"not a decimal number: {value!r}") from None
+    except OverflowError:  # an integer too large for a float
+        raise SchemaError(path, "must be finite") from None
     if not math.isfinite(x):
         raise SchemaError(path, "must be finite")
     return x
@@ -532,18 +547,13 @@ def parse_network(text: str) -> NetworkSpec:
 
     Raises:
         ParseError: text is not valid JSON (the message starts with the
-            line number).
+            line number) or nests too deeply to decode.
         SchemaError: JSON shape or value types are wrong (the message starts
             with the JSON path).
         InputError: any structural invariant fails, including a ``servers``
             value other than 1.
     """
-    try:
-        doc = json.loads(text, parse_constant=_no_nonfinite)
-    except json.JSONDecodeError as e:
-        raise ParseError(e.msg, line=e.lineno) from None
-
-    doc = _as_object(doc, "$")
+    doc = _as_object(_load_json(text, parse_constant=_no_nonfinite), "$")
     _check_keys(doc, "$", _TOP_KEYS, _TOP_KEYS[:3])
 
     items = _as_array(doc["nodes"], "$.nodes")

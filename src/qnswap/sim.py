@@ -169,31 +169,34 @@ class _Draws:
 # -- full network -------------------------------------------------------------
 
 class _NetworkRun:
-    """One replication of the blocking network."""
+    """One replication of the blocking network.
+
+    The run stops at its event budget (event units) or at the first event
+    past its stop time (time units); the other bound is infinite.  An event
+    at ``time >= t_warm`` falls in the measuring window.  In event units
+    ``t_warm`` is the time of the first event past the warm-up share of the
+    budget, or 0 when that share is no event.  ``run`` leaves its totals on
+    the run.
+    """
 
     def __init__(self, spec: NetworkSpec, rng, unit: str, horizon: float,
                  warmup: float):
-        self.unit = unit
-        self.horizon = horizon
         self.draws = _Draws(rng)
 
-        self.ids = list(spec.ids())
-        idx = {i: k for k, i in enumerate(self.ids)}
-        n = len(self.ids)
-        self.cap = [spec.node(i).capacity for i in self.ids]
-        self.mu = [spec.node(i).service_rate for i in self.ids]
-        self.tgt: list[list[int]] = []
-        self.cum: list[list[float]] = []
-        for i in self.ids:
-            row = sorted((j, p) for j, p in spec.routing.row(i).items() if p > 0)
-            self.tgt.append([idx[j] for j, _ in row])
-            acc, cums = 0.0, []
-            for _, p in row:
-                acc += p
-                cums.append(acc)
-            self.cum.append(cums)
-        self.streams = [(idx[i], r) for i, r in sorted(spec.external_arrivals.items())
-                        if r > 0]
+        columns = spec.columns
+        n = len(columns.id)
+        self.cap = columns.capacity.tolist()
+        self.mu = columns.service_rate.tolist()
+        self.arrival_rate = columns.external_rate.tolist()
+        # Routing rows keep their targets in id order; add.accumulate sums
+        # left to right, so the cumulative probabilities are exact prefix sums.
+        rows, cols, probs = spec.routing_triplets
+        used = probs > 0.0
+        cols, probs = cols[used], probs[used]
+        bounds = np.searchsorted(rows[used], np.arange(n + 1)).tolist()
+        self.tgt = [cols[a:b].tolist() for a, b in zip(bounds, bounds[1:])]
+        self.cum = [np.add.accumulate(probs[a:b]).tolist()
+                    for a, b in zip(bounds, bounds[1:])]
 
         self.queue: list[deque] = [deque() for _ in range(n)]
         self.srv_job: list[list | None] = [None] * n
@@ -215,15 +218,16 @@ class _NetworkRun:
         self.hop_sum = 0
 
         if unit == "events":
-            self.budget = int(round(horizon))
+            self.budget, self.stop = int(round(horizon)), math.inf
             if self.budget < 1:
                 raise InputError(f"simulation horizon must be positive, got {horizon!r}")
-            self.warm_events = int(self.budget * warmup)
-            self.t_warm = 0.0 if self.warm_events == 0 else math.inf
+            # the loop sets t_warm when it reaches event number warm_events;
+            # -1 is never reached, so a window open from the start stays at 0
+            warm = int(self.budget * warmup)
+            self.warm_events, self.t_warm = (warm, math.inf) if warm else (-1, 0.0)
         else:
-            self.budget = None
-            self.warm_events = None
-            self.t_warm = warmup * horizon
+            self.budget, self.stop = math.inf, horizon
+            self.warm_events, self.t_warm = -1, warmup * horizon
 
     # -- plumbing --
 
@@ -236,6 +240,10 @@ class _NetworkRun:
 
     def _has_room(self, k: int) -> bool:
         return self._count(k) < self.cap[k]
+
+    def _first_free(self, k: int) -> int | None:
+        """Node k's first routing target, in id order, with room; None if all are full."""
+        return next((d for d in self.tgt[k] if self._has_room(d)), None)
 
     def _close(self, k: int):
         lo = self.last[k]
@@ -281,9 +289,10 @@ class _NetworkRun:
     def _cascade(self):
         """Release blocked jobs, oldest block first, until nothing moves."""
         while self.blocked_set:
+            # (block time, id) keys are distinct: the scan order does not matter
             best = None
-            for m in sorted(self.blocked_set):
-                dest = next((d for d in self.tgt[m] if self._has_room(d)), None)
+            for m in self.blocked_set:
+                dest = self._first_free(m)
                 if dest is None:
                     continue
                 key = (self.block_time[m], m)
@@ -315,79 +324,58 @@ class _NetworkRun:
         cum = self.cum[k]
         if cum and u < cum[-1]:
             j = self.tgt[k][bisect_right(cum, u)]
-            if self._has_room(j):
-                self._transfer(k, j)
-            else:
-                divert = next((d for d in self.tgt[k] if self._has_room(d)), None)
-                if divert is not None:
-                    self._transfer(k, divert)
-                else:
+            if not self._has_room(j):
+                j = self._first_free(k)
+                if j is None:
                     self._close(k)
                     self.srv_blocked[k] = True
                     self.block_time[k] = self.t
                     self.blocked_set.add(k)
                     return  # nothing freed, nothing to cascade
+            self._transfer(k, j)
         else:
             self._depart(k, job)
         self._cascade()
 
     # -- main loop --
 
-    def run(self) -> dict:
-        for k, rate in self.streams:
-            self._push(self.draws.exponential(rate), _ARRIVAL, k)
+    def run(self) -> None:
+        for k, rate in enumerate(self.arrival_rate):
+            if rate > 0:
+                self._push(self.draws.exponential(rate), _ARRIVAL, k)
 
-        processed = 0
-        while True:
-            if self.budget is not None and processed == self.budget:
+        heap, budget, stop, warm = self.heap, self.budget, self.stop, self.warm_events
+        events = 0
+        while events < budget:
+            time, _, kind, node = heap[0]
+            if time > stop:
                 break
-            time, _, kind, node = self.heap[0]
-            if self.budget is None and time > self.horizon:
-                break
-            heapq.heappop(self.heap)
-            if self.warm_events is not None and processed == self.warm_events \
-                    and math.isinf(self.t_warm):
+            heapq.heappop(heap)
+            if events == warm:
                 self.t_warm = time
             self.t = time
-            if self.budget is not None:
-                in_window = processed >= self.warm_events
-            else:
-                in_window = time >= self.t_warm
+            in_window = time >= self.t_warm
             if kind == _ARRIVAL:
                 self._on_arrival(node, in_window)
-                stream_rate = next(r for s, r in self.streams if s == node)
-                self._push(self.t + self.draws.exponential(stream_rate), _ARRIVAL, node)
+                self._push(time + self.draws.exponential(self.arrival_rate[node]),
+                           _ARRIVAL, node)
             else:
                 self._on_complete(node)
-            processed += 1
+            events += 1
+        self.events = events
 
-        t_end = self.horizon if self.budget is None else self.t
-        self.t = t_end
-        for k in range(len(self.ids)):
+        if self.stop < math.inf:  # a time-unit run ends at its horizon
+            self.t = self.stop
+        for k in range(len(self.cap)):
             self._close(k)
-        window = t_end - min(self.t_warm, t_end)
+        self.window = self.t - min(self.t_warm, self.t)
 
-        in_flight = sum(self._count(k) for k in range(len(self.ids)))
-        if in_flight != self.arrivals - self.completed - self.dropped:
+        self.in_flight = sum(self._count(k) for k in range(len(self.cap)))
+        if self.in_flight != self.arrivals - self.completed - self.dropped:
             raise NumericsError(
-                f"flow not conserved: {in_flight} jobs in flight, but"
+                f"flow not conserved: {self.in_flight} jobs in flight, but"
                 f" {self.arrivals} arrivals - {self.completed} completed"
                 f" - {self.dropped} dropped")
-
-        return {
-            "occ_time": self.occ_time,
-            "blocked_t": self.blocked_t,
-            "window": window,
-            "events": processed,
-            "arrivals": self.arrivals,
-            "completed": self.completed,
-            "dropped": self.dropped,
-            "in_flight": in_flight,
-            "arrivals_w": self.arrivals_w,
-            "dropped_w": self.dropped_w,
-            "resp": (self.resp_n, self.resp_sum, self.resp_sq),
-            "hop_sum": self.hop_sum,
-        }
 
 
 def simulate_blocking_network(spec: NetworkSpec, config: SimConfig) -> SimResult:
@@ -396,64 +384,56 @@ def simulate_blocking_network(spec: NetworkSpec, config: SimConfig) -> SimResult
     See the module docstring for the blocking, diversion, and drop rules.  Identical (spec, config) pairs
     produce identical results.
     """
-    reps = []
+    runs = []
     for rep in range(config.replications):
         run = _NetworkRun(spec, _rep_rng(config.seed, rep), config.unit,
                           config.horizon, config.warmup_fraction)
-        reps.append(run.run())
+        run.run()
+        runs.append(run)
 
-    ids = list(spec.ids())
-    window = sum(r["window"] for r in reps)
+    def total(name: str):
+        return sum(getattr(r, name) for r in runs)
+
+    window = total("window")
     if window <= 0:
         raise InputError(
             f"simulation horizon must be positive, got {config.horizon!r}")
 
     nodes = []
     mean_jobs_total = 0.0
-    for k, i in enumerate(ids):
-        cap = spec.node(i).capacity
-        occ = [0.0] * (cap + 1)
-        blocked = 0.0
-        for r in reps:
-            for n_jobs in range(cap + 1):
-                occ[n_jobs] += r["occ_time"][k][n_jobs]
-            blocked += r["blocked_t"][k]
-        fractions = tuple(x / window for x in occ)
+    for k, (i, cap) in enumerate(zip(spec.columns.id.tolist(),
+                                     spec.columns.capacity.tolist())):
+        fractions = tuple(sum(r.occ_time[k][n_jobs] for r in runs) / window
+                          for n_jobs in range(cap + 1))
         mean_jobs = sum(n_jobs * f for n_jobs, f in enumerate(fractions))
         mean_jobs_total += mean_jobs
         nodes.append(NodeStats(
             node=i,
             occupancy=fractions,
-            blocked_fraction=blocked / window,
+            blocked_fraction=sum(r.blocked_t[k] for r in runs) / window,
             mean_jobs=mean_jobs,
         ))
 
-    resp_n = sum(r["resp"][0] for r in reps)
-    resp_sum = sum(r["resp"][1] for r in reps)
-    resp_sq = sum(r["resp"][2] for r in reps)
+    resp_n, resp_sum, resp_sq = total("resp_n"), total("resp_sum"), total("resp_sq")
     response_mean = resp_sum / resp_n if resp_n else None
     response_stderr = None
     if resp_n > 1:
         var = max(0.0, (resp_sq - resp_n * (resp_sum / resp_n) ** 2) / (resp_n - 1))
         response_stderr = math.sqrt(var / resp_n)
-    hop_sum = sum(r["hop_sum"] for r in reps)
-    mean_hops = hop_sum / resp_n if resp_n else None
-
-    arrivals_w = sum(r["arrivals_w"] for r in reps)
-    dropped_w = sum(r["dropped_w"] for r in reps)
+    arrivals_w = total("arrivals_w")
 
     return SimResult(
-        events=sum(r["events"] for r in reps),
+        events=total("events"),
         duration=window,
         replications=config.replications,
         nodes=tuple(nodes),
         mean_jobs=mean_jobs_total,
-        arrivals=sum(r["arrivals"] for r in reps),
-        completed=sum(r["completed"] for r in reps),
-        dropped=sum(r["dropped"] for r in reps),
-        in_flight=sum(r["in_flight"] for r in reps),
-        drop_fraction=dropped_w / arrivals_w if arrivals_w else None,
+        arrivals=total("arrivals"),
+        completed=total("completed"),
+        dropped=total("dropped"),
+        in_flight=total("in_flight"),
+        drop_fraction=total("dropped_w") / arrivals_w if arrivals_w else None,
         response_mean=response_mean,
         response_stderr=response_stderr,
-        mean_hops=mean_hops,
+        mean_hops=total("hop_sum") / resp_n if resp_n else None,
     )

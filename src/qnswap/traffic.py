@@ -65,16 +65,6 @@ def total_external_rate(spec: NetworkSpec) -> float:
     return float(sum(spec.external_arrivals.values()))
 
 
-def _external(spec: NetworkSpec):
-    """Node ids, their positions, and the external rates lam0 by position."""
-    ids = spec.ids()
-    index = {i: k for k, i in enumerate(ids)}
-    lam0 = np.zeros(len(ids))
-    for i, r in spec.external_arrivals.items():
-        lam0[index[i]] = r
-    return ids, index, lam0
-
-
 def _inflow(rows, cols, probs, lam, n: int) -> np.ndarray:
     """``P^T lam``: the rate routed into each of the n nodes."""
     return np.bincount(cols, weights=probs * lam[rows], minlength=n)
@@ -163,7 +153,7 @@ def _undrained(spec: NetworkSpec, pinned: np.ndarray) -> list[int]:
     """Unpinned nodes with no routing path out of the network or to a pinned node.
 
     A node drains if its exit probability exceeds ``ROW_SUM_TOL``, if it is
-    pinned (``pinned`` flags positions in ``spec.ids()``), or if it routes
+    pinned (``pinned`` flags node positions), or if it routes
     with positive probability to a node that drains.  One reverse search
     from the draining nodes, O(nodes + edges).
     """
@@ -180,18 +170,18 @@ def _undrained(spec: NetworkSpec, pinned: np.ndarray) -> list[int]:
             if not drains[i]:
                 drains[i] = True
                 stack.append(i)
-    return [i for i, drained in zip(spec.ids(), drains) if not drained]
+    return [i for i, drained in zip(spec.columns.id.tolist(), drains) if not drained]
 
 
-def _check_residual(lam, lam0, rows, cols, probs, pinned, known) -> None:
+def _check_residual(lam, lam0, rows, cols, probs, pinned) -> None:
     """Raise unless ``lam`` balances every unpinned node.
 
     The residual may be at most ``RESIDUAL_TOL`` times the largest external
-    or pinned rate; a NaN residual fails too.
+    or pinned rate (``lam`` holds the pinned rates); a NaN residual fails too.
     """
     residual = (lam - (lam0 + _inflow(rows, cols, probs, lam, len(lam))))[~pinned]
     if residual.size:
-        scale = max(float(np.max(lam0)), max(known.values(), default=0.0))
+        scale = max(float(np.max(lam0)), float(np.max(lam[pinned], initial=0.0)))
         worst = float(np.max(np.abs(residual)))
         if not worst <= RESIDUAL_TOL * scale:  # also rejects NaN
             raise NumericsError(
@@ -217,21 +207,17 @@ def solve_traffic(spec: NetworkSpec) -> ArrivalRates:
             not finite, or its residual exceeds ``RESIDUAL_TOL`` times the
             largest external or pinned rate.
     """
-    ids, index, lam0 = _external(spec)
+    lam0, known = spec.columns.external_rate, spec.columns.known_rate
     rows, cols, probs = spec.routing_triplets
-    n = len(ids)
-    known = dict(spec.known_arrival_rates or {})
-    pinned = np.zeros(n, dtype=bool)
-    pinned[[index[i] for i in known]] = True
+    n = len(lam0)
+    pinned = ~np.isnan(known)
 
     closed = _undrained(spec, pinned)
     if closed:
         raise NumericsError(
             f"traffic equations are singular: nodes {closed} have no routing"
             " path to an exit or a pinned rate")
-    lam = np.zeros(n)
-    for i, r in known.items():
-        lam[index[i]] = r
+    lam = np.where(pinned, known, 0.0)
     # Pinned rates are inputs: they reach the free nodes as right-hand side.
     free = np.flatnonzero(~pinned)
     rhs = (lam0 + _inflow(rows, cols, probs, lam, n))[free]
@@ -250,8 +236,8 @@ def solve_traffic(spec: NetworkSpec) -> ArrivalRates:
 
     # Rounding in the solve can leave rates a hair below zero.
     lam = np.where((lam < 0) & (lam > -1e-12), 0.0, lam)
-    _check_residual(lam, lam0, rows, cols, probs, pinned, known)
+    _check_residual(lam, lam0, rows, cols, probs, pinned)
     return ArrivalRates(
-        rates=dict(zip(ids, lam.tolist())),
+        rates=dict(zip(spec.columns.id.tolist(), lam.tolist())),
         total_external=total_external_rate(spec),
     )

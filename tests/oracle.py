@@ -441,9 +441,13 @@ def fixed_point_traffic(spec, tol: float = 1e-12, max_iter: int = 100_000,
         NumericsError: no convergence within ``max_iter`` steps (a closed
             subnetwork never drains), or the residual check fails.
     """
-    ids, index, lam0 = traffic._external(spec)
-    rows, cols, probs = spec.routing_triplets
+    ids = spec.ids()
+    index = {i: k for k, i in enumerate(ids)}
     n = len(ids)
+    lam0 = np.zeros(n)
+    for i, r in spec.external_arrivals.items():
+        lam0[index[i]] = r
+    rows, cols, probs = spec.routing_triplets
     known = dict(spec.known_arrival_rates or {})
     pinned = np.zeros(n, dtype=bool)
     pinned[[index[i] for i in known]] = True
@@ -468,7 +472,7 @@ def fixed_point_traffic(spec, tol: float = 1e-12, max_iter: int = 100_000,
         )
 
     lam = np.where((lam < 0) & (lam > -1e-12), 0.0, lam)
-    traffic._check_residual(lam, lam0, rows, cols, probs, pinned, known)
+    traffic._check_residual(lam, lam0, rows, cols, probs, pinned)
     return ArrivalRates(
         rates={i: float(lam[index[i]]) for i in ids},
         total_external=traffic.total_external_rate(spec),
@@ -507,17 +511,14 @@ def _scalar_int(value, path: str) -> int:
 
 
 def _scalar_rate(value, path: str) -> float:
-    if isinstance(value, bool):
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise SchemaError(path, "must be a number or decimal string")
-    if isinstance(value, (int, float)):
+    try:
         x = float(value)
-    elif isinstance(value, str):
-        try:
-            x = float(value)
-        except ValueError:
-            raise SchemaError(path, f"not a decimal number: {value!r}") from None
-    else:
-        raise SchemaError(path, "must be a number or decimal string")
+    except ValueError:  # a string that is no number
+        raise SchemaError(path, f"not a decimal number: {value!r}") from None
+    except OverflowError:  # an integer too large for a float
+        raise SchemaError(path, "must be finite") from None
     if not math.isfinite(x):
         raise SchemaError(path, "must be finite")
     return x

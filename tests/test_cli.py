@@ -340,6 +340,29 @@ class TestExitCodes:
         assert error["error"] == "NumericsError"
         assert error["message"].startswith("traffic equations are singular: nodes [2, 3]")
 
+    @pytest.mark.parametrize("command", [["validate"], ["analyze"],
+                                         ["simulate", "--horizon", "10"]])
+    @pytest.mark.parametrize("name, error, message", [
+        ("mu_overflows_float", "SchemaError", "$.nodes[2].mu: must be finite"),
+        ("nested_too_deeply", "ParseError", "arrays or objects nested too deeply"),
+    ])
+    def test_undecodable_document_is_an_input_error(self, capsys, tmp_path, command,
+                                                    name, error, message):
+        # an integer too large for a float and nesting deeper than the JSON
+        # decoder recurses used to escape as Python tracebacks
+        if name == "mu_overflows_float":
+            doc = json.loads(serialize_network(munoz15_fixture()))
+            doc["nodes"][2]["mu"] = 10 ** 400
+            text = json.dumps(doc)
+        else:
+            text = "[" * 100_000
+        path = tmp_path / "net.json"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(capsys, *command, "--network", str(path))
+        assert code == 2
+        assert out == ""
+        assert json.loads(err) == {"error": error, "message": message}
+
     def test_usage_error_exit_code(self, capsys):
         code, out, err = run_cli(capsys, "frobnicate")
         assert code == 4

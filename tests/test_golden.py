@@ -5,18 +5,21 @@ written by the CLI before the traffic and steady-state solves moved to
 LAPACK, and the emitted fixture document before network specs were checked
 on construction; the ``--subset``, ``--round 3`` and 6x6 lattice outputs
 before the analysis became one pass over node columns; the ``--round 4``
-JSON before the analyze JSON was printed from columns.  Any refactor that
-changes a printed byte of these outputs shows up here.  Regenerate them only
-for a deliberate change of output, and record that change.
+JSON before the analyze JSON was printed from columns; the event-unit
+simulator runs, which the CLI cannot select, before the simulator read the
+spec's columns.  Any refactor that changes a printed byte of these outputs
+shows up here.  Regenerate them only for a deliberate change of output, and
+record that change.
 
 A case runs on the munoz15 document unless its arguments name a network.
 """
 
+import json
 from pathlib import Path
 
 import pytest
 
-from qnswap import cli
+from qnswap import InputError, SimConfig, cli, munoz15_fixture, simulate_blocking_network
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -63,3 +66,33 @@ def test_output_matches_golden_bytes(name, munoz15_file, capsys, monkeypatch):
     assert code == 0
     assert captured.err == ""
     assert captured.out.encode("utf-8") == (GOLDEN / name).read_bytes()
+
+
+# munoz15 simulator runs at seed 11, by SimConfig arguments; the last one
+# leaves an empty measuring window and records the error message.
+SIM_CASES = {
+    "events_1": dict(horizon=1, unit="events"),
+    "events_7_no_warmup": dict(horizon=7, unit="events", warmup_fraction=0.0),
+    "events_3000_reps2": dict(horizon=3000, unit="events", replications=2),
+    "time_500_reps3": dict(horizon=500.0, replications=3),
+    "events_2_half_warmup": dict(horizon=2, unit="events", warmup_fraction=0.5),
+}
+
+
+def sim_document() -> str:
+    out = {}
+    for name, kwargs in SIM_CASES.items():
+        try:
+            result = simulate_blocking_network(munoz15_fixture(), SimConfig(seed=11, **kwargs))
+        except InputError as e:
+            out[name] = {"InputError": str(e)}
+        else:
+            out[name] = result.to_jsonable()
+    return json.dumps(out, indent=2, sort_keys=True) + "\n"
+
+
+def test_simulator_runs_match_golden_bytes():
+    document = sim_document()
+    assert json.loads(document)["events_2_half_warmup"] == {
+        "InputError": "simulation horizon must be positive, got 2"}
+    assert document.encode("utf-8") == (GOLDEN / "sim_event_units.json").read_bytes()

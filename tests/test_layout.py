@@ -68,6 +68,27 @@ class TestParseLayout:
         with pytest.raises(SchemaError, match="duplicate"):
             parse_layout(json.dumps(doc))
 
+    @pytest.mark.parametrize("section, value, message", [
+        ("edges", 5, "$.edges: must be an array"),
+        ("queues", 5, "$.queues: must be an array"),
+        ("queues", {"a": 1}, "$.queues: must be an array"),
+        ("queues", [["s", "source", 4]], "$.queues[0]: must be an object"),
+        ("queues", [{"site": "s", "role": "source", "capacity": 4, "x": 0}],
+         "$.queues[0].x: unknown key"),
+        ("queues", [{"capacity": 4}], "$.queues[0]: missing required key 'site'"),
+        ("queues", [{"site": "s", "capacity": 4}], "$.queues[0]: missing required key 'role'"),
+    ])
+    def test_shape_errors_name_the_path(self, section, value, message):
+        doc = json.loads(GRID)
+        doc[section] = value
+        with pytest.raises(SchemaError) as caught:
+            parse_layout(json.dumps(doc))
+        assert str(caught.value) == message
+
+    def test_deep_nesting_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse_layout("[" * 100_000)
+
     def test_disconnected_layout(self):
         doc = json.loads(GRID)
         doc["sites"].append("island")

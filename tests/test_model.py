@@ -1,6 +1,7 @@
 """Network description: construction, validation, and file round-trips."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -165,7 +166,13 @@ class TestValidation:
 class TestColumns:
     def test_columns_follow_the_nodes(self, fixture_spec):
         rng = np.random.default_rng(5)
-        for spec in [fixture_spec] + [random_open_network(rng) for _ in range(10)]:
+        specs = [fixture_spec] + [random_open_network(rng) for _ in range(10)]
+        # the random networks again, each with a random set of nodes pinned
+        specs += [NetworkSpec(spec.nodes, spec.routing, spec.external_arrivals,
+                              {i: float(rng.uniform(0.0, 2.0))
+                               for i in spec.ids() if rng.random() < 0.4})
+                  for spec in specs[1:]]
+        for spec in specs:
             cols = spec.columns
             assert cols.id.tolist() == list(spec.ids())
             assert cols.kind.tolist() == [KIND_CODES[n.kind] for n in spec.nodes]
@@ -175,8 +182,16 @@ class TestColumns:
             # the row sums add in the order routing.row_sum adds: same bits
             assert cols.exit_probability.tolist() == [
                 max(0.0, min(1.0, 1.0 - spec.routing.row_sum(i))) for i in spec.ids()]
+            # bit for bit, NaN exactly where a node is not pinned
+            known = spec.known_arrival_rates or {}
+            assert cols.external_rate.tobytes() == np.array(
+                [spec.external_arrivals.get(i, 0.0) for i in spec.ids()]).tobytes()
+            assert cols.known_rate.tobytes() == np.array(
+                [known.get(i, math.nan) for i in spec.ids()]).tobytes()
+            assert np.isnan(cols.known_rate).tolist() == [i not in known for i in spec.ids()]
 
     def test_columns_and_triplets_are_read_only(self, fixture_spec):
+        assert fixture_spec.columns._fields[-2:] == ("external_rate", "known_rate")
         for a in (*fixture_spec.columns, *fixture_spec.routing_triplets):
             with pytest.raises(ValueError):
                 a[0] = 0

@@ -91,7 +91,7 @@ ITEM_FAULTS = {
     "mu_null": ("nodes", _set("mu", None)),
     "mu_inf_string": ("nodes", _set("mu", "inf")),
     "mu_nan_string": ("nodes", _set("mu", "nan")),
-    "mu_overflows_float": ("nodes", _set("mu", 10 ** 400)),
+    "mu_overflows_float": ("nodes", _set("mu", 10 ** 400)),  # not finite as a float
     "mu_b_word": ("nodes", _set("mu_b", "slow")),
     "mu_b_inf_string": ("nodes", _set("mu_b", "-inf")),
     "id_zero": ("nodes", _set("id", 0)),

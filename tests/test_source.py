@@ -83,3 +83,31 @@ def test_one_traffic_method():
     from qnswap import solve_traffic
 
     assert list(inspect.signature(solve_traffic).parameters) == ["spec"]
+
+
+def _lookup_calls(path):
+    """Lines of ``.node(``, ``.ids(`` and ``routing.row(`` calls in a module."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            func = node.func
+            if func.attr in ("node", "ids") or (
+                    func.attr == "row" and isinstance(func.value, ast.Attribute)
+                    and func.value.attr == "routing"):
+                found.append((func.attr, node.lineno))
+    return found
+
+
+@pytest.mark.parametrize("name", ["sim.py", "traffic.py"])
+def test_solvers_read_the_spec_columns(name):
+    # the simulator and the traffic solve read NetworkSpec.columns and
+    # routing_triplets; the per-node lookups stay as the scalar references
+    # the columns are tested against
+    assert _lookup_calls(SRC / name) == []
+
+
+def test_traffic_builds_no_external_table():
+    from qnswap import traffic
+
+    assert not hasattr(traffic, "_external")
