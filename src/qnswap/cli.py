@@ -14,6 +14,7 @@ same inputs produce byte-identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -41,7 +42,9 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built on the first call; parsing leaves it unchanged."""
     parser = _Parser(
         prog="qnswap",
         description="Analyze and simulate open blocking queueing networks.",

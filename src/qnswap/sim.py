@@ -12,6 +12,12 @@ frees a slot; contending blocked jobs release in the order they blocked
 (ties broken by lower node id), and releases cascade until no blocked job
 can move.  External arrivals to a full node are dropped and counted.
 
+Deadlock: when a job blocks and every node reachable from its node along
+the routing has a blocked server, no node in that set can ever free a slot
+again.  The run then raises ``NumericsError`` (exit 3 from the CLI) naming
+the simulated time and the nodes, instead of returning numbers from a
+network that has stopped.
+
 Determinism: every replication draws from its own stream derived from
 ``SeedSequence(seed).spawn``-style keys, events are ordered by
 ``(time, insertion sequence)``, and all iteration orders are fixed, so a
@@ -22,9 +28,11 @@ from __future__ import annotations
 
 import heapq
 import math
+from array import array
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -33,11 +41,6 @@ from .model import NetworkSpec
 
 _ARRIVAL = 0
 _COMPLETE = 1
-
-# job record layout
-_ENTRY = 0
-_HOPS = 1
-_IN_WINDOW = 2
 
 
 @dataclass(frozen=True)
@@ -138,32 +141,50 @@ def _rep_rng(seed: int, rep: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(rep,)))
 
 
-class _Draws:
-    """Buffered scalar draws; consumption order is part of the contract."""
+_CHUNK = 8192  # draws per refill; the chunk size is part of the draw order
 
-    def __init__(self, rng: np.random.Generator, chunk: int = 8192):
-        self._rng = rng
-        self._chunk = chunk
-        self._exp = rng.exponential(size=chunk)
-        self._ei = 0
-        self._uni = rng.random(size=chunk)
-        self._ui = 0
 
-    def exponential(self, rate: float) -> float:
-        if self._ei == self._chunk:
-            self._exp = self._rng.exponential(size=self._chunk)
-            self._ei = 0
-        v = float(self._exp[self._ei])
-        self._ei += 1
-        return v / rate
+def _chunks(draw, first: array):
+    """``first``, then fresh ``draw(size=_CHUNK)`` chunks as ``array('d')``.
 
-    def uniform(self) -> float:
-        if self._ui == self._chunk:
-            self._uni = self._rng.random(size=self._chunk)
-            self._ui = 0
-        v = float(self._uni[self._ui])
-        self._ui += 1
-        return v
+    An array makes each Python float only when it is read, so a chunk costs
+    64 KiB and no float objects; nothing here keeps a yielded chunk, so the
+    consumer holds one at a time.
+    """
+    yield first
+    del first
+    while True:
+        yield array("d", draw(size=_CHUNK).tobytes())
+
+
+def _check_conservation(in_flight: int, arrivals: int, completed: int,
+                        dropped: int) -> None:
+    """Raise NumericsError unless every arrival is completed, dropped or held."""
+    if in_flight != arrivals - completed - dropped:
+        raise NumericsError(
+            f"flow not conserved: {in_flight} jobs in flight, but"
+            f" {arrivals} arrivals - {completed} completed"
+            f" - {dropped} dropped")
+
+
+def _stuck_nodes(k: int, tgt: list, blocked: list) -> list[int] | None:
+    """Nodes reachable from blocked node k if every one has a blocked server.
+
+    A blocked server waits for room at one of its targets, and after each
+    cascade every blocked node's targets are full.  So when all the nodes
+    reachable from k are blocked, none of them can free a slot again: the
+    run is deadlocked.  Returns None when some reachable node is not blocked.
+    """
+    seen = {k}
+    stack = [k]
+    while stack:
+        for d in tgt[stack.pop()]:
+            if d not in seen:
+                if not blocked[d]:
+                    return None
+                seen.add(d)
+                stack.append(d)
+    return sorted(seen)
 
 
 # -- full network -------------------------------------------------------------
@@ -181,10 +202,14 @@ class _NetworkRun:
 
     def __init__(self, spec: NetworkSpec, rng, unit: str, horizon: float,
                  warmup: float):
-        self.draws = _Draws(rng)
+        # the first exponential chunk is drawn before the first uniform one
+        self.exp_chunks = _chunks(rng.exponential,
+                                  array("d", rng.exponential(size=_CHUNK).tobytes()))
+        self.uni_chunks = _chunks(rng.random, array("d", rng.random(size=_CHUNK).tobytes()))
 
         columns = spec.columns
         n = len(columns.id)
+        self.ids = columns.id.tolist()
         self.cap = columns.capacity.tolist()
         self.mu = columns.service_rate.tolist()
         self.arrival_rate = columns.external_rate.tolist()
@@ -198,25 +223,6 @@ class _NetworkRun:
         self.cum = [np.add.accumulate(probs[a:b]).tolist()
                     for a, b in zip(bounds, bounds[1:])]
 
-        self.queue: list[deque] = [deque() for _ in range(n)]
-        self.srv_job: list[list | None] = [None] * n
-        self.srv_blocked = [False] * n
-        self.block_time = [0.0] * n
-        self.blocked_set: set[int] = set()
-
-        self.occ_time = [[0.0] * (self.cap[k] + 1) for k in range(n)]
-        self.blocked_t = [0.0] * n
-        self.last = [0.0] * n
-
-        self.t = 0.0
-        self.seq = 0
-        self.heap: list = []
-        self.arrivals = self.completed = self.dropped = 0
-        self.arrivals_w = self.dropped_w = 0
-        self.resp_n = 0
-        self.resp_sum = self.resp_sq = 0.0
-        self.hop_sum = 0
-
         if unit == "events":
             self.budget, self.stop = int(round(horizon)), math.inf
             if self.budget < 1:
@@ -229,153 +235,221 @@ class _NetworkRun:
             self.budget, self.stop = math.inf, horizon
             self.warm_events, self.t_warm = -1, warmup * horizon
 
-    # -- plumbing --
-
-    def _push(self, time: float, kind: int, node: int):
-        heapq.heappush(self.heap, (time, self.seq, kind, node))
-        self.seq += 1
-
-    def _count(self, k: int) -> int:
-        return len(self.queue[k]) + (1 if self.srv_job[k] is not None else 0)
-
-    def _has_room(self, k: int) -> bool:
-        return self._count(k) < self.cap[k]
-
-    def _first_free(self, k: int) -> int | None:
-        """Node k's first routing target, in id order, with room; None if all are full."""
-        return next((d for d in self.tgt[k] if self._has_room(d)), None)
-
-    def _close(self, k: int):
-        lo = self.last[k]
-        if self.t_warm > lo:
-            lo = self.t_warm
-        if self.t > lo:
-            self.occ_time[k][self._count(k)] += self.t - lo
-            if self.srv_blocked[k]:
-                self.blocked_t[k] += self.t - lo
-        self.last[k] = self.t
-
-    def _try_start(self, k: int):
-        if self.srv_job[k] is None and self.queue[k]:
-            self.srv_job[k] = self.queue[k].popleft()
-            self._push(self.t + self.draws.exponential(self.mu[k]), _COMPLETE, k)
-
-    def _transfer(self, k: int, j: int):
-        """Move the job on node k's server into node j's buffer."""
-        job = self.srv_job[k]
-        self._close(k)
-        self._close(j)
-        self.srv_job[k] = None
-        if self.srv_blocked[k]:
-            self.srv_blocked[k] = False
-            self.blocked_set.discard(k)
-        job[_HOPS] += 1
-        self.queue[j].append(job)
-        self._try_start(j)
-        self._try_start(k)
-
-    def _depart(self, k: int, job: list):
-        self._close(k)
-        self.srv_job[k] = None
-        self.completed += 1
-        if job[_IN_WINDOW]:
-            r = self.t - job[_ENTRY]
-            self.resp_n += 1
-            self.resp_sum += r
-            self.resp_sq += r * r
-            self.hop_sum += job[_HOPS]
-        self._try_start(k)
-
-    def _cascade(self):
-        """Release blocked jobs, oldest block first, until nothing moves."""
-        while self.blocked_set:
-            # (block time, id) keys are distinct: the scan order does not matter
-            best = None
-            for m in self.blocked_set:
-                dest = self._first_free(m)
-                if dest is None:
-                    continue
-                key = (self.block_time[m], m)
-                if best is None or key < best[0]:
-                    best = (key, m, dest)
-            if best is None:
-                return
-            _, m, dest = best
-            self._transfer(m, dest)
-
-    # -- event handlers --
-
-    def _on_arrival(self, k: int, in_window: bool):
-        self.arrivals += 1
-        if in_window:
-            self.arrivals_w += 1
-        if self._has_room(k):
-            self._close(k)
-            self.queue[k].append([self.t, 0, in_window])
-            self._try_start(k)
-        else:
-            self.dropped += 1
-            if in_window:
-                self.dropped_w += 1
-
-    def _on_complete(self, k: int):
-        job = self.srv_job[k]
-        u = self.draws.uniform()
-        cum = self.cum[k]
-        if cum and u < cum[-1]:
-            j = self.tgt[k][bisect_right(cum, u)]
-            if not self._has_room(j):
-                j = self._first_free(k)
-                if j is None:
-                    self._close(k)
-                    self.srv_blocked[k] = True
-                    self.block_time[k] = self.t
-                    self.blocked_set.add(k)
-                    return  # nothing freed, nothing to cascade
-            self._transfer(k, j)
-        else:
-            self._depart(k, job)
-        self._cascade()
-
-    # -- main loop --
-
     def run(self) -> None:
-        for k, rate in enumerate(self.arrival_rate):
-            if rate > 0:
-                self._push(self.draws.exponential(rate), _ARRIVAL, k)
+        """Run the event loop; every handler is inlined on flat per-node lists.
 
-        heap, budget, stop, warm = self.heap, self.budget, self.stop, self.warm_events
+        A node's state: ``queue`` (jobs waiting, a deque), ``srv`` (the job on
+        the server or None), ``cnt`` (jobs held, queue plus server), ``blk``
+        (server blocked), ``btime`` (when it blocked).  Statistics: ``occ``
+        (time at each job count), ``blocked_t`` and ``last`` (time of the last
+        change).  A job is ``[entry time, hops, in window]``.  An idle server
+        always has an empty queue, so a job reaching an idle node starts at
+        once.  Every time a node's count or blocked flag changes, its time
+        since ``last`` is first added to its statistics ("closing" it).
+
+        Draw order is part of the contract: an arrival starts service before
+        it schedules the next arrival, and a transfer starts the target's
+        server before the source's.
+        """
+        cap, mu, tgt, cum = self.cap, self.mu, self.tgt, self.cum
+        rate = self.arrival_rate
+        n = len(cap)
+        cut = [c[-1] if c else 0.0 for c in cum]  # P(route onward)
+        queue = [deque() for _ in range(n)]
+        srv: list = [None] * n
+        cnt = [0] * n
+        blk = [False] * n
+        btime = [0.0] * n
+        blocked: list[int] = []  # blocked nodes by (block time, id)
+        occ = [[0.0] * (c + 1) for c in cap]
+        blocked_t = [0.0] * n
+        last = [0.0] * n
+
+        exp = chain.from_iterable(self.exp_chunks).__next__
+        uni = chain.from_iterable(self.uni_chunks).__next__
+        heap: list = []
+        push, pop, bisect = heapq.heappush, heapq.heappop, bisect_right
+        ARRIVAL, COMPLETE = _ARRIVAL, _COMPLETE
+        seq = 0
+        for k, r in enumerate(rate):
+            if r > 0:
+                push(heap, (exp() / r, seq, ARRIVAL, k))
+                seq += 1
+
+        budget, stop, warm, t_warm = self.budget, self.stop, self.warm_events, self.t_warm
+        arrivals = completed = dropped = arrivals_w = dropped_w = 0
+        resp_n = hop_sum = 0
+        resp_sum = resp_sq = 0.0
         events = 0
+        time = 0.0
         while events < budget:
-            time, _, kind, node = heap[0]
+            time, _, kind, k = pop(heap)
             if time > stop:
                 break
-            heapq.heappop(heap)
             if events == warm:
-                self.t_warm = time
-            self.t = time
-            in_window = time >= self.t_warm
-            if kind == _ARRIVAL:
-                self._on_arrival(node, in_window)
-                self._push(time + self.draws.exponential(self.arrival_rate[node]),
-                           _ARRIVAL, node)
-            else:
-                self._on_complete(node)
+                t_warm = time
             events += 1
+
+            if kind == ARRIVAL:
+                in_window = time >= t_warm
+                arrivals += 1
+                if in_window:
+                    arrivals_w += 1
+                c = cnt[k]
+                if c < cap[k]:
+                    lo = last[k]
+                    if t_warm > lo:
+                        lo = t_warm
+                    if time > lo:
+                        occ[k][c] += time - lo
+                        if blk[k]:
+                            blocked_t[k] += time - lo
+                    last[k] = time
+                    cnt[k] = c + 1
+                    job = [time, 0, in_window]
+                    if srv[k] is None:
+                        srv[k] = job
+                        push(heap, (time + exp() / mu[k], seq, COMPLETE, k))
+                        seq += 1
+                    else:
+                        queue[k].append(job)
+                else:
+                    dropped += 1
+                    if in_window:
+                        dropped_w += 1
+                push(heap, (time + exp() / rate[k], seq, ARRIVAL, k))
+                seq += 1
+                continue
+
+            # a completion at k; close k first: every outcome changes it
+            lo = last[k]
+            if t_warm > lo:
+                lo = t_warm
+            if time > lo:
+                occ[k][cnt[k]] += time - lo
+            last[k] = time
+            u = uni()
+            if u < cut[k]:
+                dests = tgt[k]
+                d = dests[bisect(cum[k], u)]
+                if cnt[d] >= cap[d]:
+                    for d in dests:  # divert to the first target with room
+                        if cnt[d] < cap[d]:
+                            break
+                    else:
+                        blk[k] = True
+                        btime[k] = time
+                        i = len(blocked)
+                        while i and btime[blocked[i - 1]] == time and blocked[i - 1] > k:
+                            i -= 1
+                        blocked.insert(i, k)
+                        stuck = _stuck_nodes(k, tgt, blk)
+                        if stuck is not None:
+                            ids = self.ids
+                            raise NumericsError(
+                                f"deadlock at simulated time {time!r}: every server"
+                                f" among nodes {[ids[m] for m in stuck]} is blocked,"
+                                " waiting for room only these nodes can free")
+                        continue  # nothing freed, nothing to cascade
+            else:
+                job = srv[k]
+                cnt[k] -= 1
+                completed += 1
+                if job[2]:
+                    r = time - job[0]
+                    resp_n += 1
+                    resp_sum += r
+                    resp_sq += r * r
+                    hop_sum += job[1]
+                q = queue[k]
+                if q:
+                    srv[k] = q.popleft()
+                    push(heap, (time + exp() / mu[k], seq, COMPLETE, k))
+                    seq += 1
+                else:
+                    srv[k] = None
+                if not blocked:
+                    continue
+                d = -1
+
+            # Move k's job to d (when d >= 0), then release blocked jobs,
+            # oldest block first, until nothing moves.  k is already closed.
+            while True:
+                if d >= 0:
+                    if d != k:
+                        lo = last[d]
+                        if t_warm > lo:
+                            lo = t_warm
+                        if time > lo:
+                            occ[d][cnt[d]] += time - lo
+                            if blk[d]:
+                                blocked_t[d] += time - lo
+                        last[d] = time
+                    if blk[k]:
+                        blk[k] = False
+                        blocked.remove(k)
+                    job = srv[k]
+                    job[1] += 1
+                    cnt[k] -= 1
+                    cnt[d] += 1
+                    q = queue[k]
+                    if d == k:  # a self-loop re-queues behind its own buffer
+                        q.append(job)
+                        srv[k] = q.popleft()
+                        push(heap, (time + exp() / mu[k], seq, COMPLETE, k))
+                        seq += 1
+                    else:
+                        if srv[d] is None:
+                            srv[d] = job
+                            push(heap, (time + exp() / mu[d], seq, COMPLETE, d))
+                            seq += 1
+                        else:
+                            queue[d].append(job)
+                        if q:
+                            srv[k] = q.popleft()
+                            push(heap, (time + exp() / mu[k], seq, COMPLETE, k))
+                            seq += 1
+                        else:
+                            srv[k] = None
+                d = -1
+                for k in blocked:
+                    for d in tgt[k]:
+                        if cnt[d] < cap[d]:
+                            break
+                    else:
+                        d = -1
+                    if d >= 0:
+                        break
+                if d < 0:
+                    break
+                lo = last[k]  # close the released node
+                if t_warm > lo:
+                    lo = t_warm
+                if time > lo:
+                    occ[k][cnt[k]] += time - lo
+                    blocked_t[k] += time - lo
+                last[k] = time
         self.events = events
 
-        if self.stop < math.inf:  # a time-unit run ends at its horizon
-            self.t = self.stop
-        for k in range(len(self.cap)):
-            self._close(k)
-        self.window = self.t - min(self.t_warm, self.t)
+        if stop < math.inf:  # a time-unit run ends at its horizon
+            time = stop
+        for k in range(n):
+            lo = last[k]
+            if t_warm > lo:
+                lo = t_warm
+            if time > lo:
+                occ[k][cnt[k]] += time - lo
+                if blk[k]:
+                    blocked_t[k] += time - lo
+        self.window = time - min(t_warm, time)
+        self.occ_time, self.blocked_t = occ, blocked_t
+        self.arrivals, self.completed, self.dropped = arrivals, completed, dropped
+        self.arrivals_w, self.dropped_w = arrivals_w, dropped_w
+        self.resp_n, self.resp_sum, self.resp_sq, self.hop_sum = (
+            resp_n, resp_sum, resp_sq, hop_sum)
 
-        self.in_flight = sum(self._count(k) for k in range(len(self.cap)))
-        if self.in_flight != self.arrivals - self.completed - self.dropped:
-            raise NumericsError(
-                f"flow not conserved: {self.in_flight} jobs in flight, but"
-                f" {self.arrivals} arrivals - {self.completed} completed"
-                f" - {self.dropped} dropped")
+        self.in_flight = sum(map(len, queue)) + n - srv.count(None)
+        _check_conservation(self.in_flight, arrivals, completed, dropped)
 
 
 def simulate_blocking_network(spec: NetworkSpec, config: SimConfig) -> SimResult:

@@ -62,6 +62,35 @@ def single_queue_spec(arrival_rate: float, capacity: int,
     return spec
 
 
+def self_loop_spec(service_rate: float = 2.5) -> NetworkSpec:
+    """Two capacity-3 stations; node 1 routes half its output back to itself.
+
+    At the default rate the runs in ``golden/sim_self_loop.json`` block now
+    and then but never deadlock; at ``service_rate=1`` node 1 is overloaded
+    and the pair deadlocks early (both full, each waiting on a full target).
+    """
+    return NetworkSpec(
+        nodes=tuple(NodeSpec(id=i, kind=NodeKind.SOURCE, capacity=3,
+                             service_rate=service_rate) for i in (1, 2)),
+        routing=RoutingMatrix({(1, 1): 0.5, (1, 2): 0.3, (2, 1): 0.2}),
+        external_arrivals={1: 0.9},
+    )
+
+
+def two_node_cycle_spec() -> NetworkSpec:
+    """Two single-slot stations that pass 90% of their jobs to each other.
+
+    Once both hold a job that picked the other, neither can move again: the
+    simulator deadlocks, although the traffic equations have a solution.
+    """
+    return NetworkSpec(
+        nodes=tuple(NodeSpec(id=i, kind=NodeKind.INTERMEDIATE, capacity=1,
+                             service_rate=1.0, unblock_rate=0.5) for i in (1, 2)),
+        routing=RoutingMatrix({(1, 2): 0.9, (2, 1): 0.9}),
+        external_arrivals={1: 0.5},
+    )
+
+
 @functools.lru_cache(maxsize=None)
 def grid_document(side: int) -> str:
     """The network document of a ``side`` x ``side`` grid chip.

@@ -10,10 +10,10 @@ Nothing in ``qnswap`` calls these; they exist to cross-check it:
 - an item-by-item document parser and spec check against the column
   checks of ``parse_network`` and ``NetworkSpec``.
 
-They import package internals where that makes them draw or compute the
-same numbers the package would: the sampler uses the simulator's seeded
-draw streams, and the fixed-point solver the traffic solve's sparse system
-and residual check.
+They import package internals where that makes them compute the same
+numbers the package would: the fixed-point solver uses the traffic solve's
+sparse system and residual check.  The sampler keeps its own buffered draw
+streams, seeded per replication like the simulator's.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from qnswap import (
     traffic,
 )
 from qnswap.model import ROW_SUM_TOL
-from qnswap.sim import _Draws, _rep_rng
 
 STEADY_RESIDUAL_TOL = 1e-10
 
@@ -321,6 +320,38 @@ class ChainRun:
     occupancy: tuple[float, ...]
 
 
+def _rep_rng(seed: int, rep: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(rep,)))
+
+
+class _Draws:
+    """Buffered scalar draws; consumption order is part of the contract."""
+
+    def __init__(self, rng: np.random.Generator, chunk: int = 8192):
+        self._rng = rng
+        self._chunk = chunk
+        self._exp = rng.exponential(size=chunk)
+        self._ei = 0
+        self._uni = rng.random(size=chunk)
+        self._ui = 0
+
+    def exponential(self, rate: float) -> float:
+        if self._ei == self._chunk:
+            self._exp = self._rng.exponential(size=self._chunk)
+            self._ei = 0
+        v = float(self._exp[self._ei])
+        self._ei += 1
+        return v / rate
+
+    def uniform(self) -> float:
+        if self._ui == self._chunk:
+            self._uni = self._rng.random(size=self._chunk)
+            self._ui = 0
+        v = float(self._uni[self._ui])
+        self._ui += 1
+        return v
+
+
 def _ctmc_rep(gen: Generator, rng, unit: str, horizon: float,
               warmup: float) -> tuple[list[float], float, int]:
     q = gen.rates
@@ -387,8 +418,8 @@ def _ctmc_rep(gen: Generator, rng, unit: str, horizon: float,
 def simulate_ctmc(gen: Generator, config: SimConfig) -> ChainRun:
     """Empirical state occupancy of an irreducible chain.
 
-    Replication r draws from the same seeded stream as replication r of the
-    network simulator.
+    Replication r draws from the substream (seed, r), as replication r of the
+    network simulator does.
 
     Raises:
         NumericsError: the chain is not irreducible.

@@ -17,7 +17,7 @@ from qnswap import (
     parse_network,
     serialize_network,
 )
-from conftest import grid_document, single_queue_spec
+from conftest import grid_document, single_queue_spec, two_node_cycle_spec
 
 
 @pytest.fixture()
@@ -340,6 +340,19 @@ class TestExitCodes:
         assert error["error"] == "NumericsError"
         assert error["message"].startswith("traffic equations are singular: nodes [2, 3]")
 
+    def test_deadlock_exit_code(self, capsys, tmp_path):
+        # both stations hold a job bound for the other: nothing moves again
+        path = tmp_path / "cycle.json"
+        path.write_text(serialize_network(two_node_cycle_spec()), encoding="utf-8")
+        code, out, err = run_cli(capsys, "simulate", "--network", str(path),
+                                 "--seed", "7", "--horizon", "1e5")
+        assert code == 3
+        assert out == ""
+        error = json.loads(err)
+        assert error["error"] == "NumericsError"
+        assert error["message"].startswith("deadlock at simulated time 23.97")
+        assert "nodes [1, 2]" in error["message"]
+
     @pytest.mark.parametrize("command", [["validate"], ["analyze"],
                                          ["simulate", "--horizon", "10"]])
     @pytest.mark.parametrize("name, error, message", [
@@ -380,3 +393,19 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "fixture", "nope")
         assert code == 4
         assert "munoz15" in err
+
+
+def test_reused_parser_matches_fresh_parsers(capsys, fixture_file):
+    # the parser is built once per process; a usage error, a valid call and
+    # --help through it must print what a freshly built parser prints
+    calls = [["analyze", "--network", fixture_file, "--format", "xml"],
+             ["analyze", "--network", fixture_file, "--format", "json"],
+             ["simulate", "--help"]]
+    assert cli._build_parser() is cli._build_parser()
+    reused = [run_cli(capsys, *argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv))
+    assert [code for code, _, _ in reused] == [4, 0, 0]
+    assert reused == fresh

@@ -7,7 +7,8 @@ on construction; the ``--subset``, ``--round 3`` and 6x6 lattice outputs
 before the analysis became one pass over node columns; the ``--round 4``
 JSON before the analyze JSON was printed from columns; the event-unit
 simulator runs, which the CLI cannot select, before the simulator read the
-spec's columns.  Any refactor that changes a printed byte of these outputs
+spec's columns; the self-loop simulator runs before the simulator became
+one flat event loop.  Any refactor that changes a printed byte of these outputs
 shows up here.  Regenerate them only for a deliberate change of output, and
 record that change.
 
@@ -20,6 +21,8 @@ from pathlib import Path
 import pytest
 
 from qnswap import InputError, SimConfig, cli, munoz15_fixture, simulate_blocking_network
+
+from conftest import self_loop_spec
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -96,3 +99,24 @@ def test_simulator_runs_match_golden_bytes():
     assert json.loads(document)["events_2_half_warmup"] == {
         "InputError": "simulation horizon must be positive, got 2"}
     assert document.encode("utf-8") == (GOLDEN / "sim_event_units.json").read_bytes()
+
+
+# a node that routes to itself re-queues behind its own buffer; seed 11
+SELF_LOOP_CASES = {
+    "time_500": dict(horizon=500.0),
+    "events_3000_reps2": dict(horizon=3000, unit="events", replications=2),
+}
+
+
+def self_loop_document() -> str:
+    out = {name: simulate_blocking_network(self_loop_spec(), SimConfig(seed=11, **kwargs))
+           .to_jsonable() for name, kwargs in SELF_LOOP_CASES.items()}
+    return json.dumps(out, indent=2, sort_keys=True) + "\n"
+
+
+def test_self_loop_runs_match_golden_bytes():
+    document = self_loop_document()
+    blocked = [node["blocked_fraction"] for run in json.loads(document).values()
+               for node in run["nodes"]]
+    assert 0.0 < max(blocked) < 0.01  # the block path runs; no deadlock
+    assert document.encode("utf-8") == (GOLDEN / "sim_self_loop.json").read_bytes()

@@ -32,7 +32,7 @@ from oracle import (
     mm1k_distribution,
     simulate_ctmc,
 )
-from conftest import random_open_network, single_queue_spec
+from conftest import random_open_network, self_loop_spec, single_queue_spec, two_node_cycle_spec
 
 
 class TestSimConfig:
@@ -173,18 +173,16 @@ class TestBlockingNetwork:
                 assert abs(sum(ns.occupancy) - 1.0) <= 1e-9
                 assert 0.0 <= ns.blocked_fraction <= 1.0
 
-    def test_conservation_failure_raises(self, fixture_spec, monkeypatch):
-        # a departure the counters miss breaks conservation; the check must
-        # raise the documented error, also under python -O
-        depart = sim._NetworkRun._depart
-
-        def uncounted(run, k, job):
-            depart(run, k, job)
-            run.completed -= 1
-
-        monkeypatch.setattr(sim._NetworkRun, "_depart", uncounted)
+    def test_conservation_failure_raises(self, fixture_spec):
+        # a departure the counters miss breaks conservation; the check that
+        # every run ends with must raise the documented error, also under
+        # python -O (tests/test_source.py checks that the run calls it)
+        res = simulate_blocking_network(fixture_spec, SimConfig(seed=7, horizon=500.0))
+        assert res.completed > 0
+        sim._check_conservation(res.in_flight, res.arrivals, res.completed, res.dropped)
         with pytest.raises(NumericsError, match="flow not conserved"):
-            simulate_blocking_network(fixture_spec, SimConfig(seed=7, horizon=500.0))
+            sim._check_conservation(res.in_flight, res.arrivals, res.completed - 1,
+                                    res.dropped)
 
     def test_single_full_queue_drops_half(self):
         res = simulate_blocking_network(
@@ -245,3 +243,32 @@ class TestBlockingNetwork:
         blob = simulate_blocking_network(
             fixture_spec, SimConfig(seed=7, horizon=500.0)).to_jsonable()
         json.dumps(blob)  # raises on numpy scalars or other foreign types
+
+
+class TestDeadlock:
+    """A set of full stations whose blocked servers wait only on each other."""
+
+    @pytest.mark.parametrize("unit", ["time", "events"])
+    def test_two_node_cycle_raises(self, unit):
+        with pytest.raises(NumericsError, match=r"deadlock at simulated time 23\.97\d*:"
+                                                r" every server among nodes \[1, 2\]"):
+            simulate_blocking_network(two_node_cycle_spec(),
+                                      SimConfig(seed=7, horizon=1e5, unit=unit))
+
+    def test_random_network_raises(self):
+        # this spec used to report blocked_fraction 1.0 on all four nodes
+        rng = np.random.default_rng(3)
+        spec = [random_open_network(rng, max_nodes=12) for _ in range(11)][-1]
+        with pytest.raises(NumericsError, match=r"nodes \[1, 2, 3, 4\] is blocked"):
+            simulate_blocking_network(spec, SimConfig(seed=7, horizon=3000.0))
+
+    def test_self_loop_counts_in_the_walk(self):
+        # node 1 waits on itself and node 2, node 2 on node 1
+        with pytest.raises(NumericsError, match=r"nodes \[1, 2\] is blocked"):
+            simulate_blocking_network(self_loop_spec(1.0), SimConfig(seed=11, horizon=500.0))
+
+    def test_stuck_nodes_walks_the_targets(self):
+        tgt = [[1], [0, 2], []]
+        assert sim._stuck_nodes(0, tgt, [True, True, False]) is None
+        assert sim._stuck_nodes(0, [[1], [0]], [True, True]) == [0, 1]
+        assert sim._stuck_nodes(0, [[0, 1], [0], [1]], [True, True, False]) == [0, 1]

@@ -60,6 +60,7 @@ ORACLE_ONLY = {
     "_reach_sets", "closed_class_count", "is_irreducible", "steady_state",
     "blocking_node_chain", "BLOCKING_STATES", "EMPTY", "SERVING", "BLOCKED",
     "mm1k_distribution", "simulate_ctmc", "_ctmc_rep", "joint_probability",
+    "_Draws",
 }
 
 
@@ -105,6 +106,20 @@ def test_solvers_read_the_spec_columns(name):
     # routing_triplets; the per-node lookups stay as the scalar references
     # the columns are tested against
     assert _lookup_calls(SRC / name) == []
+
+
+def test_every_simulator_run_checks_conservation():
+    # the flat event loop keeps its counters in locals; the check that they
+    # balance must run unconditionally at the end of every replication
+    tree = ast.parse((SRC / "sim.py").read_text(encoding="utf-8"))
+    run_class = next(node for node in tree.body
+                     if isinstance(node, ast.ClassDef) and node.name == "_NetworkRun")
+    run = next(node for node in run_class.body
+               if isinstance(node, ast.FunctionDef) and node.name == "run")
+    calls = [stmt.value.func.id for stmt in run.body
+             if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call)
+             and isinstance(stmt.value.func, ast.Name)]
+    assert "_check_conservation" in calls
 
 
 def test_traffic_builds_no_external_table():
