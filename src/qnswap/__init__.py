@@ -32,7 +32,6 @@ from .model import (
     NetworkSpec,
     NodeKind,
     NodeSpec,
-    RoutingMatrix,
     parse_network,
     serialize_network,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "ParseError",
     "QnswapError",
     "QueueSite",
-    "RoutingMatrix",
     "SchemaError",
     "SimConfig",
     "SimResult",

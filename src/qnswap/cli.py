@@ -24,7 +24,7 @@ from itertools import compress, repeat
 from .errors import InputError, NumericsError
 from .layout import munoz15_fixture
 from .metrics import NetworkMetrics, network_metrics
-from .model import NetworkSpec, NodeKind, parse_network, serialize_network
+from .model import KIND_CODES, NetworkSpec, NodeKind, parse_network, serialize_network
 from .pfqn import AnalysisAssumptions, NetworkAnalysis, analyze_network
 from .sim import SimConfig, SimResult, simulate_blocking_network
 
@@ -63,7 +63,12 @@ def _build_parser() -> _Parser:
     analyze.add_argument("--subset", default=None,
                          help="comma-separated node ids for the network aggregates")
 
-    simulate = sub.add_parser("simulate", help="discrete-event network simulation")
+    simulate = sub.add_parser(
+        "simulate", help="discrete-event network simulation",
+        description="Simulate the network as routed: every job follows the routing"
+        " matrix, and a blocked job moves as soon as a target frees a slot. The"
+        " document's known_arrival_rates and mu_b values are not used; only"
+        " analyze reads them.")
     simulate.add_argument("--network", required=True,
                           help="network document path, or - for stdin")
     simulate.add_argument("--seed", type=int, default=None,
@@ -308,11 +313,13 @@ def _parse_subset(raw: str | None, spec: NetworkSpec) -> list[int] | None:
         raise _UsageError(f"--subset must be comma-separated integers, got {raw!r}") from None
     if not ids:
         raise _UsageError("--subset must name at least one node")
-    known = set(spec.ids())
+    cols = spec.columns
+    known = set(cols.id.tolist())
     for i in ids:
         if i not in known:
             raise InputError(f"--subset references unknown node {i}")
-    if all(spec.node(i).kind is not NodeKind.INTERMEDIATE for i in ids):
+    inner = cols.id[cols.kind == KIND_CODES[NodeKind.INTERMEDIATE]].tolist()
+    if set(inner).isdisjoint(ids):
         raise InputError(f"--subset {raw!r} selects no intermediate node")
     return ids
 
@@ -355,15 +362,16 @@ def _dispatch(args: argparse.Namespace) -> str:
         spec = _FIXTURES[args.name]()
         if args.emit:
             return serialize_network(spec)
+        count = spec.columns.kind.tolist().count
         return "%s: %d nodes (%d intermediate, %d sources, %d sinks), external rate %s\n" % (
-            args.name, len(spec.nodes), len(spec.intermediates()),
-            len(spec.sources()), len(spec.sinks()),
-            _fmt(sum(spec.external_arrivals.values()), None))
+            args.name, len(spec.nodes), count(KIND_CODES[NodeKind.INTERMEDIATE]),
+            count(KIND_CODES[NodeKind.SOURCE]), count(KIND_CODES[NodeKind.SINK]),
+            _fmt(sum(spec.columns.external_rate.tolist()), None))
 
     if args.command == "validate":
         spec = parse_network(_read_text(args.network))
         return "ok: %d nodes, %d routing entries\n" % (
-            len(spec.nodes), len(spec.routing.entries))
+            len(spec.nodes), len(spec.routing))
 
     raise _UsageError(f"unknown command {args.command!r}")
 

@@ -24,8 +24,8 @@ from functools import cached_property
 from typing import Mapping
 
 from .errors import InputError, SchemaError
-from .model import (NetworkSpec, NodeKind, NodeSpec, RoutingMatrix, _as_array, _as_object,
-                    _check_keys, _load_json)
+from .model import (NetworkSpec, NodeKind, NodeSpec, _as_array, _as_object, _check_keys,
+                    _load_json)
 
 DEFAULT_BOUNDARY_CAPACITY = 8
 
@@ -234,7 +234,7 @@ def build_lattice_network(
 
     return NetworkSpec(
         nodes=tuple(nodes),
-        routing=RoutingMatrix(entries),
+        routing=entries,
         external_arrivals=external,
     )
 
@@ -285,7 +285,7 @@ def munoz15_fixture() -> NetworkSpec:
     ]
     return NetworkSpec(
         nodes=tuple(nodes),
-        routing=RoutingMatrix(_FIXTURE_ROUTING),
+        routing=_FIXTURE_ROUTING,
         external_arrivals=_FIXTURE_EXTERNAL,
         known_arrival_rates=_FIXTURE_ARRIVAL,
     )
@@ -293,18 +293,22 @@ def munoz15_fixture() -> NetworkSpec:
 
 def shortest_hops(spec: NetworkSpec, src: int, dst: int) -> int:
     """Minimum hop count from src to dst over positive routing entries."""
-    spec.node(src)
-    spec.node(dst)
-    if src == dst:
-        return 0
-    dist = {src: 0}
-    frontier = deque([src])
-    while frontier:
-        v = frontier.popleft()
-        for w in spec.routing.successors(v):
-            if w not in dist:
-                dist[w] = dist[v] + 1
-                if w == dst:
-                    return dist[w]
-                frontier.append(w)
-    raise InputError(f"no routing path from node {src} to node {dst}")
+    ids = spec.columns.id.tolist()
+    for i in (src, dst):
+        if i not in ids:
+            raise InputError(f"lookup references unknown node {i}")
+    rows, cols, probs = spec.routing_triplets
+    used = probs > 0.0
+    targets: list[list[int]] = [[] for _ in ids]
+    for i, j in zip(rows[used].tolist(), cols[used].tolist()):
+        targets[i].append(j)
+    goal = ids.index(dst)
+    frontier = seen = {ids.index(src)}
+    hops = 0
+    while goal not in frontier:
+        frontier = {w for v in frontier for w in targets[v]} - seen
+        if not frontier:
+            raise InputError(f"no routing path from node {src} to node {dst}")
+        seen = seen | frontier
+        hops += 1
+    return hops

@@ -27,16 +27,16 @@ named.
 
 A ``NetworkSpec`` checks every structural invariant when it is constructed,
 so every spec that exists is valid; all model values are immutable and safe
-to share.
+to share.  Its fields are the construction input; its query API is two
+read-only tables that every solver reads: ``NetworkSpec.columns`` (one array
+per node field, in id order) and ``NetworkSpec.routing_triplets`` (routing
+rows, columns and probabilities over node positions).
 
 Validation runs column by column.  The parser reads each document section
 as one list per field and checks whole lists with builtins: the set of key
 layouts of the objects, the set of value types of a field, one ``float``
 pass per rate field, and repeated keys by set size.  A ``NetworkSpec``
-gathers its nodes once into read-only numpy columns in id order
-(``NetworkSpec.columns``: id, kind code, capacity, mu, mu_b, exit
-probability, external rate and pinned rate, next to ``routing_triplets``;
-the solvers read these tables) and runs each structural rule as one array
+builds its columns once and runs each structural rule as one array
 expression over them, in a fixed rule order.  A failing column only flags
 items: the flagged items go, in document order (parser) or id order (spec),
 through the per-item check that owns the error text, and the first one it
@@ -51,7 +51,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property, partial
+from functools import partial
 from itertools import chain, compress, repeat
 from operator import attrgetter, itemgetter
 from typing import Mapping, NamedTuple, NoReturn
@@ -69,7 +69,7 @@ class NodeKind(str, Enum):
     INTERMEDIATE = "intermediate"
 
 
-# Codes of ``NodeColumns.kind``; a kind that is no NodeKind member gets -1.
+# Codes of ``NodeColumns.kind``; a spec rejects a kind that is no NodeKind member.
 KIND_CODES = {kind: code for code, kind in enumerate(NodeKind)}
 
 
@@ -93,46 +93,6 @@ class NodeSpec:
     capacity: int
     service_rate: float
     unblock_rate: float = 0.0
-
-
-@dataclass(frozen=True)
-class RoutingMatrix:
-    """Sparse substochastic routing probabilities.
-
-    ``entries`` maps ``(from_id, to_id)`` to the probability that a job
-    finishing service at ``from_id`` is sent to ``to_id``.  The leftover
-    probability ``1 - row_sum(i)`` is the chance of leaving the network
-    directly from node ``i``.
-    """
-
-    entries: Mapping[tuple[int, int], float]
-
-    def __post_init__(self):
-        entries = self.entries
-        keys = list(entries)
-        # Entries already keyed by (int, int) in order, with float values,
-        # as the parser builds them, need no rebuilding.
-        if not (set(map(type, keys)) <= {tuple} and set(map(len, keys)) <= {2}
-                and set(map(type, chain.from_iterable(keys))) <= {int}
-                and set(map(type, entries.values())) <= {float} and keys == sorted(keys)):
-            entries = {(int(i), int(j)): float(p) for (i, j), p in sorted(entries.items())}
-        object.__setattr__(self, "entries", dict(entries))
-
-    @cached_property
-    def _rows(self) -> dict[int, dict[int, float]]:
-        rows: dict[int, dict[int, float]] = {}
-        for (i, j), p in self.entries.items():
-            rows.setdefault(i, {})[j] = p
-        return rows
-
-    def row(self, i: int) -> dict[int, float]:
-        return dict(self._rows.get(i, {}))
-
-    def row_sum(self, i: int) -> float:
-        return sum(self._rows.get(i, {}).values())
-
-    def successors(self, i: int) -> tuple[int, ...]:
-        return tuple(j for j, p in sorted(self._rows.get(i, {}).items()) if p > 0.0)
 
 
 class NodeColumns(NamedTuple):
@@ -162,6 +122,8 @@ def _check_node(n: NodeSpec, duplicate: bool) -> None:
     """The per-node rules, in order; ``duplicate``: the previous node has this id."""
     if duplicate:
         raise InputError(f"duplicate node id {n.id}")
+    if type(n.kind) is not NodeKind:
+        raise InputError(f"node {n.id}: kind {n.kind!r} is not a NodeKind")
     if not isinstance(n.capacity, int) or n.capacity < 1:
         raise InputError(f"node {n.id}: capacity must be a positive integer")
     _check_rate(n.service_rate, f"node {n.id} service rate")
@@ -173,6 +135,26 @@ def _check_node(n: NodeSpec, duplicate: bool) -> None:
             )
         if n.unblock_rate <= 0:
             raise InputError(f"node {n.id} needs a positive unblock rate")
+
+
+def _canonical_routing(entries: Mapping) -> dict[tuple[int, int], float]:
+    """A fresh ``{(from, to): p}`` dict with int keys in order and float values."""
+    keys = list(entries)
+    # Entries already keyed by (int, int) in order, with float values,
+    # as the parser builds them, need no rebuilding.
+    if (set(map(type, keys)) <= {tuple} and set(map(len, keys)) <= {2}
+            and set(map(type, chain.from_iterable(keys))) <= {int}
+            and set(map(type, entries.values())) <= {float} and keys == sorted(keys)):
+        return dict(entries)
+    return {(int(i), int(j)): float(p) for (i, j), p in sorted(entries.items())}
+
+
+def _positions(index: dict[int, int],
+               rates: Mapping[int, float]) -> tuple[np.ndarray, np.ndarray]:
+    """Node positions (-1 for an unknown id) and values of a rate map."""
+    count = len(rates)
+    at = np.fromiter(map(index.get, rates, repeat(-1)), dtype=np.intp, count=count)
+    return at, np.fromiter(rates.values(), dtype=float, count=count)
 
 
 def _rate_faults(rates: np.ndarray) -> np.ndarray:
@@ -189,22 +171,29 @@ def _read_only(*arrays: np.ndarray) -> None:
 class NetworkSpec:
     """An open network description, checked on construction.
 
-    Besides its fields, a spec carries its nodes as ``columns``
-    (:class:`NodeColumns`) and its routing as ``routing_triplets``: read-only
-    arrays (row, column, probability) whose rows and columns are positions
-    in ``ids()``, in (from, to) order as in ``routing.entries``.
+    The four fields are the construction input.  ``routing`` is a plain
+    ``{(from_id, to_id): p}`` mapping: the probability that a job finishing
+    service at ``from_id`` is sent to ``to_id``; the rest of the row is the
+    chance of leaving the network.  The spec keeps a canonical copy of each
+    mapping: int keys in order, float values.
+
+    Every lookup reads two read-only tables built once here: ``columns``
+    (:class:`NodeColumns`, one entry per node in id order) and
+    ``routing_triplets``, arrays (row, column, probability) whose rows and
+    columns are node positions in ``columns``, in (from, to) order as in
+    ``routing``.
 
     Raises:
-        InputError: a bad id, capacity or kind-dependent field; a negative
-            or non-finite rate; an intermediate node without a positive
-            unblock rate; a routing or arrival entry naming a node that does
-            not exist; a routing probability outside [0, 1] or a row summing
-            above 1; a sink with outgoing routing; incomplete known arrival
-            rates; or no external arrival or no way out.
+        InputError: a bad id, kind, capacity or kind-dependent field; a
+            negative or non-finite rate; an intermediate node without a
+            positive unblock rate; a routing or arrival entry naming a node
+            that does not exist; a routing probability outside [0, 1] or a
+            row summing above 1; a sink with outgoing routing; incomplete
+            known arrival rates; or no external arrival or no way out.
     """
 
     nodes: tuple[NodeSpec, ...]
-    routing: RoutingMatrix
+    routing: Mapping[tuple[int, int], float]
     external_arrivals: Mapping[int, float]
     known_arrival_rates: Mapping[int, float] | None = None
     columns: NodeColumns = field(init=False, repr=False, compare=False)
@@ -220,8 +209,7 @@ class NetworkSpec:
                     raise InputError(f"node id {i!r} must be a positive integer")
         object.__setattr__(self, "nodes",
                            tuple(sorted(self.nodes, key=attrgetter("id"))))
-        if not isinstance(self.routing, RoutingMatrix):
-            object.__setattr__(self, "routing", RoutingMatrix(self.routing))
+        object.__setattr__(self, "routing", _canonical_routing(self.routing))
         object.__setattr__(self, "external_arrivals",
                            {int(k): float(v)
                             for k, v in sorted(self.external_arrivals.items())})
@@ -241,20 +229,20 @@ class NetworkSpec:
                 and set(map(type, mu + mu_b)) <= {int, float}):
             for k in range(n):
                 _check_node(nodes[k], k > 0 and ids[k] == ids[k - 1])
-        # Kind tests are by identity: a plain string is no kind.
+        # Kind tests are by identity: a plain string is no kind, and is rejected.
         kind = np.array([KIND_CODES[k] if type(k) is NodeKind else -1 for k in kinds],
                         dtype=np.int8)
         id_col, cap = np.array(ids), np.array(caps)
         mu, mu_b = np.array(mu, dtype=float), np.array(mu_b, dtype=float)
         inner = kind == KIND_CODES[NodeKind.INTERMEDIATE]
         sink = kind == KIND_CODES[NodeKind.SINK]
-        flagged = ((cap < 1) | _rate_faults(mu) | _rate_faults(mu_b)
+        flagged = ((kind < 0) | (cap < 1) | _rate_faults(mu) | _rate_faults(mu_b)
                    | (inner & ((cap != 1) | (mu_b <= 0.0))))
         for node in compress(nodes, flagged.tolist()):
             _check_node(node, duplicate=False)
 
-        index = self._index
-        entries = self.routing.entries
+        index = dict(zip(ids, range(n)))
+        entries = self.routing
         m = len(entries)
         sources, targets = zip(*entries) if m else ((), ())
         rows = np.fromiter(map(index.get, sources, repeat(-1)), dtype=np.intp, count=m)
@@ -270,24 +258,24 @@ class NetworkSpec:
                 raise InputError(f"routing entry {i}->{j} references unknown node {j}")
             if not 0.0 <= p <= 1.0:
                 raise InputError(f"routing {i}->{j}: probability {p!r} outside [0, 1]")
-            if p > 0.0 and self.node(i).kind is NodeKind.SINK:
+            if p > 0.0 and sink[index[i]]:
                 raise InputError(f"sink node {i} cannot route onward")
 
         # bincount adds in triplet order, so each row sums left to right over
-        # its targets in id order, as routing.row_sum does
+        # its targets in id order; tolist gives the Python float the message prints
         row_sum = np.bincount(rows, weights=probs, minlength=n)
-        for i in compress(ids, (row_sum > 1.0 + ROW_SUM_TOL).tolist()):
-            total = self.routing.row_sum(i)
+        for i, total in compress(zip(ids, row_sum.tolist()),
+                                 (row_sum > 1.0 + ROW_SUM_TOL).tolist()):
             raise InputError(f"routing probabilities out of node {i} sum to {total!r} > 1")
         exit_probability = np.clip(1.0 - row_sum, 0.0, 1.0)
 
         external = self.external_arrivals
-        at, lam0 = self._positions(external)
+        at, lam0 = _positions(index, external)
         for i in compress(external, ((at < 0) | _rate_faults(lam0) | sink[at]).tolist()):
             if i not in index:
                 raise InputError(f"external arrival references unknown node {i}")
             _check_rate(external[i], f"external arrival rate at node {i}")
-            if self.node(i).kind is NodeKind.SINK:
+            if sink[index[i]]:
                 raise InputError(f"external arrivals cannot target sink node {i}")
         external_rate = np.zeros(n)
         external_rate[at] = lam0
@@ -295,7 +283,7 @@ class NetworkSpec:
         known = self.known_arrival_rates
         known_rate = np.full(n, math.nan)  # pins are finite: NaN marks a free node
         if known is not None:
-            known_at, known_rates = self._positions(known)
+            known_at, known_rates = _positions(index, known)
             for i in compress(known, ((known_at < 0) | _rate_faults(known_rates)).tolist()):
                 if i not in index:
                     raise InputError(f"known arrival rate references unknown node {i}")
@@ -326,39 +314,6 @@ class NetworkSpec:
         _read_only(*columns, rows, cols, probs)
         object.__setattr__(self, "columns", columns)
         object.__setattr__(self, "routing_triplets", (rows, cols, probs))
-
-    @cached_property
-    def _index(self) -> dict[int, int]:
-        """Position of each node id in ``nodes``."""
-        return dict(zip(self.ids(), range(len(self.nodes))))
-
-    def _positions(self, rates: Mapping[int, float]) -> tuple[np.ndarray, np.ndarray]:
-        """Node positions (-1 for an unknown id) and values of a rate map."""
-        count = len(rates)
-        at = np.fromiter(map(self._index.get, rates, repeat(-1)), dtype=np.intp, count=count)
-        return at, np.fromiter(rates.values(), dtype=float, count=count)
-
-    def node(self, node_id: int) -> NodeSpec:
-        try:
-            return self.nodes[self._index[node_id]]
-        except KeyError:
-            raise InputError(f"lookup references unknown node {node_id}") from None
-
-    def ids(self) -> tuple[int, ...]:
-        return tuple(n.id for n in self.nodes)
-
-    def sources(self) -> tuple[NodeSpec, ...]:
-        return tuple(n for n in self.nodes if n.kind is NodeKind.SOURCE)
-
-    def sinks(self) -> tuple[NodeSpec, ...]:
-        return tuple(n for n in self.nodes if n.kind is NodeKind.SINK)
-
-    def intermediates(self) -> tuple[NodeSpec, ...]:
-        return tuple(n for n in self.nodes if n.kind is NodeKind.INTERMEDIATE)
-
-    def exit_probability(self, node_id: int) -> float:
-        self.node(node_id)
-        return float(self.columns.exit_probability[self._index[node_id]])
 
 
 # -- document parsing --------------------------------------------------------
@@ -565,7 +520,7 @@ def parse_network(text: str) -> NetworkSpec:
 
     return NetworkSpec(
         nodes=tuple(map(NodeSpec, *columns)),
-        routing=RoutingMatrix(_section(doc, *_ROUTING)),
+        routing=_section(doc, *_ROUTING),
         external_arrivals=_section(doc, *_EXTERNAL),
         known_arrival_rates=_section(doc, *_KNOWN) if "known_arrival_rates" in doc else None,
     )
@@ -595,7 +550,7 @@ def serialize_network(spec: NetworkSpec) -> str:
         ],
         "routing": [
             {"from": i, "to": j, "p": _dec(p)}
-            for (i, j), p in sorted(spec.routing.entries.items())
+            for (i, j), p in sorted(spec.routing.items())
         ],
         "external_arrivals": [
             {"node": i, "lambda0": _dec(r)}

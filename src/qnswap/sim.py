@@ -12,6 +12,13 @@ frees a slot; contending blocked jobs release in the order they blocked
 (ties broken by lower node id), and releases cascade until no blocked job
 can move.  External arrivals to a full node are dropped and counted.
 
+What it does not model: the simulator runs the routing as given.  It ignores
+``known_arrival_rates`` (the pins the analytic pipeline substitutes for
+solved rates) and each node's unblock rate ``mu_b`` (a blocked job leaves
+when a target frees a slot, not at rate ``mu_b``).  On a spec with pins,
+such as ``munoz15``, it therefore simulates a different network from the
+one ``analyze_network`` solves.
+
 Deadlock: when a job blocks and every node reachable from its node along
 the routing has a blocked server, no node in that set can ever free a slot
 again.  The run then raises ``NumericsError`` (exit 3 from the CLI) naming

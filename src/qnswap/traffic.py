@@ -61,8 +61,8 @@ class ArrivalRates:
 
 
 def total_external_rate(spec: NetworkSpec) -> float:
-    """Sum of all external arrival rates; 0 if there are none."""
-    return float(sum(spec.external_arrivals.values()))
+    """Sum of all external arrival rates, added left to right in id order."""
+    return float(sum(spec.columns.external_rate.tolist()))
 
 
 def _inflow(rows, cols, probs, lam, n: int) -> np.ndarray:
@@ -158,7 +158,7 @@ def _undrained(spec: NetworkSpec, pinned: np.ndarray) -> list[int]:
     from the draining nodes, O(nodes + edges).
     """
     rows, cols, probs = spec.routing_triplets
-    preds: list[list[int]] = [[] for _ in spec.nodes]
+    preds: list[list[int]] = [[] for _ in range(len(pinned))]
     used = probs > 0.0
     for i, j in zip(rows[used].tolist(), cols[used].tolist()):
         preds[j].append(i)

@@ -8,12 +8,18 @@ from qnswap import (
     NetworkSpec,
     NodeKind,
     NodeSpec,
-    RoutingMatrix,
     build_lattice_network,
     munoz15_fixture,
     parse_layout,
     serialize_network,
 )
+from qnswap.model import KIND_CODES
+
+
+def ids_of_kind(spec: NetworkSpec, kind: NodeKind) -> list[int]:
+    """Ids of the spec's nodes of one kind, read from its columns."""
+    cols = spec.columns
+    return cols.id[cols.kind == KIND_CODES[kind]].tolist()
 
 
 def random_open_network(rng: np.random.Generator, max_nodes: int = 20) -> NetworkSpec:
@@ -44,7 +50,7 @@ def random_open_network(rng: np.random.Generator, max_nodes: int = 20) -> Networ
     )
     spec = NetworkSpec(
         nodes=nodes,
-        routing=RoutingMatrix(entries),
+        routing=entries,
         external_arrivals=external,
     )
     return spec
@@ -56,7 +62,7 @@ def single_queue_spec(arrival_rate: float, capacity: int,
     spec = NetworkSpec(
         nodes=(NodeSpec(id=1, kind=NodeKind.SOURCE, capacity=capacity,
                         service_rate=service_rate),),
-        routing=RoutingMatrix({}),
+        routing={},
         external_arrivals={1: arrival_rate},
     )
     return spec
@@ -72,7 +78,7 @@ def self_loop_spec(service_rate: float = 2.5) -> NetworkSpec:
     return NetworkSpec(
         nodes=tuple(NodeSpec(id=i, kind=NodeKind.SOURCE, capacity=3,
                              service_rate=service_rate) for i in (1, 2)),
-        routing=RoutingMatrix({(1, 1): 0.5, (1, 2): 0.3, (2, 1): 0.2}),
+        routing={(1, 1): 0.5, (1, 2): 0.3, (2, 1): 0.2},
         external_arrivals={1: 0.9},
     )
 
@@ -86,7 +92,7 @@ def two_node_cycle_spec() -> NetworkSpec:
     return NetworkSpec(
         nodes=tuple(NodeSpec(id=i, kind=NodeKind.INTERMEDIATE, capacity=1,
                              service_rate=1.0, unblock_rate=0.5) for i in (1, 2)),
-        routing=RoutingMatrix({(1, 2): 0.9, (2, 1): 0.9}),
+        routing={(1, 2): 0.9, (2, 1): 0.9},
         external_arrivals={1: 0.5},
     )
 

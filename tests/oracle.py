@@ -8,7 +8,9 @@ Nothing in ``qnswap`` calls these; they exist to cross-check it:
 - a damped fixed-point iteration against the block traffic solve;
 - the product of node marginals, for product-form normalization;
 - an item-by-item document parser and spec check against the column
-  checks of ``parse_network`` and ``NetworkSpec``.
+  checks of ``parse_network`` and ``NetworkSpec``;
+- per-node scalar references, read from ``spec.nodes`` and
+  ``spec.routing``, for the spec's columns and the analysis columns.
 
 They import package internals where that makes them compute the same
 numbers the package would: the fixed-point solver uses the traffic solve's
@@ -37,8 +39,10 @@ from qnswap import (
     ParseError,
     SchemaError,
     SimConfig,
+    blocking_node_closed_form,
     ctmc,
     mm1k_full_probability,
+    solve_traffic,
     traffic,
 )
 from qnswap.model import ROW_SUM_TOL
@@ -472,7 +476,7 @@ def fixed_point_traffic(spec, tol: float = 1e-12, max_iter: int = 100_000,
         NumericsError: no convergence within ``max_iter`` steps (a closed
             subnetwork never drains), or the residual check fails.
     """
-    ids = spec.ids()
+    ids = [node.id for node in spec.nodes]
     index = {i: k for k, i in enumerate(ids)}
     n = len(ids)
     lam0 = np.zeros(n)
@@ -508,6 +512,44 @@ def fixed_point_traffic(spec, tol: float = 1e-12, max_iter: int = 100_000,
         rates={i: float(lam[index[i]]) for i in ids},
         total_external=traffic.total_external_rate(spec),
     )
+
+
+# -- per-node scalar references -------------------------------------------------
+
+def row_sums(spec) -> dict[int, float]:
+    """Each node's routing row sum, added left to right over its targets in id order."""
+    sums = {node.id: 0.0 for node in spec.nodes}
+    for (i, _), p in spec.routing.items():
+        sums[i] += p
+    return sums
+
+
+def reference_columns(spec, assumptions):
+    """The analysis columns computed node by node with the scalar closed forms."""
+    rates = solve_traffic(spec)
+    by_id = {node.id: node for node in spec.nodes}
+    cols = {k: [] for k in ("nodes", "blocking_probability", "pi00", "pi10", "pi01",
+                            "rho", "kbar", "tbar")}
+    for node in spec.nodes:
+        if node.kind is not NodeKind.INTERMEDIATE:
+            continue
+        lam = rates.rate(node.id)
+        pb = assumptions.blocking_probability_override
+        if pb is None:
+            pb = 0.0
+            for (i, j), p in spec.routing.items():
+                if i == node.id and p > 0.0:
+                    target = by_id[j]
+                    rho = 1.0 if assumptions.rho_one else rates.rate(j) / target.service_rate
+                    pb += p * mm1k_full_probability(rho, target.capacity)
+        pi = blocking_node_closed_form(lam, node.service_rate, node.unblock_rate, pb)
+        kbar = pi.pi10 + pi.pi01
+        for k, v in zip(cols, (node.id, pb, *pi, 1.0 - pi.pi00, kbar, kbar / lam)):
+            cols[k].append(v)
+    total = 0.0
+    for k in cols["kbar"]:
+        total += k
+    return cols, total
 
 
 # -- item-by-item document parser ----------------------------------------------
@@ -674,6 +716,8 @@ def _scalar_spec(nodes, entries, external, known) -> tuple:
         if n.id in by_id:
             raise InputError(f"duplicate node id {n.id}")
         by_id[n.id] = n
+        if type(n.kind) is not NodeKind:
+            raise InputError(f"node {n.id}: kind {n.kind!r} is not a NodeKind")
         if not isinstance(n.capacity, int) or n.capacity < 1:
             raise InputError(f"node {n.id}: capacity must be a positive integer")
         _scalar_check_rate(n.service_rate, f"node {n.id} service rate")

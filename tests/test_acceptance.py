@@ -15,6 +15,7 @@ import pytest
 
 from qnswap import (
     AnalysisAssumptions,
+    NodeKind,
     NodeMarginal,
     SimConfig,
     analyze_network,
@@ -38,7 +39,7 @@ from oracle import (
     simulate_ctmc,
     steady_state,
 )
-from conftest import random_open_network, single_queue_spec
+from conftest import ids_of_kind, random_open_network, single_queue_spec
 import _expected
 
 
@@ -129,12 +130,13 @@ def test_criterion_5_traffic_solver(capsys):
     for _ in range(100):
         spec = random_open_network(rng, max_nodes=20)
         rates = fixed_point_traffic(spec)
-        for i in spec.ids():
+        ids = spec.columns.id.tolist()
+        for i in ids:
             inflow = spec.external_arrivals.get(i, 0.0) + sum(
-                spec.routing.row(j).get(i, 0.0) * rates.rate(j)
-                for j in spec.ids())
+                p * rates.rate(j) for (j, k), p in spec.routing.items() if k == i)
             worst_residual = max(worst_residual, abs(rates.rate(i) - inflow))
-        leaving = sum(rates.rate(i) * spec.exit_probability(i) for i in spec.ids())
+        leaving = sum(rates.rate(i) * p
+                      for i, p in zip(ids, spec.columns.exit_probability.tolist()))
         worst_conserve = max(worst_conserve, abs(rates.total_external - leaving))
     ok = worst_residual <= 1e-10 and worst_conserve <= 1e-9
     report(capsys, 5, ok,
@@ -177,9 +179,10 @@ def test_criterion_7_simulator_vs_analytics(capsys):
 
 def test_criterion_8_route_lengths(capsys, fixture_spec):
     lengths = {
-        shortest_hops(fixture_spec, src.id, dst.id)
+        shortest_hops(fixture_spec, src, dst)
         for src, dst in itertools.product(
-            fixture_spec.sources(), fixture_spec.sinks())
+            ids_of_kind(fixture_spec, NodeKind.SOURCE),
+            ids_of_kind(fixture_spec, NodeKind.SINK))
     }
     ok = lengths == _expected.HOP_LENGTHS
     report(capsys, 8, ok, f"source->sink route lengths {sorted(lengths)}")

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from qnswap import (
     serialize_network,
 )
 from conftest import grid_document, single_queue_spec, two_node_cycle_spec
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture()
@@ -296,10 +299,15 @@ class TestValidateAndFixture:
             assert "single-server only" in json.loads(err)["message"]
 
     def test_fixture_summary(self, capsys):
-        code, out, _ = run_cli(capsys, "fixture", "munoz15")
-        assert code == 0
-        assert "15 nodes" in out
-        assert "11 intermediate" in out
+        code, out, err = run_cli(capsys, "fixture", "munoz15")
+        assert (code, err) == (0, "")
+        assert out == ("munoz15: 15 nodes (11 intermediate, 2 sources, 2 sinks),"
+                       " external rate 0.25\n")
+
+    def test_validate_lattice6_bytes(self, capsys):
+        code, out, err = run_cli(capsys, "validate", "--network",
+                                 str(GOLDEN / "lattice6_network.json"))
+        assert (code, out, err) == (0, "ok: 36 nodes, 114 routing entries\n", "")
 
     def test_fixture_emit_round_trips(self, capsys):
         code, out, _ = run_cli(capsys, "fixture", "munoz15", "--emit")

@@ -18,6 +18,8 @@ from qnswap import (
     shortest_hops,
     solve_traffic,
 )
+from conftest import ids_of_kind
+from oracle import row_sums
 import _expected
 
 
@@ -125,30 +127,28 @@ class TestLatticeBuilder:
             (3, NodeKind.INTERMEDIATE), (4, NodeKind.INTERMEDIATE),
             (5, NodeKind.SOURCE), (6, NodeKind.SINK),
         ]
-        assert net.node(5).capacity == 4
-        assert net.node(6).capacity == 6
+        assert net.columns.capacity.tolist() == [1, 1, 1, 1, 4, 6]
         assert net.external_arrivals == {5: 0.3}
 
     def test_interior_rows_are_uniform_over_all_neighbors(self):
         net = build_lattice_network(parse_layout(GRID))
         # site "a" (id 1) touches b, c and the source; back-hops count too
-        assert net.routing.row(1) == {2: 1 / 3, 3: 1 / 3, 5: 1 / 3}
-        assert net.routing.row(2) == {1: 0.5, 4: 0.5}
+        rows = {(i, j): p for (i, j), p in net.routing.items() if i in (1, 2)}
+        assert rows == {(1, 2): 1 / 3, (1, 3): 1 / 3, (1, 5): 1 / 3,
+                        (2, 1): 0.5, (2, 4): 0.5}
 
     def test_row_sums_are_exactly_one_inside(self):
         net = build_lattice_network(parse_layout(GRID))
-        for i in (1, 2, 3, 4, 5):
-            assert net.routing.row_sum(i) == 1.0
-            assert net.exit_probability(i) == 0.0
-        assert net.exit_probability(6) == 1.0
+        sums = row_sums(net)
+        assert [sums[i] for i in (1, 2, 3, 4, 5)] == [1.0] * 5
+        assert net.columns.exit_probability.tolist() == [0.0] * 5 + [1.0]
 
     def test_rates_and_capacity_flags(self):
         net = build_lattice_network(
             parse_layout(GRID), service_rate=2.0, unblock_rate=0.25,
             arrival_rate=0.05)
-        assert net.node(1).service_rate == 2.0
-        assert net.node(1).unblock_rate == 0.25
-        assert net.node(5).unblock_rate == 0.0
+        assert net.columns.service_rate.tolist() == [2.0] * 6
+        assert net.columns.unblock_rate.tolist() == [0.25] * 4 + [0.0] * 2
         assert net.external_arrivals == {5: 0.05}
         # generated networks are analyzable end to end
         rates = solve_traffic(net)
@@ -175,8 +175,7 @@ class TestLatticeBuilder:
             ("s", "a", "t"), (("s", "a"), ("a", "t")),
             {"s": QueueSite(NodeKind.SOURCE, None), "t": QueueSite(NodeKind.SINK, None)})
         net = build_lattice_network(lay, boundary_capacity=5)
-        assert net.node(2).capacity == 5
-        assert net.node(3).capacity == 5
+        assert net.columns.capacity.tolist() == [1, 5, 5]
 
 
 class TestFixture:
@@ -188,20 +187,23 @@ class TestFixture:
         assert kinds.count(NodeKind.INTERMEDIATE) == 11
         assert kinds.count(NodeKind.SOURCE) == 2
         assert kinds.count(NodeKind.SINK) == 2
-        assert [n.id for n in fixture_spec.sources()] == [12, 13]
-        assert [n.id for n in fixture_spec.sinks()] == [14, 15]
+        assert ids_of_kind(fixture_spec, NodeKind.SOURCE) == [12, 13]
+        assert ids_of_kind(fixture_spec, NodeKind.SINK) == [14, 15]
 
     def test_boundary_buffers(self, fixture_spec):
-        for i in (12, 13, 14, 15):
-            assert fixture_spec.node(i).capacity == 8
-            assert fixture_spec.node(i).unblock_rate == 0.0
+        cols = fixture_spec.columns
+        assert cols.id[11:].tolist() == [12, 13, 14, 15]
+        assert cols.capacity[11:].tolist() == [8] * 4
+        assert cols.unblock_rate[11:].tolist() == [0.0] * 4
 
     def test_pinned_rates_match_expected_table(self, fixture_spec):
         assert fixture_spec.known_arrival_rates == _expected.ARRIVAL_RATE
 
     def test_unblock_rates_match_expected_table(self, fixture_spec):
+        cols = fixture_spec.columns
+        unblock = dict(zip(cols.id.tolist(), cols.unblock_rate.tolist()))
         for i, mu_b in _expected.UNBLOCK_RATE.items():
-            assert fixture_spec.node(i).unblock_rate == mu_b
+            assert unblock[i] == mu_b
 
 
 class TestShortestHops:
@@ -213,9 +215,10 @@ class TestShortestHops:
 
     def test_fixture_route_lengths(self, fixture_spec):
         lengths = {
-            shortest_hops(fixture_spec, src.id, dst.id)
+            shortest_hops(fixture_spec, src, dst)
             for src, dst in itertools.product(
-                fixture_spec.sources(), fixture_spec.sinks())
+                ids_of_kind(fixture_spec, NodeKind.SOURCE),
+                ids_of_kind(fixture_spec, NodeKind.SINK))
         }
         assert lengths == _expected.HOP_LENGTHS
 

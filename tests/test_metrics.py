@@ -9,7 +9,6 @@ from qnswap import (
     NetworkSpec,
     NodeKind,
     NodeSpec,
-    RoutingMatrix,
     analyze_network,
     network_metrics,
     swap_depth_report,
@@ -32,7 +31,7 @@ def pinned_nodes_spec(lam, mu, mu_b, exit_to_sink):
         NodeSpec(id=sink, kind=NodeKind.SINK, capacity=1, service_rate=1.0),)
     return NetworkSpec(
         nodes=nodes,
-        routing=RoutingMatrix({(i + 1, sink): float(exit_to_sink[i]) for i in range(n)}),
+        routing={(i + 1, sink): float(exit_to_sink[i]) for i in range(n)},
         external_arrivals={1: 1.0},
         known_arrival_rates={i + 1: float(lam[i]) for i in range(n)},
     )

@@ -12,7 +12,6 @@ from qnswap import (
     NodeKind,
     NodeSpec,
     ParseError,
-    RoutingMatrix,
     SchemaError,
     blocking_node_closed_form,
     parse_network,
@@ -20,6 +19,7 @@ from qnswap import (
 )
 from qnswap.model import KIND_CODES
 from conftest import random_open_network
+from oracle import row_sums
 
 
 def node(i, kind=NodeKind.SOURCE, capacity=2, mu=1.0, mu_b=0.0):
@@ -30,7 +30,7 @@ def node(i, kind=NodeKind.SOURCE, capacity=2, mu=1.0, mu_b=0.0):
 def two_node_spec(routing, external={1: 1.0}):
     return NetworkSpec(
         nodes=(node(1), node(2)),
-        routing=RoutingMatrix(routing),
+        routing=routing,
         external_arrivals=external,
     )
 
@@ -38,22 +38,24 @@ def two_node_spec(routing, external={1: 1.0}):
 class TestValidation:
     def test_valid_network_passes_and_materializes_exits(self):
         spec = two_node_spec({(1, 2): 0.7})
-        assert spec.exit_probability(1) == pytest.approx(0.3)
-        assert spec.exit_probability(2) == 1.0
+        assert spec.columns.exit_probability.tolist() == pytest.approx([0.3, 1.0])
 
     def test_exit_plus_row_sum_is_one(self, fixture_spec):
         rng = np.random.default_rng(11)
         specs = [fixture_spec] + [random_open_network(rng) for _ in range(20)]
         for spec in specs:
-            for i in spec.ids():
-                total = spec.routing.row_sum(i) + spec.exit_probability(i)
-                assert abs(total - 1.0) <= 1e-9
+            sums = row_sums(spec)
+            cols = spec.columns
+            for i, exit_p in zip(cols.id.tolist(), cols.exit_probability.tolist()):
+                assert abs(sums[i] + exit_p - 1.0) <= 1e-9
 
     def test_row_sum_above_one(self):
-        with pytest.raises(InputError, match="routing probabilities out of node 1 sum to"):
+        # 0.8 + 0.5 rounds to the double nearest 1.3; printed as a plain float
+        with pytest.raises(InputError,
+                           match=r"^routing probabilities out of node 1 sum to 1\.3 > 1$"):
             NetworkSpec(
                 nodes=(node(1), node(2), node(3)),
-                routing=RoutingMatrix({(1, 2): 0.8, (1, 3): 0.5}),
+                routing={(1, 2): 0.8, (1, 3): 0.5},
                 external_arrivals={1: 1.0},
             )
 
@@ -61,10 +63,10 @@ class TestValidation:
         # three equal thirds land a hair above 1.0 in binary; still accepted
         spec = NetworkSpec(
             nodes=(node(1), node(2), node(3), node(4)),
-            routing=RoutingMatrix({(1, 2): 1 / 3, (1, 3): 1 / 3, (1, 4): 1 / 3 + 5e-10}),
+            routing={(1, 2): 1 / 3, (1, 3): 1 / 3, (1, 4): 1 / 3 + 5e-10},
             external_arrivals={1: 1.0},
         )
-        assert spec.exit_probability(1) == 0.0
+        assert spec.columns.exit_probability[0] == 0.0
 
     def test_unknown_routing_target(self):
         with pytest.raises(InputError, match="routing entry 1->9 references unknown node 9"):
@@ -74,7 +76,7 @@ class TestValidation:
         with pytest.raises(InputError, match="sink node 2 cannot route onward"):
             NetworkSpec(
                 nodes=(node(1), node(2, kind=NodeKind.SINK)),
-                routing=RoutingMatrix({(1, 2): 0.5, (2, 1): 0.5}),
+                routing={(1, 2): 0.5, (2, 1): 0.5},
                 external_arrivals={1: 1.0},
             )
 
@@ -82,7 +84,7 @@ class TestValidation:
         with pytest.raises(InputError, match="external arrivals cannot target sink node 2"):
             NetworkSpec(
                 nodes=(node(1), node(2, kind=NodeKind.SINK)),
-                routing=RoutingMatrix({(1, 2): 0.5}),
+                routing={(1, 2): 0.5},
                 external_arrivals={2: 1.0},
             )
 
@@ -98,7 +100,7 @@ class TestValidation:
         with pytest.raises(InputError, match="node 1 needs a positive unblock rate"):
             NetworkSpec(
                 nodes=(node(1, kind=NodeKind.INTERMEDIATE, capacity=1), node(2)),
-                routing=RoutingMatrix({(1, 2): 0.5}),
+                routing={(1, 2): 0.5},
                 external_arrivals={1: 1.0},
             )
 
@@ -106,7 +108,7 @@ class TestValidation:
         with pytest.raises(InputError, match="node 1: intermediate nodes hold exactly one job"):
             NetworkSpec(
                 nodes=(node(1, kind=NodeKind.INTERMEDIATE, capacity=2, mu_b=0.1), node(2)),
-                routing=RoutingMatrix({(1, 2): 0.5}),
+                routing={(1, 2): 0.5},
                 external_arrivals={1: 1.0},
             )
 
@@ -115,7 +117,7 @@ class TestValidation:
                            match="node 1 service rate must be nonnegative, got -1.0"):
             NetworkSpec(
                 nodes=(node(1, mu=-1.0),),
-                routing=RoutingMatrix({}),
+                routing={},
                 external_arrivals={1: 1.0},
             )
 
@@ -126,7 +128,7 @@ class TestValidation:
                            match="node 1 service rate must be nonnegative, got -1.0"):
             NetworkSpec(
                 nodes=(node(1, mu=-1.0), node(2)),
-                routing=RoutingMatrix({(1, 2): 1.0, (2, 1): 1.0}),
+                routing={(1, 2): 1.0, (2, 1): 1.0},
                 external_arrivals={1: 1.0},
             )
 
@@ -141,7 +143,7 @@ class TestValidation:
                            match="node 2 receives jobs but has no positive service rate"):
             NetworkSpec(
                 nodes=(node(1), node(2, mu=0.0)),
-                routing=RoutingMatrix({(1, 2): 0.5}),
+                routing={(1, 2): 0.5},
                 external_arrivals={1: 1.0},
             )
 
@@ -149,7 +151,7 @@ class TestValidation:
         with pytest.raises(InputError, match="duplicate node id 1"):
             NetworkSpec(
                 nodes=(node(1), node(1)),
-                routing=RoutingMatrix({}),
+                routing={},
                 external_arrivals={1: 1.0},
             )
 
@@ -158,7 +160,7 @@ class TestValidation:
         with pytest.raises(InputError, match="node id 'a' must be a positive integer"):
             NetworkSpec(
                 nodes=(node("a"), node(1)),
-                routing=RoutingMatrix({}),
+                routing={},
                 external_arrivals={1: 1.0},
             )
 
@@ -170,25 +172,27 @@ class TestColumns:
         # the random networks again, each with a random set of nodes pinned
         specs += [NetworkSpec(spec.nodes, spec.routing, spec.external_arrivals,
                               {i: float(rng.uniform(0.0, 2.0))
-                               for i in spec.ids() if rng.random() < 0.4})
+                               for i in spec.columns.id.tolist() if rng.random() < 0.4})
                   for spec in specs[1:]]
         for spec in specs:
             cols = spec.columns
-            assert cols.id.tolist() == list(spec.ids())
+            ids = [n.id for n in spec.nodes]
+            sums = row_sums(spec)
+            assert cols.id.tolist() == ids
             assert cols.kind.tolist() == [KIND_CODES[n.kind] for n in spec.nodes]
             assert cols.capacity.tolist() == [n.capacity for n in spec.nodes]
             assert cols.service_rate.tolist() == [n.service_rate for n in spec.nodes]
             assert cols.unblock_rate.tolist() == [n.unblock_rate for n in spec.nodes]
-            # the row sums add in the order routing.row_sum adds: same bits
+            # the row sums add in the order oracle.row_sums adds: same bits
             assert cols.exit_probability.tolist() == [
-                max(0.0, min(1.0, 1.0 - spec.routing.row_sum(i))) for i in spec.ids()]
+                max(0.0, min(1.0, 1.0 - sums[i])) for i in ids]
             # bit for bit, NaN exactly where a node is not pinned
             known = spec.known_arrival_rates or {}
             assert cols.external_rate.tobytes() == np.array(
-                [spec.external_arrivals.get(i, 0.0) for i in spec.ids()]).tobytes()
+                [spec.external_arrivals.get(i, 0.0) for i in ids]).tobytes()
             assert cols.known_rate.tobytes() == np.array(
-                [known.get(i, math.nan) for i in spec.ids()]).tobytes()
-            assert np.isnan(cols.known_rate).tolist() == [i not in known for i in spec.ids()]
+                [known.get(i, math.nan) for i in ids]).tobytes()
+            assert np.isnan(cols.known_rate).tolist() == [i not in known for i in ids]
 
     def test_columns_and_triplets_are_read_only(self, fixture_spec):
         assert fixture_spec.columns._fields[-2:] == ("external_rate", "known_rate")
@@ -197,32 +201,46 @@ class TestColumns:
                 a[0] = 0
 
     def test_plain_string_kind_is_no_kind(self):
-        # every kind test is by identity, so "sink" is not NodeKind.SINK
-        spec = NetworkSpec(
-            nodes=(node(1), NodeSpec(2, "sink", 2, 1.0)),
-            routing=RoutingMatrix({(1, 2): 0.5, (2, 1): 0.5}),
-            external_arrivals={1: 1.0},
-        )
-        assert spec.columns.kind.tolist() == [KIND_CODES[NodeKind.SOURCE], -1]
-        assert spec.sinks() == ()
+        # every kind test is by identity, so "sink" is not NodeKind.SINK, and
+        # a node whose kind is no NodeKind is rejected
+        with pytest.raises(InputError, match="^node 2: kind 'sink' is not a NodeKind$"):
+            NetworkSpec(
+                nodes=(node(1), NodeSpec(2, "sink", 2, 1.0)),
+                routing={(1, 2): 0.5, (2, 1): 0.5},
+                external_arrivals={1: 1.0},
+            )
+
+    @pytest.mark.parametrize("capacity", [1, 1.0], ids=["column_pass", "per_node_pass"])
+    def test_kind_that_is_no_node_kind_is_rejected(self, capacity):
+        # such a node once got kind code -1: analyze_network then reported an
+        # empty metric subset and simulate ran.  A float capacity sends every
+        # node through the per-node rules instead of the column pass.
+        with pytest.raises(InputError,
+                           match="^node 2: kind 'intermediate' is not a NodeKind$"):
+            NetworkSpec(
+                nodes=(node(1), NodeSpec(2, "intermediate", capacity, 1.0, 0.0),
+                       NodeSpec(3, "sink", 2, 1.0)),
+                routing={(1, 2): 0.5, (2, 3): 1.0, (3, 1): 0.5},
+                external_arrivals={1: 1.0},
+            )
 
 
 NON_FINITE_RATES = {
     "service_rate": (lambda x: NetworkSpec(
         nodes=(node(1, mu=x),),
-        routing=RoutingMatrix({}),
+        routing={},
         external_arrivals={1: 1.0},
     ), "node 1 service rate must be finite"),
     "unblock_rate": (lambda x: NetworkSpec(
         nodes=(node(1, kind=NodeKind.INTERMEDIATE, capacity=1, mu_b=x), node(2)),
-        routing=RoutingMatrix({(1, 2): 0.5}),
+        routing={(1, 2): 0.5},
         external_arrivals={1: 1.0},
     ), "node 1 unblock rate must be finite"),
     "external_rate": (lambda x: two_node_spec({(1, 2): 0.5}, external={1: 1.0, 2: x}),
                       "external arrival rate at node 2 must be finite"),
     "known_rate": (lambda x: NetworkSpec(
         nodes=(node(1), node(2)),
-        routing=RoutingMatrix({(1, 2): 0.5}),
+        routing={(1, 2): 0.5},
         external_arrivals={1: 1.0},
         known_arrival_rates={2: x},
     ), "known arrival rate at node 2 must be finite"),
@@ -248,7 +266,7 @@ class TestCanonicalForm:
     def test_nodes_sorted_by_id(self):
         spec = NetworkSpec(
             nodes=(node(2), node(1)),
-            routing=RoutingMatrix({(1, 2): 0.5}),
+            routing={(1, 2): 0.5},
             external_arrivals={1: 1.0},
         )
         assert [n.id for n in spec.nodes] == [1, 2]
@@ -260,19 +278,13 @@ class TestCanonicalForm:
         {(1.0, 2): "0.5", (1, 3): 0.25},
     ], ids=["canonical", "out_of_order", "numpy_types", "converted"])
     def test_routing_entries_are_canonical_copies(self, given):
-        rm = RoutingMatrix(given)
-        entries = list(rm.entries.items())
+        spec = NetworkSpec(nodes=(node(1), node(2), node(3)), routing=given,
+                           external_arrivals={1: 1.0})
+        entries = list(spec.routing.items())
         assert entries == [((1, 2), 0.5), ((1, 3), 0.25)]
         assert [type(x) for (i, j), p in entries for x in (i, j, p)] == [int, int, float] * 2
         given[(5, 6)] = 1.0
-        assert len(rm.entries) == 2
-
-    def test_routing_helpers(self):
-        rm = RoutingMatrix({(1, 3): 0.25, (1, 2): 0.5})
-        assert rm.row(1) == {2: 0.5, 3: 0.25}
-        assert rm.successors(1) == (2, 3)
-        assert rm.row_sum(1) == 0.75
-        assert rm.row(2) == {}
+        assert len(spec.routing) == 2
 
 
 class TestFileFormat:
@@ -305,8 +317,8 @@ class TestFileFormat:
             "external_arrivals": [{"node": 1, "lambda0": 0.25}],
         })
         spec = parse_network(text)
-        assert spec.node(1).service_rate == 0.8783
-        assert spec.routing.row(1) == {2: 0.5}
+        assert spec.columns.service_rate.tolist() == [0.8783, 1.0]
+        assert spec.routing == {(1, 2): 0.5}
 
     def test_parse_error_carries_line(self):
         with pytest.raises(ParseError, match="line 1"):

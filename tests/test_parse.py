@@ -219,7 +219,7 @@ def _outcome(parse, text):
     except Exception as e:  # the family and the message are what is compared
         return type(e).__name__, str(e)
     if isinstance(result, model.NetworkSpec):
-        result = (result.nodes, result.routing.entries, result.external_arrivals,
+        result = (result.nodes, result.routing, result.external_arrivals,
                   result.known_arrival_rates)
     nodes, entries, external, known = result
     return (nodes, list(entries.items()), list(external.items()),

@@ -12,9 +12,7 @@ from qnswap import (
     NetworkSpec,
     NodeKind,
     NodeSpec,
-    RoutingMatrix,
     analyze_network,
-    blocking_node_closed_form,
     build_lattice_network,
     mm1k_full_probability,
     munoz15_fixture,
@@ -28,6 +26,7 @@ from oracle import (
     MarginalDistribution,
     SERVING,
     joint_probability,
+    reference_columns,
 )
 import _expected
 
@@ -42,7 +41,7 @@ def chain_spec():
                      service_rate=1.0, unblock_rate=0.2),
             NodeSpec(id=3, kind=NodeKind.SINK, capacity=8, service_rate=1.0),
         ),
-        routing=RoutingMatrix({(1, 2): 0.5, (1, 3): 0.5, (2, 3): 1.0}),
+        routing={(1, 2): 0.5, (1, 3): 0.5, (2, 3): 1.0},
         external_arrivals={1: 0.1},
         known_arrival_rates={1: 0.1, 2: 0.05},
     )
@@ -75,31 +74,6 @@ def lattice_spec(side):
         "sites": [site(r, c) for r in range(side) for c in range(side)],
         "edges": edges, "queues": queues}))
     return build_lattice_network(layout, arrival_rate=0.05)
-
-
-def reference_columns(spec, assumptions):
-    """The analysis columns computed node by node with the scalar closed forms."""
-    rates = solve_traffic(spec)
-    cols = {k: [] for k in ("nodes", "blocking_probability", "pi00", "pi10", "pi01",
-                            "rho", "kbar", "tbar")}
-    for node in spec.intermediates():
-        lam = rates.rate(node.id)
-        pb = assumptions.blocking_probability_override
-        if pb is None:
-            pb = 0.0
-            for j, p in sorted(spec.routing.row(node.id).items()):
-                if p > 0.0:
-                    target = spec.node(j)
-                    rho = 1.0 if assumptions.rho_one else rates.rate(j) / target.service_rate
-                    pb += p * mm1k_full_probability(rho, target.capacity)
-        pi = blocking_node_closed_form(lam, node.service_rate, node.unblock_rate, pb)
-        kbar = pi.pi10 + pi.pi01
-        for k, v in zip(cols, (node.id, pb, *pi, 1.0 - pi.pi00, kbar, kbar / lam)):
-            cols[k].append(v)
-    total = 0.0
-    for k in cols["kbar"]:
-        total += k
-    return cols, total
 
 
 SPECS = {"munoz15": munoz15_fixture, "chain": chain_spec,
@@ -201,7 +175,7 @@ class TestAnalyzeNetwork:
                          service_rate=1.0, unblock_rate=0.2),
                 NodeSpec(id=2, kind=NodeKind.SINK, capacity=8, service_rate=1.0),
             ),
-            routing=RoutingMatrix({(1, 2): 1.0}),
+            routing={(1, 2): 1.0},
             external_arrivals={1: 0.1},
             known_arrival_rates={1: 0.0},
         )

@@ -16,7 +16,6 @@ from qnswap import (
     InputError,
     NodeSpec,
     NumericsError,
-    RoutingMatrix,
     SimConfig,
     blocking_node_closed_form,
     simulate_blocking_network,
@@ -149,7 +148,7 @@ def blocking_chain_spec():
                      service_rate=5.0, unblock_rate=0.15),
             NodeSpec(id=2, kind=NodeKind.SINK, capacity=1, service_rate=0.1),
         ),
-        routing=RoutingMatrix({(1, 2): 1.0}),
+        routing={(1, 2): 1.0},
         external_arrivals={1: 1.0},
     )
 

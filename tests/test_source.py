@@ -86,26 +86,41 @@ def test_one_traffic_method():
     assert list(inspect.signature(solve_traffic).parameters) == ["spec"]
 
 
+# The second lookup API over a spec's network, now deleted: NetworkSpec's
+# per-node methods and the RoutingMatrix helpers.  Every module reads
+# NetworkSpec.columns and routing_triplets instead.
+DELETED_LOOKUPS = ("node", "ids", "sources", "sinks", "intermediates",
+                   "exit_probability", "successors", "row_sum")
+
+
 def _lookup_calls(path):
-    """Lines of ``.node(``, ``.ids(`` and ``routing.row(`` calls in a module."""
+    """Lines of calls to a deleted lookup, or to ``routing.row(``, in a module."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
             func = node.func
-            if func.attr in ("node", "ids") or (
+            if func.attr in DELETED_LOOKUPS or (
                     func.attr == "row" and isinstance(func.value, ast.Attribute)
                     and func.value.attr == "routing"):
                 found.append((func.attr, node.lineno))
     return found
 
 
-@pytest.mark.parametrize("name", ["sim.py", "traffic.py"])
-def test_solvers_read_the_spec_columns(name):
-    # the simulator and the traffic solve read NetworkSpec.columns and
-    # routing_triplets; the per-node lookups stay as the scalar references
-    # the columns are tested against
-    assert _lookup_calls(SRC / name) == []
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_solvers_read_the_spec_columns(path):
+    assert _lookup_calls(path) == []
+
+
+def test_spec_has_one_lookup_api():
+    import qnswap
+
+    assert "RoutingMatrix" not in qnswap.__all__
+    assert not hasattr(qnswap.model, "RoutingMatrix")
+    spec = qnswap.munoz15_fixture()
+    assert type(spec.routing) is dict
+    kept = [name for name in DELETED_LOOKUPS + ("_index",) if hasattr(spec, name)]
+    assert kept == []
 
 
 def test_every_simulator_run_checks_conservation():

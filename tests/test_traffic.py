@@ -12,7 +12,6 @@ from qnswap import (
     NodeKind,
     NodeSpec,
     NumericsError,
-    RoutingMatrix,
     build_lattice_network,
     munoz15_fixture,
     parse_layout,
@@ -34,7 +33,7 @@ def feedback_pair():
             NodeSpec(id=1, kind=NodeKind.SOURCE, capacity=2, service_rate=1.0),
             NodeSpec(id=2, kind=NodeKind.SOURCE, capacity=2, service_rate=1.0),
         ),
-        routing=RoutingMatrix({(1, 2): 0.5, (2, 1): 0.25}),
+        routing={(1, 2): 0.5, (2, 1): 0.25},
         external_arrivals={1: 1.0},
     )
     return spec
@@ -60,7 +59,7 @@ def test_methods_agree_on_random_networks():
         spec = random_open_network(rng)
         direct = solve_traffic(spec)
         fixed = fixed_point_traffic(spec)
-        for i in spec.ids():
+        for i in spec.columns.id.tolist():
             assert abs(direct.rate(i) - fixed.rate(i)) <= 1e-9
 
 
@@ -69,7 +68,9 @@ def test_flow_conservation_on_random_networks():
     for _ in range(50):
         spec = random_open_network(rng)
         rates = solve_traffic(spec)
-        leaving = sum(rates.rate(i) * spec.exit_probability(i) for i in spec.ids())
+        cols = spec.columns
+        leaving = sum(rates.rate(i) * p
+                      for i, p in zip(cols.id.tolist(), cols.exit_probability.tolist()))
         assert abs(rates.total_external - leaving) <= 1e-9
 
 
@@ -85,7 +86,7 @@ def test_linearity_in_external_rates():
                 external_arrivals={i: c * r for i, r in spec.external_arrivals.items()},
             )
             scaled = solve_traffic(scaled_spec)
-            for i in spec.ids():
+            for i in spec.columns.id.tolist():
                 if c == 2.0:
                     # doubling is exact in binary floating point
                     assert scaled.rate(i) == 2.0 * base.rate(i)
@@ -105,7 +106,7 @@ def test_pinned_rate_feeds_downstream_nodes():
             NodeSpec(id=1, kind=NodeKind.SOURCE, capacity=2, service_rate=1.0),
             NodeSpec(id=2, kind=NodeKind.SOURCE, capacity=2, service_rate=1.0),
         ),
-        routing=RoutingMatrix({(1, 2): 0.5}),
+        routing={(1, 2): 0.5},
         external_arrivals={1: 1.0},
         known_arrival_rates={1: 3.0},
     )
@@ -125,7 +126,7 @@ def closed_cycle_spec():
             NodeSpec(id=i, kind=NodeKind.SOURCE, capacity=2, service_rate=1.0)
             for i in (1, 2, 3)
         ),
-        routing=RoutingMatrix({(2, 3): 1.0, (3, 2): 1.0}),
+        routing={(2, 3): 1.0, (3, 2): 1.0},
         external_arrivals={1: 0.5, 2: 0.5},
     )
     return spec
@@ -139,8 +140,8 @@ def rounded_fan_cycle_spec():
             NodeSpec(id=i, kind=NodeKind.SOURCE, capacity=2, service_rate=1.0)
             for i in (1, 2, 3, 4, 5)
         ),
-        routing=RoutingMatrix({(2, 3): 0.7, (2, 4): 0.2, (2, 5): 0.1,
-                               (3, 2): 1.0, (4, 2): 1.0, (5, 2): 1.0}),
+        routing={(2, 3): 0.7, (2, 4): 0.2, (2, 5): 0.1,
+                               (3, 2): 1.0, (4, 2): 1.0, (5, 2): 1.0},
         external_arrivals={1: 0.5, 2: 0.5},
     )
     return spec
@@ -153,7 +154,7 @@ def leaky_cycle_spec():
             NodeSpec(id=i, kind=NodeKind.SOURCE, capacity=2, service_rate=1.0)
             for i in (1, 2, 3)
         ),
-        routing=RoutingMatrix({(2, 3): 1.0, (3, 2): 1.0 - 1e-13}),
+        routing={(2, 3): 1.0, (3, 2): 1.0 - 1e-13},
         external_arrivals={1: 0.5, 2: 0.5},
     )
     return spec
@@ -200,7 +201,7 @@ def test_routing_into_a_pinned_node_drains():
             NodeSpec(id=i, kind=NodeKind.SOURCE, capacity=2, service_rate=1.0)
             for i in (1, 2, 3, 4)
         ),
-        routing=RoutingMatrix({(2, 3): 1.0, (3, 2): 0.5, (3, 4): 0.5, (4, 2): 1.0}),
+        routing={(2, 3): 1.0, (3, 2): 0.5, (3, 4): 0.5, (4, 2): 1.0},
         external_arrivals={1: 0.5, 2: 0.5},
         known_arrival_rates={4: 0.25},
     )
@@ -232,7 +233,7 @@ def sources(ids, routing, external, known=None):
     return NetworkSpec(
         nodes=tuple(NodeSpec(id=i, kind=NodeKind.SOURCE, capacity=2, service_rate=1.0)
                     for i in ids),
-        routing=RoutingMatrix(routing),
+        routing=routing,
         external_arrivals=external,
         known_arrival_rates=known,
     )
@@ -265,11 +266,11 @@ DENSE_REFERENCE_SPECS = {
 
 def dense_reference(spec):
     """Rates from one dense solve of (I - P^T) lam = lam0, pinned rows replaced."""
-    ids = spec.ids()
+    ids = spec.columns.id.tolist()
     index = {i: k for k, i in enumerate(ids)}
     a = np.identity(len(ids))
     b = np.zeros(len(ids))
-    for (i, j), p in spec.routing.entries.items():
+    for (i, j), p in spec.routing.items():
         a[index[j], index[i]] -= p
     for i, r in spec.external_arrivals.items():
         b[index[i]] = r
@@ -284,7 +285,7 @@ def dense_reference(spec):
 def test_direct_solve_matches_dense_reference(name):
     spec = DENSE_REFERENCE_SPECS[name]()
     rates = solve_traffic(spec)
-    got = np.array([rates.rate(i) for i in spec.ids()])
+    got = np.array([rates.rate(i) for i in spec.columns.id.tolist()])
     np.testing.assert_allclose(got, dense_reference(spec), rtol=1e-12, atol=0.0)
 
 
