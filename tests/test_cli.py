@@ -164,7 +164,29 @@ LATTICE40_SHA256 = {
         "ae6af34492795750aac28548cdd4d8a95027f65aaeb390bcddbada5588fe4ade",
 }
 
+# sha256 of ``analyze`` table and CSV output on ``grid_document(40)``,
+# written by the CLI before those writers read the analysis columns.
+LATTICE40_TEXT_SHA256 = {
+    ("table",): "ddc28adb00e8e8e6b1c688a1948e566a4496182ab26dbcb71d9e4cc2aa15b3af",
+    ("table", "--subset", "5,6,7,300"):
+        "0f51675ab46d455514322e221b62ba7f360cf7bc8899c77f62703bff201eab75",
+    ("csv",): "a6f32ab133ce5683432075e9ede41fcbacf2c48b939090b9598d3c6f1dad92c5",
+    ("csv", "--subset", "5,6,7,300"):
+        "213221a763754d7e875bc3f4f8f574bb834951994824e0f189746623a3c29cca",
+}
+
 EDGE_FLOATS = (-0.0, 5e-324, 1e16, 0.1 + 0.2, 2.5, -1.5e-7, float("nan"), float("inf"))
+
+
+class TestAnalyzeTextWriters:
+    @pytest.mark.parametrize("fmt", sorted(LATTICE40_TEXT_SHA256), ids=" ".join)
+    def test_lattice40_table_and_csv_bytes_unchanged(self, capsys, tmp_path, fmt):
+        path = tmp_path / "grid40.json"
+        path.write_text(grid_document(40), encoding="utf-8")
+        code, out, err = run_cli(capsys, "analyze", "--network", str(path),
+                                 "--format", *fmt)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == LATTICE40_TEXT_SHA256[fmt]
 
 
 class TestAnalyzeJsonWriter:

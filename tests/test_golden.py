@@ -5,7 +5,8 @@ written by the CLI before the traffic and steady-state solves moved to
 LAPACK, and the emitted fixture document before network specs were checked
 on construction; the ``--subset``, ``--round 3`` and 6x6 lattice outputs
 before the analysis became one pass over node columns; the ``--round 4``
-JSON before the analyze JSON was printed from columns; the event-unit
+JSON before the analyze JSON was printed from columns; the ``--subset``
+table and CSV before those writers read the analysis columns; the event-unit
 simulator runs, which the CLI cannot select, before the simulator read the
 spec's columns; the self-loop simulator runs before the simulator became
 one flat event loop.  Any refactor that changes a printed byte of these outputs
@@ -34,6 +35,9 @@ CASES = {
         "simulate", "--seed", "11", "--horizon", "500", "--format", "json"],
     "munoz15_analyze_subset1-3.json": [
         "analyze", "--format", "json", "--subset", "1,2,3"],
+    "munoz15_analyze_subset1-3.txt": ["analyze", "--subset", "1,2,3"],
+    "munoz15_analyze_subset1-3.csv": [
+        "analyze", "--format", "csv", "--subset", "1,2,3"],
     "munoz15_analyze_round3.txt": ["analyze", "--round", "3"],
     "munoz15_analyze_round4.json": ["analyze", "--format", "json", "--round", "4"],
     "lattice6_analyze.json": [
