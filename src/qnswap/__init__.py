@@ -46,13 +46,12 @@ from .sim import (
     SimResult,
     simulate_blocking_network,
 )
-from .traffic import ArrivalRates, solve_traffic, total_external_rate
+from .traffic import solve_traffic, total_external_rate
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AnalysisAssumptions",
-    "ArrivalRates",
     "InputError",
     "LayoutGraph",
     "NetworkAnalysis",

@@ -27,6 +27,7 @@ from .metrics import NetworkMetrics, network_metrics
 from .model import KIND_CODES, NetworkSpec, NodeKind, parse_network, serialize_network
 from .pfqn import AnalysisAssumptions, NetworkAnalysis, analyze_network
 from .sim import SimConfig, SimResult, simulate_blocking_network
+from .traffic import total_external_rate
 
 SEED_ENV = "QNSWAP_SEED"
 
@@ -132,7 +133,12 @@ def _table(headers: list[str], rows: list[list[str]]) -> list[str]:
     return lines
 
 
-_ROW_COLUMNS = ("pi00", "pi10", "pi01", "rho", "kbar", "tbar")
+# The per-node columns of NetworkAnalysis that analyze prints: all of them
+# in JSON key order ("node" sorts between "kbar" and "pi00"), and the
+# table and CSV columns in print order.
+_JSON_COLUMNS = ("arrival_rate", "blocking_probability", "kbar",
+                 "pi00", "pi01", "pi10", "rho", "tbar")
+_TEXT_COLUMNS = ("pi00", "pi10", "pi01", "rho", "kbar", "tbar")
 
 # The analyze JSON document as json.dumps(..., sort_keys=True, indent=2)
 # lays it out; every %s is one value's JSON text.  The normalization
@@ -184,32 +190,24 @@ def _json_array(items: list[str], closing_indent: str) -> str:
     return "[\n" + ",\n".join(items) + "\n" + closing_indent + "]"
 
 
-def _analyze_json(analysis: NetworkAnalysis, net: NetworkMetrics,
-                  digits: int | None, keep: set[int] | None) -> str:
-    """The analyze JSON document, written from the analysis columns.
+def _analyze_json(assumptions: AnalysisAssumptions, net: NetworkMetrics,
+                  ids: list[int], columns: dict[str, list[float]],
+                  digits: int | None) -> str:
+    """The analyze JSON document, written from the columns of the printed nodes.
 
-    Byte for byte what ``json.dumps(doc, sort_keys=True, indent=2)`` gives
-    for ``doc = analysis.to_jsonable()``, with ``nodes`` cut to ``keep`` and
-    ``network`` replaced by ``net``, after every float went through
-    ``round(v, digits)``.
+    ``columns`` maps each ``_JSON_COLUMNS`` name to a list aligned with
+    ``ids``.  The output is byte for byte what ``json.dumps(doc,
+    sort_keys=True, indent=2)`` gives for the document with the
+    assumptions, one object per node and the fields of ``net``, after every
+    float went through ``round(v, digits)``.
     """
-    ids = analysis.nodes.tolist()
-    rates = analysis.arrival_rates.rates
-    # the node fields in key order, less "node" itself (position 3)
-    columns = [list(map(rates.__getitem__, ids))] + [c.tolist() for c in (
-        analysis.blocking_probability, analysis.kbar, analysis.pi00, analysis.pi01,
-        analysis.pi10, analysis.rho, analysis.tbar)]
-    if keep is not None:
-        mask = [i in keep for i in ids]
-        ids = list(compress(ids, mask))
-        columns = [list(compress(c, mask)) for c in columns]
-    text = [_json_floats(c, digits) for c in columns]
+    text = [_json_floats(columns[name], digits) for name in _JSON_COLUMNS]
     text.insert(3, list(map(str, ids)))
     nodes = list(map(_ANALYZE_JSON_NODE.__mod__, zip(*text)))
 
-    override = analysis.assumptions.blocking_probability_override
+    override = assumptions.blocking_probability_override
     override = "null" if override is None else _json_floats([override], digits)[0]
-    rho_one = "true" if analysis.assumptions.rho_one else "false"
+    rho_one = "true" if assumptions.rho_one else "false"
     network = _json_floats([net.external_rate, net.mean_jobs, net.mean_response_time,
                             net.total_jobs], digits)
     members = _json_array(["      %d" % i for i in net.nodes], "    ")
@@ -219,32 +217,31 @@ def _analyze_json(analysis: NetworkAnalysis, net: NetworkMetrics,
 
 def _analyze_output(analysis: NetworkAnalysis, fmt: str, digits: int | None,
                     subset: list[int] | None) -> str:
+    """The analyze output; ``subset`` selects the nodes printed and aggregated."""
     net = analysis.network
-    keep = None
+    ids = analysis.nodes.tolist()
+    columns = {name: getattr(analysis, name).tolist() for name in _JSON_COLUMNS}
     if subset is not None:
+        net = network_metrics(analysis.nodes, analysis.kbar, net.external_rate, subset)
         keep = set(subset)
-        net = network_metrics(analysis.nodes, analysis.kbar,
-                              analysis.arrival_rates.total_external, keep)
+        mask = [i in keep for i in ids]
+        ids = list(compress(ids, mask))
+        columns = {name: list(compress(c, mask)) for name, c in columns.items()}
 
     if fmt == "json":
-        return _analyze_json(analysis, net, digits, keep)
+        return _analyze_json(analysis.assumptions, net, ids, columns, digits)
 
-    rows = analysis.rows()
-    if keep is not None:
-        rows = [r for r in rows if r["node"] in keep]
-
+    text = [list(map(str, ids))] + [[_fmt(v, digits) for v in columns[name]]
+                                    for name in _TEXT_COLUMNS]
+    rows = list(zip(*text))
     if fmt == "csv":
-        lines = ["node," + ",".join(_ROW_COLUMNS)]
-        for r in rows:
-            lines.append(",".join([str(r["node"])]
-                                  + [_fmt(r[c], digits) for c in _ROW_COLUMNS]))
+        lines = ["node," + ",".join(_TEXT_COLUMNS)]
+        lines += map(",".join, rows)
         lines.append("network,,,,,%s,%s" % (_fmt(net.mean_jobs, digits),
                                             _fmt(net.mean_response_time, digits)))
         return "\n".join(lines) + "\n"
 
-    cells = [[str(r["node"])] + [_fmt(r[c], digits) for c in _ROW_COLUMNS]
-             for r in rows]
-    lines = _table(["node", *_ROW_COLUMNS], cells)
+    lines = _table(["node", *_TEXT_COLUMNS], rows)
     lines.append("")
     lines.append(
         "network  mean jobs: %s  response time: %s  external rate: %s" % (
@@ -366,7 +363,7 @@ def _dispatch(args: argparse.Namespace) -> str:
         return "%s: %d nodes (%d intermediate, %d sources, %d sinks), external rate %s\n" % (
             args.name, len(spec.nodes), count(KIND_CODES[NodeKind.INTERMEDIATE]),
             count(KIND_CODES[NodeKind.SOURCE]), count(KIND_CODES[NodeKind.SINK]),
-            _fmt(sum(spec.columns.external_rate.tolist()), None))
+            _fmt(total_external_rate(spec), None))
 
     if args.command == "validate":
         spec = parse_network(_read_text(args.network))

@@ -41,7 +41,9 @@ class QueueSite:
     capacity: int | None = None
 
     def __post_init__(self):
-        if self.role not in (NodeKind.SOURCE, NodeKind.SINK):
+        # by identity: a plain string equals its NodeKind, but the builder
+        # picks sources and sinks by identity
+        if self.role is not NodeKind.SOURCE and self.role is not NodeKind.SINK:
             raise SchemaError("queues.role", f"must be source or sink, got {self.role!r}")
         if self.capacity is not None and (
                 not isinstance(self.capacity, int) or isinstance(self.capacity, bool)

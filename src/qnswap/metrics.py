@@ -27,15 +27,6 @@ class NetworkMetrics:
     total_jobs: float
     nodes: tuple[int, ...]
 
-    def to_jsonable(self) -> dict:
-        return {
-            "mean_jobs": self.mean_jobs,
-            "mean_response_time": self.mean_response_time,
-            "external_rate": self.external_rate,
-            "total_jobs": self.total_jobs,
-            "nodes": list(self.nodes),
-        }
-
 
 @dataclass(frozen=True)
 class SwapDepthReport:

@@ -54,6 +54,7 @@ from enum import Enum
 from functools import partial
 from itertools import chain, compress, repeat
 from operator import attrgetter, itemgetter
+from types import MappingProxyType
 from typing import Mapping, NamedTuple, NoReturn
 
 import numpy as np
@@ -175,7 +176,9 @@ class NetworkSpec:
     ``{(from_id, to_id): p}`` mapping: the probability that a job finishing
     service at ``from_id`` is sent to ``to_id``; the rest of the row is the
     chance of leaving the network.  The spec keeps a canonical copy of each
-    mapping: int keys in order, float values.
+    mapping, int keys in order and float values, behind a read-only
+    ``types.MappingProxyType``, so the mappings cannot drift from the
+    tables below.  Pickling and copying rebuild the spec from plain dicts.
 
     Every lookup reads two read-only tables built once here: ``columns``
     (:class:`NodeColumns`, one entry per node in id order) and
@@ -209,14 +212,13 @@ class NetworkSpec:
                     raise InputError(f"node id {i!r} must be a positive integer")
         object.__setattr__(self, "nodes",
                            tuple(sorted(self.nodes, key=attrgetter("id"))))
-        object.__setattr__(self, "routing", _canonical_routing(self.routing))
-        object.__setattr__(self, "external_arrivals",
-                           {int(k): float(v)
-                            for k, v in sorted(self.external_arrivals.items())})
+        object.__setattr__(self, "routing",
+                           MappingProxyType(_canonical_routing(self.routing)))
+        object.__setattr__(self, "external_arrivals", MappingProxyType(
+            {int(k): float(v) for k, v in sorted(self.external_arrivals.items())}))
         if self.known_arrival_rates is not None:
-            object.__setattr__(self, "known_arrival_rates",
-                               {int(k): float(v)
-                                for k, v in sorted(self.known_arrival_rates.items())})
+            object.__setattr__(self, "known_arrival_rates", MappingProxyType(
+                {int(k): float(v) for k, v in sorted(self.known_arrival_rates.items())}))
 
         if not self.nodes:
             raise InputError("network has no nodes")
@@ -314,6 +316,12 @@ class NetworkSpec:
         _read_only(*columns, rows, cols, probs)
         object.__setattr__(self, "columns", columns)
         object.__setattr__(self, "routing_triplets", (rows, cols, probs))
+
+    def __reduce__(self):
+        # a mapping proxy cannot be pickled: rebuild from plain-dict copies
+        known = self.known_arrival_rates
+        return (NetworkSpec, (self.nodes, dict(self.routing), dict(self.external_arrivals),
+                              None if known is None else dict(known)))
 
 
 # -- document parsing --------------------------------------------------------

@@ -27,7 +27,7 @@ from .ctmc import blocking_node_closed_form, mm1k_full_probability
 from .errors import InputError
 from .metrics import NetworkMetrics, network_metrics
 from .model import KIND_CODES, NetworkSpec, NodeKind
-from .traffic import ArrivalRates, solve_traffic
+from .traffic import solve_traffic, total_external_rate
 
 
 @dataclass(frozen=True)
@@ -59,11 +59,13 @@ DEFAULT_ASSUMPTIONS = AnalysisAssumptions()
 class NetworkAnalysis:
     """Everything the analytic pipeline produces for one network.
 
-    The per-node fields are columns over the intermediate nodes in id order:
-    entry k of each belongs to node ``nodes[k]``.
+    The per-node fields, from ``arrival_rate`` (the solved traffic rate) to
+    ``tbar``, are columns over the intermediate nodes in id order: entry k
+    of each belongs to node ``nodes[k]``.  Every writer reads these columns.
     """
 
     nodes: np.ndarray
+    arrival_rate: np.ndarray
     blocking_probability: np.ndarray
     pi00: np.ndarray
     pi10: np.ndarray
@@ -72,31 +74,7 @@ class NetworkAnalysis:
     kbar: np.ndarray
     tbar: np.ndarray
     assumptions: AnalysisAssumptions
-    arrival_rates: ArrivalRates
     network: NetworkMetrics
-
-    def rows(self) -> list[dict]:
-        """One row per analyzed node, in id order, ready for tabulation."""
-        keys = ("node", "pi00", "pi10", "pi01", "rho", "kbar", "tbar")
-        columns = (self.nodes, self.pi00, self.pi10, self.pi01, self.rho, self.kbar, self.tbar)
-        return [dict(zip(keys, row)) for row in zip(*(c.tolist() for c in columns))]
-
-    def to_jsonable(self) -> dict:
-        nodes = self.rows()
-        for row, pb in zip(nodes, self.blocking_probability.tolist()):
-            row["arrival_rate"] = self.arrival_rates.rates[row["node"]]
-            row["blocking_probability"] = pb
-        return {
-            "assumptions": {
-                "rho_one": self.assumptions.rho_one,
-                "blocking_probability_override":
-                    self.assumptions.blocking_probability_override,
-                # an open network's product form is normalized as it stands
-                "normalization_constant": 1.0,
-            },
-            "nodes": nodes,
-            "network": self.network.to_jsonable(),
-        }
 
 
 def analyze_network(
@@ -115,11 +93,10 @@ def analyze_network(
             is named.
         NumericsError: a node's marginal is not a distribution.
     """
-    rates = solve_traffic(spec)
+    lam_all = solve_traffic(spec)
     col = spec.columns
     inner = col.kind == KIND_CODES[NodeKind.INTERMEDIATE]
     ids = col.id[inner]
-    lam_all = np.fromiter(rates.rates.values(), dtype=float, count=len(inner))
     lam, mu, mu_b = lam_all[inner], col.service_rate[inner], col.unblock_rate[inner]
 
     override = assumptions.blocking_probability_override
@@ -148,6 +125,7 @@ def analyze_network(
     kbar = marginal.pi10 + marginal.pi01
     return NetworkAnalysis(
         nodes=ids,
+        arrival_rate=lam,
         blocking_probability=pb,
         pi00=marginal.pi00,
         pi10=marginal.pi10,
@@ -156,6 +134,5 @@ def analyze_network(
         kbar=kbar,
         tbar=kbar / lam,
         assumptions=assumptions,
-        arrival_rates=rates,
-        network=network_metrics(ids, kbar, rates.total_external),
+        network=network_metrics(ids, kbar, total_external_rate(spec)),
     )

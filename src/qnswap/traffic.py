@@ -5,9 +5,11 @@ routed there from other nodes:
 
     lambda_i = lambda0_i + sum_j p_ji * lambda_j
 
-which is the linear system ``(I - P^T) lambda = lambda0``.  The routing is
-kept sparse, as (row, column, probability) triplets, and every product
-``P^T lambda`` is one ``np.bincount``; no n x n matrix is formed.
+which is the linear system ``(I - P^T) lambda = lambda0``.  Its solution
+is one read-only column over the nodes, aligned with ``spec.columns.id``.
+The routing is kept sparse, as (row, column, probability) triplets, and
+every product ``P^T lambda`` is one ``np.bincount``; no n x n matrix is
+formed.
 
 Nodes listed in ``known_arrival_rates`` are pinned to their given values:
 they move to the right-hand side as inputs to the free nodes and are
@@ -33,9 +35,6 @@ error names them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
-
 import numpy as np
 
 from .errors import NumericsError
@@ -43,21 +42,6 @@ from .model import ROW_SUM_TOL, NetworkSpec
 
 # Largest accepted residual, relative to the largest input rate.
 RESIDUAL_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class ArrivalRates:
-    """Solved arrival rates, one entry per node, plus the external total."""
-
-    rates: Mapping[int, float]
-    total_external: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "rates",
-                           {int(k): float(v) for k, v in sorted(self.rates.items())})
-
-    def rate(self, node_id: int) -> float:
-        return self.rates[node_id]
 
 
 def total_external_rate(spec: NetworkSpec) -> float:
@@ -190,15 +174,16 @@ def _check_residual(lam, lam0, rows, cols, probs, pinned) -> None:
             )
 
 
-def solve_traffic(spec: NetworkSpec) -> ArrivalRates:
+def solve_traffic(spec: NetworkSpec) -> np.ndarray:
     """Solve the traffic equations.
 
     Block elimination over BFS levels of the routing graph, LAPACK on each
     diagonal block; see the module docstring.
 
     Returns:
-        ArrivalRates with one nonnegative rate per node.  Nodes covered by
-        ``known_arrival_rates`` are returned verbatim.
+        A read-only float64 column of nonnegative arrival rates: entry k is
+        the rate into node ``spec.columns.id[k]``.  Nodes covered by
+        ``known_arrival_rates`` get their pinned rate verbatim.
 
     Raises:
         NumericsError: some nodes have no path to an exit or a pinned node
@@ -237,7 +222,5 @@ def solve_traffic(spec: NetworkSpec) -> ArrivalRates:
     # Rounding in the solve can leave rates a hair below zero.
     lam = np.where((lam < 0) & (lam > -1e-12), 0.0, lam)
     _check_residual(lam, lam0, rows, cols, probs, pinned)
-    return ArrivalRates(
-        rates=dict(zip(spec.columns.id.tolist(), lam.tolist())),
-        total_external=total_external_rate(spec),
-    )
+    lam.flags.writeable = False
+    return lam

@@ -10,7 +10,10 @@ Nothing in ``qnswap`` calls these; they exist to cross-check it:
 - an item-by-item document parser and spec check against the column
   checks of ``parse_network`` and ``NetworkSpec``;
 - per-node scalar references, read from ``spec.nodes`` and
-  ``spec.routing``, for the spec's columns and the analysis columns.
+  ``spec.routing``, for the spec's columns and the analysis columns;
+- the reference ``analyze`` document, built as plain dicts and lists, that
+  the CLI's fixed-schema JSON writer must print byte for byte as
+  ``json.dumps`` does.
 
 They import package internals where that makes them compute the same
 numbers the package would: the fixed-point solver uses the traffic solve's
@@ -30,7 +33,6 @@ from typing import Hashable, Iterable, Sequence
 import numpy as np
 
 from qnswap import (
-    ArrivalRates,
     InputError,
     NodeKind,
     NodeMarginal,
@@ -460,8 +462,11 @@ def simulate_ctmc(gen: Generator, config: SimConfig) -> ChainRun:
 # -- traffic equations --------------------------------------------------------
 
 def fixed_point_traffic(spec, tol: float = 1e-12, max_iter: int = 100_000,
-                        damping: float = 0.9) -> ArrivalRates:
+                        damping: float = 0.9) -> np.ndarray:
     """Traffic rates by damped iteration of lambda = lambda0 + P^T lambda.
+
+    Returns the rate column, entry k for node ``spec.columns.id[k]``, as
+    ``solve_traffic`` does.
 
     Independent of the block elimination in ``qnswap.traffic``; pinned
     rates are held at their given values, and the result passes the same
@@ -508,10 +513,7 @@ def fixed_point_traffic(spec, tol: float = 1e-12, max_iter: int = 100_000,
 
     lam = np.where((lam < 0) & (lam > -1e-12), 0.0, lam)
     traffic._check_residual(lam, lam0, rows, cols, probs, pinned)
-    return ArrivalRates(
-        rates={i: float(lam[index[i]]) for i in ids},
-        total_external=traffic.total_external_rate(spec),
-    )
+    return lam
 
 
 # -- per-node scalar references -------------------------------------------------
@@ -526,30 +528,64 @@ def row_sums(spec) -> dict[int, float]:
 
 def reference_columns(spec, assumptions):
     """The analysis columns computed node by node with the scalar closed forms."""
-    rates = solve_traffic(spec)
+    rate = dict(zip(spec.columns.id.tolist(), solve_traffic(spec).tolist()))
     by_id = {node.id: node for node in spec.nodes}
-    cols = {k: [] for k in ("nodes", "blocking_probability", "pi00", "pi10", "pi01",
-                            "rho", "kbar", "tbar")}
+    cols = {k: [] for k in ("nodes", "arrival_rate", "blocking_probability", "pi00",
+                            "pi10", "pi01", "rho", "kbar", "tbar")}
     for node in spec.nodes:
         if node.kind is not NodeKind.INTERMEDIATE:
             continue
-        lam = rates.rate(node.id)
+        lam = rate[node.id]
         pb = assumptions.blocking_probability_override
         if pb is None:
             pb = 0.0
             for (i, j), p in spec.routing.items():
                 if i == node.id and p > 0.0:
                     target = by_id[j]
-                    rho = 1.0 if assumptions.rho_one else rates.rate(j) / target.service_rate
+                    rho = 1.0 if assumptions.rho_one else rate[j] / target.service_rate
                     pb += p * mm1k_full_probability(rho, target.capacity)
         pi = blocking_node_closed_form(lam, node.service_rate, node.unblock_rate, pb)
         kbar = pi.pi10 + pi.pi01
-        for k, v in zip(cols, (node.id, pb, *pi, 1.0 - pi.pi00, kbar, kbar / lam)):
+        for k, v in zip(cols, (node.id, lam, pb, *pi, 1.0 - pi.pi00, kbar, kbar / lam)):
             cols[k].append(v)
     total = 0.0
     for k in cols["kbar"]:
         total += k
     return cols, total
+
+
+# -- reference analyze document -------------------------------------------------
+
+def analyze_document(analysis, net=None) -> dict:
+    """The ``analyze --format json`` document of an analysis, as plain data.
+
+    One object per analyzed node, in id order, and the network aggregates
+    of ``net`` (default: ``analysis.network``).  The CLI prints
+    ``json.dumps(doc, sort_keys=True, indent=2)`` of it, floats rounded
+    first under ``--round``.
+    """
+    net = analysis.network if net is None else net
+    keys = ("nodes", "arrival_rate", "blocking_probability", "pi00", "pi10", "pi01",
+            "rho", "kbar", "tbar")
+    columns = [getattr(analysis, key).tolist() for key in keys]
+    nodes = [dict(zip(("node",) + keys[1:], row)) for row in zip(*columns)]
+    return {
+        "assumptions": {
+            "rho_one": analysis.assumptions.rho_one,
+            "blocking_probability_override":
+                analysis.assumptions.blocking_probability_override,
+            # an open network's product form is normalized as it stands
+            "normalization_constant": 1.0,
+        },
+        "nodes": nodes,
+        "network": {
+            "mean_jobs": net.mean_jobs,
+            "mean_response_time": net.mean_response_time,
+            "external_rate": net.external_rate,
+            "total_jobs": net.total_jobs,
+            "nodes": list(net.nodes),
+        },
+    }
 
 
 # -- item-by-item document parser ----------------------------------------------

@@ -10,7 +10,6 @@ import pytest
 
 from qnswap import (
     AnalysisAssumptions,
-    ArrivalRates,
     analyze_network,
     cli,
     munoz15_fixture,
@@ -18,6 +17,7 @@ from qnswap import (
     parse_network,
     serialize_network,
 )
+from oracle import analyze_document
 from conftest import grid_document, single_queue_spec, two_node_cycle_spec
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -212,19 +212,16 @@ class TestAnalyzeJsonWriter:
         fields = ("blocking_probability", "pi00", "pi10", "pi01", "rho", "kbar", "tbar")
         edge = {name: np.resize(np.roll(EDGE_FLOATS, k), n)
                 for k, name in enumerate(fields)}
-        rates = dict(zip(analysis.nodes.tolist(), np.resize(EDGE_FLOATS, n).tolist()))
         analysis = dataclasses.replace(
-            analysis, **edge,
-            arrival_rates=ArrivalRates(rates, analysis.arrival_rates.total_external),
+            analysis, **edge, arrival_rate=np.resize(EDGE_FLOATS, n),
             network=dataclasses.replace(analysis.network, mean_jobs=1e16,
                                         mean_response_time=-0.0, total_jobs=5e-324))
-        doc = analysis.to_jsonable()
         net = analysis.network
         if subset is not None:
-            net = network_metrics(analysis.nodes, analysis.kbar,
-                                  analysis.arrival_rates.total_external, subset)
+            net = network_metrics(analysis.nodes, analysis.kbar, net.external_rate, subset)
+        doc = analyze_document(analysis, net)
+        if subset is not None:
             doc["nodes"] = [row for row in doc["nodes"] if row["node"] in subset]
-            doc["network"] = net.to_jsonable()
         want = json.dumps(cli._round_floats(doc, digits), sort_keys=True, indent=2) + "\n"
         assert cli._analyze_output(analysis, "json", digits, subset) == want
 

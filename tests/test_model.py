@@ -1,7 +1,10 @@
 """Network description: construction, validation, and file round-trips."""
 
+import copy
+import dataclasses
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -285,6 +288,31 @@ class TestCanonicalForm:
         assert [type(x) for (i, j), p in entries for x in (i, j, p)] == [int, int, float] * 2
         given[(5, 6)] = 1.0
         assert len(spec.routing) == 2
+
+
+class TestReadOnlyMappings:
+    @pytest.mark.parametrize("name, key", [
+        ("routing", (1, 3)), ("external_arrivals", 12), ("known_arrival_rates", 1)])
+    def test_mappings_cannot_change_after_the_check(self, fixture_spec, name, key):
+        mapping = getattr(fixture_spec, name)
+        with pytest.raises(TypeError):
+            mapping[key] = 0.9
+        assert len(fixture_spec.routing) == len(fixture_spec.routing_triplets[0])
+
+    @pytest.mark.parametrize("copier", [
+        lambda spec: pickle.loads(pickle.dumps(spec)), copy.deepcopy, copy.copy,
+        dataclasses.replace], ids=["pickle", "deepcopy", "copy", "replace"])
+    def test_copies_come_back_equal(self, fixture_spec, copier):
+        spec = copier(fixture_spec)
+        assert spec == fixture_spec
+        assert spec.columns.id.tolist() == fixture_spec.columns.id.tolist()
+        with pytest.raises(TypeError):
+            spec.routing[(1, 3)] = 0.9
+
+    def test_unpinned_spec_pickles(self):
+        spec = two_node_spec({(1, 2): 0.5})
+        assert spec.known_arrival_rates is None
+        assert pickle.loads(pickle.dumps(spec)) == spec
 
 
 class TestFileFormat:

@@ -4,6 +4,7 @@ import itertools
 import json
 import re
 
+import numpy as np
 import pytest
 
 from qnswap import (
@@ -116,10 +117,10 @@ class TestWorstCaseBlocking:
 
     def test_solved_rates_replace_saturation(self):
         spec = chain_spec()
-        rates = solve_traffic(spec)
+        rates = solve_traffic(spec)  # nodes 1, 2, 3 at positions 0, 1, 2
         got = analyze_network(spec, AnalysisAssumptions(rho_one=False))
-        want = (0.5 * mm1k_full_probability(rates.rate(2) / 1.0, 1)
-                + 0.5 * mm1k_full_probability(rates.rate(3) / 1.0, 8))
+        want = (0.5 * mm1k_full_probability(rates[1] / 1.0, 1)
+                + 0.5 * mm1k_full_probability(rates[2] / 1.0, 8))
         assert got.blocking_probability[0] == pytest.approx(want, abs=1e-15)
 
     def test_only_intermediates_have_blocking(self):
@@ -131,15 +132,14 @@ class TestAnalyzeNetwork:
     def test_fixture_occupancies_match_expected_tables(self, fixture_spec):
         analysis = analyze_network(
             fixture_spec, AnalysisAssumptions(blocking_probability_override=0.5))
-        rows = analysis.rows()
-        assert [r["node"] for r in rows] == list(range(1, 12))
-        for k, row in enumerate(rows):
-            assert row["pi00"] == pytest.approx(_expected.PI_EMPTY[k], abs=2e-3)
-            assert row["pi10"] == pytest.approx(_expected.PI_SERVING[k], abs=2e-3)
-            assert row["pi01"] == pytest.approx(_expected.PI_BLOCKED[k], abs=2e-3)
-            assert row["rho"] == pytest.approx(_expected.UTILIZATION[k], abs=2e-3)
-            assert row["kbar"] == pytest.approx(_expected.UTILIZATION[k], abs=2e-3)
-            assert row["tbar"] == pytest.approx(_expected.RESPONSE_TIME[k], abs=5e-3)
+        assert analysis.nodes.tolist() == list(range(1, 12))
+        for k in range(11):
+            assert analysis.pi00[k] == pytest.approx(_expected.PI_EMPTY[k], abs=2e-3)
+            assert analysis.pi10[k] == pytest.approx(_expected.PI_SERVING[k], abs=2e-3)
+            assert analysis.pi01[k] == pytest.approx(_expected.PI_BLOCKED[k], abs=2e-3)
+            assert analysis.rho[k] == pytest.approx(_expected.UTILIZATION[k], abs=2e-3)
+            assert analysis.kbar[k] == pytest.approx(_expected.UTILIZATION[k], abs=2e-3)
+            assert analysis.tbar[k] == pytest.approx(_expected.RESPONSE_TIME[k], abs=5e-3)
 
     def test_fixture_network_means_frozen(self, fixture_spec):
         analysis = analyze_network(
@@ -182,10 +182,12 @@ class TestAnalyzeNetwork:
         with pytest.raises(InputError, match="node 1 has zero arrival rate"):
             analyze_network(spec)
 
-    def test_jsonable_shape(self, fixture_spec):
-        blob = analyze_network(fixture_spec).to_jsonable()
-        assert set(blob) == {"assumptions", "nodes", "network"}
-        assert len(blob["nodes"]) == 11
+    def test_arrival_rate_column_is_the_solved_traffic(self, fixture_spec):
+        # the pins of munoz15 cover every intermediate node
+        analysis = analyze_network(fixture_spec)
+        assert analysis.arrival_rate.dtype == np.float64
+        assert analysis.arrival_rate.tolist() == [
+            _expected.ARRIVAL_RATE[i] for i in analysis.nodes.tolist()]
 
 
 class TestJointProbability:

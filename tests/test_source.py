@@ -1,9 +1,14 @@
 """Checks on the package source itself."""
 
 import ast
+import dataclasses
 from pathlib import Path
+from types import MappingProxyType
 
+import numpy as np
 import pytest
+
+import _expected
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "qnswap"
 MODULES = sorted(SRC.glob("*.py"))
@@ -60,7 +65,7 @@ ORACLE_ONLY = {
     "_reach_sets", "closed_class_count", "is_irreducible", "steady_state",
     "blocking_node_chain", "BLOCKING_STATES", "EMPTY", "SERVING", "BLOCKED",
     "mm1k_distribution", "simulate_ctmc", "_ctmc_rep", "joint_probability",
-    "_Draws",
+    "_Draws", "analyze_document",
 }
 
 
@@ -76,6 +81,26 @@ def test_oracle_code_stays_out_of_the_package(path):
         elif isinstance(node, ast.ImportFrom):
             names.update(alias.asname or alias.name for alias in node.names)
     assert sorted(names & ORACLE_ONLY) == []
+
+
+# The second representation of the analysis output, now deleted: the rate
+# mapping the traffic solve returned and the per-row dicts of the analysis.
+# Every writer reads the columns instead.
+def test_analysis_hands_out_columns():
+    import qnswap
+    from qnswap import NetworkAnalysis, munoz15_fixture, solve_traffic
+
+    assert "ArrivalRates" not in qnswap.__all__
+    assert not hasattr(qnswap.traffic, "ArrivalRates")
+    kept = [name for name in ("rows", "to_jsonable", "arrival_rates")
+            if hasattr(NetworkAnalysis, name)
+            or name in {f.name for f in dataclasses.fields(NetworkAnalysis)}]
+    assert kept == []
+    rates = solve_traffic(munoz15_fixture())
+    assert (type(rates), rates.dtype, rates.shape) == (np.ndarray, np.float64, (15,))
+    assert not rates.flags.writeable
+    # munoz15 pins every intermediate node, ids 1..11 at positions 0..10
+    assert rates[:11].tolist() == [_expected.ARRIVAL_RATE[i] for i in range(1, 12)]
 
 
 def test_one_traffic_method():
@@ -118,7 +143,8 @@ def test_spec_has_one_lookup_api():
     assert "RoutingMatrix" not in qnswap.__all__
     assert not hasattr(qnswap.model, "RoutingMatrix")
     spec = qnswap.munoz15_fixture()
-    assert type(spec.routing) is dict
+    # the canonical mappings are read-only views, like the tables
+    assert type(spec.routing) is MappingProxyType
     kept = [name for name in DELETED_LOOKUPS + ("_index",) if hasattr(spec, name)]
     assert kept == []
 

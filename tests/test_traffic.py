@@ -41,16 +41,16 @@ def feedback_pair():
 
 def test_hand_solved_feedback_pair():
     rates = solve_traffic(feedback_pair())
-    assert rates.rate(1) == pytest.approx(8 / 7, abs=1e-12)
-    assert rates.rate(2) == pytest.approx(4 / 7, abs=1e-12)
-    assert rates.total_external == 1.0
+    assert rates[0] == pytest.approx(8 / 7, abs=1e-12)
+    assert rates[1] == pytest.approx(4 / 7, abs=1e-12)
+    assert total_external_rate(feedback_pair()) == 1.0
 
 
 def test_fixed_point_agrees_on_feedback_pair():
     direct = solve_traffic(feedback_pair())
     fixed = fixed_point_traffic(feedback_pair())
-    for i in (1, 2):
-        assert abs(direct.rate(i) - fixed.rate(i)) <= 1e-9
+    for k in (0, 1):
+        assert abs(direct[k] - fixed[k]) <= 1e-9
 
 
 def test_methods_agree_on_random_networks():
@@ -59,8 +59,8 @@ def test_methods_agree_on_random_networks():
         spec = random_open_network(rng)
         direct = solve_traffic(spec)
         fixed = fixed_point_traffic(spec)
-        for i in spec.columns.id.tolist():
-            assert abs(direct.rate(i) - fixed.rate(i)) <= 1e-9
+        for d, f in zip(direct.tolist(), fixed.tolist()):
+            assert abs(d - f) <= 1e-9
 
 
 def test_flow_conservation_on_random_networks():
@@ -68,10 +68,9 @@ def test_flow_conservation_on_random_networks():
     for _ in range(50):
         spec = random_open_network(rng)
         rates = solve_traffic(spec)
-        cols = spec.columns
-        leaving = sum(rates.rate(i) * p
-                      for i, p in zip(cols.id.tolist(), cols.exit_probability.tolist()))
-        assert abs(rates.total_external - leaving) <= 1e-9
+        leaving = sum(r * p for r, p in zip(rates.tolist(),
+                                            spec.columns.exit_probability.tolist()))
+        assert abs(total_external_rate(spec) - leaving) <= 1e-9
 
 
 def test_linearity_in_external_rates():
@@ -86,18 +85,18 @@ def test_linearity_in_external_rates():
                 external_arrivals={i: c * r for i, r in spec.external_arrivals.items()},
             )
             scaled = solve_traffic(scaled_spec)
-            for i in spec.columns.id.tolist():
+            for s, b in zip(scaled.tolist(), base.tolist()):
                 if c == 2.0:
                     # doubling is exact in binary floating point
-                    assert scaled.rate(i) == 2.0 * base.rate(i)
+                    assert s == 2.0 * b
                 else:
-                    assert scaled.rate(i) == pytest.approx(c * base.rate(i), rel=1e-9)
+                    assert s == pytest.approx(c * b, rel=1e-9)
 
 
 def test_known_rates_are_pinned_verbatim(fixture_spec):
-    rates = solve_traffic(fixture_spec)
+    rate = dict(zip(fixture_spec.columns.id.tolist(), solve_traffic(fixture_spec).tolist()))
     for i, lam in _expected.ARRIVAL_RATE.items():
-        assert rates.rate(i) == lam
+        assert rate[i] == lam
 
 
 def test_pinned_rate_feeds_downstream_nodes():
@@ -111,8 +110,8 @@ def test_pinned_rate_feeds_downstream_nodes():
         known_arrival_rates={1: 3.0},
     )
     rates = solve_traffic(spec)
-    assert rates.rate(1) == 3.0
-    assert rates.rate(2) == pytest.approx(1.5, abs=1e-12)
+    assert rates[0] == 3.0
+    assert rates[1] == pytest.approx(1.5, abs=1e-12)
 
 
 def test_total_external_rate_of_fixture(fixture_spec):
@@ -205,10 +204,10 @@ def test_routing_into_a_pinned_node_drains():
         external_arrivals={1: 0.5, 2: 0.5},
         known_arrival_rates={4: 0.25},
     )
-    rates = solve_traffic(spec)
-    assert rates.rate(4) == 0.25
-    assert rates.rate(2) == pytest.approx(1.5, rel=1e-12)
-    assert rates.rate(3) == pytest.approx(1.5, rel=1e-12)
+    rates = solve_traffic(spec)  # nodes 1..4 at positions 0..3
+    assert rates[3] == 0.25
+    assert rates[1] == pytest.approx(1.5, rel=1e-12)
+    assert rates[2] == pytest.approx(1.5, rel=1e-12)
 
 
 def grid_layout(side: int):
@@ -224,8 +223,8 @@ def test_residual_check_scales_with_input_rates():
     layout = grid_layout(12)
     base = solve_traffic(build_lattice_network(layout, arrival_rate=0.1))
     large = solve_traffic(build_lattice_network(layout, arrival_rate=1e5))
-    for i, lam in base.rates.items():
-        assert large.rate(i) == pytest.approx(1e6 * lam, rel=1e-12)
+    for lam, big in zip(base.tolist(), large.tolist()):
+        assert big == pytest.approx(1e6 * lam, rel=1e-12)
 
 
 def sources(ids, routing, external, known=None):
@@ -284,9 +283,7 @@ def dense_reference(spec):
 @pytest.mark.parametrize("name", sorted(DENSE_REFERENCE_SPECS))
 def test_direct_solve_matches_dense_reference(name):
     spec = DENSE_REFERENCE_SPECS[name]()
-    rates = solve_traffic(spec)
-    got = np.array([rates.rate(i) for i in spec.columns.id.tolist()])
-    np.testing.assert_allclose(got, dense_reference(spec), rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(solve_traffic(spec), dense_reference(spec), rtol=1e-12, atol=0.0)
 
 
 def test_direct_solve_allocates_no_dense_matrix():
