@@ -119,7 +119,7 @@ def _round_floats(obj, digits: int | None):
         return round(obj, digits)
     if isinstance(obj, dict):
         return {k: _round_floats(v, digits) for k, v in obj.items()}
-    if isinstance(obj, list):
+    if isinstance(obj, (list, tuple)):
         return [_round_floats(v, digits) for v in obj]
     return obj
 

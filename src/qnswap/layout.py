@@ -177,7 +177,8 @@ def build_lattice_network(
         service_rate: mu for every node.
         unblock_rate: mu_b for the interior nodes.
         arrival_rate: external rate per source, either one number for all
-            or a mapping keyed by site name.
+            or a mapping keyed by site name with exactly the source sites
+            as keys (SchemaError otherwise).
         boundary_capacity: buffer size for queue sites that do not fix one.
 
     Returns:
@@ -230,6 +231,10 @@ def build_lattice_network(
         if missing:
             raise SchemaError("arrival_rate",
                               f"no rate for source site(s) {missing}")
+        stray = [s for s in arrival_rate if s not in sources]
+        if stray:
+            raise SchemaError("arrival_rate",
+                              f"rate for site(s) {stray} that are no source")
         external = {ids[s]: float(arrival_rate[s]) for s in sources}
     else:
         external = {ids[s]: float(arrival_rate) for s in sources}
@@ -299,10 +304,9 @@ def shortest_hops(spec: NetworkSpec, src: int, dst: int) -> int:
     for i in (src, dst):
         if i not in ids:
             raise InputError(f"lookup references unknown node {i}")
-    rows, cols, probs = spec.routing_triplets
-    used = probs > 0.0
+    rows, cols, _ = spec.routing_triplets
     targets: list[list[int]] = [[] for _ in ids]
-    for i, j in zip(rows[used].tolist(), cols[used].tolist()):
+    for i, j in zip(rows.tolist(), cols.tolist()):
         targets[i].append(j)
     goal = ids.index(dst)
     frontier = seen = {ids.index(src)}

@@ -11,7 +11,8 @@ population sum is carried separately as ``total_jobs``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -38,14 +39,7 @@ class SwapDepthReport:
     within_hop_bounds: bool
 
     def to_jsonable(self) -> dict:
-        return {
-            "predicted_response_time": self.predicted_response_time,
-            "observed_depth": self.observed_depth,
-            "absolute_gap": self.absolute_gap,
-            "relative_gap": self.relative_gap,
-            "hop_bounds": list(self.hop_bounds),
-            "within_hop_bounds": self.within_hop_bounds,
-        }
+        return {**asdict(self), "hop_bounds": list(self.hop_bounds)}
 
 
 def network_metrics(nodes: Sequence[int], mean_jobs: Sequence[float],
@@ -89,8 +83,9 @@ def swap_depth_report(net: NetworkMetrics, observed_depth: float,
     lo, hi = hop_bounds
     if lo > hi:
         raise ValueError(f"hop bounds out of order: {lo} > {hi}")
-    if observed_depth < 1:
-        raise ValueError(f"observed depth must be at least 1, got {observed_depth!r}")
+    if not 1 <= observed_depth < math.inf:  # also rejects NaN
+        raise ValueError(
+            f"observed depth must be at least 1 and finite, got {observed_depth!r}")
     predicted = net.mean_response_time
     gap = observed_depth - predicted
     return SwapDepthReport(

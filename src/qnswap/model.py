@@ -29,8 +29,9 @@ A ``NetworkSpec`` checks every structural invariant when it is constructed,
 so every spec that exists is valid; all model values are immutable and safe
 to share.  Its fields are the construction input; its query API is two
 read-only tables that every solver reads: ``NetworkSpec.columns`` (one array
-per node field, in id order) and ``NetworkSpec.routing_triplets`` (routing
-rows, columns and probabilities over node positions).
+per node field, in id order) and ``NetworkSpec.routing_triplets`` (rows,
+columns and probabilities of the positive routing entries, over node
+positions).
 
 Validation runs column by column.  The parser reads each document section
 as one list per field and checks whole lists with builtins: the set of key
@@ -74,8 +75,7 @@ class NodeKind(str, Enum):
 KIND_CODES = {kind: code for code, kind in enumerate(NodeKind)}
 
 
-@dataclass(frozen=True)
-class NodeSpec:
+class NodeSpec(NamedTuple):
     """One station in the network.
 
     Args:
@@ -107,9 +107,6 @@ class NodeColumns(NamedTuple):
     exit_probability: np.ndarray  # 1 - routing row sum, clipped to [0, 1]
     external_rate: np.ndarray  # lambda0, 0.0 where a node has none
     known_rate: np.ndarray  # the pinned arrival rate, NaN where a node is not pinned
-
-
-_NODE_FIELDS = attrgetter("id", "kind", "capacity", "service_rate", "unblock_rate")
 
 
 def _check_rate(rate: float, name: str) -> None:
@@ -182,9 +179,10 @@ class NetworkSpec:
 
     Every lookup reads two read-only tables built once here: ``columns``
     (:class:`NodeColumns`, one entry per node in id order) and
-    ``routing_triplets``, arrays (row, column, probability) whose rows and
-    columns are node positions in ``columns``, in (from, to) order as in
-    ``routing``.
+    ``routing_triplets``, arrays (row, column, probability) of the positive
+    entries of ``routing``, in (from, to) order, whose rows and columns are
+    node positions in ``columns``.  A zero entry routes nothing, so only
+    ``routing`` keeps it.
 
     Raises:
         InputError: a bad id, kind, capacity or kind-dependent field; a
@@ -224,7 +222,7 @@ class NetworkSpec:
             raise InputError("network has no nodes")
         nodes, n = self.nodes, len(self.nodes)
 
-        ids, kinds, caps, mu, mu_b = map(list, zip(*map(_NODE_FIELDS, nodes)))
+        ids, kinds, caps, mu, mu_b = map(list, zip(*nodes))
         # A repeated id or a field of another type: every node, in turn, goes
         # through the per-node rules (the numpy columns come after them).
         if not (len(set(ids)) == n and set(map(type, caps)) <= {int}
@@ -270,6 +268,9 @@ class NetworkSpec:
                                  (row_sum > 1.0 + ROW_SUM_TOL).tolist()):
             raise InputError(f"routing probabilities out of node {i} sum to {total!r} > 1")
         exit_probability = np.clip(1.0 - row_sum, 0.0, 1.0)
+        # A zero entry routes nothing: the tables keep the positive entries only.
+        used = probs > 0.0
+        rows, cols, probs = rows[used], cols[used], probs[used]
 
         external = self.external_arrivals
         at, lam0 = _positions(index, external)
@@ -298,7 +299,7 @@ class NetworkSpec:
                 )
 
         # A node that can ever hold a job must be able to serve it.
-        receives = np.bincount(cols[probs > 0.0], minlength=n) > 0
+        receives = np.bincount(cols, minlength=n) > 0
         receives[at[lam0 > 0.0]] = True
         for node in compress(nodes, (receives & (mu <= 0.0)).tolist()):
             if node.service_rate <= 0:

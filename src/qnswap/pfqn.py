@@ -104,7 +104,7 @@ def analyze_network(
         pb = np.full(len(ids), override, dtype=float)
     else:
         rows, cols, probs = spec.routing_triplets
-        used = (probs > 0.0) & inner[rows]
+        used = inner[rows]
         rows, cols, probs = rows[used], cols[used], probs[used]
         targets = np.flatnonzero(np.bincount(cols, minlength=len(inner)))
         rho = (np.ones(len(targets)) if assumptions.rho_one

@@ -141,10 +141,9 @@ def _undrained(spec: NetworkSpec, pinned: np.ndarray) -> list[int]:
     with positive probability to a node that drains.  One reverse search
     from the draining nodes, O(nodes + edges).
     """
-    rows, cols, probs = spec.routing_triplets
+    rows, cols, _ = spec.routing_triplets
     preds: list[list[int]] = [[] for _ in range(len(pinned))]
-    used = probs > 0.0
-    for i, j in zip(rows[used].tolist(), cols[used].tolist()):
+    for i, j in zip(rows.tolist(), cols.tolist()):
         preds[j].append(i)
     drains = pinned | (spec.columns.exit_probability > ROW_SUM_TOL)
     stack = np.flatnonzero(drains).tolist()

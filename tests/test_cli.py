@@ -246,6 +246,14 @@ class TestSimulate:
         assert result["arrivals"] == (result["completed"] + result["dropped"]
                                       + result["in_flight"])
 
+    def test_round_applies_inside_occupancies(self, capsys, fixture_file):
+        _, out, _ = run_cli(
+            capsys, "simulate", "--network", fixture_file, "--seed", "11",
+            "--horizon", "500", "--format", "json", "--round", "2")
+        occupancy = [v for ns in json.loads(out)["result"]["nodes"] for v in ns["occupancy"]]
+        assert occupancy and all(v == round(v, 2) for v in occupancy)
+        assert any(0.0 < v < 1.0 for v in occupancy)
+
     def test_seed_env_var_is_default(self, capsys, fixture_file, monkeypatch):
         monkeypatch.setenv("QNSWAP_SEED", "11")
         _, from_env, _ = run_cli(

@@ -168,6 +168,14 @@ class TestLatticeBuilder:
         with pytest.raises(SchemaError, match="source site"):
             build_lattice_network(parse_layout(GRID), arrival_rate={"x": 0.3})
 
+    def test_rate_for_a_site_that_is_no_source(self):
+        # the stray rates used to be dropped without a word
+        line = LayoutGraph(("s", "a", "b", "t"), (("s", "a"), ("a", "b"), ("b", "t")),
+                           {"s": QueueSite(NodeKind.SOURCE, 4), "t": QueueSite(NodeKind.SINK, 4)})
+        with pytest.raises(SchemaError, match=r"arrival_rate.*\['typo', 'a'\] that are no source"):
+            build_lattice_network(line, arrival_rate={"s": 0.3, "typo": 9.0, "a": 5.0})
+        assert build_lattice_network(line, arrival_rate={"s": 0.3}).external_arrivals == {3: 0.3}
+
     def test_no_source(self):
         doc = json.loads(GRID)
         doc["queues"] = [q for q in doc["queues"] if q["role"] != "source"]

@@ -1,5 +1,8 @@
 """Per-node columns of the analysis and network performance measures."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -135,14 +138,23 @@ class TestSwapDepthReport:
         assert rep.within_hop_bounds
 
     def test_jsonable_round_trip_keys(self):
-        blob = swap_depth_report(self.net(), 5.0, (3, 5)).to_jsonable()
+        rep = swap_depth_report(self.net(), 5.0, (3, 5))
+        blob = rep.to_jsonable()
         assert set(blob) == {
             "predicted_response_time", "observed_depth", "absolute_gap",
             "relative_gap", "hop_bounds", "within_hop_bounds",
         }
+        assert blob == {**dataclasses.asdict(rep), "hop_bounds": [3, 5]}
+        assert type(blob["hop_bounds"]) is list
 
     def test_bad_inputs_rejected(self):
         with pytest.raises(ValueError, match="observed depth"):
             swap_depth_report(self.net(), observed_depth=0.5, hop_bounds=(3, 5))
         with pytest.raises(ValueError, match="out of order"):
             swap_depth_report(self.net(), observed_depth=4.0, hop_bounds=(5, 3))
+
+    @pytest.mark.parametrize("depth", [math.nan, math.inf])
+    def test_non_finite_depth_rejected(self, depth):
+        # nan < 1 is False, so a NaN depth used to give NaN gaps
+        with pytest.raises(ValueError, match="^observed depth must be at least 1"):
+            swap_depth_report(self.net(), observed_depth=depth, hop_bounds=(3, 5))

@@ -203,6 +203,22 @@ class TestColumns:
             with pytest.raises(ValueError):
                 a[0] = 0
 
+    def test_zero_entry_routes_nothing(self):
+        # the mapping keeps the zero entry (the document round-trips it); the
+        # triplets every solver reads omit it
+        spec = NetworkSpec(nodes=(node(1), node(2), node(3)),
+                           routing={(1, 2): 0.0, (1, 3): 0.5, (2, 3): 0.0},
+                           external_arrivals={1: 1.0})
+        assert dict(spec.routing) == {(1, 2): 0.0, (1, 3): 0.5, (2, 3): 0.0}
+        rows, cols, probs = spec.routing_triplets
+        assert (rows.tolist(), cols.tolist(), probs.tolist()) == ([0], [2], [0.5])
+        assert spec.columns.exit_probability.tolist() == [0.5, 1.0, 1.0]
+        assert parse_network(serialize_network(spec)) == spec
+        # a zero entry out of a sink is no onward routing either
+        sink = NetworkSpec(nodes=(node(1), node(2, NodeKind.SINK)),
+                           routing={(1, 2): 0.5, (2, 1): 0.0}, external_arrivals={1: 1.0})
+        assert sink.routing_triplets[0].tolist() == [0]
+
     def test_plain_string_kind_is_no_kind(self):
         # every kind test is by identity, so "sink" is not NodeKind.SINK, and
         # a node whose kind is no NodeKind is rejected
@@ -266,6 +282,12 @@ def test_non_finite_rate_rejected(name, value):
 
 
 class TestCanonicalForm:
+    def test_node_fields_cannot_change(self):
+        n = node(1)
+        with pytest.raises(AttributeError):
+            n.capacity = 3
+        assert n == NodeSpec(1, NodeKind.SOURCE, 2, 1.0, 0.0)
+
     def test_nodes_sorted_by_id(self):
         spec = NetworkSpec(
             nodes=(node(2), node(1)),

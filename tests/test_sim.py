@@ -60,6 +60,11 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="replications"):
             SimConfig(seed=0, horizon=10.0, replications=0)
 
+    def test_bool_replications_rejected(self):
+        # bool is an int subclass; True would be written as "replications": true
+        with pytest.raises(ValueError, match="replications must be a positive integer"):
+            SimConfig(seed=0, horizon=10.0, replications=True)
+
     def test_bad_warmup_rejected(self):
         with pytest.raises(ValueError, match="warmup"):
             SimConfig(seed=0, horizon=10.0, warmup_fraction=1.0)
@@ -236,6 +241,23 @@ class TestBlockingNetwork:
         assert res.replications == 4
         assert res.duration == pytest.approx(4 * 0.8 * 1e3, abs=1e-9)
         assert res == simulate_blocking_network(fixture_spec, cfg)
+
+    def test_tables_are_built_once_per_call(self, fixture_spec, monkeypatch):
+        calls = []
+        replicate = sim._replicate
+
+        def spy(*args):
+            calls.append(args)
+            return replicate(*args)
+
+        monkeypatch.setattr(sim, "_replicate", spy)
+        simulate_blocking_network(
+            fixture_spec, SimConfig(seed=2, horizon=100.0, replications=3))
+        assert len(calls) == 3
+        # every replication gets the same tables and stop rule; only the
+        # random stream (argument 6) is its own
+        for args in calls[1:]:
+            assert [a is b for a, b in zip(calls[0], args)] == [True] * 6 + [False] + [True] * 4
 
     def test_jsonable_is_plain_data(self, fixture_spec):
         import json

@@ -153,14 +153,22 @@ def test_every_simulator_run_checks_conservation():
     # the flat event loop keeps its counters in locals; the check that they
     # balance must run unconditionally at the end of every replication
     tree = ast.parse((SRC / "sim.py").read_text(encoding="utf-8"))
-    run_class = next(node for node in tree.body
-                     if isinstance(node, ast.ClassDef) and node.name == "_NetworkRun")
-    run = next(node for node in run_class.body
-               if isinstance(node, ast.FunctionDef) and node.name == "run")
+    run = next(node for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name == "_replicate")
     calls = [stmt.value.func.id for stmt in run.body
              if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call)
              and isinstance(stmt.value.func, ast.Name)]
     assert "_check_conservation" in calls
+
+
+def test_replication_is_a_function_returning_its_totals():
+    # a replication used to be an object whose run() left its totals as
+    # attributes that the caller read back by name
+    from qnswap import sim
+
+    assert not hasattr(sim, "_NetworkRun")
+    source = (SRC / "sim.py").read_text(encoding="utf-8")
+    assert "_NetworkRun" not in source and "getattr" not in source
 
 
 def test_traffic_builds_no_external_table():
