@@ -26,6 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InputError, NumericsError
+from .model import _check_rate
 
 RHO_ONE_TOL = 1e-9
 
@@ -39,12 +40,9 @@ class NodeMarginal(NamedTuple):
 
 
 def _positive(name: str, value: float) -> float:
-    if value < 0:
-        raise InputError(f"{name} must be nonnegative, got {value!r}")
+    _check_rate(value, name)
     if value == 0:
         raise InputError(f"{name} must be positive")
-    if not math.isfinite(value):
-        raise InputError(f"{name} must be finite, got {value!r}")
     return float(value)
 
 

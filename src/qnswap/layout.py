@@ -18,14 +18,16 @@ Layout document shape::
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Mapping
 
+import numpy as np
+
 from .errors import InputError, SchemaError
-from .model import (NetworkSpec, NodeKind, NodeSpec, _as_array, _as_object, _check_keys,
-                    _load_json)
+from .model import (NetworkSpec, NodeKind, NodeSpec, _adjacency, _as_array, _as_object,
+                    _bfs_levels, _check_keys, _load_json)
 
 DEFAULT_BOUNDARY_CAPACITY = 8
 
@@ -78,10 +80,9 @@ class LayoutGraph:
         known = set(self.sites)
         if len(known) != len(self.sites):
             raise SchemaError("sites", "site names must be unique")
-        for a, b in self.edges:
-            for s in (a, b):
-                if s not in known:
-                    raise SchemaError("edges", f"unknown site {s!r}")
+        for s in chain.from_iterable(self.edges):
+            if s not in known:
+                raise SchemaError("edges", f"unknown site {s!r}")
         for s in self.queue_sites:
             if s not in known:
                 raise SchemaError("queues", f"unknown site {s!r}")
@@ -103,15 +104,12 @@ class LayoutGraph:
 def _check_connected(layout: LayoutGraph):
     if not layout.sites:
         raise SchemaError("sites", "layout has no sites")
-    seen = {layout.sites[0]}
-    frontier = deque(seen)
-    while frontier:
-        v = frontier.popleft()
-        for w in layout.neighbors(v):
-            if w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    missing = [s for s in layout.sites if s not in seen]
+    index = dict(zip(layout.sites, range(len(layout.sites))))
+    # edge ends as a0, b0, a1, b1, ...; reversing each pair gives the other direction
+    ends = np.fromiter(map(index.__getitem__, chain.from_iterable(layout.edges)),
+                       dtype=np.intp, count=2 * len(layout.edges))
+    level = _bfs_levels(_adjacency(len(index), ends, ends.reshape(-1, 2)[:, ::-1].ravel()), [0])
+    missing = [s for s, depth in zip(layout.sites, level) if depth < 0]
     if missing:
         raise InputError(f"layout is not connected; unreachable sites: {missing}")
 
@@ -185,27 +183,17 @@ def build_lattice_network(
         The generated NetworkSpec.
     """
     interior = [s for s in layout.sites if s not in layout.queue_sites]
-    sources = [s for s in layout.sites
-               if layout.queue_sites.get(s, None) is not None
-               and layout.queue_sites[s].role is NodeKind.SOURCE]
-    sinks = [s for s in layout.sites
-             if layout.queue_sites.get(s, None) is not None
-             and layout.queue_sites[s].role is NodeKind.SINK]
+    roles = {s: q.role for s, q in layout.queue_sites.items()}
+    sources = [s for s in layout.sites if roles.get(s) is NodeKind.SOURCE]
+    sinks = [s for s in layout.sites if roles.get(s) is NodeKind.SINK]
     if not sources:
         raise InputError("layout declares no source site")
     if not sinks:
         raise InputError("layout declares no sink site")
 
-    ids: dict[str, int] = {}
-    next_id = 1
-    for s in interior + sources + sinks:
-        ids[s] = next_id
-        next_id += 1
-
-    nodes = []
-    for s in interior:
-        nodes.append(NodeSpec(ids[s], NodeKind.INTERMEDIATE, 1,
-                              service_rate, unblock_rate))
+    ids = {s: k for k, s in enumerate(interior + sources + sinks, start=1)}
+    nodes = [NodeSpec(ids[s], NodeKind.INTERMEDIATE, 1, service_rate, unblock_rate)
+             for s in interior]
     for s in sources + sinks:
         q = layout.queue_sites[s]
         cap = q.capacity if q.capacity is not None else boundary_capacity
@@ -229,21 +217,15 @@ def build_lattice_network(
     if isinstance(arrival_rate, Mapping):
         missing = [s for s in sources if s not in arrival_rate]
         if missing:
-            raise SchemaError("arrival_rate",
-                              f"no rate for source site(s) {missing}")
+            raise SchemaError("arrival_rate", f"no rate for source site(s) {missing}")
         stray = [s for s in arrival_rate if s not in sources]
         if stray:
-            raise SchemaError("arrival_rate",
-                              f"rate for site(s) {stray} that are no source")
+            raise SchemaError("arrival_rate", f"rate for site(s) {stray} that are no source")
         external = {ids[s]: float(arrival_rate[s]) for s in sources}
     else:
         external = {ids[s]: float(arrival_rate) for s in sources}
 
-    return NetworkSpec(
-        nodes=tuple(nodes),
-        routing=entries,
-        external_arrivals=external,
-    )
+    return NetworkSpec(nodes=tuple(nodes), routing=entries, external_arrivals=external)
 
 
 # Reference 15-node network: 11 capacity-one interior nodes (1..11), two
@@ -305,16 +287,7 @@ def shortest_hops(spec: NetworkSpec, src: int, dst: int) -> int:
         if i not in ids:
             raise InputError(f"lookup references unknown node {i}")
     rows, cols, _ = spec.routing_triplets
-    targets: list[list[int]] = [[] for _ in ids]
-    for i, j in zip(rows.tolist(), cols.tolist()):
-        targets[i].append(j)
-    goal = ids.index(dst)
-    frontier = seen = {ids.index(src)}
-    hops = 0
-    while goal not in frontier:
-        frontier = {w for v in frontier for w in targets[v]} - seen
-        if not frontier:
-            raise InputError(f"no routing path from node {src} to node {dst}")
-        seen = seen | frontier
-        hops += 1
+    hops = _bfs_levels(_adjacency(len(ids), rows, cols), [ids.index(src)])[ids.index(dst)]
+    if hops < 0:
+        raise InputError(f"no routing path from node {src} to node {dst}")
     return hops

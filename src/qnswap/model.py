@@ -56,7 +56,7 @@ from functools import partial
 from itertools import chain, compress, repeat
 from operator import attrgetter, itemgetter
 from types import MappingProxyType
-from typing import Mapping, NamedTuple, NoReturn
+from typing import Iterable, Mapping, NamedTuple, NoReturn
 
 import numpy as np
 
@@ -122,7 +122,7 @@ def _check_node(n: NodeSpec, duplicate: bool) -> None:
         raise InputError(f"duplicate node id {n.id}")
     if type(n.kind) is not NodeKind:
         raise InputError(f"node {n.id}: kind {n.kind!r} is not a NodeKind")
-    if not isinstance(n.capacity, int) or n.capacity < 1:
+    if isinstance(n.capacity, bool) or not isinstance(n.capacity, int) or n.capacity < 1:
         raise InputError(f"node {n.id}: capacity must be a positive integer")
     _check_rate(n.service_rate, f"node {n.id} service rate")
     _check_rate(n.unblock_rate, f"node {n.id} unblock rate")
@@ -135,16 +135,44 @@ def _check_node(n: NodeSpec, duplicate: bool) -> None:
             raise InputError(f"node {n.id} needs a positive unblock rate")
 
 
-def _canonical_routing(entries: Mapping) -> dict[tuple[int, int], float]:
-    """A fresh ``{(from, to): p}`` dict with int keys in order and float values."""
+def _node_keys(keys: list, pair: bool) -> list | None:
+    """The mapping keys as node ids (``pair``: (from, to) pairs of them), or
+    None if a key is a bool or changes under ``int()``, such as 1.9 or "1"."""
+    try:
+        nodes = [(int(i), int(j)) for i, j in keys] if pair else list(map(int, keys))
+    except (TypeError, ValueError, OverflowError):
+        return None
+    ids = chain.from_iterable(keys) if pair else keys  # tuples once nodes == keys
+    return nodes if nodes == keys and {bool, np.bool_}.isdisjoint(map(type, ids)) else None
+
+
+def _floats(values) -> list[float] | None:
+    try:
+        return list(map(float, values))
+    except (TypeError, ValueError, OverflowError):
+        return None
+
+
+def _canonical(entries: Mapping, what: str, pair: bool) -> dict:
+    """A fresh copy of a rate mapping, or with ``pair`` of the routing, with
+    int keys in order and float values.  InputError names the first entry
+    whose key is no node id (``pair``: no pair of them) or value no number."""
     keys = list(entries)
-    # Entries already keyed by (int, int) in order, with float values,
-    # as the parser builds them, need no rebuilding.
-    if (set(map(type, keys)) <= {tuple} and set(map(len, keys)) <= {2}
-            and set(map(type, chain.from_iterable(keys))) <= {int}
+    # Entries already keyed by ints in order, with float values, as the
+    # parser builds them, need no rebuilding.
+    if ((not pair or set(map(type, keys)) <= {tuple} and set(map(len, keys)) <= {2})
+            and set(map(type, chain.from_iterable(keys) if pair else keys)) <= {int}
             and set(map(type, entries.values())) <= {float} and keys == sorted(keys)):
         return dict(entries)
-    return {(int(i), int(j)): float(p) for (i, j), p in sorted(entries.items())}
+    nodes, values = _node_keys(keys, pair), _floats(entries.values())
+    if nodes is None or values is None:  # the first bad entry raises
+        shape = "a (from, to) pair of integer node ids" if pair else "an integer node id"
+        for key, value in entries.items():
+            if _node_keys([key], pair) is None:
+                raise InputError(f"{what} {key!r}: key must be {shape}")
+            if _floats([value]) is None:
+                raise InputError(f"{what} {key!r}: value {value!r} is not a number")
+    return dict(sorted(zip(nodes, values), key=itemgetter(0)))
 
 
 def _positions(index: dict[int, int],
@@ -163,6 +191,38 @@ def _rate_faults(rates: np.ndarray) -> np.ndarray:
 def _read_only(*arrays: np.ndarray) -> None:
     for a in arrays:
         a.flags.writeable = False
+
+
+def _adjacency(n: int, src: np.ndarray, dst: np.ndarray) -> list[list[int]]:
+    """Out-neighbour lists of nodes 0..n-1 for the edges ``src[e] -> dst[e]``, in edge order."""
+    ends = np.cumsum(np.bincount(src, minlength=n)).tolist()
+    targets = dst[np.argsort(src, kind="stable")].tolist()
+    return [targets[a:b] for a, b in zip([0] + ends[:-1], ends)]
+
+
+def _bfs_levels(adjacency: list[list[int]], roots: Iterable[int]) -> list[int]:
+    """Breadth-first depth of every node; -1 where no root reaches it.
+
+    Roots are taken in order.  A root an earlier search already reached is
+    skipped; every other root starts a new search, at depth 0, of the nodes
+    not yet reached.
+    """
+    level = [-1] * len(adjacency)
+    for root in roots:
+        if level[root] >= 0:
+            continue
+        level[root] = 0
+        frontier, depth = [root], 0
+        while frontier:
+            depth += 1
+            reached = []
+            for u in frontier:
+                for v in adjacency[u]:
+                    if level[v] < 0:
+                        level[v] = depth
+                        reached.append(v)
+            frontier = reached
+    return level
 
 
 @dataclass(frozen=True)
@@ -185,12 +245,14 @@ class NetworkSpec:
     ``routing`` keeps it.
 
     Raises:
-        InputError: a bad id, kind, capacity or kind-dependent field; a
-            negative or non-finite rate; an intermediate node without a
-            positive unblock rate; a routing or arrival entry naming a node
-            that does not exist; a routing probability outside [0, 1] or a
-            row summing above 1; a sink with outgoing routing; incomplete
-            known arrival rates; or no external arrival or no way out.
+        InputError: a mapping key that is no node id (in ``routing``, no
+            pair of them) or a value that is no number; a bad id, kind,
+            capacity or kind-dependent field; a negative or non-finite rate;
+            an intermediate node without a positive unblock rate; a routing
+            or arrival entry naming a node that does not exist; a routing
+            probability outside [0, 1] or a row summing above 1; a sink with
+            outgoing routing; incomplete known arrival rates; or no external
+            arrival or no way out.
     """
 
     nodes: tuple[NodeSpec, ...]
@@ -210,13 +272,13 @@ class NetworkSpec:
                     raise InputError(f"node id {i!r} must be a positive integer")
         object.__setattr__(self, "nodes",
                            tuple(sorted(self.nodes, key=attrgetter("id"))))
-        object.__setattr__(self, "routing",
-                           MappingProxyType(_canonical_routing(self.routing)))
+        object.__setattr__(self, "routing", MappingProxyType(
+            _canonical(self.routing, "routing entry", pair=True)))
         object.__setattr__(self, "external_arrivals", MappingProxyType(
-            {int(k): float(v) for k, v in sorted(self.external_arrivals.items())}))
+            _canonical(self.external_arrivals, "external arrival", pair=False)))
         if self.known_arrival_rates is not None:
             object.__setattr__(self, "known_arrival_rates", MappingProxyType(
-                {int(k): float(v) for k, v in sorted(self.known_arrival_rates.items())}))
+                _canonical(self.known_arrival_rates, "known arrival rate", pair=False)))
 
         if not self.nodes:
             raise InputError("network has no nodes")

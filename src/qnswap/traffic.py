@@ -15,22 +15,23 @@ Nodes listed in ``known_arrival_rates`` are pinned to their given values:
 they move to the right-hand side as inputs to the free nodes and are
 excluded from the residual check.  The free nodes get levels, their BFS
 depth within their component of the routing graph (edges taken as
-undirected), so every routing entry links levels at most one apart and
-``I - P^T`` over the free nodes is block-tridiagonal.  Block Gaussian
-elimination runs down the levels, each diagonal block solved by LAPACK
-(``np.linalg.solve``, partial pivoting), and back-substitution runs up.  No
-pivoting across blocks is needed: the free block of ``I - P^T`` is a
-nonsingular M-matrix (each column sums to at least that node's exit
-probability, and every free node drains), and Schur complements of such a
-matrix are nonsingular M-matrices too.  When no routing entry links two free
-nodes the free system is the identity and the rates are the right-hand side.
+undirected; ``model._bfs_levels``, the search shared with ``layout``), so
+every routing entry links levels at most one apart and ``I - P^T`` over the
+free nodes is block-tridiagonal.  Block Gaussian elimination runs down the
+levels, each diagonal block solved by LAPACK (``np.linalg.solve``, partial
+pivoting), and back-substitution runs up.  No pivoting across blocks is
+needed: the free block of ``I - P^T`` is a nonsingular M-matrix (each
+column sums to at least that node's exit probability, and every free node
+drains), and Schur complements of such a matrix are nonsingular M-matrices
+too.  When no routing entry links two free nodes the free system is the
+identity and the rates are the right-hand side.
 
 The system is singular when some unpinned node has no routing path that
 leaves the network or reaches a pinned node: jobs that enter such a closed
 subnetwork never leave.  An exit probability within ``ROW_SUM_TOL`` of zero
 counts as no exit, since it is rounding in the routing row, not a real leak.
-The solver finds those nodes from the routing graph before solving, so the
-error names them.
+The solver finds those nodes before solving, with one search from the
+draining nodes over the reversed routing graph, so the error names them.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NumericsError
-from .model import ROW_SUM_TOL, NetworkSpec
+from .model import ROW_SUM_TOL, NetworkSpec, _adjacency, _bfs_levels
 
 # Largest accepted residual, relative to the largest input rate.
 RESIDUAL_TOL = 1e-10
@@ -54,43 +55,17 @@ def _inflow(rows, cols, probs, lam, n: int) -> np.ndarray:
     return np.bincount(cols, weights=probs * lam[rows], minlength=n)
 
 
-def _levels(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """BFS depth of each node within its component, edges taken as undirected.
-
-    Every component starts at level 0, so an edge links levels that differ
-    by at most 1.
-    """
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for i, j in zip(src.tolist(), dst.tolist()):
-        adj[i].append(j)
-        adj[j].append(i)
-    level = [-1] * n
-    for root in range(n):
-        if level[root] >= 0:
-            continue
-        level[root] = 0
-        frontier, depth = [root], 0
-        while frontier:
-            depth += 1
-            reached = []
-            for u in frontier:
-                for v in adj[u]:
-                    if level[v] < 0:
-                        level[v] = depth
-                        reached.append(v)
-            frontier = reached
-    return np.array(level, dtype=np.intp)
-
-
 def _solve_levels(src, dst, probs, rhs) -> np.ndarray:
     """Solve ``x_j - sum_i p_ij x_i = rhs_j`` over ``len(rhs)`` nodes by level blocks.
 
     The routing entries (src -> dst, probs) all link two of those nodes.
-    Ordered by ``_levels``, the matrix is block-tridiagonal; see the module
-    docstring for the elimination and why it needs no pivoting across blocks.
+    Ordered by ``_bfs_levels`` depth over both entry directions, the matrix
+    is block-tridiagonal; see the module docstring for the levels, the
+    elimination and why it needs no pivoting across blocks.
     """
     n = len(rhs)
-    level = _levels(n, src, dst)
+    both = _adjacency(n, np.concatenate((src, dst)), np.concatenate((dst, src)))
+    level = np.array(_bfs_levels(both, range(n)), dtype=np.intp)
     order = np.argsort(level, kind="stable")
     pos = np.empty(n, dtype=np.intp)
     pos[order] = np.arange(n)
@@ -138,22 +113,13 @@ def _undrained(spec: NetworkSpec, pinned: np.ndarray) -> list[int]:
 
     A node drains if its exit probability exceeds ``ROW_SUM_TOL``, if it is
     pinned (``pinned`` flags node positions), or if it routes
-    with positive probability to a node that drains.  One reverse search
-    from the draining nodes, O(nodes + edges).
+    with positive probability to a node that drains.  One ``_bfs_levels``
+    search from the draining nodes over the reversed entries, O(nodes + edges).
     """
     rows, cols, _ = spec.routing_triplets
-    preds: list[list[int]] = [[] for _ in range(len(pinned))]
-    for i, j in zip(rows.tolist(), cols.tolist()):
-        preds[j].append(i)
     drains = pinned | (spec.columns.exit_probability > ROW_SUM_TOL)
-    stack = np.flatnonzero(drains).tolist()
-    drains = drains.tolist()
-    while stack:
-        for i in preds[stack.pop()]:
-            if not drains[i]:
-                drains[i] = True
-                stack.append(i)
-    return [i for i, drained in zip(spec.columns.id.tolist(), drains) if not drained]
+    level = _bfs_levels(_adjacency(len(pinned), cols, rows), np.flatnonzero(drains).tolist())
+    return [i for i, depth in zip(spec.columns.id.tolist(), level) if depth < 0]
 
 
 def _check_residual(lam, lam0, rows, cols, probs, pinned) -> None:

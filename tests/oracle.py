@@ -754,7 +754,8 @@ def _scalar_spec(nodes, entries, external, known) -> tuple:
         by_id[n.id] = n
         if type(n.kind) is not NodeKind:
             raise InputError(f"node {n.id}: kind {n.kind!r} is not a NodeKind")
-        if not isinstance(n.capacity, int) or n.capacity < 1:
+        if (isinstance(n.capacity, bool) or not isinstance(n.capacity, int)
+                or n.capacity < 1):
             raise InputError(f"node {n.id}: capacity must be a positive integer")
         _scalar_check_rate(n.service_rate, f"node {n.id} service rate")
         _scalar_check_rate(n.unblock_rate, f"node {n.id} unblock rate")

@@ -190,6 +190,19 @@ class TestBlockingClosedForm:
         with pytest.raises(InputError, match="^arrival rate must be positive$"):
             blocking_node_closed_form(0.0, 1.0, 0.2, 0.5)
 
+    @pytest.mark.parametrize("value, message", [
+        (-1.0, "{} must be nonnegative, got -1.0"), (0.0, "{} must be positive"),
+        (math.inf, "{} must be finite, got inf"), (math.nan, "{} must be finite, got nan"),
+        (-math.inf, "{} must be nonnegative, got -inf")])
+    @pytest.mark.parametrize("position, name", [
+        (0, "arrival rate"), (1, "service rate"), (2, "unblock rate")])
+    def test_rate_error_texts(self, value, message, position, name):
+        args = [0.7, 1.0, 0.2, 0.5]
+        args[position] = value
+        with pytest.raises(InputError) as caught:
+            blocking_node_closed_form(*args)
+        assert str(caught.value) == message.format(name)
+
     def test_scalar_call_returns_floats(self):
         pi = blocking_node_closed_form(0.94, 1.0, 0.136, 0.5)
         assert [type(p) for p in pi] == [float, float, float]

@@ -99,6 +99,14 @@ class TestParseLayout:
                            match=r"layout is not connected; unreachable sites: \['island'\]"):
             parse_layout(json.dumps(doc))
 
+    def test_unreachable_sites_listed_in_site_order(self):
+        # the search starts at the first site, so an isolated first site
+        # leaves every other one unreached
+        with pytest.raises(InputError) as caught:
+            LayoutGraph(("x", "c", "a", "b"), (("a", "b"), ("b", "c")), {})
+        assert str(caught.value) == ("layout is not connected; unreachable sites:"
+                                     " ['c', 'a', 'b']")
+
 
 class TestLayoutGraph:
     def test_self_edge_rejected(self):
@@ -194,6 +202,14 @@ class TestLatticeBuilder:
             {"s": QueueSite(NodeKind.SOURCE, None), "t": QueueSite(NodeKind.SINK, None)})
         net = build_lattice_network(lay, boundary_capacity=5)
         assert net.columns.capacity.tolist() == [1, 5, 5]
+
+    def test_bool_boundary_capacity_rejected(self):
+        # True used to pass as capacity 1 and serialize as "capacity": true
+        lay = LayoutGraph(
+            ("s", "a", "t"), (("s", "a"), ("a", "t")),
+            {"s": QueueSite(NodeKind.SOURCE, None), "t": QueueSite(NodeKind.SINK, None)})
+        with pytest.raises(InputError, match="^node 2: capacity must be a positive integer$"):
+            build_lattice_network(lay, boundary_capacity=True)
 
 
 class TestFixture:

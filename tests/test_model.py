@@ -20,7 +20,7 @@ from qnswap import (
     parse_network,
     serialize_network,
 )
-from qnswap.model import KIND_CODES
+from qnswap.model import KIND_CODES, _adjacency, _bfs_levels
 from conftest import random_open_network
 from oracle import row_sums
 
@@ -163,6 +163,16 @@ class TestValidation:
         with pytest.raises(InputError, match="node id 'a' must be a positive integer"):
             NetworkSpec(
                 nodes=(node("a"), node(1)),
+                routing={},
+                external_arrivals={1: 1.0},
+            )
+
+    def test_bool_capacity_rejected(self):
+        # True passed as a capacity of 1, and the spec then serialized to a
+        # document its own parser rejects
+        with pytest.raises(InputError, match="^node 1: capacity must be a positive integer$"):
+            NetworkSpec(
+                nodes=(node(1, capacity=True), node(2)),
                 routing={},
                 external_arrivals={1: 1.0},
             )
@@ -311,6 +321,43 @@ class TestCanonicalForm:
         given[(5, 6)] = 1.0
         assert len(spec.routing) == 2
 
+    @pytest.mark.parametrize("field, given, message", [
+        ("routing", {(1.9, 2): 1.0}, r"routing entry \(1\.9, 2\): key must be a \(from, to\)"),
+        ("routing", {(1, 2.5): 1.0}, r"routing entry \(1, 2\.5\): key"),
+        ("routing", {(True, 2): 1.0}, r"routing entry \(True, 2\): key"),
+        ("routing", {("1", 2): 0.5, (1, 3): 0.25}, r"routing entry \('1', 2\): key"),
+        ("routing", {(1, 3): 0.25, None: 0.5}, r"routing entry None: key"),
+        ("routing", {1: 0.5}, r"routing entry 1: key must be a \(from, to\) pair"),
+        ("routing", {(1, 2, 3): 0.5}, r"routing entry \(1, 2, 3\): key"),
+        ("routing", {(1, 2): "abc"}, r"routing entry \(1, 2\): value 'abc' is not a number"),
+        ("external_arrivals", {1.7: 0.5}, r"external arrival 1\.7: key must be an integer node id"),
+        ("external_arrivals", {True: 0.5}, r"external arrival True: key"),
+        ("external_arrivals", {1: 1.0, None: 0.5}, r"external arrival None: key"),
+        ("external_arrivals", {1: 1.0, "2": 0.5}, r"external arrival '2': key"),
+        ("external_arrivals", {1: None}, r"external arrival 1: value None is not a number"),
+        ("known_arrival_rates", {2.5: 0.5}, r"known arrival rate 2\.5: key"),
+        ("known_arrival_rates", {math.nan: 0.5}, r"known arrival rate nan: key"),
+        ("known_arrival_rates", {2: "abc"}, r"known arrival rate 2: value 'abc' is not"),
+    ], ids=["fraction_from", "fraction_to", "bool", "mixed_types", "none", "not_a_pair",
+            "triple", "value", "ext_fraction", "ext_bool", "ext_none", "ext_string",
+            "ext_value", "known_fraction", "known_nan", "known_value"])
+    def test_bad_mapping_entry_is_an_input_error(self, field, given, message):
+        # these used to be truncated onto another node (1.9 -> 1) or to
+        # escape as a bare TypeError or ValueError
+        mappings = {"routing": {(1, 2): 0.5}, "external_arrivals": {1: 1.0},
+                    "known_arrival_rates": None, field: given}
+        with pytest.raises(InputError, match=f"^{message}"):
+            NetworkSpec(nodes=(node(1), node(2), node(3)), **mappings)
+
+    def test_rate_keys_are_canonical_copies(self):
+        spec = NetworkSpec(nodes=(node(1), node(2)), routing={},
+                           external_arrivals={np.int64(2): "0.5", 1.0: np.float64(1)},
+                           known_arrival_rates={2: 1, 1: 2.0})
+        for mapping in (spec.external_arrivals, spec.known_arrival_rates):
+            assert [type(x) for k, v in mapping.items() for x in (k, v)] == [int, float] * 2
+        assert list(spec.external_arrivals.items()) == [(1, 1.0), (2, 0.5)]
+        assert list(spec.known_arrival_rates.items()) == [(1, 2.0), (2, 1.0)]
+
 
 class TestReadOnlyMappings:
     @pytest.mark.parametrize("name, key", [
@@ -422,3 +469,37 @@ class TestFileFormat:
         })
         with pytest.raises(SchemaError):
             parse_network(text)
+
+
+class TestBfsLevels:
+    @staticmethod
+    def levels(n, edges, roots):
+        src, dst = np.array(edges, dtype=np.intp).reshape(-1, 2).T
+        return _bfs_levels(_adjacency(n, src, dst), roots)
+
+    def test_adjacency_keeps_edge_order(self):
+        assert _adjacency(3, np.array([0, 2, 0]), np.array([2, 1, 1])) == [[2, 1], [], [1]]
+
+    def test_unreached_nodes_are_minus_one(self):
+        # edges are directed: 2 -> 0 does not make 2 reachable from 0
+        assert self.levels(4, [(0, 1), (2, 0)], [0]) == [0, 1, -1, -1]
+
+    def test_depth_is_the_shortest_hop_count(self):
+        assert self.levels(5, [(0, 1), (1, 2), (2, 3), (0, 3), (3, 4)], [0]) == [0, 1, 2, 1, 2]
+
+    def test_second_component_restarts_at_zero(self):
+        assert self.levels(5, [(0, 1), (2, 3), (3, 4)], range(5)) == [0, 1, 0, 1, 2]
+
+    def test_reached_root_keeps_its_earlier_depth(self):
+        # root 2 is reached from root 0 first and starts no search of its own
+        assert self.levels(4, [(0, 1), (1, 2), (2, 3)], [0, 2]) == [0, 1, 2, 3]
+
+    def test_later_root_searches_only_unreached_nodes(self):
+        # 3 -> 1 is not followed: 1 already has its depth from root 0
+        assert self.levels(4, [(0, 1), (3, 1), (3, 2)], [0, 3]) == [0, 1, 1, 0]
+
+    def test_self_loops_and_repeated_edges(self):
+        assert self.levels(3, [(0, 0), (0, 1), (0, 1), (1, 1), (1, 2), (1, 2)], [0]) == [0, 1, 2]
+
+    def test_no_roots_reach_nothing(self):
+        assert self.levels(2, [(0, 1)], []) == [-1, -1]

@@ -175,3 +175,24 @@ def test_traffic_builds_no_external_table():
     from qnswap import traffic
 
     assert not hasattr(traffic, "_external")
+
+
+def test_graph_walks_share_one_search():
+    # traffic levels, the drain check, hop counts and layout connectivity
+    # each had a hand-written search; all four now call model._bfs_levels
+    from qnswap import traffic
+
+    assert not hasattr(traffic, "_levels")
+    callers = {"traffic.py": {"_solve_levels", "_undrained"},
+               "layout.py": {"shortest_hops", "_check_connected"}}
+    for module, functions in callers.items():
+        tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name in functions:
+                called = {n.func.id for n in ast.walk(node)
+                          if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+                assert "_bfs_levels" in called, f"{module}: {node.name}"
+                functions = functions - {node.name}
+        assert functions == set(), f"{module}: {functions} not found"
+    layout_source = (SRC / "layout.py").read_text(encoding="utf-8")
+    assert "deque" not in layout_source
