@@ -76,7 +76,11 @@ def blocking_node_closed_form(
             rates overflow ``lambda / mu``.
     """
     args = (arrival_rate, service_rate, unblock_rate, blocking_probability)
-    lam, mu, mu_b, pb = (np.asarray(a, dtype=float) for a in args)
+    try:
+        lam, mu, mu_b, pb = (np.asarray(a, dtype=float) for a in args)
+    except OverflowError:  # an int too large for a float: the scalar checks name it
+        _check_blocking_node(*args)
+        raise
     # Bad inputs and overflow leave zero divisions, inf and NaN here; every
     # such element fails ``ok`` and is reported below.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):

@@ -18,9 +18,9 @@ Layout document shape::
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from itertools import chain
+from operator import eq
 from typing import Mapping
 
 import numpy as np
@@ -66,52 +66,53 @@ class LayoutGraph:
     sites: tuple[str, ...]
     edges: tuple[tuple[str, str], ...]
     queue_sites: Mapping[str, QueueSite]
+    _neighbors: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "sites", tuple(self.sites))
-        norm = []
-        for a, b in self.edges:
-            if a == b:
-                raise SchemaError("edges", f"self-edge on site {a!r}")
-            norm.append((a, b) if a <= b else (b, a))
-        object.__setattr__(self, "edges", tuple(sorted(set(norm))))
+        # Each edge rule is one pass over the whole list; only a failing
+        # list is searched for the first bad edge, which names the fault.
+        sites, ends = tuple(self.sites), list(chain.from_iterable(self.edges))
+        object.__setattr__(self, "sites", sites)
+        if any(map(eq, ends[::2], ends[1::2])):
+            a = next(a for a, b in self.edges if a == b)
+            raise SchemaError("edges", f"self-edge on site {a!r}")
+        object.__setattr__(self, "edges", tuple(sorted(
+            {(a, b) if a <= b else (b, a) for a, b in self.edges})))
         object.__setattr__(self, "queue_sites",
                            dict(sorted(self.queue_sites.items())))
-        known = set(self.sites)
-        if len(known) != len(self.sites):
+        known = set(sites)
+        if len(known) != len(sites):
             raise SchemaError("sites", "site names must be unique")
-        for s in chain.from_iterable(self.edges):
-            if s not in known:
-                raise SchemaError("edges", f"unknown site {s!r}")
+        if not known.issuperset(ends):
+            s = next(s for s in chain.from_iterable(self.edges) if s not in known)
+            raise SchemaError("edges", f"unknown site {s!r}")
         for s in self.queue_sites:
             if s not in known:
                 raise SchemaError("queues", f"unknown site {s!r}")
-        _check_connected(self)
-
-    @cached_property
-    def _adjacency(self) -> dict[str, tuple[str, ...]]:
-        adj: dict[str, list[str]] = {}
-        for a, b in self.edges:
-            adj.setdefault(a, []).append(b)
-            adj.setdefault(b, []).append(a)
-        return {s: tuple(sorted(nbrs)) for s, nbrs in adj.items()}
+        # The edges are sorted, so each index list holds a site's smaller
+        # neighbours and then its larger ones, both in order.
+        object.__setattr__(self, "_neighbors", {
+            s: tuple(map(sites.__getitem__, nbrs))
+            for s, nbrs in zip(sites, _check_connected(self))})
 
     def neighbors(self, site: str) -> tuple[str, ...]:
         """Sorted adjacent sites; () for an isolated or unknown site."""
-        return self._adjacency.get(site, ())
+        return self._neighbors.get(site, ())
 
 
-def _check_connected(layout: LayoutGraph):
+def _check_connected(layout: LayoutGraph) -> list[list[int]]:
+    """Each site's neighbours as index lists, in edge order; InputError if some are cut off."""
     if not layout.sites:
         raise SchemaError("sites", "layout has no sites")
     index = dict(zip(layout.sites, range(len(layout.sites))))
     # edge ends as a0, b0, a1, b1, ...; reversing each pair gives the other direction
     ends = np.fromiter(map(index.__getitem__, chain.from_iterable(layout.edges)),
                        dtype=np.intp, count=2 * len(layout.edges))
-    level = _bfs_levels(_adjacency(len(index), ends, ends.reshape(-1, 2)[:, ::-1].ravel()), [0])
-    missing = [s for s, depth in zip(layout.sites, level) if depth < 0]
+    adjacency = _adjacency(len(index), ends, ends.reshape(-1, 2)[:, ::-1].ravel())
+    missing = [s for s, depth in zip(layout.sites, _bfs_levels(adjacency, [0])) if depth < 0]
     if missing:
         raise InputError(f"layout is not connected; unreachable sites: {missing}")
+    return adjacency
 
 
 # Keys of a layout document and of its queue objects, every one required;
@@ -126,14 +127,15 @@ def parse_layout(text: str) -> LayoutGraph:
     if not isinstance(doc, dict):
         raise SchemaError("$", "top level must be an object")
     _check_keys(doc, "$", _LAYOUT_KEYS, _LAYOUT_KEYS)
-    if not isinstance(doc["sites"], list) or not all(isinstance(s, str) for s in doc["sites"]):
+    if not isinstance(doc["sites"], list) or not set(map(type, doc["sites"])) <= {str}:
         raise SchemaError("$.sites", "must be an array of site names")
-    edges = []
-    for k, e in enumerate(_as_array(doc["edges"], "$.edges")):
-        if (not isinstance(e, list) or len(e) != 2
-                or not all(isinstance(s, str) for s in e)):
-            raise SchemaError(f"$.edges[{k}]", "must be a pair of site names")
-        edges.append((e[0], e[1]))
+    # As columns (JSON gives exact types); a failing list names its first bad edge.
+    edges = _as_array(doc["edges"], "$.edges")
+    if not (set(map(type, edges)) <= {list} and set(map(len, edges)) <= {2}
+            and set(map(type, chain.from_iterable(edges))) <= {str}):
+        k = next(k for k, e in enumerate(edges)
+                 if not (type(e) is list and len(e) == 2 and set(map(type, e)) <= {str}))
+        raise SchemaError(f"$.edges[{k}]", "must be a pair of site names")
     queues = {}
     for k, q in enumerate(_as_array(doc["queues"], "$.queues")):
         path = f"$.queues[{k}]"
@@ -148,7 +150,7 @@ def parse_layout(text: str) -> LayoutGraph:
         if q["site"] in queues:
             raise SchemaError(path, f"duplicate queue entry for site {q['site']!r}")
         queues[q["site"]] = QueueSite(role=NodeKind(q["role"]), capacity=cap)
-    return LayoutGraph(tuple(doc["sites"]), tuple(edges), queues)
+    return LayoutGraph(tuple(doc["sites"]), edges, queues)
 
 
 def build_lattice_network(
@@ -200,18 +202,19 @@ def build_lattice_network(
         nodes.append(NodeSpec(ids[s], q.role, cap, service_rate, 0.0))
 
     entries: dict[tuple[int, int], float] = {}
+    # Rows in id order, each row's targets by id: the spec takes the keys as they are.
     for s in interior:
         nbrs = layout.neighbors(s)
         share = 1.0 / len(nbrs)
-        for t in nbrs:
-            entries[(ids[s], ids[t])] = share
+        for t in sorted(map(ids.__getitem__, nbrs)):
+            entries[(ids[s], t)] = share
     interior_set = set(interior)
     for s in sources:
         targets = [t for t in layout.neighbors(s) if t in interior_set]
         if targets:
             share = 1.0 / len(targets)
-            for t in targets:
-                entries[(ids[s], ids[t])] = share
+            for t in sorted(map(ids.__getitem__, targets)):
+                entries[(ids[s], t)] = share
     # sink rows stay empty: exit probability 1
 
     if isinstance(arrival_rate, Mapping):

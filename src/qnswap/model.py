@@ -112,6 +112,8 @@ class NodeColumns(NamedTuple):
 def _check_rate(rate: float, name: str) -> None:
     if rate < 0:
         raise InputError(f"{name} must be nonnegative, got {rate!r}")
+    if _floats([rate]) is None:  # an integer too large for a float
+        raise InputError(f"{name} must be finite, got an integer too large for a float")
     if not math.isfinite(rate):
         raise InputError(f"{name} must be finite, got {rate!r}")
 
@@ -285,10 +287,11 @@ class NetworkSpec:
         nodes, n = self.nodes, len(self.nodes)
 
         ids, kinds, caps, mu, mu_b = map(list, zip(*nodes))
-        # A repeated id or a field of another type: every node, in turn, goes
-        # through the per-node rules (the numpy columns come after them).
+        # A repeated id, a field of another type or an int too large for a float: every
+        # node, in turn, goes through the per-node rules (the numpy columns come after).
         if not (len(set(ids)) == n and set(map(type, caps)) <= {int}
-                and set(map(type, mu + mu_b)) <= {int, float}):
+                and set(map(type, mu + mu_b)) <= {int, float}
+                and _floats(mu + mu_b) is not None):
             for k in range(n):
                 _check_node(nodes[k], k > 0 and ids[k] == ids[k - 1])
         # Kind tests are by identity: a plain string is no kind, and is rejected.
@@ -597,40 +600,34 @@ def parse_network(text: str) -> NetworkSpec:
     )
 
 
-def _dec(x: float) -> str:
-    return repr(float(x))
+# The document as json.dumps(doc, indent=2) lays it out: one template per
+# object shape, each rate a JSON string holding repr(float(rate)).
+_NODE_JSON = ('    {\n      "id": %d,\n      "kind": "%s",\n      "capacity": %d,\n'
+              '      "mu": "%r",\n      "mu_b": "%r",\n      "servers": 1\n    }')
+_ROUTING_JSON = '    {\n      "from": %d,\n      "to": %d,\n      "p": "%r"\n    }'
+_EXTERNAL_JSON = '    {\n      "node": %d,\n      "lambda0": "%r"\n    }'
+_KNOWN_JSON = '    {\n      "node": %d,\n      "lambda": "%r"\n    }'
 
 
 def serialize_network(spec: NetworkSpec) -> str:
     """Render a spec back to its canonical document form.
 
     Output is deterministic: nodes sorted by id, routing entries by
-    (from, to), rates as shortest round-trip decimal strings.
+    (from, to), rates as shortest round-trip decimal strings.  It is byte
+    for byte ``json.dumps(doc, indent=2) + "\\n"`` of the document as a
+    dict, written from fixed templates: nodes from the spec's columns, the
+    rest from its mappings, already in key order with float values.
     """
-    doc: dict = {
-        "nodes": [
-            {
-                "id": n.id,
-                "kind": n.kind.value,
-                "capacity": n.capacity,
-                "mu": _dec(n.service_rate),
-                "mu_b": _dec(n.unblock_rate),
-                "servers": 1,
-            }
-            for n in spec.nodes
-        ],
-        "routing": [
-            {"from": i, "to": j, "p": _dec(p)}
-            for (i, j), p in sorted(spec.routing.items())
-        ],
-        "external_arrivals": [
-            {"node": i, "lambda0": _dec(r)}
-            for i, r in sorted(spec.external_arrivals.items())
-        ],
+    c, kinds, known = spec.columns, [k.value for k in KIND_CODES], spec.known_arrival_rates
+    sections = {
+        "nodes": list(map(_NODE_JSON.__mod__, zip(
+            c.id.tolist(), map(kinds.__getitem__, c.kind.tolist()), c.capacity.tolist(),
+            c.service_rate.tolist(), c.unblock_rate.tolist()))),
+        "routing": [_ROUTING_JSON % (i, j, p) for (i, j), p in spec.routing.items()],
+        "external_arrivals": list(map(_EXTERNAL_JSON.__mod__, spec.external_arrivals.items())),
     }
-    if spec.known_arrival_rates is not None:
-        doc["known_arrival_rates"] = [
-            {"node": i, "lambda": _dec(r)}
-            for i, r in sorted(spec.known_arrival_rates.items())
-        ]
-    return json.dumps(doc, indent=2) + "\n"
+    if known is not None:
+        sections["known_arrival_rates"] = list(map(_KNOWN_JSON.__mod__, known.items()))
+    return "{\n%s\n}\n" % ",\n".join(
+        f'  "{name}": ' + ("[\n" + ",\n".join(items) + "\n  ]" if items else "[]")
+        for name, items in sections.items())

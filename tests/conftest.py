@@ -97,28 +97,56 @@ def two_node_cycle_spec() -> NetworkSpec:
     )
 
 
-@functools.lru_cache(maxsize=None)
-def grid_document(side: int) -> str:
-    """The network document of a ``side`` x ``side`` grid chip.
+def _layout_document(sites, edges, sources, sinks) -> str:
+    queues = ([{"site": s, "role": "source", "capacity": 8} for s in sources]
+              + [{"site": s, "role": "sink", "capacity": 8} for s in sinks])
+    return json.dumps({"sites": sites, "edges": edges, "queues": queues})
+
+
+def grid_layout(side: int) -> str:
+    """The layout document of a ``side`` x ``side`` grid chip.
 
     Two sources and two sinks sit on the top and bottom rows, one site in
-    from the corners; the sources take external rates 0.1 and 0.2.
+    from the corners.
     """
     def site(r, c):
         return f"g{r:02d}_{c:02d}"
 
     edges = [[site(r, c), site(r, c + 1)] for r in range(side) for c in range(side - 1)]
     edges += [[site(r, c), site(r + 1, c)] for r in range(side - 1) for c in range(side)]
-    sources = [site(0, 1), site(side - 1, 1)]
-    sinks = [site(0, side - 2), site(side - 1, side - 2)]
-    layout = {
-        "sites": [site(r, c) for r in range(side) for c in range(side)],
-        "edges": edges,
-        "queues": ([{"site": s, "role": "source", "capacity": 8} for s in sources]
-                   + [{"site": s, "role": "sink", "capacity": 8} for s in sinks]),
-    }
-    spec = build_lattice_network(parse_layout(json.dumps(layout)),
-                                 arrival_rate=dict(zip(sources, (0.1, 0.2))))
+    return _layout_document([site(r, c) for r in range(side) for c in range(side)], edges,
+                            [site(0, 1), site(side - 1, 1)],
+                            [site(0, side - 2), site(side - 1, side - 2)])
+
+
+def heavy_hex_layout(rows: int, cols: int) -> str:
+    """The layout document of a heavy-hex chip: rows of ``cols`` sites, the
+    gap below row g bridged every fourth column (from column 0 for even g,
+    from column 2 for odd g) through one degree-2 bridge site each.
+
+    Sources sit at the left ends of the two top rows, sinks at the right
+    ends of the two bottom rows.
+    """
+    def site(r, c):
+        return f"h{r}_{c:02d}"
+
+    sites = [site(r, c) for r in range(rows) for c in range(cols)]
+    edges = [[site(r, c), site(r, c + 1)] for r in range(rows) for c in range(cols - 1)]
+    for g in range(rows - 1):
+        for c in range(2 * (g % 2), cols, 4):
+            sites.append(f"b{g}_{c:02d}")
+            edges += [[site(g, c), sites[-1]], [sites[-1], site(g + 1, c)]]
+    return _layout_document(sites, edges, [site(0, 0), site(1, 0)],
+                            [site(rows - 2, cols - 1), site(rows - 1, cols - 1)])
+
+
+@functools.lru_cache(maxsize=None)
+def grid_document(side: int) -> str:
+    """The network document of the ``grid_layout(side)`` chip; the sources
+    take external rates 0.1 and 0.2."""
+    layout = parse_layout(grid_layout(side))
+    sources = [s for s, q in layout.queue_sites.items() if q.role is NodeKind.SOURCE]
+    spec = build_lattice_network(layout, arrival_rate=dict(zip(sources, (0.1, 0.2))))
     return serialize_network(spec)
 
 

@@ -11,9 +11,9 @@ Nothing in ``qnswap`` calls these; they exist to cross-check it:
   checks of ``parse_network`` and ``NetworkSpec``;
 - per-node scalar references, read from ``spec.nodes`` and
   ``spec.routing``, for the spec's columns and the analysis columns;
-- the reference ``analyze`` document, built as plain dicts and lists, that
-  the CLI's fixed-schema JSON writer must print byte for byte as
-  ``json.dumps`` does.
+- the reference ``analyze`` and network documents, built as plain dicts
+  and lists, that the fixed-schema JSON writers (the CLI's and
+  ``serialize_network``) must print byte for byte as ``json.dumps`` does.
 
 They import package internals where that makes them compute the same
 numbers the package would: the fixed-point solver uses the traffic solve's
@@ -636,6 +636,11 @@ def _scalar_rate(value, path: str) -> float:
 def _scalar_check_rate(rate: float, name: str) -> None:
     if rate < 0:
         raise InputError(f"{name} must be nonnegative, got {rate!r}")
+    try:
+        float(rate)
+    except OverflowError:
+        raise InputError(
+            f"{name} must be finite, got an integer too large for a float") from None
     if not math.isfinite(rate):
         raise InputError(f"{name} must be finite, got {rate!r}")
 
@@ -811,3 +816,41 @@ def _scalar_spec(nodes, entries, external, known) -> tuple:
     if not any(1.0 - sum(rows.get(i, [])) > 0 for i in by_id):
         raise InputError("no node has a positive exit probability")
     return nodes, entries, external, known
+
+
+def network_document(spec) -> str:
+    """The network document as a dict through ``json.dumps(doc, indent=2)``.
+
+    The reference for ``qnswap.serialize_network``, which writes the same
+    bytes from fixed templates.
+    """
+    def dec(x) -> str:
+        return repr(float(x))
+
+    doc: dict = {
+        "nodes": [
+            {
+                "id": n.id,
+                "kind": n.kind.value,
+                "capacity": n.capacity,
+                "mu": dec(n.service_rate),
+                "mu_b": dec(n.unblock_rate),
+                "servers": 1,
+            }
+            for n in spec.nodes
+        ],
+        "routing": [
+            {"from": i, "to": j, "p": dec(p)}
+            for (i, j), p in sorted(spec.routing.items())
+        ],
+        "external_arrivals": [
+            {"node": i, "lambda0": dec(r)}
+            for i, r in sorted(spec.external_arrivals.items())
+        ],
+    }
+    if spec.known_arrival_rates is not None:
+        doc["known_arrival_rates"] = [
+            {"node": i, "lambda": dec(r)}
+            for i, r in sorted(spec.known_arrival_rates.items())
+        ]
+    return json.dumps(doc, indent=2) + "\n"

@@ -19,7 +19,8 @@ from qnswap import (
     solve_traffic,
     total_external_rate,
 )
-from conftest import ids_of_kind
+from qnswap import model
+from conftest import grid_layout, heavy_hex_layout, ids_of_kind
 from oracle import row_sums
 import _expected
 
@@ -88,6 +89,33 @@ class TestParseLayout:
             parse_layout(json.dumps(doc))
         assert str(caught.value) == message
 
+    # The edge list is checked as columns; a failing list still names its
+    # first bad edge, with the message of an edge-by-edge check.  Self-edges
+    # are checked before unknown sites, and unknown sites in sorted edge order.
+    @pytest.mark.parametrize("edges, message", [
+        ([["s", "a"], "a-b", ["a", "b"], 5], "$.edges[1]: must be a pair of site names"),
+        ([["s", "a"], {"0": "a"}], "$.edges[1]: must be a pair of site names"),
+        ([["s", "a"], "ab"], "$.edges[1]: must be a pair of site names"),
+        ([["s", "a"], ["a", "b"], ["a", "b", "c"], ["b"]],
+         "$.edges[2]: must be a pair of site names"),
+        ([["s", "a"], []], "$.edges[1]: must be a pair of site names"),
+        ([["s", "a"], ["a", "b"], ["b", 3], [1, "c"]], "$.edges[2]: must be a pair of site names"),
+        ([["s", "a"], [None, "c"]], "$.edges[1]: must be a pair of site names"),
+        ([["s", "a"], ["a", ["b"]]], "$.edges[1]: must be a pair of site names"),
+        ([["s", "a"], ["b", "b"], ["a", "x"], ["t", "t"]], "edges: self-edge on site 'b'"),
+        ([["s", "a"], ["a", "x"], ["t", "t"]], "edges: self-edge on site 't'"),
+        ([["s", "a"], ["s", "y"], ["a", "x"]], "edges: unknown site 'x'"),
+        ([["s", "a"], ["z", "w"]], "edges: unknown site 'w'"),
+    ], ids=["not_a_list", "object", "string", "too_long", "empty", "non_string_end",
+            "null_end", "nested_end", "self_edge", "self_edge_before_unknown",
+            "unknown_in_sorted_order", "unknown_reversed_pair"])
+    def test_first_bad_edge_is_named(self, edges, message):
+        doc = json.loads(GRID)
+        doc["edges"] = edges
+        with pytest.raises(SchemaError) as caught:
+            parse_layout(json.dumps(doc))
+        assert str(caught.value) == message
+
     def test_deep_nesting_is_a_parse_error(self):
         with pytest.raises(ParseError, match="nested too deeply"):
             parse_layout("[" * 100_000)
@@ -110,12 +138,29 @@ class TestParseLayout:
 
 class TestLayoutGraph:
     def test_self_edge_rejected(self):
-        with pytest.raises(SchemaError):
+        with pytest.raises(SchemaError, match="^edges: self-edge on site 'a'$"):
             LayoutGraph(("a",), (("a", "a"),), {})
+        with pytest.raises(SchemaError, match="^edges: self-edge on site 'b'$"):
+            LayoutGraph(("a", "b", "c"), (("a", "b"), ("b", "b"), ("c", "x"), ("c", "c")), {})
 
     def test_unknown_edge_site_rejected(self):
-        with pytest.raises(SchemaError):
+        with pytest.raises(SchemaError, match="^edges: unknown site 'b'$"):
             LayoutGraph(("a",), (("a", "b"),), {})
+        with pytest.raises(SchemaError, match="^edges: unknown site 'w'$"):
+            LayoutGraph(("a", "b", "c"), (("c", "x"), ("b", "w")), {})
+
+    @pytest.mark.parametrize("text", [grid_layout(6), heavy_hex_layout(4, 9)],
+                             ids=["grid6", "heavyhex"])
+    def test_neighbors_are_sorted_site_names(self, text):
+        lay = parse_layout(text)
+        adjacent = {}
+        for a, b in json.loads(text)["edges"]:
+            adjacent.setdefault(a, set()).add(b)
+            adjacent.setdefault(b, set()).add(a)
+        assert {s: lay.neighbors(s) for s in lay.sites} == {
+            s: tuple(sorted(nbrs)) for s, nbrs in adjacent.items()}
+        assert lay.neighbors("nowhere") == ()
+        assert LayoutGraph(("a",), (), {}).neighbors("a") == ()
 
     def test_duplicate_site_rejected(self):
         with pytest.raises(SchemaError):
@@ -147,6 +192,19 @@ class TestLatticeBuilder:
         ]
         assert net.columns.capacity.tolist() == [1, 1, 1, 1, 4, 6]
         assert net.external_arrivals == {5: 0.3}
+
+    @pytest.mark.parametrize("text", [grid_layout(6), heavy_hex_layout(4, 9)],
+                             ids=["grid6", "heavyhex"])
+    def test_routing_takes_the_canonical_fast_path(self, text, monkeypatch):
+        # the builder emits its routing in (from, to) order, so the spec
+        # keeps the keys as given instead of converting and sorting them
+        def converted(keys, pair):
+            raise AssertionError("NetworkSpec converted the builder's routing keys")
+
+        layout = parse_layout(text)
+        monkeypatch.setattr(model, "_node_keys", converted)
+        net = build_lattice_network(layout)
+        assert list(net.routing) == sorted(net.routing)
 
     def test_interior_rows_are_uniform_over_all_neighbors(self):
         net = build_lattice_network(parse_layout(GRID))

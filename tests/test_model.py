@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import hashlib
 import json
 import math
 import pickle
@@ -21,8 +22,8 @@ from qnswap import (
     serialize_network,
 )
 from qnswap.model import KIND_CODES, _adjacency, _bfs_levels
-from conftest import random_open_network
-from oracle import row_sums
+from conftest import grid_document, random_open_network, single_queue_spec
+from oracle import _scalar_spec, network_document, row_sums
 
 
 def node(i, kind=NodeKind.SOURCE, capacity=2, mu=1.0, mu_b=0.0):
@@ -291,6 +292,27 @@ def test_non_finite_rate_rejected(name, value):
         build(value)
 
 
+@pytest.mark.parametrize("name", ["service_rate", "unblock_rate", "closed_form_arrival",
+                                  "closed_form_service", "closed_form_unblock"])
+def test_int_rate_too_large_for_a_float_rejected(name):
+    # the float conversion used to overflow before any check ran
+    build, message = NON_FINITE_RATES[name]
+    with pytest.raises(InputError, match=f"{message}, got an integer too large for a float$"):
+        build(10**400)
+
+
+@pytest.mark.parametrize("field", ["service_rate", "unblock_rate"])
+def test_scalar_spec_check_rejects_int_overflow_alike(field):
+    mid = node(2, kind=NodeKind.INTERMEDIATE, capacity=1, mu_b=0.2)._replace(**{field: 10**400})
+    args = ((node(1), mid, node(3, kind=NodeKind.SINK)), {(1, 2): 1.0, (2, 3): 1.0}, {1: 0.5})
+    with pytest.raises(InputError) as package:
+        NetworkSpec(*args)
+    with pytest.raises(InputError) as oracle:
+        _scalar_spec(list(args[0]), *args[1:], None)
+    assert str(package.value) == str(oracle.value)
+    assert str(package.value).startswith(f"node 2 {field.replace('_', ' ')} must be finite")
+
+
 class TestCanonicalForm:
     def test_node_fields_cannot_change(self):
         n = node(1)
@@ -382,6 +404,55 @@ class TestReadOnlyMappings:
         spec = two_node_spec({(1, 2): 0.5})
         assert spec.known_arrival_rates is None
         assert pickle.loads(pickle.dumps(spec)) == spec
+
+
+def _edge_value_spec() -> NetworkSpec:
+    """Rates at the edges of repr and json.dumps: a negative zero, the
+    smallest subnormal, a float past 2**53, an inexact sum, an int mu and an
+    np.float64 mu_b."""
+    return NetworkSpec(
+        nodes=(node(1, mu=3),
+               node(2, kind=NodeKind.INTERMEDIATE, capacity=1, mu=5e-324,
+                    mu_b=np.float64(0.15)),
+               node(3, kind=NodeKind.SINK, mu=1e16)),
+        routing={(1, 2): 0.1 + 0.2, (1, 3): -0.0, (2, 3): 1.0},
+        external_arrivals={1: 1e16},
+        known_arrival_rates={2: 5e-324},
+    )
+
+
+# sha256 of serialize_network on the 40x40 grid spec, computed with the
+# dict-plus-json.dumps writer the templates replaced
+LATTICE40_SHA256 = "2bccf02ff8c5cebd77369b1d01067151295d0cda26fe0495b5a4ad3e5394e9c8"
+
+
+class TestNetworkWriter:
+    """``serialize_network`` prints what ``json.dumps(doc, indent=2)`` prints."""
+
+    @pytest.mark.parametrize("build", [
+        lambda fixture: fixture,
+        lambda fixture: dataclasses.replace(fixture, known_arrival_rates=None),
+        lambda fixture: parse_network(grid_document(6)),
+        lambda fixture: parse_network(grid_document(40)),
+        lambda fixture: single_queue_spec(0.5, 2),
+        lambda fixture: NetworkSpec(nodes=(node(1), node(2)), routing={(1, 2): 0.5},
+                                    external_arrivals={1: 1.0}, known_arrival_rates={}),
+        lambda fixture: _edge_value_spec(),
+    ], ids=["munoz15", "munoz15_unpinned", "grid6", "grid40", "no_routing",
+            "empty_known_rates", "edge_values"])
+    def test_matches_json_dumps(self, fixture_spec, build):
+        spec = build(fixture_spec)
+        assert serialize_network(spec) == network_document(spec)
+
+    def test_edge_values_round_trip(self):
+        spec = _edge_value_spec()
+        text = serialize_network(spec)
+        assert '"p": "-0.0"' in text and '"mu": "3.0"' in text and '"mu_b": "0.15"' in text
+        assert parse_network(text) == spec
+
+    def test_lattice40_bytes_unchanged(self):
+        text = serialize_network(parse_network(grid_document(40)))
+        assert hashlib.sha256(text.encode()).hexdigest() == LATTICE40_SHA256
 
 
 class TestFileFormat:

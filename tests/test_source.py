@@ -196,3 +196,17 @@ def test_graph_walks_share_one_search():
         assert functions == set(), f"{module}: {functions} not found"
     layout_source = (SRC / "layout.py").read_text(encoding="utf-8")
     assert "deque" not in layout_source
+
+
+def test_network_writer_uses_no_json_encoder():
+    # json.dumps with indent runs the pure-Python encoder; the writer fills
+    # fixed templates instead
+    from qnswap import model
+
+    tree = ast.parse((SRC / "model.py").read_text(encoding="utf-8"))
+    writer = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "serialize_network")
+    called = {n.func.attr if isinstance(n.func, ast.Attribute) else getattr(n.func, "id", None)
+              for n in ast.walk(writer) if isinstance(n, ast.Call)}
+    assert called & {"dumps", "dump", "JSONEncoder"} == set()
+    assert not hasattr(model, "_dec")
