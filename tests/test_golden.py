@@ -9,7 +9,9 @@ JSON before the analyze JSON was printed from columns; the ``--subset``
 table and CSV before those writers read the analysis columns; the event-unit
 simulator runs, which the CLI cannot select, before the simulator read the
 spec's columns; the self-loop simulator runs before the simulator became
-one flat event loop.  Any refactor that changes a printed byte of these outputs
+one flat event loop; the heavy-hex simulator runs, whose blocked-job
+cascades the other files barely reach, before the event loop opened its
+measuring window once and fetched each next event with one heap sift.  Any refactor that changes a printed byte of these outputs
 shows up here.  Regenerate them only for a deliberate change of output, and
 record that change.
 
@@ -21,9 +23,17 @@ from pathlib import Path
 
 import pytest
 
-from qnswap import InputError, SimConfig, cli, munoz15_fixture, simulate_blocking_network
+from qnswap import (
+    InputError,
+    SimConfig,
+    build_lattice_network,
+    cli,
+    munoz15_fixture,
+    parse_layout,
+    simulate_blocking_network,
+)
 
-from conftest import self_loop_spec
+from conftest import heavy_hex_layout, self_loop_spec
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -124,3 +134,27 @@ def test_self_loop_runs_match_golden_bytes():
                for node in run["nodes"]]
     assert 0.0 < max(blocked) < 0.01  # the block path runs; no deadlock
     assert document.encode("utf-8") == (GOLDEN / "sim_self_loop.json").read_bytes()
+
+
+# a 4x9 heavy-hex chip at 0.5 per source blocks often (about 8% of the time
+# on average) and drops jobs, so the release cascade is pinned; seed 11
+HEAVY_HEX_CASES = {
+    "time_400": dict(horizon=400.0),
+    "events_4000_half_warmup": dict(horizon=4000, unit="events", warmup_fraction=0.5),
+    "time_300_reps2_no_warmup": dict(horizon=300.0, replications=2, warmup_fraction=0.0),
+}
+
+
+def heavy_hex_document() -> str:
+    spec = build_lattice_network(parse_layout(heavy_hex_layout(4, 9)), arrival_rate=0.5)
+    out = {name: simulate_blocking_network(spec, SimConfig(seed=11, **kwargs)).to_jsonable()
+           for name, kwargs in HEAVY_HEX_CASES.items()}
+    return json.dumps(out, indent=2, sort_keys=True) + "\n"
+
+
+def test_heavy_hex_runs_match_golden_bytes():
+    document = heavy_hex_document()
+    runs = json.loads(document).values()
+    assert min(run["dropped"] for run in runs) > 0
+    assert max(node["blocked_fraction"] for run in runs for node in run["nodes"]) > 0.2
+    assert document.encode("utf-8") == (GOLDEN / "sim_heavy_hex.json").read_bytes()
