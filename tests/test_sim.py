@@ -276,6 +276,15 @@ class TestDeadlock:
             simulate_blocking_network(two_node_cycle_spec(),
                                       SimConfig(seed=7, horizon=1e5, unit=unit))
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(horizon=50.0),  # the window opens at t = 10
+        dict(horizon=40, unit="events", warmup_fraction=0.5),  # at event 20 of 23
+    ], ids=["time", "events"])
+    def test_two_node_cycle_raises_inside_the_window(self, kwargs):
+        with pytest.raises(NumericsError, match=r"deadlock at simulated time 23\.970119704895424:"
+                                                r" every server among nodes \[1, 2\]"):
+            simulate_blocking_network(two_node_cycle_spec(), SimConfig(seed=7, **kwargs))
+
     def test_random_network_raises(self):
         # this spec used to report blocked_fraction 1.0 on all four nodes
         rng = np.random.default_rng(3)
