@@ -15,6 +15,15 @@ frees a slot; contending blocked jobs release in the order they blocked
 (ties broken by lower node id), and releases cascade until no blocked job
 can move.  External arrivals to a full node are dropped and counted.
 
+State and window: each node holds its jobs in one first-in-first-out
+deque whose head is the job on the server, so a node is idle exactly when
+its deque is empty.  Statistics cover a measuring window that follows a
+warm-up of ``warmup_fraction`` of the horizon (time units) or of the
+events (event units, where the window opens at the time of the first
+event in it).  The event loop runs the warm-up and the window as two
+passes of one loop body and restarts the statistics once between them;
+response times count only jobs that entered in the window.
+
 What it does not model: the simulator runs the routing as given.  It ignores
 ``known_arrival_rates`` (the pins the analytic pipeline substitutes for
 solved rates) and each node's unblock rate ``mu_b`` (a blocked job leaves
@@ -48,10 +57,6 @@ import numpy as np
 
 from .errors import InputError, NumericsError
 from .model import NetworkSpec
-
-_ARRIVAL = 0
-_COMPLETE = 1
-
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -178,33 +183,44 @@ def _stuck_nodes(k: int, tgt: list, blocked: list) -> list[int] | None:
 # -- full network -------------------------------------------------------------
 
 def _replicate(ids: list, cap: list, mu: list, rate: list, tgt: list, cum: list,
-               rng, budget, stop: float, warm: int, t_warm: float) -> tuple:
+               rng, budget, stop: float, warm, t_warm: float) -> tuple:
     """One replication of the blocking network; returns its totals.
 
     ``ids``, ``cap``, ``mu`` and ``rate`` hold the node columns, ``tgt`` and
     ``cum`` each node's routing targets in id order and their cumulative
     probabilities.  The run stops at its event budget (event units) or at
     the first event past its stop time (time units); the other bound is
-    infinite.  An event at ``time >= t_warm`` falls in the measuring window.
-    In event units the loop sets ``t_warm`` to the time of event number
-    ``warm``; ``warm`` is -1 when the window is open from the start.
+    infinite.  The measuring window opens before event number ``warm`` or
+    before the first event at ``time >= t_warm``, whichever comes first, at
+    ``t_warm`` or at that event's time, whichever is earlier.  Event units
+    pass ``t_warm`` infinite, or 0 when the window is open from the start;
+    time units pass ``warm`` infinite.
 
-    The event loop has every handler inlined on flat per-node lists.  A
-    node's state: ``queue`` (jobs waiting, a deque), ``srv`` (the job on
-    the server or None), ``cnt`` (jobs held, queue plus server), ``blk``
-    (server blocked), ``btime`` (when it blocked).  Statistics: ``occ``
-    (time at each job count), ``blocked_t`` and ``last`` (time of the last
-    change).  A job is ``[entry time, hops, in window]``.  An idle server
-    always has an empty queue, so a job reaching an idle node starts at
-    once.  Every time a node's count or blocked flag changes, its time
-    since ``last`` is first added to its statistics ("closing" it).
+    The event loop has every handler inlined on flat per-node lists and
+    runs in two passes: the warm-up, then the window.  Between them the
+    statistics restart: ``occ`` and ``blocked_t`` are zeroed, every node's
+    ``last`` is set to the window start, and the windowed arrival and drop
+    counts are taken as differences of the whole-run counters.  A node's
+    state: ``queue`` (a deque of the jobs it holds; the head is on the
+    server), ``cnt`` (their number), ``blk`` (server blocked), ``btime``
+    (when it blocked).  Statistics: ``occ`` (time at each job count),
+    ``blocked_t`` and ``last`` (time of the last change).  A job is
+    ``[entry time, hops, entered in the window]``.  Every time a node's
+    count or blocked flag changes, its time since ``last`` is first added
+    to its statistics ("closing" it).
+
+    An event is ``(time, seq, code)`` with ``code`` ``~k`` for an arrival at
+    node k and ``k`` for a completion.  A handler holds back the last event
+    it schedules in ``ev``, and the next event comes from one
+    ``heappushpop`` of it, or from a ``heappop`` when there is none.
 
     Draw order is part of the contract: an arrival starts service before
     it schedules the next arrival, and a transfer starts the target's
     server before the source's.
 
     Returns the totals as one tuple, in the order of the ``return``; the
-    ``_w`` counters and the ``resp_``/``hop_`` sums cover the window only.
+    two count differences and the ``resp_``/``hop_`` sums cover the window
+    only.
     """
     # the first exponential chunk is drawn before the first uniform one
     exp_chunks = _chunks(rng.exponential, array("d", rng.exponential(size=_CHUNK).tobytes()))
@@ -212,7 +228,6 @@ def _replicate(ids: list, cap: list, mu: list, rate: list, tgt: list, cum: list,
     n = len(cap)
     cut = [c[-1] if c else 0.0 for c in cum]  # P(route onward)
     queue = [deque() for _ in range(n)]
-    srv: list = [None] * n
     cnt = [0] * n
     blk = [False] * n
     btime = [0.0] * n
@@ -224,180 +239,161 @@ def _replicate(ids: list, cap: list, mu: list, rate: list, tgt: list, cum: list,
     exp = chain.from_iterable(exp_chunks).__next__
     uni = chain.from_iterable(uni_chunks).__next__
     heap: list = []
-    push, pop, bisect = heapq.heappush, heapq.heappop, bisect_right
-    ARRIVAL, COMPLETE = _ARRIVAL, _COMPLETE
+    push, pop, pushpop, bisect = heapq.heappush, heapq.heappop, heapq.heappushpop, bisect_right
     seq = 0
     for k, r in enumerate(rate):
         if r > 0:
-            push(heap, (exp() / r, seq, ARRIVAL, k))
+            push(heap, (exp() / r, seq, ~k))
             seq += 1
 
-    arrivals = completed = dropped = arrivals_w = dropped_w = 0
+    arrivals = completed = dropped = 0
     resp_n = hop_sum = 0
     resp_sum = resp_sq = 0.0
     events = 0
     time = 0.0
-    while events < budget:
-        time, _, kind, k = pop(heap)
-        if time > stop:
-            break
-        if events == warm:
-            t_warm = time
-        events += 1
-
-        if kind == ARRIVAL:
-            in_window = time >= t_warm
-            arrivals += 1
-            if in_window:
-                arrivals_w += 1
-            c = cnt[k]
-            if c < cap[k]:
-                lo = last[k]
-                if t_warm > lo:
-                    lo = t_warm
-                if time > lo:
-                    occ[k][c] += time - lo
-                    if blk[k]:
-                        blocked_t[k] += time - lo
-                last[k] = time
-                cnt[k] = c + 1
-                job = [time, 0, in_window]
-                if srv[k] is None:
-                    srv[k] = job
-                    push(heap, (time + exp() / mu[k], seq, COMPLETE, k))
-                    seq += 1
-                else:
-                    queue[k].append(job)
-            else:
-                dropped += 1
-                if in_window:
-                    dropped_w += 1
-            push(heap, (time + exp() / rate[k], seq, ARRIVAL, k))
-            seq += 1
-            continue
-
-        # a completion at k; close k first: every outcome changes it
-        lo = last[k]
-        if t_warm > lo:
-            lo = t_warm
-        if time > lo:
-            occ[k][cnt[k]] += time - lo
-        last[k] = time
-        u = uni()
-        if u < cut[k]:
-            dests = tgt[k]
-            d = dests[bisect(cum[k], u)]
-            if cnt[d] >= cap[d]:
-                for d in dests:  # divert to the first target with room
-                    if cnt[d] < cap[d]:
-                        break
-                else:
-                    blk[k] = True
-                    btime[k] = time
-                    i = len(blocked)
-                    while i and btime[blocked[i - 1]] == time and blocked[i - 1] > k:
-                        i -= 1
-                    blocked.insert(i, k)
-                    stuck = _stuck_nodes(k, tgt, blk)
-                    if stuck is not None:
-                        raise NumericsError(
-                            f"deadlock at simulated time {time!r}: every server"
-                            f" among nodes {[ids[m] for m in stuck]} is blocked,"
-                            " waiting for room only these nodes can free")
-                    continue  # nothing freed, nothing to cascade
-        else:
-            job = srv[k]
-            cnt[k] -= 1
-            completed += 1
-            if job[2]:
-                r = time - job[0]
-                resp_n += 1
-                resp_sum += r
-                resp_sq += r * r
-                hop_sum += job[1]
-            q = queue[k]
-            if q:
-                srv[k] = q.popleft()
-                push(heap, (time + exp() / mu[k], seq, COMPLETE, k))
-                seq += 1
-            else:
-                srv[k] = None
-            if not blocked:
-                continue
-            d = -1
-
-        # Move k's job to d (when d >= 0), then release blocked jobs,
-        # oldest block first, until nothing moves.  k is already closed.
-        while True:
-            if d >= 0:
-                if d != k:
-                    lo = last[d]
-                    if t_warm > lo:
-                        lo = t_warm
-                    if time > lo:
-                        occ[d][cnt[d]] += time - lo
-                        if blk[d]:
-                            blocked_t[d] += time - lo
-                    last[d] = time
-                if blk[k]:
-                    blk[k] = False
-                    blocked.remove(k)
-                job = srv[k]
-                job[1] += 1
-                cnt[k] -= 1
-                cnt[d] += 1
-                q = queue[k]
-                if d == k:  # a self-loop re-queues behind its own buffer
-                    q.append(job)
-                    srv[k] = q.popleft()
-                    push(heap, (time + exp() / mu[k], seq, COMPLETE, k))
-                    seq += 1
-                else:
-                    if srv[d] is None:
-                        srv[d] = job
-                        push(heap, (time + exp() / mu[d], seq, COMPLETE, d))
-                        seq += 1
-                    else:
-                        queue[d].append(job)
-                    if q:
-                        srv[k] = q.popleft()
-                        push(heap, (time + exp() / mu[k], seq, COMPLETE, k))
-                        seq += 1
-                    else:
-                        srv[k] = None
-            d = -1
-            for k in blocked:
-                for d in tgt[k]:
-                    if cnt[d] < cap[d]:
-                        break
-                else:
-                    d = -1
-                if d >= 0:
-                    break
-            if d < 0:
+    ev = None
+    # the warm-up pass ends before the first event at time >= t_warm
+    for lim, t_lim, win in ((warm, math.nextafter(t_warm, -math.inf), False),
+                            (budget, stop, True)):
+        if win:  # open the window before its first event
+            ev = pushpop(heap, ev) if ev else pop(heap)
+            t_open = min(t_warm, ev[0])
+            occ = [[0.0] * (c + 1) for c in cap]
+            blocked_t = [0.0] * n
+            last = [t_open] * n
+            arrivals_0, dropped_0 = arrivals, dropped
+        while events < lim:
+            time, s, code = pushpop(heap, ev) if ev else pop(heap)
+            if time > t_lim:
+                ev = (time, s, code)
                 break
-            lo = last[k]  # close the released node
-            if t_warm > lo:
-                lo = t_warm
-            if time > lo:
-                occ[k][cnt[k]] += time - lo
-                blocked_t[k] += time - lo
+            events += 1
+
+            if code < 0:  # an arrival at k
+                k = ~code
+                arrivals += 1
+                c = cnt[k]
+                if c < cap[k]:
+                    dt = time - last[k]
+                    occ[k][c] += dt
+                    if blk[k]:
+                        blocked_t[k] += dt
+                    last[k] = time
+                    cnt[k] = c + 1
+                    queue[k].append([time, 0, win])
+                    if not c:
+                        push(heap, (time + exp() / mu[k], seq, k))
+                        seq += 1
+                else:
+                    dropped += 1
+                ev = (time + exp() / rate[k], seq, code)
+                seq += 1
+                continue
+
+            # a completion at k; close k first: every outcome changes it
+            k = code
+            occ[k][cnt[k]] += time - last[k]
             last[k] = time
+            ev = None
+            u = uni()
+            if u < cut[k]:
+                dests = tgt[k]
+                d = dests[bisect(cum[k], u)]
+                if cnt[d] >= cap[d]:
+                    for d in dests:  # divert to the first target with room
+                        if cnt[d] < cap[d]:
+                            break
+                    else:
+                        blk[k] = True
+                        btime[k] = time
+                        i = len(blocked)
+                        while i and btime[blocked[i - 1]] == time and blocked[i - 1] > k:
+                            i -= 1
+                        blocked.insert(i, k)
+                        stuck = _stuck_nodes(k, tgt, blk)
+                        if stuck is not None:
+                            raise NumericsError(
+                                f"deadlock at simulated time {time!r}: every server"
+                                f" among nodes {[ids[m] for m in stuck]} is blocked,"
+                                " waiting for room only these nodes can free")
+                        continue  # nothing freed, nothing to cascade
+            else:
+                q = queue[k]
+                job = q.popleft()
+                cnt[k] -= 1
+                completed += 1
+                if job[2]:
+                    r = time - job[0]
+                    resp_n += 1
+                    resp_sum += r
+                    resp_sq += r * r
+                    hop_sum += job[1]
+                if q:
+                    ev = (time + exp() / mu[k], seq, k)
+                    seq += 1
+                if not blocked:
+                    continue
+                d = -1
+
+            # Move k's job to d (when d >= 0), then release blocked jobs,
+            # oldest block first, until nothing moves.  k is already closed.
+            while True:
+                if d >= 0:
+                    if blk[k]:
+                        blk[k] = False
+                        blocked.remove(k)
+                    q = queue[k]
+                    job = q.popleft()
+                    job[1] += 1
+                    if d == k:  # a self-loop re-queues behind its own buffer
+                        q.append(job)
+                    else:
+                        dt = time - last[d]
+                        c = cnt[d]
+                        occ[d][c] += dt
+                        if blk[d]:
+                            blocked_t[d] += dt
+                        last[d] = time
+                        cnt[d] = c + 1
+                        cnt[k] -= 1
+                        queue[d].append(job)
+                        if not c:
+                            if ev:
+                                push(heap, ev)
+                            ev = (time + exp() / mu[d], seq, d)
+                            seq += 1
+                    if q:
+                        if ev:
+                            push(heap, ev)
+                        ev = (time + exp() / mu[k], seq, k)
+                        seq += 1
+                d = -1
+                for k in blocked:
+                    for d in tgt[k]:
+                        if cnt[d] < cap[d]:
+                            break
+                    else:
+                        d = -1
+                    if d >= 0:
+                        break
+                if d < 0:
+                    break
+                dt = time - last[k]  # close the released node
+                occ[k][cnt[k]] += dt
+                blocked_t[k] += dt
+                last[k] = time
 
     if stop < math.inf:  # a time-unit run ends at its horizon
         time = stop
     for k in range(n):
-        lo = last[k]
-        if t_warm > lo:
-            lo = t_warm
-        if time > lo:
-            occ[k][cnt[k]] += time - lo
-            if blk[k]:
-                blocked_t[k] += time - lo
-    in_flight = sum(map(len, queue)) + n - srv.count(None)
+        dt = time - last[k]
+        occ[k][cnt[k]] += dt
+        if blk[k]:
+            blocked_t[k] += dt
+    in_flight = sum(map(len, queue))
     _check_conservation(in_flight, arrivals, completed, dropped)
-    return (events, time - min(t_warm, time), occ, blocked_t, arrivals, completed,
-            dropped, in_flight, arrivals_w, dropped_w, resp_n, resp_sum, resp_sq, hop_sum)
+    return (events, time - t_open, occ, blocked_t, arrivals, completed, dropped, in_flight,
+            arrivals - arrivals_0, dropped - dropped_0, resp_n, resp_sum, resp_sq, hop_sum)
 
 
 def simulate_blocking_network(spec: NetworkSpec, config: SimConfig) -> SimResult:
@@ -424,12 +420,12 @@ def simulate_blocking_network(spec: NetworkSpec, config: SimConfig) -> SimResult
         budget, stop = int(round(horizon)), math.inf
         if budget < 1:
             raise InputError(f"simulation horizon must be positive, got {horizon!r}")
-        # the loop sets t_warm when it reaches event number warm; -1 is
-        # never reached, so a window open from the start stays at 0
+        # the window opens at the time of event number warm, or at 0 when
+        # it is open from the start
         warm = int(budget * warmup)
-        warm, t_warm = (warm, math.inf) if warm else (-1, 0.0)
+        t_warm = math.inf if warm else 0.0
     else:
-        budget, stop, warm, t_warm = math.inf, horizon, -1, warmup * horizon
+        budget, stop, warm, t_warm = math.inf, horizon, math.inf, warmup * horizon
 
     runs = [_replicate(ids, caps, mu, rate, tgt, cum, _rep_rng(config.seed, rep),
                        budget, stop, warm, t_warm)
