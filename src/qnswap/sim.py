@@ -52,6 +52,7 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import asdict, dataclass
 from itertools import chain
+from numbers import Real
 
 import numpy as np
 
@@ -81,6 +82,8 @@ class SimConfig:
     def __post_init__(self):
         if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        if isinstance(self.horizon, bool) or not isinstance(self.horizon, Real):
+            raise InputError(f"simulation horizon must be a number, got {self.horizon!r}")
         if not 0 < self.horizon < math.inf:  # also rejects NaN
             raise InputError(
                 f"simulation horizon must be positive and finite, got {self.horizon!r}")
@@ -89,7 +92,8 @@ class SimConfig:
         if (isinstance(self.replications, bool) or not isinstance(self.replications, int)
                 or self.replications < 1):
             raise ValueError(f"replications must be a positive integer, got {self.replications!r}")
-        if not 0.0 <= self.warmup_fraction <= 0.5:
+        if (isinstance(self.warmup_fraction, bool) or not isinstance(self.warmup_fraction, Real)
+                or not 0.0 <= self.warmup_fraction <= 0.5):
             raise ValueError(f"warmup_fraction must be in [0, 0.5], got {self.warmup_fraction!r}")
 
 

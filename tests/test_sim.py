@@ -52,6 +52,16 @@ class TestSimConfig:
                                match="simulation horizon must be positive and finite"):
                 SimConfig(seed=0, horizon=horizon)
 
+    def test_non_number_horizon_rejected(self):
+        # True used to run one event in event units; "5" raised a bare TypeError
+        for horizon in (True, "5", None):
+            with pytest.raises(InputError, match="simulation horizon must be a number"):
+                SimConfig(seed=0, horizon=horizon)
+
+    def test_bool_warmup_rejected(self):
+        with pytest.raises(ValueError, match=r"warmup_fraction must be in \[0, 0.5\], got False"):
+            SimConfig(seed=0, horizon=10.0, warmup_fraction=False)
+
     def test_bad_unit_rejected(self):
         with pytest.raises(ValueError, match="unit"):
             SimConfig(seed=0, horizon=10.0, unit="furlongs")
