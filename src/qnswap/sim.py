@@ -371,17 +371,15 @@ def _replicate(ids: list, cap: list, mu: list, rate: list, tgt: list, cum: list,
                             push(heap, ev)
                         ev = (time + exp() / mu[k], seq, k)
                         seq += 1
-                d = -1
                 for k in blocked:
                     for d in tgt[k]:
                         if cnt[d] < cap[d]:
                             break
                     else:
-                        d = -1
-                    if d >= 0:
-                        break
-                if d < 0:
+                        continue
                     break
+                else:
+                    break  # no blocked job can move
                 dt = time - last[k]  # close the released node
                 occ[k][cnt[k]] += dt
                 blocked_t[k] += dt
