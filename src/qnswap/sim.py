@@ -187,7 +187,7 @@ def _stuck_nodes(k: int, tgt: list, blocked: list) -> list[int] | None:
 # -- full network -------------------------------------------------------------
 
 def _replicate(ids: list, cap: list, mu: list, rate: list, tgt: list, cum: list,
-               rng, budget, stop: float, warm, t_warm: float) -> tuple:
+               rng, budget, stop: float, warm: float, t_warm: float) -> tuple:
     """One replication of the blocking network; returns its totals.
 
     ``ids``, ``cap``, ``mu`` and ``rate`` hold the node columns, ``tgt`` and

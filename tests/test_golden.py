@@ -11,9 +11,10 @@ simulator runs, which the CLI cannot select, before the simulator read the
 spec's columns; the self-loop simulator runs before the simulator became
 one flat event loop; the heavy-hex simulator runs, whose blocked-job
 cascades the other files barely reach, before the event loop opened its
-measuring window once and fetched each next event with one heap sift.  Any refactor that changes a printed byte of these outputs
-shows up here.  Regenerate them only for a deliberate change of output, and
-record that change.
+measuring window once and fetched each next event with one heap sift.  Any
+refactor that changes a printed byte of these outputs shows up here.
+Regenerate them only for a deliberate change of output, and record that
+change.
 
 A case runs on the munoz15 document unless its arguments name a network.
 """
