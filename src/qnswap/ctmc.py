@@ -20,13 +20,12 @@ kept in ``tests/oracle.py``.
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InputError, NumericsError
-from .model import _check_rate
+from .model import NONNEGATIVE, PROBABILITY, _finite, _finite_column
 
 RHO_ONE_TOL = 1e-9
 
@@ -37,23 +36,6 @@ class NodeMarginal(NamedTuple):
     pi00: float  # empty
     pi10: float  # serving
     pi01: float  # blocked
-
-
-def _positive(name: str, value: float) -> float:
-    _check_rate(value, name)
-    if value == 0:
-        raise InputError(f"{name} must be positive")
-    return float(value)
-
-
-def _check_blocking_node(arrival_rate, service_rate, unblock_rate, blocking_probability):
-    lam = _positive("arrival rate", arrival_rate)
-    mu = _positive("service rate", service_rate)
-    mu_b = _positive("unblock rate", unblock_rate)
-    pb = blocking_probability
-    if not 0.0 <= pb <= 1.0:
-        raise InputError(f"blocking probability: probability {pb!r} outside [0, 1]")
-    return lam, mu, mu_b, pb
 
 
 def blocking_node_closed_form(
@@ -70,17 +52,15 @@ def blocking_node_closed_form(
     that element raises.
 
     Raises:
-        InputError: a non-positive or non-finite rate, or a blocking
+        InputError: an element that ``model._finite`` rejects (a decimal
+            string is a number here), a non-positive rate, or a blocking
             probability outside [0, 1].
         NumericsError: the result is not a distribution, as when finite
             rates overflow ``lambda / mu``.
     """
     args = (arrival_rate, service_rate, unblock_rate, blocking_probability)
-    try:
-        lam, mu, mu_b, pb = (np.asarray(a, dtype=float) for a in args)
-    except OverflowError:  # an int too large for a float: the scalar checks name it
-        _check_blocking_node(*args)
-        raise
+    # NaN marks each element _finite rejects, in whichever argument
+    lam, mu, mu_b, pb = (np.asarray(_finite_column(a, text=True)) for a in args)
     # Bad inputs and overflow leave zero divisions, inf and NaN here; every
     # such element fails ``ok`` and is reported below.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -88,19 +68,21 @@ def blocking_node_closed_form(
         blocked_weight = lam * pb / mu_b
         denom = 1.0 + serving_weight + blocked_weight
         probs = (1.0 / denom, serving_weight / denom, blocked_weight / denom)
-        # true exactly where the checks in _check_blocking_node pass; the
-        # comparisons are False for NaN, so NaN fails them too
-        inputs_ok = ((0.0 < lam) & (lam < math.inf) & (0.0 < mu) & (mu < math.inf)
-                     & (0.0 < mu_b) & (mu_b < math.inf) & (0.0 <= pb) & (pb <= 1.0))
+        # true exactly where the element checks below pass; the comparisons
+        # are False for NaN, so NaN fails them too
+        inputs_ok = (0.0 < lam) & (0.0 < mu) & (0.0 < mu_b) & (0.0 <= pb) & (pb <= 1.0)
         # With good inputs each weight over denom lies in [0, 1] unless it is
         # NaN (inf / inf after an overflow), which fails the sum test.
         ok = inputs_ok & (abs(probs[0] + probs[1] + probs[2] - 1.0) <= 1e-12)
     if not ok.all():
         k = int(np.argmin(ok.ravel()))
-        if not inputs_ok.ravel()[k]:
-            _check_blocking_node(*(a if np.ndim(a) == 0
-                                   else np.broadcast_to(x, ok.shape).ravel()[k].item()
-                                   for a, x in zip(args, (lam, mu, mu_b, pb))))
+        if not inputs_ok.ravel()[k]:  # the element as given, in order, names the fault
+            *rates, pb = (np.broadcast_to(np.asarray(a, dtype=object), ok.shape).ravel()[k]
+                          for a in args)
+            for name, rate in zip(("arrival rate", "service rate", "unblock rate"), rates):
+                if _finite(rate, name, NONNEGATIVE, text=True) == 0.0:
+                    raise InputError(f"{name} must be positive")
+            _finite(pb, "blocking probability", PROBABILITY, text=True)
         bad = tuple(p.ravel()[k].item() for p in probs)
         raise NumericsError(f"blocking-node marginal {bad!r} is not a distribution")
     if ok.ndim == 0:

@@ -224,9 +224,9 @@ def build_lattice_network(
         stray = [s for s in arrival_rate if s not in sources]
         if stray:
             raise SchemaError("arrival_rate", f"rate for site(s) {stray} that are no source")
-        external = {ids[s]: float(arrival_rate[s]) for s in sources}
-    else:
-        external = {ids[s]: float(arrival_rate) for s in sources}
+        external = {ids[s]: arrival_rate[s] for s in sources}
+    else:  # the spec's value rule checks each rate
+        external = {ids[s]: arrival_rate for s in sources}
 
     return NetworkSpec(nodes=tuple(nodes), routing=entries, external_arrivals=external)
 

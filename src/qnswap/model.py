@@ -33,23 +33,24 @@ per node field, in id order) and ``NetworkSpec.routing_triplets`` (rows,
 columns and probabilities of the positive routing entries, over node
 positions).
 
-Validation runs column by column.  The parser reads each document section
-as one list per field and checks whole lists with builtins: the set of key
-layouts of the objects, the set of value types of a field, one ``float``
-pass per rate field, and repeated keys by set size.  A ``NetworkSpec``
-builds its columns once and runs each structural rule as one array
-expression over them, in a fixed rule order.  A failing column only flags
-items: the flagged items go, in document order (parser) or id order (spec),
-through the per-item check that owns the error text, and the first one it
-rejects raises.  So an error names the same item with the same message as a
-check run one item at a time, and a valid document costs a few passes per
-column instead of several calls per item.
+Validation runs column by column.  Every number goes through one value
+rule, ``_finite`` (its column form for a whole field).  The parser reads each
+section as one list per field and checks whole lists: the set of key layouts
+of the objects, the set of value types of a field, the value rule per rate
+field, and repeated keys by set size.  A ``NetworkSpec`` builds its columns
+once and runs each structural rule as one array expression over them, in a
+fixed rule order.  A failing column only flags items: the flagged items go,
+in document order (parser) or id order (spec), through the per-item check
+that owns the error text, and the first one it rejects raises.  So an error
+names the same item with the same message as a check run one item at a
+time, and a valid document costs a few passes per column.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from contextlib import suppress
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
@@ -109,32 +110,62 @@ class NodeColumns(NamedTuple):
     known_rate: np.ndarray  # the pinned arrival rate, NaN where a node is not pinned
 
 
-def _check_rate(rate: float, name: str) -> None:
-    if rate < 0:
-        raise InputError(f"{name} must be nonnegative, got {rate!r}")
-    if _floats([rate]) is None:  # an integer too large for a float
-        raise InputError(f"{name} must be finite, got an integer too large for a float")
-    if not math.isfinite(rate):
-        raise InputError(f"{name} must be finite, got {rate!r}")
+def _shown(value) -> str:
+    """``repr(value)`` cut to 40 characters, for an error message; never raises."""
+    try:
+        text = repr(value)
+    except Exception:  # an int past Python's 4,300-digit str limit, or a failing __repr__
+        return f"an unprintable {type(value).__name__}"
+    return text if len(text) <= 40 else text[:37] + "..."
 
 
-def _check_node(n: NodeSpec, duplicate: bool) -> None:
-    """The per-node rules, in order; ``duplicate``: the previous node has this id."""
-    if duplicate:
-        raise InputError(f"duplicate node id {n.id}")
-    if type(n.kind) is not NodeKind:
-        raise InputError(f"node {n.id}: kind {n.kind!r} is not a NodeKind")
-    if isinstance(n.capacity, bool) or not isinstance(n.capacity, int) or n.capacity < 1:
-        raise InputError(f"node {n.id}: capacity must be a positive integer")
-    _check_rate(n.service_rate, f"node {n.id} service rate")
-    _check_rate(n.unblock_rate, f"node {n.id} unblock rate")
-    if n.kind is NodeKind.INTERMEDIATE:
-        if n.capacity != 1:
-            raise InputError(
-                f"node {n.id}: intermediate nodes hold exactly one job"
-            )
-        if n.unblock_rate <= 0:
-            raise InputError(f"node {n.id} needs a positive unblock rate")
+# Range rules for ``_finite``: (test of the float, fault text after the name,
+# ``{}`` the value).  NaN passes the nonnegative test, so the finite check names it.
+NONNEGATIVE = (lambda x: not x < 0.0, " must be nonnegative, got {}")
+PROBABILITY = (lambda x: 0.0 <= x <= 1.0, ": probability {} outside [0, 1]")
+
+
+def _finite(value, name: str, within: tuple | None = None, text: bool = False) -> float:
+    """``value`` as a finite float: the rule for every number qnswap takes.
+
+    InputError names ``name`` and shows the value at the first fault of: a
+    bool or other value that is no number (a decimal string is one only with
+    ``text``); an int too large for a float; the ``within`` range rule; NaN or ±inf.
+    """
+    try:
+        if isinstance(value, (bool, np.bool_)) or not text and isinstance(value, (str, bytes)):
+            raise TypeError  # float() takes these, but they are no number here
+        x = float(value)
+    except OverflowError:
+        raise InputError(f"{name} must be finite, got an integer too large for a float") from None
+    except (TypeError, ValueError):
+        raise InputError(f"{name}: value {_shown(value)} is not a number") from None
+    if within is not None and not within[0](x):
+        raise InputError(name + within[1].format(_shown(value)))
+    if not math.isfinite(x):
+        raise InputError(f"{name} must be finite, got {_shown(value)}")
+    return x
+
+
+def _finite_column(values, text: bool = False) -> list[float] | np.ndarray:
+    """``_finite`` over a column: floats (a list for a list, else an array), NaN
+    wherever it rejects a value.  A numeric array, or a list of finite floats (with
+    ``text``, also decimal strings), takes a few passes; any other, a call per value."""
+    if type(values) is list and set(map(type, values)) <= ({float, str} if text else {float}):
+        try:  # float() of a float or a string cannot overflow
+            floats = list(map(float, values)) if text else values
+        except ValueError:  # a string that is no number: the calls below flag it
+            floats = [math.nan]
+        if math.isfinite(sum(floats)):  # no NaN or inf: nothing to flag
+            return floats
+    if isinstance(values, np.ndarray) and values.dtype.kind in "fiu":
+        return np.where(np.isfinite(values), values, math.nan)
+    objects = np.asarray(values, dtype=object)
+    column = np.full(objects.shape, math.nan)
+    for k, value in enumerate(objects.flat):
+        with suppress(InputError):  # a value the rule rejects stays NaN
+            column.flat[k] = _finite(value, "", text=text)
+    return column.tolist() if type(values) is list else column
 
 
 def _node_keys(keys: list, pair: bool) -> list | None:
@@ -148,46 +179,33 @@ def _node_keys(keys: list, pair: bool) -> list | None:
     return nodes if nodes == keys and {bool, np.bool_}.isdisjoint(map(type, ids)) else None
 
 
-def _floats(values) -> list[float] | None:
-    try:
-        return list(map(float, values))
-    except (TypeError, ValueError, OverflowError):
-        return None
-
-
 def _canonical(entries: Mapping, what: str, pair: bool) -> dict:
     """A fresh copy of a rate mapping, or with ``pair`` of the routing, with
-    int keys in order and float values.  InputError names the first entry
-    whose key is no node id (``pair``: no pair of them) or value no number."""
-    keys = list(entries)
+    int keys in order and float values.  InputError names the first entry whose
+    key is no node id (``pair``: no pair of them) or value ``_finite`` rejects."""
+    keys, values = list(entries), list(entries.values())
     # Entries already keyed by ints in order, with float values, as the
     # parser builds them, need no rebuilding.
     if ((not pair or set(map(type, keys)) <= {tuple} and set(map(len, keys)) <= {2})
             and set(map(type, chain.from_iterable(keys) if pair else keys)) <= {int}
-            and set(map(type, entries.values())) <= {float} and keys == sorted(keys)):
+            and set(map(type, values)) <= {float} and keys == sorted(keys)):
         return dict(entries)
-    nodes, values = _node_keys(keys, pair), _floats(entries.values())
-    if nodes is None or values is None:  # the first bad entry raises
+    nodes = _node_keys(keys, pair)
+    if nodes is None or np.isnan(_finite_column(values, text=True)).any():
         shape = "a (from, to) pair of integer node ids" if pair else "an integer node id"
-        for key, value in entries.items():
-            if _node_keys([key], pair) is None:
-                raise InputError(f"{what} {key!r}: key must be {shape}")
-            if _floats([value]) is None:
-                raise InputError(f"{what} {key!r}: value {value!r} is not a number")
-    return dict(sorted(zip(nodes, values), key=itemgetter(0)))
+        for key, value in zip(keys, values):
+            if nodes is None and _node_keys([key], pair) is None:
+                raise InputError(f"{what} {_shown(key)}: key must be {shape}")
+            if not isinstance(value, float):  # a float, even NaN, is left to the rate checks
+                _finite(value, f"{what} {_shown(key)}", text=True)
+    return dict(sorted(zip(nodes, map(float, values)), key=itemgetter(0)))
 
 
 def _positions(index: dict[int, int],
                rates: Mapping[int, float]) -> tuple[np.ndarray, np.ndarray]:
-    """Node positions (-1 for an unknown id) and values of a rate map."""
-    count = len(rates)
-    at = np.fromiter(map(index.get, rates, repeat(-1)), dtype=np.intp, count=count)
-    return at, np.fromiter(rates.values(), dtype=float, count=count)
-
-
-def _rate_faults(rates: np.ndarray) -> np.ndarray:
-    """Flags the rates ``_check_rate`` rejects: negative, infinite or NaN."""
-    return ~(np.isfinite(rates) & (rates >= 0.0))
+    """Node positions (-1 for an unknown id) and ``_finite_column`` values of a rate map."""
+    at = np.fromiter(map(index.get, rates, repeat(-1)), dtype=np.intp, count=len(rates))
+    return at, np.array(_finite_column(list(rates.values())))
 
 
 def _read_only(*arrays: np.ndarray) -> None:
@@ -248,13 +266,14 @@ class NetworkSpec:
 
     Raises:
         InputError: a mapping key that is no node id (in ``routing``, no
-            pair of them) or a value that is no number; a bad id, kind,
-            capacity or kind-dependent field; a negative or non-finite rate;
-            an intermediate node without a positive unblock rate; a routing
-            or arrival entry naming a node that does not exist; a routing
-            probability outside [0, 1] or a row summing above 1; a sink with
-            outgoing routing; incomplete known arrival rates; or no external
-            arrival or no way out.
+            pair of them); a bad id, kind, capacity or kind-dependent field;
+            a rate or probability that is a bool, no number (a node rate
+            given as a string included), an int too large for a float,
+            negative, NaN or infinite; an intermediate node without a
+            positive unblock rate; a routing or arrival entry naming a node
+            that does not exist; a routing probability outside [0, 1] or a
+            row summing above 1; a sink with outgoing routing; incomplete
+            known arrival rates; or no external arrival or no way out.
     """
 
     nodes: tuple[NodeSpec, ...]
@@ -287,24 +306,33 @@ class NetworkSpec:
         nodes, n = self.nodes, len(self.nodes)
 
         ids, kinds, caps, mu, mu_b = map(list, zip(*nodes))
-        # A repeated id, a field of another type or an int too large for a float: every
-        # node, in turn, goes through the per-node rules (the numpy columns come after).
-        if not (len(set(ids)) == n and set(map(type, caps)) <= {int}
-                and set(map(type, mu + mu_b)) <= {int, float}
-                and _floats(mu + mu_b) is not None):
-            for k in range(n):
-                _check_node(nodes[k], k > 0 and ids[k] == ids[k - 1])
-        # Kind tests are by identity: a plain string is no kind, and is rejected.
+        # Kind and capacity tests are by type: a plain string is no kind, a bool no capacity.
         kind = np.array([KIND_CODES[k] if type(k) is NodeKind else -1 for k in kinds],
                         dtype=np.int8)
-        id_col, cap = np.array(ids), np.array(caps)
-        mu, mu_b = np.array(mu, dtype=float), np.array(mu_b, dtype=float)
+        cap = np.array([c if isinstance(c, int) and type(c) is not bool else 0 for c in caps])
+        id_col = np.array(ids)
+        repeated = np.concatenate(([False], id_col[1:] == id_col[:-1]))
+        mu, mu_b = np.array(_finite_column(mu)), np.array(_finite_column(mu_b))
         inner = kind == KIND_CODES[NodeKind.INTERMEDIATE]
         sink = kind == KIND_CODES[NodeKind.SINK]
-        flagged = ((kind < 0) | (cap < 1) | _rate_faults(mu) | _rate_faults(mu_b)
+        # NaN marks a rate _finite rejects; it fails every comparison
+        flagged = (repeated | (kind < 0) | (cap < 1) | ~(mu >= 0.0) | ~(mu_b >= 0.0)
                    | (inner & ((cap != 1) | (mu_b <= 0.0))))
-        for node in compress(nodes, flagged.tolist()):
-            _check_node(node, duplicate=False)
+        # The per-node rules, in order: the first flagged node raises at its first fault.
+        for node, duplicate in compress(zip(nodes, repeated.tolist()), flagged.tolist()):
+            i, capacity = node.id, node.capacity
+            if duplicate:
+                raise InputError(f"duplicate node id {i}")
+            if type(node.kind) is not NodeKind:
+                raise InputError(f"node {i}: kind {node.kind!r} is not a NodeKind")
+            if isinstance(capacity, bool) or not isinstance(capacity, int) or capacity < 1:
+                raise InputError(f"node {i}: capacity must be a positive integer")
+            _finite(node.service_rate, f"node {i} service rate", NONNEGATIVE)
+            _finite(node.unblock_rate, f"node {i} unblock rate", NONNEGATIVE)
+            if node.kind is NodeKind.INTERMEDIATE and capacity != 1:
+                raise InputError(f"node {i}: intermediate nodes hold exactly one job")
+            if node.kind is NodeKind.INTERMEDIATE and node.unblock_rate <= 0:
+                raise InputError(f"node {i} needs a positive unblock rate")
 
         index = dict(zip(ids, range(n)))
         entries = self.routing
@@ -316,14 +344,10 @@ class NetworkSpec:
         flagged = ((rows < 0) | (cols < 0) | ~((probs >= 0.0) & (probs <= 1.0))
                    | ((probs > 0.0) & sink[rows]))
         for i, j in compress(entries, flagged.tolist()):
-            p = entries[i, j]
-            if i not in index:
-                raise InputError(f"routing entry {i}->{j} references unknown node {i}")
-            if j not in index:
-                raise InputError(f"routing entry {i}->{j} references unknown node {j}")
-            if not 0.0 <= p <= 1.0:
-                raise InputError(f"routing {i}->{j}: probability {p!r} outside [0, 1]")
-            if p > 0.0 and sink[index[i]]:
+            for end in (i, j):
+                if end not in index:
+                    raise InputError(f"routing entry {i}->{j} references unknown node {end}")
+            if _finite(entries[i, j], f"routing {i}->{j}", PROBABILITY) > 0.0 and sink[index[i]]:
                 raise InputError(f"sink node {i} cannot route onward")
 
         # bincount adds in triplet order, so each row sums left to right over
@@ -339,10 +363,10 @@ class NetworkSpec:
 
         external = self.external_arrivals
         at, lam0 = _positions(index, external)
-        for i in compress(external, ((at < 0) | _rate_faults(lam0) | sink[at]).tolist()):
+        for i in compress(external, ((at < 0) | ~(lam0 >= 0.0) | sink[at]).tolist()):
             if i not in index:
                 raise InputError(f"external arrival references unknown node {i}")
-            _check_rate(external[i], f"external arrival rate at node {i}")
+            _finite(external[i], f"external arrival rate at node {i}", NONNEGATIVE)
             if sink[index[i]]:
                 raise InputError(f"external arrivals cannot target sink node {i}")
         external_rate = np.zeros(n)
@@ -352,10 +376,10 @@ class NetworkSpec:
         known_rate = np.full(n, math.nan)  # pins are finite: NaN marks a free node
         if known is not None:
             known_at, known_rates = _positions(index, known)
-            for i in compress(known, ((known_at < 0) | _rate_faults(known_rates)).tolist()):
+            for i in compress(known, ((known_at < 0) | ~(known_rates >= 0.0)).tolist()):
                 if i not in index:
                     raise InputError(f"known arrival rate references unknown node {i}")
-                _check_rate(known[i], f"known arrival rate at node {i}")
+                _finite(known[i], f"known arrival rate at node {i}", NONNEGATIVE)
             known_rate[known_at] = known_rates
             missing = [i for i in compress(ids, inner.tolist()) if i not in known]
             if missing:
@@ -367,10 +391,7 @@ class NetworkSpec:
         receives = np.bincount(cols, minlength=n) > 0
         receives[at[lam0 > 0.0]] = True
         for node in compress(nodes, (receives & (mu <= 0.0)).tolist()):
-            if node.service_rate <= 0:
-                raise InputError(
-                    f"node {node.id} receives jobs but has no positive service rate"
-                )
+            raise InputError(f"node {node.id} receives jobs but has no positive service rate")
 
         if not any(r > 0 for r in external.values()):
             raise InputError("no node has a positive external arrival rate")
@@ -453,14 +474,11 @@ def _as_rate(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise SchemaError(path, "must be a number or decimal string")
     try:
-        x = float(value)
+        return _finite(float(value) if isinstance(value, str) else value, path)
     except ValueError:  # a string that is no number
-        raise SchemaError(path, f"not a decimal number: {value!r}") from None
-    except OverflowError:  # an integer too large for a float
+        raise SchemaError(path, f"not a decimal number: {_shown(value)}") from None
+    except InputError:  # an int too large for a float, NaN or inf
         raise SchemaError(path, "must be finite") from None
-    if not math.isfinite(x):
-        raise SchemaError(path, "must be finite")
-    return x
 
 
 def _check_node_item(item, path: str, seen: set) -> None:
@@ -479,8 +497,7 @@ def _check_node_item(item, path: str, seen: set) -> None:
         raise InputError(f"node {node_id}: this model is single-server only")
     _as_int(obj["capacity"], f"{path}.capacity")
     _as_rate(obj["mu"], f"{path}.mu")
-    if "mu_b" in obj:
-        _as_rate(obj["mu_b"], f"{path}.mu_b")
+    _as_rate(obj.get("mu_b", 0.0), f"{path}.mu_b")
 
 
 def _check_keyed_item(item, path: str, seen: set, keys: tuple[str, ...],
@@ -512,11 +529,8 @@ def _rates(column: list) -> list[float] | None:
     """``_as_rate`` of every value, or None if it rejects one."""
     if not set(map(type, column)) <= {int, float, str}:
         return None
-    try:
-        values = list(map(float, column))
-    except (ValueError, OverflowError):
-        return None
-    return values if all(map(math.isfinite, values)) else None
+    values = _finite_column(column, text=True)
+    return None if math.isnan(sum(values)) else values  # the column holds no inf
 
 
 def _node_columns(items: list) -> tuple[list, ...] | None:

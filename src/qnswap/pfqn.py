@@ -26,7 +26,7 @@ import numpy as np
 from .ctmc import blocking_node_closed_form, mm1k_full_probability
 from .errors import InputError
 from .metrics import NetworkMetrics, network_metrics
-from .model import KIND_CODES, NetworkSpec, NodeKind
+from .model import KIND_CODES, PROBABILITY, NetworkSpec, NodeKind, _finite
 from .traffic import solve_traffic, total_external_rate
 
 
@@ -46,10 +46,9 @@ class AnalysisAssumptions:
     blocking_probability_override: float | None = None
 
     def __post_init__(self):
-        pb = self.blocking_probability_override
-        if pb is not None and not 0.0 <= pb <= 1.0:
-            raise InputError(
-                f"blocking probability override: probability {pb!r} outside [0, 1]")
+        if self.blocking_probability_override is not None:
+            _finite(self.blocking_probability_override, "blocking probability override",
+                    PROBABILITY)
 
 
 DEFAULT_ASSUMPTIONS = AnalysisAssumptions()

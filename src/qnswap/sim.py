@@ -57,7 +57,7 @@ from numbers import Real
 import numpy as np
 
 from .errors import InputError, NumericsError
-from .model import NetworkSpec
+from .model import NetworkSpec, _finite, _shown
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -71,6 +71,10 @@ class SimConfig:
         replications: independent replications to merge.
         warmup_fraction: leading fraction of the horizon excluded from all
             time-averaged statistics.
+
+    Raises:
+        InputError: a horizon that is a bool, no number, or not a positive finite float.
+        ValueError: any other field out of its range.
     """
 
     seed: int
@@ -83,10 +87,9 @@ class SimConfig:
         if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if isinstance(self.horizon, bool) or not isinstance(self.horizon, Real):
-            raise InputError(f"simulation horizon must be a number, got {self.horizon!r}")
-        if not 0 < self.horizon < math.inf:  # also rejects NaN
-            raise InputError(
-                f"simulation horizon must be positive and finite, got {self.horizon!r}")
+            raise InputError(f"simulation horizon must be a number, got {_shown(self.horizon)}")
+        _finite(self.horizon, "simulation horizon",
+                (lambda x: 0.0 < x < math.inf, " must be positive and finite, got {}"))
         if self.unit not in ("time", "events"):
             raise ValueError(f"unit must be 'time' or 'events', got {self.unit!r}")
         if (isinstance(self.replications, bool) or not isinstance(self.replications, int)

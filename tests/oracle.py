@@ -257,8 +257,9 @@ def blocking_node_chain(
     blocking_probability: float,
 ) -> Generator:
     """Generator of the three-state blocking node (see ``qnswap.ctmc``)."""
-    lam, mu, mu_b, pb = ctmc._check_blocking_node(
-        arrival_rate, service_rate, unblock_rate, blocking_probability)
+    args = (arrival_rate, service_rate, unblock_rate, blocking_probability)
+    blocking_node_closed_form(*args)  # raises for the inputs it rejects
+    lam, mu, mu_b, pb = map(float, args)
     return build_generator(BLOCKING_STATES, [
         (EMPTY, SERVING, lam),
         (SERVING, EMPTY, mu * (1.0 - pb)),
@@ -634,15 +635,27 @@ def _scalar_rate(value, path: str) -> float:
 
 
 def _scalar_check_rate(rate: float, name: str) -> None:
-    if rate < 0:
-        raise InputError(f"{name} must be nonnegative, got {rate!r}")
     try:
         float(rate)
     except OverflowError:
         raise InputError(
             f"{name} must be finite, got an integer too large for a float") from None
+    if rate < 0:
+        raise InputError(f"{name} must be nonnegative, got {rate!r}")
     if not math.isfinite(rate):
         raise InputError(f"{name} must be finite, got {rate!r}")
+
+
+def _scalar_value(value, name: str) -> float:
+    """A mapping value as a spec's canonical copy holds it.  The value fault
+    mirrored here is an int too large for a float; NaN and inf pass, for the
+    rate and probability checks to name."""
+    try:
+        x = float(value)
+    except OverflowError:
+        raise InputError(
+            f"{name} must be finite, got an integer too large for a float") from None
+    return x
 
 
 def scalar_parse_network(text: str) -> tuple:
@@ -744,10 +757,13 @@ def _scalar_spec(nodes, entries, external, known) -> tuple:
         if isinstance(n.id, bool) or not isinstance(n.id, int) or n.id <= 0:
             raise InputError(f"node id {n.id!r} must be a positive integer")
     nodes = tuple(sorted(nodes, key=lambda n: n.id))
-    entries = {(int(i), int(j)): float(p) for (i, j), p in sorted(entries.items())}
-    external = {int(k): float(v) for k, v in sorted(external.items())}
+    entries = dict(sorted(((int(i), int(j)), _scalar_value(p, f"routing entry {(i, j)!r}"))
+                          for (i, j), p in entries.items()))
+    external = dict(sorted((int(k), _scalar_value(v, f"external arrival {k!r}"))
+                           for k, v in external.items()))
     if known is not None:
-        known = {int(k): float(v) for k, v in sorted(known.items())}
+        known = dict(sorted((int(k), _scalar_value(v, f"known arrival rate {k!r}"))
+                            for k, v in known.items()))
 
     if not nodes:
         raise InputError("network has no nodes")

@@ -301,16 +301,28 @@ def test_int_rate_too_large_for_a_float_rejected(name):
         build(10**400)
 
 
-@pytest.mark.parametrize("field", ["service_rate", "unblock_rate"])
-def test_scalar_spec_check_rejects_int_overflow_alike(field):
-    mid = node(2, kind=NodeKind.INTERMEDIATE, capacity=1, mu_b=0.2)._replace(**{field: 10**400})
-    args = ((node(1), mid, node(3, kind=NodeKind.SINK)), {(1, 2): 1.0, (2, 3): 1.0}, {1: 0.5})
+@pytest.mark.parametrize("field, value", [
+    ("service_rate", 10**400), ("unblock_rate", 10**400),
+    # too long for str(): the message used to raise a bare ValueError itself
+    ("service_rate", -10**5000), ("unblock_rate", -10**5000), ("external_rate", 10**5000),
+], ids=["service_rate", "unblock_rate", "service_rate_too_long_to_print",
+        "unblock_rate_too_long_to_print", "external_rate_too_long_to_print"])
+def test_scalar_spec_check_rejects_int_overflow_alike(field, value):
+    mid = node(2, kind=NodeKind.INTERMEDIATE, capacity=1, mu_b=0.2)
+    external = {1: value} if field == "external_rate" else {1: 0.5}
+    if field != "external_rate":
+        mid = mid._replace(**{field: value})
+    args = ((node(1), mid, node(3, kind=NodeKind.SINK)), {(1, 2): 1.0, (2, 3): 1.0}, external)
     with pytest.raises(InputError) as package:
         NetworkSpec(*args)
     with pytest.raises(InputError) as oracle:
         _scalar_spec(list(args[0]), *args[1:], None)
     assert str(package.value) == str(oracle.value)
-    assert str(package.value).startswith(f"node 2 {field.replace('_', ' ')} must be finite")
+    if field == "external_rate":
+        assert str(package.value) == (
+            "external arrival 1 must be finite, got an integer too large for a float")
+    else:
+        assert str(package.value).startswith(f"node 2 {field.replace('_', ' ')} must be finite")
 
 
 class TestCanonicalForm:

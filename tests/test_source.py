@@ -210,3 +210,33 @@ def test_network_writer_uses_no_json_encoder():
               for n in ast.walk(writer) if isinstance(n, ast.Call)}
     assert called & {"dumps", "dump", "JSONEncoder"} == set()
     assert not hasattr(model, "_dec")
+
+
+def _catches_overflow(handler: ast.ExceptHandler) -> bool:
+    names = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    return any(isinstance(n, ast.Name) and n.id == "OverflowError" for n in names)
+
+
+def test_one_value_rule():
+    # every number goes through model._finite (or its column form); the
+    # per-site copies of the rule are gone
+    from qnswap import ctmc, model
+
+    assert not hasattr(model, "_floats")
+    assert not hasattr(ctmc, "_positive")
+    for module in ("ctmc.py", "pfqn.py", "sim.py"):
+        tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
+        imported = {alias.name for node in tree.body if isinstance(node, ast.ImportFrom)
+                    and node.module == "model" for alias in node.names}
+        assert "_finite" in imported, module
+    # only the rule turns a float conversion's OverflowError into a message;
+    # _node_keys, the key rule, rejects such a key with the other bad keys
+    catching = set()
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for function in ast.walk(tree):
+            if isinstance(function, ast.FunctionDef):
+                catching.update(f"{path.name}:{function.name}" for node in ast.walk(function)
+                                if isinstance(node, ast.ExceptHandler) and node.type is not None
+                                and _catches_overflow(node))
+    assert catching - {"model.py:_node_keys"} == {"model.py:_finite"}
