@@ -97,6 +97,26 @@ def two_node_cycle_spec() -> NetworkSpec:
     )
 
 
+def funnel_spec() -> NetworkSpec:
+    """Three single-slot feeders that route only into one single-slot merge
+    node, ahead of a slow two-slot sink.
+
+    The merge node is full most of the time, so two or three feeders often
+    wait on its one slot at once; ``golden/sim_funnel.json`` fixes which of
+    them each freed slot releases first.
+    """
+    feeders = tuple(NodeSpec(id=i, kind=NodeKind.SOURCE, capacity=1, service_rate=2.0)
+                    for i in (1, 2, 3))
+    return NetworkSpec(
+        nodes=feeders + (
+            NodeSpec(id=4, kind=NodeKind.INTERMEDIATE, capacity=1, service_rate=3.0,
+                     unblock_rate=1.0),
+            NodeSpec(id=5, kind=NodeKind.SINK, capacity=2, service_rate=1.0)),
+        routing={(1, 4): 1.0, (2, 4): 1.0, (3, 4): 1.0, (4, 5): 1.0},
+        external_arrivals={1: 0.5, 2: 0.4, 3: 0.3},
+    )
+
+
 def _layout_document(sites, edges, sources, sinks) -> str:
     queues = ([{"site": s, "role": "source", "capacity": 8} for s in sources]
               + [{"site": s, "role": "sink", "capacity": 8} for s in sinks])

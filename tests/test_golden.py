@@ -11,7 +11,9 @@ simulator runs, which the CLI cannot select, before the simulator read the
 spec's columns; the self-loop simulator runs before the simulator became
 one flat event loop; the heavy-hex simulator runs, whose blocked-job
 cascades the other files barely reach, before the event loop opened its
-measuring window once and fetched each next event with one heap sift.  Any
+measuring window once and fetched each next event with one heap sift; the
+funnel simulator runs, where up to three blocked jobs wait on one slot,
+before blocked jobs were released from per-target waiting lists.  Any
 refactor that changes a printed byte of these outputs shows up here.
 Regenerate them only for a deliberate change of output, and record that
 change.
@@ -34,7 +36,7 @@ from qnswap import (
     simulate_blocking_network,
 )
 
-from conftest import heavy_hex_layout, self_loop_spec
+from conftest import funnel_spec, heavy_hex_layout, self_loop_spec
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -159,3 +161,26 @@ def test_heavy_hex_runs_match_golden_bytes():
     assert min(run["dropped"] for run in runs) > 0
     assert max(node["blocked_fraction"] for run in runs for node in run["nodes"]) > 0.2
     assert document.encode("utf-8") == (GOLDEN / "sim_heavy_hex.json").read_bytes()
+
+
+# three feeders wait on one merge slot, two or three at a time now and then,
+# so each release picks among several blocked jobs; seed 11
+FUNNEL_CASES = {
+    "time_400": dict(horizon=400.0),
+    "events_3000_reps2": dict(horizon=3000, unit="events", replications=2,
+                              warmup_fraction=0.1),
+}
+
+
+def funnel_document() -> str:
+    out = {name: simulate_blocking_network(funnel_spec(), SimConfig(seed=11, **kwargs))
+           .to_jsonable() for name, kwargs in FUNNEL_CASES.items()}
+    return json.dumps(out, indent=2, sort_keys=True) + "\n"
+
+
+def test_funnel_runs_match_golden_bytes():
+    document = funnel_document()
+    for run in json.loads(document).values():
+        assert min(node["blocked_fraction"] for node in run["nodes"][:3]) > 0.1
+        assert run["dropped"] > 0
+    assert document.encode("utf-8") == (GOLDEN / "sim_funnel.json").read_bytes()
