@@ -15,6 +15,12 @@ frees a slot; contending blocked jobs release in the order they blocked
 (ties broken by lower node id), and releases cascade until no blocked job
 can move.  External arrivals to a full node are dropped and counted.
 
+Release rule: each node keeps a waiting list of the blocked nodes that
+route to it, in (block time, id) order.  After every cascade each blocked
+node's targets are all full, so a freed slot can only go to the head of
+its node's list, the job a scan of every blocked job in block order would
+pick; that job moves into the slot, and the cascade goes on from its own.
+
 State and window: each node holds its jobs in one first-in-first-out
 deque whose head is the job on the server, so a node is idle exactly when
 its deque is empty.  Statistics cover a measuring window that follows a
@@ -47,8 +53,9 @@ from __future__ import annotations
 
 import heapq
 import math
+import sys
 from array import array
-from bisect import bisect_right
+from bisect import bisect_right, insort
 from collections import deque
 from dataclasses import asdict, dataclass
 from itertools import chain
@@ -190,18 +197,19 @@ def _stuck_nodes(k: int, tgt: list, blocked: list) -> list[int] | None:
 # -- full network -------------------------------------------------------------
 
 def _replicate(ids: list, cap: list, mu: list, rate: list, tgt: list, cum: list,
-               rng, budget, stop: float, warm: float, t_warm: float) -> tuple:
+               rng, budget: int, stop: float, warm: int, t_warm: float) -> tuple:
     """One replication of the blocking network; returns its totals.
 
     ``ids``, ``cap``, ``mu`` and ``rate`` hold the node columns, ``tgt`` and
     ``cum`` each node's routing targets in id order and their cumulative
     probabilities.  The run stops at its event budget (event units) or at
     the first event past its stop time (time units); the other bound is
-    infinite.  The measuring window opens before event number ``warm`` or
-    before the first event at ``time >= t_warm``, whichever comes first, at
-    ``t_warm`` or at that event's time, whichever is earlier.  Event units
-    pass ``t_warm`` infinite, or 0 when the window is open from the start;
-    time units pass ``warm`` infinite.
+    ``sys.maxsize`` events or infinite time.  The measuring window opens
+    before event number ``warm`` or before the first event at
+    ``time >= t_warm``, whichever comes first, at ``t_warm`` or at that
+    event's time, whichever is earlier.  Event units pass ``t_warm``
+    infinite, or 0 when the window is open from the start; time units pass
+    ``warm`` as ``sys.maxsize``.
 
     The event loop has every handler inlined on flat per-node lists and
     runs in two passes: the warm-up, then the window.  Between them the
@@ -209,12 +217,15 @@ def _replicate(ids: list, cap: list, mu: list, rate: list, tgt: list, cum: list,
     ``last`` is set to the window start, and the windowed arrival and drop
     counts are taken as differences of the whole-run counters.  A node's
     state: ``queue`` (a deque of the jobs it holds; the head is on the
-    server), ``cnt`` (their number), ``blk`` (server blocked), ``btime``
-    (when it blocked).  Statistics: ``occ`` (time at each job count),
-    ``blocked_t`` and ``last`` (time of the last change).  A job is
-    ``[entry time, hops, entered in the window]``.  Every time a node's
-    count or blocked flag changes, its time since ``last`` is first added
-    to its statistics ("closing" it).
+    server), ``cnt`` (their number), ``blk`` (server blocked), ``waiting``
+    (the ``(block time, id)`` entries of the nodes blocked on it, sorted; a
+    blocked node's entry is in the list of each of its targets until it is
+    released).  Every target of a blocked node is full, so a slot freed at
+    k goes to the head of ``waiting[k]``.  Statistics: ``occ`` (time at
+    each job count), ``blocked_t`` and ``last`` (time of the last change).
+    A job is ``[entry time, hops, entered in the window]``.  Every time a
+    node's count or blocked flag changes, its time since ``last`` is first
+    added to its statistics ("closing" it).
 
     An event is ``(time, seq, code)`` with ``code`` ``~k`` for an arrival at
     node k and ``k`` for a completion.  A handler holds back the last event
@@ -237,8 +248,7 @@ def _replicate(ids: list, cap: list, mu: list, rate: list, tgt: list, cum: list,
     queue = [deque() for _ in range(n)]
     cnt = [0] * n
     blk = [False] * n
-    btime = [0.0] * n
-    blocked: list[int] = []  # blocked nodes by (block time, id)
+    waiting = [[] for _ in range(n)]  # (block time, id) of the nodes blocked on each node
     occ = [[0.0] * (c + 1) for c in cap]
     blocked_t = [0.0] * n
     last = [0.0] * n
@@ -269,12 +279,11 @@ def _replicate(ids: list, cap: list, mu: list, rate: list, tgt: list, cum: list,
             blocked_t = [0.0] * n
             last = [t_open] * n
             arrivals_0, dropped_0 = arrivals, dropped
-        while events < lim:
+        for events in range(events, lim):  # events handled so far
             time, s, code = pushpop(heap, ev) if ev else pop(heap)
             if time > t_lim:
                 ev = (time, s, code)
                 break
-            events += 1
 
             if code < 0:  # an arrival at k
                 k = ~code
@@ -299,7 +308,8 @@ def _replicate(ids: list, cap: list, mu: list, rate: list, tgt: list, cum: list,
 
             # a completion at k; close k first: every outcome changes it
             k = code
-            occ[k][cnt[k]] += time - last[k]
+            ck = cnt[k]
+            occ[k][ck] += time - last[k]
             last[k] = time
             ev = None
             u = uni()
@@ -312,13 +322,11 @@ def _replicate(ids: list, cap: list, mu: list, rate: list, tgt: list, cum: list,
                             break
                     else:
                         blk[k] = True
-                        btime[k] = time
-                        i = len(blocked)
-                        while i and btime[blocked[i - 1]] == time and blocked[i - 1] > k:
-                            i -= 1
-                        blocked.insert(i, k)
-                        stuck = _stuck_nodes(k, tgt, blk)
-                        if stuck is not None:
+                        entry = (time, k)
+                        for d in dests:
+                            insort(waiting[d], entry)
+                        stuck = all(map(blk.__getitem__, dests)) and _stuck_nodes(k, tgt, blk)
+                        if stuck:
                             raise NumericsError(
                                 f"deadlock at simulated time {time!r}: every server"
                                 f" among nodes {[ids[m] for m in stuck]} is blocked,"
@@ -327,7 +335,7 @@ def _replicate(ids: list, cap: list, mu: list, rate: list, tgt: list, cum: list,
             else:
                 q = queue[k]
                 job = q.popleft()
-                cnt[k] -= 1
+                cnt[k] = ck - 1
                 completed += 1
                 if job[2]:
                     r = time - job[0]
@@ -338,55 +346,54 @@ def _replicate(ids: list, cap: list, mu: list, rate: list, tgt: list, cum: list,
                 if q:
                     ev = (time + exp() / mu[k], seq, k)
                     seq += 1
-                if not blocked:
-                    continue
                 d = -1
 
-            # Move k's job to d (when d >= 0), then release blocked jobs,
-            # oldest block first, until nothing moves.  k is already closed.
+            # Move k's job to d (when d >= 0); k now has a free slot, which
+            # goes to the job that blocked on k first, and so on from the
+            # slot that job frees.  k is already closed, ck its count.
             while True:
                 if d >= 0:
-                    if blk[k]:
-                        blk[k] = False
-                        blocked.remove(k)
                     q = queue[k]
                     job = q.popleft()
                     job[1] += 1
-                    if d == k:  # a self-loop re-queues behind its own buffer
+                    if d == k:  # a self-loop re-queues behind its own buffer, frees no slot
                         q.append(job)
-                    else:
-                        dt = time - last[d]
-                        c = cnt[d]
-                        occ[d][c] += dt
-                        if blk[d]:
-                            blocked_t[d] += dt
-                        last[d] = time
-                        cnt[d] = c + 1
-                        cnt[k] -= 1
-                        queue[d].append(job)
-                        if not c:
-                            if ev:
-                                push(heap, ev)
-                            ev = (time + exp() / mu[d], seq, d)
-                            seq += 1
+                        ev = (time + exp() / mu[k], seq, k)
+                        seq += 1
+                        break
+                    dt = time - last[d]
+                    c = cnt[d]
+                    occ[d][c] += dt
+                    if blk[d]:
+                        blocked_t[d] += dt
+                    last[d] = time
+                    cnt[d] = c + 1
+                    cnt[k] = ck - 1
+                    queue[d].append(job)
+                    if not c:
+                        if ev:
+                            push(heap, ev)
+                        ev = (time + exp() / mu[d], seq, d)
+                        seq += 1
                     if q:
                         if ev:
                             push(heap, ev)
                         ev = (time + exp() / mu[k], seq, k)
                         seq += 1
-                for k in blocked:
-                    for d in tgt[k]:
-                        if cnt[d] < cap[d]:
-                            break
-                    else:
-                        continue
-                    break
-                else:
+                if not waiting[k]:
                     break  # no blocked job can move
+                entry = waiting[k][0]
+                d, k = k, entry[1]
+                for j in tgt[k]:
+                    waiting[j].remove(entry)
+                blk[k] = False
                 dt = time - last[k]  # close the released node
-                occ[k][cnt[k]] += dt
+                ck = cnt[k]
+                occ[k][ck] += dt
                 blocked_t[k] += dt
                 last[k] = time
+        else:
+            events = lim
 
     if stop < math.inf:  # a time-unit run ends at its horizon
         time = stop
@@ -430,7 +437,7 @@ def simulate_blocking_network(spec: NetworkSpec, config: SimConfig) -> SimResult
         warm = int(budget * warmup)
         t_warm = math.inf if warm else 0.0
     else:
-        budget, stop, warm, t_warm = math.inf, horizon, math.inf, warmup * horizon
+        budget, stop, warm, t_warm = sys.maxsize, horizon, sys.maxsize, warmup * horizon
 
     runs = [_replicate(ids, caps, mu, rate, tgt, cum, _rep_rng(config.seed, rep),
                        budget, stop, warm, t_warm)
