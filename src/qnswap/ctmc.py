@@ -20,6 +20,7 @@ kept in ``tests/oracle.py``.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -28,6 +29,8 @@ from .errors import InputError, NumericsError
 from .model import NONNEGATIVE, PROBABILITY, _finite, _finite_column
 
 RHO_ONE_TOL = 1e-9
+# NaN fails this test, so the rule names it as out of range
+UTILIZATION = (lambda x: x >= 0.0, " must be nonnegative, got {}")
 
 
 class NodeMarginal(NamedTuple):
@@ -95,16 +98,18 @@ def mm1k_full_probability(rho: float, capacity: int) -> float:
 
         rho^K * (1 - rho) / (1 - rho^(K+1)),  ->  1/(K+1) as rho -> 1
 
-    The limit branch is taken when ``|rho - 1| <= 1e-9``.
+    The limit branch is taken when ``|rho - 1| <= 1e-9``; an infinite rho
+    is the queue that is always full (1.0).
 
     Raises:
-        InputError: rho < 0 or NaN.
+        InputError: rho that ``model._finite`` rejects, NaN reported as
+            out of range; an infinite rho passes.
         ValueError: capacity below 1.
     """
     if isinstance(capacity, bool) or not isinstance(capacity, int) or capacity < 1:
         raise ValueError(f"capacity must be a positive integer, got {capacity!r}")
-    if not rho >= 0:  # also rejects NaN
-        raise InputError(f"utilization must be nonnegative, got {rho!r}")
+    if rho != math.inf:
+        rho = _finite(rho, "utilization", UTILIZATION)
     if abs(rho - 1.0) <= RHO_ONE_TOL:
         return 1.0 / (capacity + 1)
     if rho > 1.0:

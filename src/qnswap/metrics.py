@@ -11,13 +11,14 @@ population sum is carried separately as ``total_jobs``.
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import InputError
+from .model import _shown
 
 
 @dataclass(frozen=True)
@@ -83,9 +84,9 @@ def swap_depth_report(net: NetworkMetrics, observed_depth: float,
     lo, hi = hop_bounds
     if lo > hi:
         raise ValueError(f"hop bounds out of order: {lo} > {hi}")
-    if not 1 <= observed_depth < math.inf:  # also rejects NaN
+    if not 1 <= observed_depth <= sys.float_info.max:  # also rejects NaN and huge ints
         raise ValueError(
-            f"observed depth must be at least 1 and finite, got {observed_depth!r}")
+            f"observed depth must be at least 1 and finite, got {_shown(observed_depth)}")
     predicted = net.mean_response_time
     gap = observed_depth - predicted
     return SwapDepthReport(

@@ -290,7 +290,7 @@ class NetworkSpec:
         if not (set(map(type, ids)) <= {int} and min(ids, default=1) > 0):
             for i in ids:
                 if isinstance(i, bool) or not isinstance(i, int) or i <= 0:
-                    raise InputError(f"node id {i!r} must be a positive integer")
+                    raise InputError(f"node id {_shown(i)} must be a positive integer")
         object.__setattr__(self, "nodes",
                            tuple(sorted(self.nodes, key=attrgetter("id"))))
         object.__setattr__(self, "routing", MappingProxyType(
@@ -320,7 +320,7 @@ class NetworkSpec:
                    | (inner & ((cap != 1) | (mu_b <= 0.0))))
         # The per-node rules, in order: the first flagged node raises at its first fault.
         for node, duplicate in compress(zip(nodes, repeated.tolist()), flagged.tolist()):
-            i, capacity = node.id, node.capacity
+            i, capacity = _shown(node.id), node.capacity
             if duplicate:
                 raise InputError(f"duplicate node id {i}")
             if type(node.kind) is not NodeKind:
@@ -344,18 +344,19 @@ class NetworkSpec:
         flagged = ((rows < 0) | (cols < 0) | ~((probs >= 0.0) & (probs <= 1.0))
                    | ((probs > 0.0) & sink[rows]))
         for i, j in compress(entries, flagged.tolist()):
+            pair = f"{_shown(i)}->{_shown(j)}"
             for end in (i, j):
                 if end not in index:
-                    raise InputError(f"routing entry {i}->{j} references unknown node {end}")
-            if _finite(entries[i, j], f"routing {i}->{j}", PROBABILITY) > 0.0 and sink[index[i]]:
-                raise InputError(f"sink node {i} cannot route onward")
+                    raise InputError(f"routing entry {pair} references unknown node {_shown(end)}")
+            if _finite(entries[i, j], f"routing {pair}", PROBABILITY) > 0.0 and sink[index[i]]:
+                raise InputError(f"sink node {_shown(i)} cannot route onward")
 
         # bincount adds in triplet order, so each row sums left to right over
         # its targets in id order; tolist gives the Python float the message prints
         row_sum = np.bincount(rows, weights=probs, minlength=n)
         for i, total in compress(zip(ids, row_sum.tolist()),
                                  (row_sum > 1.0 + ROW_SUM_TOL).tolist()):
-            raise InputError(f"routing probabilities out of node {i} sum to {total!r} > 1")
+            raise InputError(f"routing probabilities out of node {_shown(i)} sum to {total!r} > 1")
         exit_probability = np.clip(1.0 - row_sum, 0.0, 1.0)
         # A zero entry routes nothing: the tables keep the positive entries only.
         used = probs > 0.0
@@ -365,10 +366,10 @@ class NetworkSpec:
         at, lam0 = _positions(index, external)
         for i in compress(external, ((at < 0) | ~(lam0 >= 0.0) | sink[at]).tolist()):
             if i not in index:
-                raise InputError(f"external arrival references unknown node {i}")
-            _finite(external[i], f"external arrival rate at node {i}", NONNEGATIVE)
+                raise InputError(f"external arrival references unknown node {_shown(i)}")
+            _finite(external[i], f"external arrival rate at node {_shown(i)}", NONNEGATIVE)
             if sink[index[i]]:
-                raise InputError(f"external arrivals cannot target sink node {i}")
+                raise InputError(f"external arrivals cannot target sink node {_shown(i)}")
         external_rate = np.zeros(n)
         external_rate[at] = lam0
 
@@ -378,8 +379,8 @@ class NetworkSpec:
             known_at, known_rates = _positions(index, known)
             for i in compress(known, ((known_at < 0) | ~(known_rates >= 0.0)).tolist()):
                 if i not in index:
-                    raise InputError(f"known arrival rate references unknown node {i}")
-                _finite(known[i], f"known arrival rate at node {i}", NONNEGATIVE)
+                    raise InputError(f"known arrival rate references unknown node {_shown(i)}")
+                _finite(known[i], f"known arrival rate at node {_shown(i)}", NONNEGATIVE)
             known_rate[known_at] = known_rates
             missing = [i for i in compress(ids, inner.tolist()) if i not in known]
             if missing:
@@ -391,7 +392,8 @@ class NetworkSpec:
         receives = np.bincount(cols, minlength=n) > 0
         receives[at[lam0 > 0.0]] = True
         for node in compress(nodes, (receives & (mu <= 0.0)).tolist()):
-            raise InputError(f"node {node.id} receives jobs but has no positive service rate")
+            raise InputError(f"node {_shown(node.id)} receives jobs"
+                             " but has no positive service rate")
 
         if not any(r > 0 for r in external.values()):
             raise InputError("no node has a positive external arrival rate")
@@ -436,6 +438,8 @@ def _load_json(text: str, **options):
         raise ParseError(e.msg, line=e.lineno) from None
     except RecursionError:  # nested deeper than the decoder recurses
         raise ParseError("arrays or objects nested too deeply") from None
+    except ValueError:  # an integer literal past Python's int-to-str digit limit
+        raise ParseError("integer literal has too many digits to decode") from None
 
 
 def _no_nonfinite(token: str):

@@ -393,17 +393,21 @@ class TestExitCodes:
     @pytest.mark.parametrize("name, error, message", [
         ("mu_overflows_float", "SchemaError", "$.nodes[2].mu: must be finite"),
         ("nested_too_deeply", "ParseError", "arrays or objects nested too deeply"),
+        ("int_literal_too_long", "ParseError", "integer literal has too many digits to decode"),
     ])
     def test_undecodable_document_is_an_input_error(self, capsys, tmp_path, command,
                                                     name, error, message):
-        # an integer too large for a float and nesting deeper than the JSON
-        # decoder recurses used to escape as Python tracebacks
-        if name == "mu_overflows_float":
+        # an integer too large for a float, nesting deeper than the JSON
+        # decoder recurses and an integer literal past the decoder's digit
+        # limit used to escape as Python tracebacks or bare ValueErrors
+        if name == "nested_too_deeply":
+            text = "[" * 100_000
+        else:
             doc = json.loads(serialize_network(munoz15_fixture()))
             doc["nodes"][2]["mu"] = 10 ** 400
             text = json.dumps(doc)
-        else:
-            text = "[" * 100_000
+            if name == "int_literal_too_long":  # json.dumps cannot print it either
+                text = text.replace("0" * 400, "0" * 5000)
         path = tmp_path / "net.json"
         path.write_text(text, encoding="utf-8")
         code, out, err = run_cli(capsys, *command, "--network", str(path))

@@ -120,6 +120,10 @@ class TestParseLayout:
         with pytest.raises(ParseError, match="nested too deeply"):
             parse_layout("[" * 100_000)
 
+    def test_integer_literal_past_the_digit_limit_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="^integer literal has too many digits"):
+            parse_layout('{"sites": [1' + "0" * 5000 + "]}")
+
     def test_disconnected_layout(self):
         doc = json.loads(GRID)
         doc["sites"].append("island")

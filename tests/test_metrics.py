@@ -153,8 +153,12 @@ class TestSwapDepthReport:
         with pytest.raises(ValueError, match="out of order"):
             swap_depth_report(self.net(), observed_depth=4.0, hop_bounds=(5, 3))
 
-    @pytest.mark.parametrize("depth", [math.nan, math.inf])
-    def test_non_finite_depth_rejected(self, depth):
-        # nan < 1 is False, so a NaN depth used to give NaN gaps
-        with pytest.raises(ValueError, match="^observed depth must be at least 1"):
+    @pytest.mark.parametrize("depth, shown", [
+        (math.nan, "nan"), (math.inf, "inf"), (10**400, "1" + "0" * 36 + "..."),
+    ], ids=["nan", "inf", "int_too_large"])
+    def test_non_finite_depth_rejected(self, depth, shown):
+        # nan < 1 is False, so a NaN depth used to give NaN gaps; an int too
+        # large for a float passed the test and leaked OverflowError
+        with pytest.raises(ValueError) as caught:
             swap_depth_report(self.net(), observed_depth=depth, hop_bounds=(3, 5))
+        assert str(caught.value) == f"observed depth must be at least 1 and finite, got {shown}"

@@ -504,6 +504,11 @@ class TestFileFormat:
         with pytest.raises(ParseError, match="line 1"):
             parse_network("{bad json")
 
+    def test_integer_literal_past_the_digit_limit_is_a_parse_error(self):
+        # the decoder's int-to-str digit limit used to escape as a bare ValueError
+        with pytest.raises(ParseError, match="^integer literal has too many digits"):
+            parse_network('{"nodes": [{"id": 1' + "0" * 5000 + "}]}")
+
     def test_missing_key_path(self):
         with pytest.raises(SchemaError, match=r"\$: missing required key"):
             parse_network('{"nodes": []}')

@@ -20,6 +20,7 @@ from qnswap import (
     SimConfig,
     blocking_node_closed_form,
     build_lattice_network,
+    mm1k_full_probability,
     parse_layout,
 )
 from qnswap.model import _finite, _finite_column, _shown
@@ -72,6 +73,7 @@ ENTRY_POINTS = {
                  "blocking probability override"),
     "horizon": (lambda v: SimConfig(seed=0, horizon=v), "simulation horizon"),
     "lattice_rate": (lambda v: build_lattice_network(GRID, arrival_rate=v), "external arrival"),
+    "utilization": (lambda v: mm1k_full_probability(v, 2), "utilization"),
 }
 for _k, _name in enumerate(["arrival rate", "service rate", "unblock rate",
                             "blocking probability"]):
@@ -84,6 +86,8 @@ for _k, _name in enumerate(["arrival rate", "service rate", "unblock rate",
 def test_bad_value_is_a_short_input_error(entry, value):
     if entry == "override" and value is None:
         pytest.skip("None is the override's 'not set'")
+    if entry == "utilization" and value == math.inf:
+        pytest.skip("an infinite utilization is the always-full limit")
     call, field = ENTRY_POINTS[entry]
     with pytest.raises(InputError) as caught:
         call(value)
@@ -103,6 +107,24 @@ def test_reproductions_name_the_fault():
         blocking_node_closed_form([0.5, 10**400], 1.0, 0.2, 0.5)
     with pytest.raises(InputError, match="^simulation horizon must be finite, got an integer"):
         SimConfig(seed=0, horizon=10**400)
+
+
+@pytest.mark.parametrize("rho, message", [
+    (10**400, r"^utilization must be finite, got an integer too large for a float$"),
+    ("abc", r"^utilization: value 'abc' is not a number$"),
+    (True, r"^utilization: value True is not a number$"),
+], ids=["int_too_large", "word", "bool"])
+def test_utilization_takes_the_value_rule(rho, message):
+    # these leaked OverflowError and TypeError, and True returned 0.5
+    with pytest.raises(InputError, match=message):
+        mm1k_full_probability(rho, 1)
+
+
+def test_node_id_too_long_to_print_is_an_input_error():
+    # formatting the id into the message used to raise a bare ValueError
+    with pytest.raises(InputError,
+                       match="^node id an unprintable int must be a positive integer$"):
+        NetworkSpec((NodeSpec(-10**5000, NodeKind.SOURCE, 2, 1.0),), {}, {1: 1.0})
 
 
 def test_closed_form_names_the_element_that_failed():
