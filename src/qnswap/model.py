@@ -385,7 +385,8 @@ class NetworkSpec:
             missing = [i for i in compress(ids, inner.tolist()) if i not in known]
             if missing:
                 raise InputError(
-                    f"known arrival rates must cover every intermediate node; missing {missing}"
+                    "known arrival rates must cover every intermediate node;"
+                    f" missing [{', '.join(map(_shown, missing))}]"
                 )
 
         # A node that can ever hold a job must be able to serve it.
