@@ -13,7 +13,9 @@ one flat event loop; the heavy-hex simulator runs, whose blocked-job
 cascades the other files barely reach, before the event loop opened its
 measuring window once and fetched each next event with one heap sift; the
 funnel simulator runs, where up to three blocked jobs wait on one slot,
-before blocked jobs were released from per-target waiting lists.  Any
+before blocked jobs were released from per-target waiting lists; the
+default ``simulate`` tables, the README's example at seed 7, before the
+CLI's error handling was narrowed to the package's own error families.  Any
 refactor that changes a printed byte of these outputs shows up here.
 Regenerate them only for a deliberate change of output, and record that
 change.
@@ -53,6 +55,12 @@ CASES = {
         "analyze", "--format", "csv", "--subset", "1,2,3"],
     "munoz15_analyze_round3.txt": ["analyze", "--round", "3"],
     "munoz15_analyze_round4.json": ["analyze", "--format", "json", "--round", "4"],
+    "munoz15_simulate_seed7_h5000.txt": [
+        "simulate", "--seed", "7", "--horizon", "5000"],
+    "munoz15_simulate_seed7_h5000_round3.txt": [
+        "simulate", "--seed", "7", "--horizon", "5000", "--round", "3"],
+    "munoz15_simulate_seed7_h5000_reps2.txt": [
+        "simulate", "--seed", "7", "--horizon", "5000", "--reps", "2"],
     "lattice6_analyze.json": [
         "analyze", "--format", "json",
         "--network", str(GOLDEN / "lattice6_network.json")],
