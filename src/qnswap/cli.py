@@ -5,7 +5,8 @@ Four subcommands: ``analyze`` (analytic pipeline), ``simulate``
 ``validate`` (parse and check a network document).  Network files are JSON
 in the format documented in :mod:`qnswap.model`; ``-`` means stdin.
 
-Exit codes: 0 success, 2 invalid input, 3 numerical failure, 4 usage error.
+Exit codes: 0 success, 2 invalid input, 3 numerical failure, 4 usage error;
+any other status is a bug.
 Failures print a one-line JSON error object to stderr and nothing to stdout;
 successful output is written in one piece, and repeated invocations with the
 same inputs produce byte-identical bytes.
@@ -19,6 +20,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from itertools import compress, repeat
 
 from .errors import InputError, NumericsError
@@ -30,6 +32,8 @@ from .sim import SimConfig, SimResult, simulate_blocking_network
 from .traffic import total_external_rate
 
 SEED_ENV = "QNSWAP_SEED"
+# The largest --round: 1074 decimals print every double exactly.
+MAX_DIGITS = 1074
 
 _FIXTURES = {"munoz15": munoz15_fixture}
 
@@ -95,12 +99,12 @@ def _build_parser() -> _Parser:
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise InputError(f"cannot read {path}: {e}") from None
 
 
@@ -255,16 +259,7 @@ def _analyze_output(analysis: NetworkAnalysis, fmt: str, digits: int | None,
 def _simulate_output(result: SimResult, config: SimConfig, fmt: str,
                      digits: int | None) -> str:
     if fmt == "json":
-        doc = {
-            "config": {
-                "seed": config.seed,
-                "horizon": config.horizon,
-                "unit": config.unit,
-                "replications": config.replications,
-                "warmup_fraction": config.warmup_fraction,
-            },
-            "result": result.to_jsonable(),
-        }
+        doc = {"config": asdict(config), "result": result.to_jsonable()}
         return json.dumps(_round_floats(doc, digits), sort_keys=True, indent=2) + "\n"
 
     if fmt == "csv":
@@ -324,9 +319,7 @@ def _parse_subset(raw: str | None, spec: NetworkSpec) -> list[int] | None:
 def _resolve_seed(given: int | None) -> int:
     if given is not None:
         return given
-    raw = os.environ.get(SEED_ENV)
-    if raw is None:
-        return 0
+    raw = os.environ.get(SEED_ENV, "0")
     try:
         return int(raw)
     except ValueError:
@@ -334,26 +327,10 @@ def _resolve_seed(given: int | None) -> int:
 
 
 def _dispatch(args: argparse.Namespace) -> str:
-    if getattr(args, "digits", None) is not None and args.digits < 0:
-        raise _UsageError("--round must be nonnegative")
-
-    if args.command == "analyze":
-        spec = parse_network(_read_text(args.network))
-        assumptions = AnalysisAssumptions(blocking_probability_override=args.pb)
-        subset = _parse_subset(args.subset, spec)
-        analysis = analyze_network(spec, assumptions)
-        return _analyze_output(analysis, args.format, args.digits, subset)
-
-    if args.command == "simulate":
-        spec = parse_network(_read_text(args.network))
-        config = SimConfig(
-            seed=_resolve_seed(args.seed),
-            horizon=args.horizon,
-            unit="time",
-            replications=args.reps,
-        )
-        result = simulate_blocking_network(spec, config)
-        return _simulate_output(result, config, args.format, args.digits)
+    digits = getattr(args, "digits", None)
+    if digits is not None and not 0 <= digits <= MAX_DIGITS:
+        raise _UsageError("--round must be nonnegative" if digits < 0
+                          else f"--round must be at most {MAX_DIGITS}")
 
     if args.command == "fixture":
         spec = _FIXTURES[args.name]()
@@ -365,12 +342,24 @@ def _dispatch(args: argparse.Namespace) -> str:
             count(KIND_CODES[NodeKind.SOURCE]), count(KIND_CODES[NodeKind.SINK]),
             _fmt(total_external_rate(spec), None))
 
-    if args.command == "validate":
-        spec = parse_network(_read_text(args.network))
-        return "ok: %d nodes, %d routing entries\n" % (
-            len(spec.nodes), len(spec.routing))
+    spec = parse_network(_read_text(args.network))
+    if args.command == "analyze":
+        assumptions = AnalysisAssumptions(blocking_probability_override=args.pb)
+        subset = _parse_subset(args.subset, spec)
+        analysis = analyze_network(spec, assumptions)
+        return _analyze_output(analysis, args.format, digits, subset)
 
-    raise _UsageError(f"unknown command {args.command!r}")
+    if args.command == "simulate":
+        config = SimConfig(
+            seed=_resolve_seed(args.seed),
+            horizon=args.horizon,
+            unit="time",
+            replications=args.reps,
+        )
+        result = simulate_blocking_network(spec, config)
+        return _simulate_output(result, config, args.format, digits)
+
+    return "ok: %d nodes, %d routing entries\n" % (len(spec.nodes), len(spec.routing))
 
 
 def _emit_error(kind: str, message: str):
@@ -379,32 +368,17 @@ def _emit_error(kind: str, message: str):
 
 
 def run(argv: list[str] | None = None) -> int:
-    """Entry point returning the process exit code."""
-    parser = _build_parser()
+    """Entry point returning the process exit code; catches only qnswap's own errors."""
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as e:
-        _emit_error("UsageError", str(e))
-        return 4
+        out = _dispatch(_build_parser().parse_args(argv))
     except SystemExit as e:  # --help and friends
-        code = e.code
-        return int(code) if code else 0
-
-    try:
-        out = _dispatch(args)
+        return int(e.code) if e.code else 0
     except _UsageError as e:
         _emit_error("UsageError", str(e))
         return 4
-    except (ValueError, TypeError) as e:
-        # bad parameter combinations surface as plain input problems
+    except (InputError, NumericsError) as e:
         _emit_error(type(e).__name__, str(e))
-        return 2
-    except InputError as e:
-        _emit_error(type(e).__name__, str(e))
-        return 2
-    except NumericsError as e:
-        _emit_error(type(e).__name__, str(e))
-        return 3
+        return 2 if isinstance(e, InputError) else 3
 
     sys.stdout.write(out)
     return 0

@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InputError, NumericsError
-from .model import NONNEGATIVE, PROBABILITY, _finite, _finite_column
+from .model import NONNEGATIVE, PROBABILITY, _finite, _finite_column, _shown
 
 RHO_ONE_TOL = 1e-9
 # NaN fails this test, so the rule names it as out of range
@@ -102,12 +102,12 @@ def mm1k_full_probability(rho: float, capacity: int) -> float:
     is the queue that is always full (1.0).
 
     Raises:
-        InputError: rho that ``model._finite`` rejects, NaN reported as
-            out of range; an infinite rho passes.
-        ValueError: capacity below 1.
+        InputError: a capacity that is a bool, no int, or below 1; rho that
+            ``model._finite`` rejects, NaN reported as out of range; an
+            infinite rho passes.
     """
     if isinstance(capacity, bool) or not isinstance(capacity, int) or capacity < 1:
-        raise ValueError(f"capacity must be a positive integer, got {capacity!r}")
+        raise InputError(f"capacity must be a positive integer, got {_shown(capacity)}")
     if rho != math.inf:
         rho = _finite(rho, "utilization", UTILIZATION)
     if abs(rho - 1.0) <= RHO_ONE_TOL:

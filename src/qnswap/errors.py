@@ -10,7 +10,8 @@ Callers tell apart two families, and the CLI maps them to exit codes:
 - ``NumericsError`` (exit 3): a solver failed on well-formed input.
 
 The message says what went wrong and where; no caller needs more than the
-family and the text.
+family and the text.  Every caller fault raises one of these; any other
+exception out of qnswap is a bug.
 """
 
 from __future__ import annotations

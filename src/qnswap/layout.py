@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import InputError, SchemaError
 from .model import (NetworkSpec, NodeKind, NodeSpec, _adjacency, _as_array, _as_object,
-                    _bfs_levels, _check_keys, _load_json)
+                    _bfs_levels, _check_keys, _load_json, _node_keys, _shown)
 
 DEFAULT_BOUNDARY_CAPACITY = 8
 
@@ -287,8 +287,8 @@ def shortest_hops(spec: NetworkSpec, src: int, dst: int) -> int:
     """Minimum hop count from src to dst over positive routing entries."""
     ids = spec.columns.id.tolist()
     for i in (src, dst):
-        if i not in ids:
-            raise InputError(f"lookup references unknown node {i}")
+        if _node_keys([i], pair=False) is None or i not in ids:  # a bool is no node id
+            raise InputError(f"lookup references unknown node {_shown(i)}")
     rows, cols, _ = spec.routing_triplets
     hops = _bfs_levels(_adjacency(len(ids), rows, cols), [ids.index(src)])[ids.index(dst)]
     if hops < 0:

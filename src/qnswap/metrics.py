@@ -11,14 +11,17 @@ population sum is carried separately as ``total_jobs``.
 
 from __future__ import annotations
 
-import sys
+import math
 from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import InputError
-from .model import _shown
+from .model import _finite, _node_keys, _shown
+
+# Range rule for ``model._finite``; NaN and inf fail it.
+AT_LEAST_ONE = (lambda x: 1.0 <= x < math.inf, " must be at least 1 and finite, got {}")
 
 
 @dataclass(frozen=True)
@@ -50,13 +53,18 @@ def network_metrics(nodes: Sequence[int], mean_jobs: Sequence[float],
 
     ``nodes`` and ``mean_jobs`` are matching columns.  The sum runs left to
     right in node-id order, so the result does not depend on the order of
-    the columns.  Raises InputError when the subset selects no node or
-    ``external_rate`` is not positive.
+    the columns.  Raises InputError when the subset holds a value that is no
+    node id (a bool or a non-integer; an unknown id is skipped) or selects
+    no node, or when ``external_rate`` is not positive.
     """
     nodes = np.asarray(nodes, dtype=np.intp)
     chosen = np.argsort(nodes, kind="stable")
     if subset is not None:
-        wanted = set(subset)
+        subset = list(subset)
+        wanted = _node_keys(subset, pair=False)
+        if wanted is None:
+            raise InputError(f"metric subset {_shown(subset)} holds a value that is no node id")
+        wanted = set(wanted)
         chosen = chosen[[i in wanted for i in nodes[chosen].tolist()]]
     if not chosen.size:
         raise InputError("metric subset contains no nodes")
@@ -80,20 +88,21 @@ def swap_depth_report(net: NetworkMetrics, observed_depth: float,
 
     ``hop_bounds`` is the (shortest, longest) route length pair; the report
     flags whether the prediction lands inside it.
+
+    Raises:
+        InputError: hop bounds out of order, or a depth below 1 or that ``model._finite`` rejects.
     """
     lo, hi = hop_bounds
     if lo > hi:
-        raise ValueError(f"hop bounds out of order: {lo} > {hi}")
-    if not 1 <= observed_depth <= sys.float_info.max:  # also rejects NaN and huge ints
-        raise ValueError(
-            f"observed depth must be at least 1 and finite, got {_shown(observed_depth)}")
+        raise InputError(f"hop bounds out of order: {lo} > {hi}")
+    depth = _finite(observed_depth, "observed depth", AT_LEAST_ONE)
     predicted = net.mean_response_time
-    gap = observed_depth - predicted
+    gap = depth - predicted
     return SwapDepthReport(
         predicted_response_time=predicted,
-        observed_depth=float(observed_depth),
+        observed_depth=depth,
         absolute_gap=gap,
-        relative_gap=gap / observed_depth,
+        relative_gap=gap / depth,
         hop_bounds=(int(lo), int(hi)),
         within_hop_bounds=lo <= predicted <= hi,
     )

@@ -64,6 +64,8 @@ import numpy as np
 from .errors import InputError, ParseError, SchemaError
 
 ROW_SUM_TOL = 1e-9
+# Largest node id or capacity: every integer column is int64.
+INT64_MAX = 2**63 - 1
 
 
 class NodeKind(str, Enum):
@@ -169,8 +171,8 @@ def _finite_column(values, text: bool = False) -> list[float] | np.ndarray:
 
 
 def _node_keys(keys: list, pair: bool) -> list | None:
-    """The mapping keys as node ids (``pair``: (from, to) pairs of them), or
-    None if a key is a bool or changes under ``int()``, such as 1.9 or "1"."""
+    """The keys, of a mapping or a lookup, as node ids (``pair``: (from, to) pairs
+    of them), or None if a key is a bool or changes under ``int()``, such as 1.9 or "1"."""
     try:
         nodes = [(int(i), int(j)) for i, j in keys] if pair else list(map(int, keys))
     except (TypeError, ValueError, OverflowError):
@@ -266,7 +268,8 @@ class NetworkSpec:
 
     Raises:
         InputError: a mapping key that is no node id (in ``routing``, no
-            pair of them); a bad id, kind, capacity or kind-dependent field;
+            pair of them); a bad id, kind, capacity or kind-dependent field,
+            an id or capacity past 2**63 - 1 included;
             a rate or probability that is a bool, no number (a node rate
             given as a string included), an int too large for a float,
             negative, NaN or infinite; an intermediate node without a
@@ -287,10 +290,13 @@ class NetworkSpec:
     def __post_init__(self):
         # Ids are checked before sorting: mixed id types cannot be ordered.
         ids = [n.id for n in self.nodes]
-        if not (set(map(type, ids)) <= {int} and min(ids, default=1) > 0):
+        if not (set(map(type, ids)) <= {int} and min(ids, default=1) > 0
+                and max(ids, default=1) <= INT64_MAX):
             for i in ids:
                 if isinstance(i, bool) or not isinstance(i, int) or i <= 0:
                     raise InputError(f"node id {_shown(i)} must be a positive integer")
+                if i > INT64_MAX:
+                    raise InputError(f"node id {_shown(i)} must be below 2**63")
         object.__setattr__(self, "nodes",
                            tuple(sorted(self.nodes, key=attrgetter("id"))))
         object.__setattr__(self, "routing", MappingProxyType(
@@ -306,11 +312,13 @@ class NetworkSpec:
         nodes, n = self.nodes, len(self.nodes)
 
         ids, kinds, caps, mu, mu_b = map(list, zip(*nodes))
-        # Kind and capacity tests are by type: a plain string is no kind, a bool no capacity.
+        # Kind and capacity tests are by type: a plain string is no kind, a bool no
+        # capacity.  A capacity past int64 is flagged as 0.
         kind = np.array([KIND_CODES[k] if type(k) is NodeKind else -1 for k in kinds],
                         dtype=np.int8)
-        cap = np.array([c if isinstance(c, int) and type(c) is not bool else 0 for c in caps])
-        id_col = np.array(ids)
+        cap = np.array([c if isinstance(c, int) and type(c) is not bool and 0 < c <= INT64_MAX
+                        else 0 for c in caps], dtype=np.int64)
+        id_col = np.array(ids, dtype=np.int64)
         repeated = np.concatenate(([False], id_col[1:] == id_col[:-1]))
         mu, mu_b = np.array(_finite_column(mu)), np.array(_finite_column(mu_b))
         inner = kind == KIND_CODES[NodeKind.INTERMEDIATE]
@@ -327,6 +335,8 @@ class NetworkSpec:
                 raise InputError(f"node {i}: kind {node.kind!r} is not a NodeKind")
             if isinstance(capacity, bool) or not isinstance(capacity, int) or capacity < 1:
                 raise InputError(f"node {i}: capacity must be a positive integer")
+            if capacity > INT64_MAX:
+                raise InputError(f"node {i}: capacity must be below 2**63")
             _finite(node.service_rate, f"node {i} service rate", NONNEGATIVE)
             _finite(node.unblock_rate, f"node {i} unblock rate", NONNEGATIVE)
             if node.kind is NodeKind.INTERMEDIATE and capacity != 1:

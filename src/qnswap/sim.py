@@ -66,6 +66,11 @@ import numpy as np
 from .errors import InputError, NumericsError
 from .model import NetworkSpec, _finite, _shown
 
+# Range rules for ``model._finite``; NaN fails both tests.
+HORIZON = (lambda x: 0.0 < x < math.inf, " must be positive and finite, got {}")
+WARMUP = (lambda x: 0.0 <= x <= 0.5, " must be in [0, 0.5], got {}")
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Simulation run parameters.
@@ -80,8 +85,8 @@ class SimConfig:
             time-averaged statistics.
 
     Raises:
-        InputError: a horizon that is a bool, no number, or not a positive finite float.
-        ValueError: any other field out of its range.
+        InputError: any field of the wrong type or out of its range; the
+            horizon and the warmup fraction go through ``model._finite``.
     """
 
     seed: int
@@ -92,19 +97,19 @@ class SimConfig:
 
     def __post_init__(self):
         if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
+            raise InputError(f"seed must be a nonnegative integer, got {_shown(self.seed)}")
         if isinstance(self.horizon, bool) or not isinstance(self.horizon, Real):
             raise InputError(f"simulation horizon must be a number, got {_shown(self.horizon)}")
-        _finite(self.horizon, "simulation horizon",
-                (lambda x: 0.0 < x < math.inf, " must be positive and finite, got {}"))
-        if self.unit not in ("time", "events"):
-            raise ValueError(f"unit must be 'time' or 'events', got {self.unit!r}")
+        _finite(self.horizon, "simulation horizon", HORIZON)
+        if not isinstance(self.unit, str) or self.unit not in ("time", "events"):
+            raise InputError(f"unit must be 'time' or 'events', got {_shown(self.unit)}")
         if (isinstance(self.replications, bool) or not isinstance(self.replications, int)
                 or self.replications < 1):
-            raise ValueError(f"replications must be a positive integer, got {self.replications!r}")
-        if (isinstance(self.warmup_fraction, bool) or not isinstance(self.warmup_fraction, Real)
-                or not 0.0 <= self.warmup_fraction <= 0.5):
-            raise ValueError(f"warmup_fraction must be in [0, 0.5], got {self.warmup_fraction!r}")
+            raise InputError(
+                f"replications must be a positive integer, got {_shown(self.replications)}")
+        if isinstance(self.warmup_fraction, bool) or not isinstance(self.warmup_fraction, Real):
+            raise InputError("warmup_fraction" + WARMUP[1].format(_shown(self.warmup_fraction)))
+        _finite(self.warmup_fraction, "warmup_fraction", WARMUP)
 
 
 @dataclass(frozen=True)

@@ -756,6 +756,8 @@ def _scalar_spec(nodes, entries, external, known) -> tuple:
     for n in nodes:
         if isinstance(n.id, bool) or not isinstance(n.id, int) or n.id <= 0:
             raise InputError(f"node id {n.id!r} must be a positive integer")
+        if n.id >= 2**63:
+            raise InputError(f"node id {n.id!r} must be below 2**63")
     nodes = tuple(sorted(nodes, key=lambda n: n.id))
     entries = dict(sorted(((int(i), int(j)), _scalar_value(p, f"routing entry {(i, j)!r}"))
                           for (i, j), p in entries.items()))
@@ -778,6 +780,8 @@ def _scalar_spec(nodes, entries, external, known) -> tuple:
         if (isinstance(n.capacity, bool) or not isinstance(n.capacity, int)
                 or n.capacity < 1):
             raise InputError(f"node {n.id}: capacity must be a positive integer")
+        if n.capacity >= 2**63:
+            raise InputError(f"node {n.id}: capacity must be below 2**63")
         _scalar_check_rate(n.service_rate, f"node {n.id} service rate")
         _scalar_check_rate(n.unblock_rate, f"node {n.id} unblock rate")
         if n.kind is NodeKind.INTERMEDIATE:

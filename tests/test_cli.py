@@ -2,7 +2,10 @@
 
 import dataclasses
 import hashlib
+import io
 import json
+import re
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +13,7 @@ import pytest
 
 from qnswap import (
     AnalysisAssumptions,
+    InputError,
     analyze_network,
     cli,
     munoz15_fixture,
@@ -414,6 +418,90 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert json.loads(err) == {"error": error, "message": message}
+
+    @pytest.mark.parametrize("argv, seed_env, code, error, message", [
+        (["simulate", "--horizon", "10", "--reps", "0"], None, 2, "InputError",
+         "replications must be a positive integer, got 0"),
+        (["simulate", "--horizon", "10", "--seed", "-1"], None, 2, "InputError",
+         "seed must be a nonnegative integer, got -1"),
+        (["simulate", "--horizon", "10"], "abc", 4, "UsageError",
+         "$QNSWAP_SEED must be an integer, got 'abc'"),
+        (["simulate", "--horizon", "10"], "-3", 2, "InputError",
+         "seed must be a nonnegative integer, got -3"),
+        (["analyze", "--round", "-1"], None, 4, "UsageError", "--round must be nonnegative"),
+        (["analyze", "--round", "99999999999"], None, 4, "UsageError",
+         "--round must be at most 1074"),
+        (["simulate", "--horizon", "10", "--round", "1075"], None, 4, "UsageError",
+         "--round must be at most 1074"),
+        (["analyze", "--subset", "1,x"], None, 4, "UsageError",
+         "--subset must be comma-separated integers, got '1,x'"),
+        (["analyze", "--subset", ","], None, 4, "UsageError",
+         "--subset must name at least one node"),
+    ], ids=["reps_0", "seed_negative", "seed_env_word", "seed_env_negative", "round_negative",
+            "round_huge", "round_1075_simulate", "subset_word", "subset_empty"])
+    def test_argument_faults(self, capsys, monkeypatch, fixture_file, argv, seed_env, code,
+                             error, message):
+        # the simulator settings used to reach the CLI as bare ValueErrors, and
+        # --round 99999999999 on a table as Python's "precision too big"
+        monkeypatch.delenv(cli.SEED_ENV, raising=False)
+        if seed_env is not None:
+            monkeypatch.setenv(cli.SEED_ENV, seed_env)
+        got = run_cli(capsys, *argv, "--network", fixture_file)
+        assert got[:2] == (code, "")
+        assert json.loads(got[2]) == {"error": error, "message": message}
+
+    def test_round_1074_prints_every_double_exactly(self, capsys, fixture_file):
+        code, out, err = run_cli(capsys, "analyze", "--network", fixture_file,
+                                 "--format", "csv", "--round", "1074")
+        assert (code, err) == (0, "")
+        # the largest --round: the printed decimal is the double's exact value
+        first = out.splitlines()[1].split(",")[1]
+        assert len(first.split(".")[1]) == 1074
+        assert Decimal(first) == Decimal(float(first))
+
+    @pytest.mark.parametrize("stdin", [False, True], ids=["file", "stdin"])
+    def test_document_that_is_not_utf8_is_an_input_error(self, capsys, monkeypatch,
+                                                         tmp_path, stdin):
+        data = b'{"nodes": "\xff"}'
+        path = tmp_path / "net.json"
+        path.write_bytes(data)
+        if stdin:
+            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        network = "-" if stdin else str(path)
+        for command in (["validate"], ["analyze"], ["simulate", "--horizon", "10"]):
+            code, out, err = run_cli(capsys, *command, "--network", network)
+            assert (code, out) == (2, ""), command
+            error = json.loads(err)
+            assert error["error"] == "InputError"
+            assert error["message"].startswith(f"cannot read {network}: 'utf-8' codec")
+            if stdin:
+                break  # stdin is read once
+
+    @pytest.mark.parametrize("field", ["sink_id", "source_capacity"])
+    def test_integers_past_int64_are_input_errors(self, capsys, tmp_path, field):
+        # a sink id of 2**63 used to print "node": 1.0 for every node with
+        # exit 0, and a source capacity of 2**63 to pass validate and then
+        # fail analyze naming a capacity of 1.0
+        doc = json.loads(serialize_network(munoz15_fixture()))
+        if field == "sink_id":
+            for item in doc["nodes"] + doc["routing"]:
+                for key in ("id", "to"):
+                    if item.get(key) == 14:
+                        item[key] = 2**63
+            message = "node id 9223372036854775808 must be below 2**63"
+        else:
+            doc["nodes"][11]["capacity"] = 2**63
+            message = "node 12: capacity must be below 2**63"
+        text = json.dumps(doc)
+        with pytest.raises(InputError, match=re.escape(message)):
+            parse_network(text)
+        path = tmp_path / "net.json"
+        path.write_text(text, encoding="utf-8")
+        for command in (["validate"], ["analyze", "--format", "json"],
+                        ["simulate", "--horizon", "10"]):
+            code, out, err = run_cli(capsys, *command, "--network", str(path))
+            assert (code, out) == (2, ""), command
+            assert json.loads(err) == {"error": "InputError", "message": message}
 
     def test_usage_error_exit_code(self, capsys):
         code, out, err = run_cli(capsys, "frobnicate")

@@ -293,7 +293,7 @@ class TestFiniteQueueFormulas:
 
     @pytest.mark.parametrize("capacity", [0, -1, 2.5])
     def test_bad_capacity_rejected(self, capacity):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             mm1k_distribution(0.5, capacity)
 
 

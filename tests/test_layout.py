@@ -318,6 +318,14 @@ class TestShortestHops:
         }
         assert lengths == _expected.HOP_LENGTHS
 
+    @pytest.mark.parametrize("src, dst, bad", [(True, 14, "True"), (1, 14.5, "14.5")],
+                             ids=["bool", "float"])
+    def test_bool_or_float_is_no_node_id(self, fixture_spec, src, dst, bad):
+        # True == 1, so a bool used to answer for node 1; NetworkSpec rejects
+        # a bool id, and so does a lookup
+        with pytest.raises(InputError, match=f"^lookup references unknown node {bad}$"):
+            shortest_hops(fixture_spec, src, dst)
+
     def test_unreachable(self, fixture_spec):
         # sinks absorb, so nothing is reachable from them
         with pytest.raises(InputError, match="no routing path from node 14 to node 12"):

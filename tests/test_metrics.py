@@ -105,6 +105,12 @@ class TestNetworkMetrics:
         net = network_metrics(NODES, KBAR, external_rate=0.5, subset=[1, 99])
         assert net.nodes == (1,)
 
+    def test_bool_subset_entry_rejected(self):
+        # True == 1, so [True] used to select node 1; NetworkSpec rejects a bool id
+        with pytest.raises(InputError,
+                           match=r"^metric subset \[True\] holds a value that is no node id$"):
+            network_metrics(NODES, KBAR, external_rate=0.5, subset=[True])
+
     def test_empty_subset_rejected(self):
         with pytest.raises(InputError, match="metric subset contains no nodes"):
             network_metrics(NODES, KBAR, external_rate=0.5, subset=[])
@@ -148,17 +154,21 @@ class TestSwapDepthReport:
         assert type(blob["hop_bounds"]) is list
 
     def test_bad_inputs_rejected(self):
-        with pytest.raises(ValueError, match="observed depth"):
+        with pytest.raises(InputError, match="observed depth"):
             swap_depth_report(self.net(), observed_depth=0.5, hop_bounds=(3, 5))
-        with pytest.raises(ValueError, match="out of order"):
+        with pytest.raises(InputError, match="out of order"):
             swap_depth_report(self.net(), observed_depth=4.0, hop_bounds=(5, 3))
 
-    @pytest.mark.parametrize("depth, shown", [
-        (math.nan, "nan"), (math.inf, "inf"), (10**400, "1" + "0" * 36 + "..."),
+    @pytest.mark.parametrize("depth, fault", [
+        (math.nan, "must be at least 1 and finite, got nan"),
+        (math.inf, "must be at least 1 and finite, got inf"),
+        (10**400, "must be finite, got an integer too large for a float"),
     ], ids=["nan", "inf", "int_too_large"])
-    def test_non_finite_depth_rejected(self, depth, shown):
+    def test_non_finite_depth_rejected(self, depth, fault):
         # nan < 1 is False, so a NaN depth used to give NaN gaps; an int too
-        # large for a float passed the test and leaked OverflowError
-        with pytest.raises(ValueError) as caught:
+        # large for a float passed the test and leaked OverflowError.  The
+        # depth goes through model._finite, which names that int as every
+        # other site does.
+        with pytest.raises(InputError) as caught:
             swap_depth_report(self.net(), observed_depth=depth, hop_bounds=(3, 5))
-        assert str(caught.value) == f"observed depth must be at least 1 and finite, got {shown}"
+        assert str(caught.value) == f"observed depth {fault}"

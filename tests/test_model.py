@@ -99,6 +99,9 @@ class TestValidation:
     def test_closed_network_no_arrivals(self):
         with pytest.raises(InputError, match="no node has a positive external arrival rate"):
             two_node_spec({(1, 2): 0.5}, external={})
+        # with no nodes at all, the node check names the fault first
+        with pytest.raises(InputError, match="^network has no nodes$"):
+            NetworkSpec((), {}, {1: 1.0})
 
     def test_intermediate_requires_unblock_rate(self):
         with pytest.raises(InputError, match="node 1 needs a positive unblock rate"):

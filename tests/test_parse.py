@@ -97,7 +97,9 @@ ITEM_FAULTS = {
     "id_zero": ("nodes", _set("id", 0)),
     "id_negative": ("nodes", _set("id", -3)),
     "id_duplicate": ("nodes", _repeat_previous("id")),
+    "id_past_int64": ("nodes", _set("id", 2**63)),
     "capacity_zero": ("nodes", _set("capacity", 0)),
+    "capacity_past_int64": ("nodes", _set("capacity", 2**63)),
     "mu_negative": ("nodes", _set("mu", "-1.0")),
     "mu_b_negative": ("nodes", _set("mu_b", -0.5)),
     "intermediate_capacity_two": ("nodes", _set("capacity", 2)),
@@ -327,3 +329,30 @@ def test_cli_calls_parse_and_analyze_through_module_names():
     # wrapping these two names in qnswap.cli.
     assert cli.parse_network is model.parse_network
     assert callable(cli.analyze_network)
+
+
+def _fault_text(base, name):
+    """The text of the ITEM_FAULTS (first position) or DOC_FAULTS document."""
+    if name in ITEM_FAULTS:
+        return _item_doc(base, [(name, 0)])
+    doc = DOC_FAULTS[name](copy.deepcopy(BASES[base]))
+    return doc if isinstance(doc, str) else json.dumps(doc)
+
+
+@pytest.mark.parametrize("base, name", [
+    (base, name) for base in sorted(BASES) for name in sorted(ITEM_FAULTS) + sorted(DOC_FAULTS)
+    if name in DOC_FAULTS or ITEM_FAULTS[name][0] in BASES[base]])
+def test_every_fault_document_exits_2_through_the_cli(base, name, tmp_path, capsys, monkeypatch):
+    # each command reports the parser's error, family and message, with
+    # nothing on stdout; no fault may reach a Python error
+    monkeypatch.delenv(cli.SEED_ENV, raising=False)
+    text = _fault_text(base, name)
+    family, message = _outcome(parse_network, text)
+    assert family in {"InputError", "ParseError", "SchemaError"}
+    path = tmp_path / "net.json"
+    path.write_text(text, encoding="utf-8")
+    for command in (["validate"], ["analyze"], ["simulate", "--horizon", "10"]):
+        code = cli.run([*command, "--network", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, ""), command
+        assert json.loads(captured.err) == {"error": family, "message": message}, command

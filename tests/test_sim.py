@@ -42,7 +42,7 @@ class TestSimConfig:
         assert cfg.warmup_fraction == 0.2
 
     def test_negative_seed_rejected(self):
-        with pytest.raises(ValueError, match="seed"):
+        with pytest.raises(InputError, match="seed"):
             SimConfig(seed=-1, horizon=10.0)
 
     def test_nonpositive_horizon_rejected(self):
@@ -59,24 +59,24 @@ class TestSimConfig:
                 SimConfig(seed=0, horizon=horizon)
 
     def test_bool_warmup_rejected(self):
-        with pytest.raises(ValueError, match=r"warmup_fraction must be in \[0, 0.5\], got False"):
+        with pytest.raises(InputError, match=r"warmup_fraction must be in \[0, 0.5\], got False"):
             SimConfig(seed=0, horizon=10.0, warmup_fraction=False)
 
     def test_bad_unit_rejected(self):
-        with pytest.raises(ValueError, match="unit"):
+        with pytest.raises(InputError, match="unit"):
             SimConfig(seed=0, horizon=10.0, unit="furlongs")
 
     def test_bad_replications_rejected(self):
-        with pytest.raises(ValueError, match="replications"):
+        with pytest.raises(InputError, match="replications"):
             SimConfig(seed=0, horizon=10.0, replications=0)
 
     def test_bool_replications_rejected(self):
         # bool is an int subclass; True would be written as "replications": true
-        with pytest.raises(ValueError, match="replications must be a positive integer"):
+        with pytest.raises(InputError, match="replications must be a positive integer"):
             SimConfig(seed=0, horizon=10.0, replications=True)
 
     def test_bad_warmup_rejected(self):
-        with pytest.raises(ValueError, match="warmup"):
+        with pytest.raises(InputError, match="warmup"):
             SimConfig(seed=0, horizon=10.0, warmup_fraction=1.0)
 
 
@@ -149,10 +149,14 @@ class TestTrajectorySampler:
         res = simulate_ctmc(gen, SimConfig(seed=0, horizon=100.0))
         assert res.occupancy == (1.0,)
 
-    def test_zero_event_budget_rejected(self):
+    def test_zero_event_budget_rejected(self, fixture_spec):
+        config = SimConfig(seed=0, horizon=0.4, unit="events")  # rounds to no event
         with pytest.raises(InputError,
                            match="simulation horizon must be positive, got 0.4"):
-            simulate_ctmc(self.chain(), SimConfig(seed=0, horizon=0.4, unit="events"))
+            simulate_ctmc(self.chain(), config)
+        with pytest.raises(InputError,
+                           match="^simulation horizon must be positive, got 0.4$"):
+            simulate_blocking_network(fixture_spec, config)
 
 
 def blocking_chain_spec():

@@ -240,3 +240,34 @@ def test_one_value_rule():
                                 if isinstance(node, ast.ExceptHandler) and node.type is not None
                                 and _catches_overflow(node))
     assert catching - {"model.py:_node_keys"} == {"model.py:_finite"}
+
+
+def test_cli_catches_only_qnswap_errors():
+    # a Python error that escapes is a bug and shows its traceback; the CLI
+    # used to report any ValueError or TypeError as invalid input (exit 2)
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    run = next(node for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name == "run")
+    caught = set()
+    for handler in ast.walk(run):
+        if isinstance(handler, ast.ExceptHandler):
+            assert handler.type is not None, "bare except in cli.run"
+            names = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+            caught.update(ast.unparse(n) for n in names)
+    assert caught == {"SystemExit", "_UsageError", "InputError", "NumericsError"}
+
+
+def test_only_the_value_rule_raises_python_errors():
+    # every caller fault is an InputError; the one bare raise left is the
+    # sentinel inside model._finite, which its own handler turns into one
+    raising = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for function in ast.walk(tree):
+            if isinstance(function, ast.FunctionDef):
+                for node in ast.walk(function):
+                    exc = node.exc if isinstance(node, ast.Raise) else None
+                    name = exc.func if isinstance(exc, ast.Call) else exc
+                    if isinstance(name, ast.Name) and name.id in {"ValueError", "TypeError"}:
+                        raising.append(f"{path.name}:{function.name}:{name.id}")
+    assert raising == ["model.py:_finite:TypeError"]
