@@ -61,6 +61,11 @@ CASES = {
         "simulate", "--seed", "7", "--horizon", "5000", "--round", "3"],
     "munoz15_simulate_seed7_h5000_reps2.txt": [
         "simulate", "--seed", "7", "--horizon", "5000", "--reps", "2"],
+    "munoz15_simulate_seed7_h5000.csv": [
+        "simulate", "--seed", "7", "--horizon", "5000", "--format", "csv"],
+    "munoz15_simulate_seed11_h500_round3_reps2.json": [
+        "simulate", "--seed", "11", "--horizon", "500", "--format", "json",
+        "--round", "3", "--reps", "2"],
     "lattice6_analyze.json": [
         "analyze", "--format", "json",
         "--network", str(GOLDEN / "lattice6_network.json")],
@@ -104,6 +109,10 @@ SIM_CASES = {
     "events_3000_reps2": dict(horizon=3000, unit="events", replications=2),
     "time_500_reps3": dict(horizon=500.0, replications=3),
     "events_2_half_warmup": dict(horizon=2, unit="events", warmup_fraction=0.5),
+    "time_6_reps2": dict(horizon=6.0, replications=2),  # one event
+    "time_12_reps2": dict(horizon=12.0, replications=2),  # eight events
+    "time_1850_reps2": dict(horizon=1850.0, replications=2),
+    "time_5e-324_reps2": dict(horizon=5e-324, replications=2),  # no event
 }
 
 
@@ -123,6 +132,10 @@ def test_simulator_runs_match_golden_bytes():
     document = sim_document()
     assert json.loads(document)["events_2_half_warmup"] == {
         "InputError": "simulation horizon must be positive, got 2"}
+    # a window that holds no event finds every node empty throughout
+    tiny = json.loads(document)["time_5e-324_reps2"]
+    assert tiny["events"] == 0 and tiny["duration"] == 1e-323
+    assert {node["occupancy"][0] for node in tiny["nodes"]} == {1.0}
     assert document.encode("utf-8") == (GOLDEN / "sim_event_units.json").read_bytes()
 
 
@@ -130,6 +143,7 @@ def test_simulator_runs_match_golden_bytes():
 SELF_LOOP_CASES = {
     "time_500": dict(horizon=500.0),
     "events_3000_reps2": dict(horizon=3000, unit="events", replications=2),
+    "time_1000_reps2": dict(horizon=1000.0, replications=2),
 }
 
 
@@ -153,6 +167,8 @@ HEAVY_HEX_CASES = {
     "time_400": dict(horizon=400.0),
     "events_4000_half_warmup": dict(horizon=4000, unit="events", warmup_fraction=0.5),
     "time_300_reps2_no_warmup": dict(horizon=300.0, replications=2, warmup_fraction=0.0),
+    "time_130_reps2": dict(horizon=130.0, replications=2),
+    "time_300_reps2": dict(horizon=300.0, replications=2),
 }
 
 
@@ -177,6 +193,7 @@ FUNNEL_CASES = {
     "time_400": dict(horizon=400.0),
     "events_3000_reps2": dict(horizon=3000, unit="events", replications=2,
                               warmup_fraction=0.1),
+    "time_800_reps2": dict(horizon=800.0, replications=2),
 }
 
 
