@@ -28,7 +28,7 @@ from .layout import munoz15_fixture
 from .metrics import NetworkMetrics, network_metrics
 from .model import KIND_CODES, NetworkSpec, NodeKind, parse_network, serialize_network
 from .pfqn import AnalysisAssumptions, NetworkAnalysis, analyze_network
-from .sim import SimConfig, SimResult, simulate_blocking_network
+from .sim import WARMUP_FRACTION, SimConfig, SimResult, simulate_blocking_network
 from .traffic import total_external_rate
 
 SEED_ENV = "QNSWAP_SEED"
@@ -259,7 +259,9 @@ def _analyze_output(analysis: NetworkAnalysis, fmt: str, digits: int | None,
 def _simulate_output(result: SimResult, config: SimConfig, fmt: str,
                      digits: int | None) -> str:
     if fmt == "json":
-        doc = {"config": asdict(config), "result": result.to_jsonable()}
+        # the document keeps the simulator's fixed unit and warm-up as keys
+        doc = {"config": {**asdict(config), "unit": "time", "warmup_fraction": WARMUP_FRACTION},
+               "result": result.to_jsonable()}
         return json.dumps(_round_floats(doc, digits), sort_keys=True, indent=2) + "\n"
 
     if fmt == "csv":
@@ -353,7 +355,6 @@ def _dispatch(args: argparse.Namespace) -> str:
         config = SimConfig(
             seed=_resolve_seed(args.seed),
             horizon=args.horizon,
-            unit="time",
             replications=args.reps,
         )
         result = simulate_blocking_network(spec, config)

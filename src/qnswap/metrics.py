@@ -12,8 +12,8 @@ population sum is carried separately as ``total_jobs``.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import asdict, dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -90,9 +90,14 @@ def swap_depth_report(net: NetworkMetrics, observed_depth: float,
     flags whether the prediction lands inside it.
 
     Raises:
-        InputError: hop bounds out of order, or a depth below 1 or that ``model._finite`` rejects.
+        InputError: hop bounds that are no pair of integers by the node-id rule
+            of ``model._node_keys`` (a bool is none) or are out of order, or a
+            depth below 1 or that ``model._finite`` rejects.
     """
-    lo, hi = hop_bounds
+    bounds = _node_keys(list(hop_bounds), pair=False) if isinstance(hop_bounds, Iterable) else None
+    if bounds is None or len(bounds) != 2:
+        raise InputError(f"hop bounds must be a pair of integers, got {_shown(hop_bounds)}")
+    lo, hi = bounds
     if lo > hi:
         raise InputError(f"hop bounds out of order: {lo} > {hi}")
     depth = _finite(observed_depth, "observed depth", AT_LEAST_ONE)
@@ -103,6 +108,6 @@ def swap_depth_report(net: NetworkMetrics, observed_depth: float,
         observed_depth=depth,
         absolute_gap=gap,
         relative_gap=gap / depth,
-        hop_bounds=(int(lo), int(hi)),
+        hop_bounds=(lo, hi),
         within_hop_bounds=lo <= predicted <= hi,
     )

@@ -3,9 +3,9 @@
 ``simulate_blocking_network`` runs the whole network with
 blocking-after-service semantics and reports per-node occupancy, blocking,
 drops, and source-to-sink response times.  It builds the node and routing
-tables and the stop rule once per call; each replication is one
-``_replicate`` call over them that returns its totals, and the totals are
-added up in replication order.
+tables once per call; each replication is one ``_replicate`` call over
+them that returns its totals, and the totals are added up in replication
+order.
 
 Blocking semantics: a job finishing service samples its destination from the
 routing row.  If the sampled target is full but another routable target has
@@ -23,12 +23,12 @@ pick; that job moves into the slot, and the cascade goes on from its own.
 
 State and window: each node holds its jobs in one first-in-first-out
 deque whose head is the job on the server, so a node is idle exactly when
-its deque is empty.  Statistics cover a measuring window that follows a
-warm-up of ``warmup_fraction`` of the horizon (time units) or of the
-events (event units, where the window opens at the time of the first
-event in it).  The event loop runs the warm-up and the window as two
-passes of one loop body and restarts the statistics once between them;
-response times count only jobs that entered in the window.
+its deque is empty.  A run lasts ``horizon`` units of model time.
+Statistics cover the measuring window that follows a warm-up of
+``WARMUP_FRACTION`` of the horizon.  The event loop runs the warm-up and
+the window as two passes of one loop body and restarts the statistics
+once between them; response times count only jobs that entered in the
+window.
 
 What it does not model: the simulator runs the routing as given.  It ignores
 ``known_arrival_rates`` (the pins the analytic pipeline substitutes for
@@ -66,9 +66,9 @@ import numpy as np
 from .errors import InputError, NumericsError
 from .model import NetworkSpec, _finite, _shown
 
-# Range rules for ``model._finite``; NaN fails both tests.
+# Range rule for ``model._finite``; NaN fails it.
 HORIZON = (lambda x: 0.0 < x < math.inf, " must be positive and finite, got {}")
-WARMUP = (lambda x: 0.0 <= x <= 0.5, " must be in [0, 0.5], got {}")
+WARMUP_FRACTION = 0.2  # leading share of the horizon left out of every statistic
 
 
 @dataclass(frozen=True)
@@ -77,23 +77,17 @@ class SimConfig:
 
     Args:
         seed: root seed; replication r uses the substream (seed, r).
-        horizon: run length, in model time units or in events depending on
-            ``unit``; positive and finite.
-        unit: "time" or "events".
+        horizon: run length in model time units; positive and finite.
         replications: independent replications to merge.
-        warmup_fraction: leading fraction of the horizon excluded from all
-            time-averaged statistics.
 
     Raises:
         InputError: any field of the wrong type or out of its range; the
-            horizon and the warmup fraction go through ``model._finite``.
+            horizon goes through ``model._finite``.
     """
 
     seed: int
     horizon: float
-    unit: str = "time"
     replications: int = 1
-    warmup_fraction: float = 0.2
 
     def __post_init__(self):
         if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
@@ -101,15 +95,10 @@ class SimConfig:
         if isinstance(self.horizon, bool) or not isinstance(self.horizon, Real):
             raise InputError(f"simulation horizon must be a number, got {_shown(self.horizon)}")
         _finite(self.horizon, "simulation horizon", HORIZON)
-        if not isinstance(self.unit, str) or self.unit not in ("time", "events"):
-            raise InputError(f"unit must be 'time' or 'events', got {_shown(self.unit)}")
         if (isinstance(self.replications, bool) or not isinstance(self.replications, int)
                 or self.replications < 1):
             raise InputError(
                 f"replications must be a positive integer, got {_shown(self.replications)}")
-        if isinstance(self.warmup_fraction, bool) or not isinstance(self.warmup_fraction, Real):
-            raise InputError("warmup_fraction" + WARMUP[1].format(_shown(self.warmup_fraction)))
-        _finite(self.warmup_fraction, "warmup_fraction", WARMUP)
 
 
 @dataclass(frozen=True)
@@ -202,19 +191,14 @@ def _stuck_nodes(k: int, tgt: list, blocked: list) -> list[int] | None:
 # -- full network -------------------------------------------------------------
 
 def _replicate(ids: list, cap: list, mu: list, rate: list, tgt: list, cum: list,
-               rng, budget: int, stop: float, warm: int, t_warm: float) -> tuple:
+               rng, stop: float, t_warm: float) -> tuple:
     """One replication of the blocking network; returns its totals.
 
     ``ids``, ``cap``, ``mu`` and ``rate`` hold the node columns, ``tgt`` and
     ``cum`` each node's routing targets in id order and their cumulative
-    probabilities.  The run stops at its event budget (event units) or at
-    the first event past its stop time (time units); the other bound is
-    ``sys.maxsize`` events or infinite time.  The measuring window opens
-    before event number ``warm`` or before the first event at
-    ``time >= t_warm``, whichever comes first, at ``t_warm`` or at that
-    event's time, whichever is earlier.  Event units pass ``t_warm``
-    infinite, or 0 when the window is open from the start; time units pass
-    ``warm`` as ``sys.maxsize``.
+    probabilities.  The run ends at time ``stop``, before its first event
+    past it.  The measuring window is ``[t_warm, stop]``: it opens before
+    the first event at ``time >= t_warm``.
 
     The event loop has every handler inlined on flat per-node lists and
     runs in two passes: the warm-up, then the window.  Between them the
@@ -272,19 +256,15 @@ def _replicate(ids: list, cap: list, mu: list, rate: list, tgt: list, cum: list,
     resp_n = hop_sum = 0
     resp_sum = resp_sq = 0.0
     events = 0
-    time = 0.0
     ev = None
     # the warm-up pass ends before the first event at time >= t_warm
-    for lim, t_lim, win in ((warm, math.nextafter(t_warm, -math.inf), False),
-                            (budget, stop, True)):
-        if win:  # open the window before its first event
-            ev = pushpop(heap, ev) if ev else pop(heap)
-            t_open = min(t_warm, ev[0])
+    for t_lim, win in ((math.nextafter(t_warm, -math.inf), False), (stop, True)):
+        if win:  # open the window at t_warm
             occ = [[0.0] * (c + 1) for c in cap]
             blocked_t = [0.0] * n
-            last = [t_open] * n
+            last = [t_warm] * n
             arrivals_0, dropped_0 = arrivals, dropped
-        for events in range(events, lim):  # events handled so far
+        for events in range(events, sys.maxsize):  # events handled so far
             time, s, code = pushpop(heap, ev) if ev else pop(heap)
             if time > t_lim:
                 ev = (time, s, code)
@@ -397,19 +377,15 @@ def _replicate(ids: list, cap: list, mu: list, rate: list, tgt: list, cum: list,
                 occ[k][ck] += dt
                 blocked_t[k] += dt
                 last[k] = time
-        else:
-            events = lim
 
-    if stop < math.inf:  # a time-unit run ends at its horizon
-        time = stop
     for k in range(n):
-        dt = time - last[k]
+        dt = stop - last[k]
         occ[k][cnt[k]] += dt
         if blk[k]:
             blocked_t[k] += dt
     in_flight = sum(map(len, queue))
     _check_conservation(in_flight, arrivals, completed, dropped)
-    return (events, time - t_open, occ, blocked_t, arrivals, completed, dropped, in_flight,
+    return (events, stop - t_warm, occ, blocked_t, arrivals, completed, dropped, in_flight,
             arrivals - arrivals_0, dropped - dropped_0, resp_n, resp_sum, resp_sq, hop_sum)
 
 
@@ -432,29 +408,14 @@ def simulate_blocking_network(spec: NetworkSpec, config: SimConfig) -> SimResult
     tgt = [cols[a:b].tolist() for a, b in zip(bounds, bounds[1:])]
     cum = [np.add.accumulate(probs[a:b]).tolist() for a, b in zip(bounds, bounds[1:])]
 
-    horizon, warmup = config.horizon, config.warmup_fraction
-    if config.unit == "events":
-        budget, stop = int(round(horizon)), math.inf
-        if budget < 1:
-            raise InputError(f"simulation horizon must be positive, got {horizon!r}")
-        # the window opens at the time of event number warm, or at 0 when
-        # it is open from the start
-        warm = int(budget * warmup)
-        t_warm = math.inf if warm else 0.0
-    else:
-        budget, stop, warm, t_warm = sys.maxsize, horizon, sys.maxsize, warmup * horizon
-
-    runs = [_replicate(ids, caps, mu, rate, tgt, cum, _rep_rng(config.seed, rep),
-                       budget, stop, warm, t_warm)
+    stop = config.horizon
+    t_warm = WARMUP_FRACTION * stop
+    runs = [_replicate(ids, caps, mu, rate, tgt, cum, _rep_rng(config.seed, rep), stop, t_warm)
             for rep in range(config.replications)]
     (events, windows, occ_time, blocked_t, arrivals, completed, dropped, in_flight,
      arrivals_w, dropped_w, resp_n, resp_sum, resp_sq, hop_sum) = zip(*runs)
 
-    window = sum(windows)
-    if window <= 0:
-        raise InputError(
-            f"simulation horizon must be positive, got {config.horizon!r}")
-
+    window = sum(windows)  # positive: the warm-up is a fraction of a positive horizon
     nodes = []
     mean_jobs_total = 0.0
     for k, (i, cap) in enumerate(zip(ids, caps)):

@@ -40,7 +40,6 @@ from qnswap import (
     NumericsError,
     ParseError,
     SchemaError,
-    SimConfig,
     blocking_node_closed_form,
     ctmc,
     mm1k_full_probability,
@@ -317,6 +316,22 @@ def joint_probability(
 # -- single-chain trajectories ------------------------------------------------
 
 @dataclass(frozen=True)
+class ChainConfig:
+    """Run parameters of the trajectory sampler.
+
+    ``horizon`` counts model time, or events when ``unit`` is "events"; the
+    leading ``warmup_fraction`` of it is left out of the occupancy.
+    Replication r draws from the substream (seed, r).
+    """
+
+    seed: int
+    horizon: float
+    unit: str = "time"
+    replications: int = 1
+    warmup_fraction: float = 0.2
+
+
+@dataclass(frozen=True)
 class ChainRun:
     """Empirical state occupancy of a simulated chain, merged over replications."""
 
@@ -422,7 +437,7 @@ def _ctmc_rep(gen: Generator, rng, unit: str, horizon: float,
     return occ, window, events
 
 
-def simulate_ctmc(gen: Generator, config: SimConfig) -> ChainRun:
+def simulate_ctmc(gen: Generator, config: ChainConfig) -> ChainRun:
     """Empirical state occupancy of an irreducible chain.
 
     Replication r draws from the substream (seed, r), as replication r of the

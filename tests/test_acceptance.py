@@ -33,6 +33,7 @@ from oracle import (
     BLOCKING_STATES,
     EMPTY,
     SERVING,
+    ChainConfig,
     blocking_node_chain,
     fixed_point_traffic,
     joint_probability,
@@ -165,12 +166,12 @@ def test_criterion_6_product_form_normalization(capsys, fixture_spec):
 def test_criterion_7_simulator_vs_analytics(capsys):
     t0 = time.perf_counter()
     gen = blocking_node_chain(0.94, 1.0, 0.136, 0.5)
-    res = simulate_ctmc(gen, SimConfig(seed=0, horizon=1e6, unit="events"))
+    res = simulate_ctmc(gen, ChainConfig(seed=0, horizon=1e6, unit="events"))
     dev_a = max(abs(g - w) for g, w in zip(res.occupancy, _expected.NODE1_OCCUPANCY))
 
     queue = simulate_blocking_network(
         single_queue_spec(0.7, capacity=3),
-        SimConfig(seed=5, horizon=1e6, unit="events"))
+        SimConfig(seed=5, horizon=8e5))  # about 1.04 million events
     want = mm1k_distribution(0.7, 3).probabilities
     dev_b = max(abs(g - w) for g, w in zip(queue.nodes[0].occupancy, want))
     elapsed = time.perf_counter() - t0

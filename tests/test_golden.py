@@ -6,19 +6,21 @@ LAPACK, and the emitted fixture document before network specs were checked
 on construction; the ``--subset``, ``--round 3`` and 6x6 lattice outputs
 before the analysis became one pass over node columns; the ``--round 4``
 JSON before the analyze JSON was printed from columns; the ``--subset``
-table and CSV before those writers read the analysis columns; the event-unit
-simulator runs, which the CLI cannot select, before the simulator read the
-spec's columns; the self-loop simulator runs before the simulator became
-one flat event loop; the heavy-hex simulator runs, whose blocked-job
-cascades the other files barely reach, before the event loop opened its
-measuring window once and fetched each next event with one heap sift; the
-funnel simulator runs, where up to three blocked jobs wait on one slot,
-before blocked jobs were released from per-target waiting lists; the
-default ``simulate`` tables, the README's example at seed 7, before the
-CLI's error handling was narrowed to the package's own error families.  Any
-refactor that changes a printed byte of these outputs shows up here.
-Regenerate them only for a deliberate change of output, and record that
-change.
+table and CSV before those writers read the analysis columns; the munoz15
+simulator run with three replications, which the CLI cannot select, before
+the simulator read the spec's columns; the self-loop simulator runs before
+the simulator became one flat event loop; the heavy-hex simulator runs,
+whose blocked-job cascades the other files barely reach, before the event
+loop opened its measuring window once and fetched each next event with one
+heap sift; the funnel simulator runs, where up to three blocked jobs wait
+on one slot, before blocked jobs were released from per-target waiting
+lists; the default ``simulate`` tables, the README's example at seed 7,
+before the CLI's error handling was narrowed to the package's own error
+families; the two-replication runs of every simulator file, the
+``simulate`` CSV and the rounded two-replication JSON before the simulator
+lost its event-unit stop rule and warm-up setting.  Any refactor that
+changes a printed byte of these outputs shows up here.  Regenerate them
+only for a deliberate change of output, and record that change.
 
 A case runs on the munoz15 document unless its arguments name a network.
 """
@@ -29,7 +31,6 @@ from pathlib import Path
 import pytest
 
 from qnswap import (
-    InputError,
     SimConfig,
     build_lattice_network,
     cli,
@@ -101,14 +102,9 @@ def test_output_matches_golden_bytes(name, munoz15_file, capsys, monkeypatch):
     assert captured.out.encode("utf-8") == (GOLDEN / name).read_bytes()
 
 
-# munoz15 simulator runs at seed 11, by SimConfig arguments; the last one
-# leaves an empty measuring window and records the error message.
+# munoz15 simulator runs at seed 11, by SimConfig arguments
 SIM_CASES = {
-    "events_1": dict(horizon=1, unit="events"),
-    "events_7_no_warmup": dict(horizon=7, unit="events", warmup_fraction=0.0),
-    "events_3000_reps2": dict(horizon=3000, unit="events", replications=2),
     "time_500_reps3": dict(horizon=500.0, replications=3),
-    "events_2_half_warmup": dict(horizon=2, unit="events", warmup_fraction=0.5),
     "time_6_reps2": dict(horizon=6.0, replications=2),  # one event
     "time_12_reps2": dict(horizon=12.0, replications=2),  # eight events
     "time_1850_reps2": dict(horizon=1850.0, replications=2),
@@ -117,32 +113,23 @@ SIM_CASES = {
 
 
 def sim_document() -> str:
-    out = {}
-    for name, kwargs in SIM_CASES.items():
-        try:
-            result = simulate_blocking_network(munoz15_fixture(), SimConfig(seed=11, **kwargs))
-        except InputError as e:
-            out[name] = {"InputError": str(e)}
-        else:
-            out[name] = result.to_jsonable()
+    out = {name: simulate_blocking_network(munoz15_fixture(), SimConfig(seed=11, **kwargs))
+           .to_jsonable() for name, kwargs in SIM_CASES.items()}
     return json.dumps(out, indent=2, sort_keys=True) + "\n"
 
 
 def test_simulator_runs_match_golden_bytes():
     document = sim_document()
-    assert json.loads(document)["events_2_half_warmup"] == {
-        "InputError": "simulation horizon must be positive, got 2"}
     # a window that holds no event finds every node empty throughout
     tiny = json.loads(document)["time_5e-324_reps2"]
     assert tiny["events"] == 0 and tiny["duration"] == 1e-323
     assert {node["occupancy"][0] for node in tiny["nodes"]} == {1.0}
-    assert document.encode("utf-8") == (GOLDEN / "sim_event_units.json").read_bytes()
+    assert document.encode("utf-8") == (GOLDEN / "sim_time_units.json").read_bytes()
 
 
 # a node that routes to itself re-queues behind its own buffer; seed 11
 SELF_LOOP_CASES = {
     "time_500": dict(horizon=500.0),
-    "events_3000_reps2": dict(horizon=3000, unit="events", replications=2),
     "time_1000_reps2": dict(horizon=1000.0, replications=2),
 }
 
@@ -165,8 +152,6 @@ def test_self_loop_runs_match_golden_bytes():
 # on average) and drops jobs, so the release cascade is pinned; seed 11
 HEAVY_HEX_CASES = {
     "time_400": dict(horizon=400.0),
-    "events_4000_half_warmup": dict(horizon=4000, unit="events", warmup_fraction=0.5),
-    "time_300_reps2_no_warmup": dict(horizon=300.0, replications=2, warmup_fraction=0.0),
     "time_130_reps2": dict(horizon=130.0, replications=2),
     "time_300_reps2": dict(horizon=300.0, replications=2),
 }
@@ -191,8 +176,6 @@ def test_heavy_hex_runs_match_golden_bytes():
 # so each release picks among several blocked jobs; seed 11
 FUNNEL_CASES = {
     "time_400": dict(horizon=400.0),
-    "events_3000_reps2": dict(horizon=3000, unit="events", replications=2,
-                              warmup_fraction=0.1),
     "time_800_reps2": dict(horizon=800.0, replications=2),
 }
 

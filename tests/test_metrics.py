@@ -158,6 +158,10 @@ class TestSwapDepthReport:
             swap_depth_report(self.net(), observed_depth=0.5, hop_bounds=(3, 5))
         with pytest.raises(InputError, match="out of order"):
             swap_depth_report(self.net(), observed_depth=4.0, hop_bounds=(5, 3))
+        # these leaked a bare ValueError and TypeError, or read True as 1
+        for bounds in ((3,), ("a", 1), (True, 5)):
+            with pytest.raises(InputError, match=r"^hop bounds must be a pair of integers, got \("):
+                swap_depth_report(self.net(), observed_depth=4.0, hop_bounds=bounds)
 
     @pytest.mark.parametrize("depth, fault", [
         (math.nan, "must be at least 1 and finite, got nan"),
