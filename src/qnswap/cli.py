@@ -21,7 +21,7 @@ import math
 import os
 import sys
 from dataclasses import asdict
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 
 from .errors import InputError, NumericsError
 from .layout import munoz15_fixture
@@ -177,21 +177,20 @@ _ANALYZE_JSON_NODE = """    {
 _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _json_floats(values: list[float], digits: int | None) -> list[str]:
-    """Each float as json.dumps writes it, after ``round(v, digits)`` if given."""
+def _json_floats(values: list[float], digits: int | None) -> list:
+    """The values for the ``%s`` of a JSON template, after ``round(v, digits)``
+    if given.  ``%s`` prints a float as json.dumps does, by its ``repr``, so
+    only a list holding a non-finite value is turned into JSON's text."""
     if digits is not None:
         values = list(map(round, values, repeat(digits)))
-    text = list(map(float.__repr__, values))
-    if not all(map(math.isfinite, values)):
-        text = [_JSON_NON_FINITE.get(t, t) for t in text]
-    return text
+    if not math.isfinite(sum(values)):  # an overflowing sum maps nothing
+        values = [_JSON_NON_FINITE.get(t, t) for t in map(repr, values)]
+    return values
 
 
-def _json_array(items: list[str], closing_indent: str) -> str:
-    """A JSON array of items already formatted and indented, one per line."""
-    if not items:
-        return "[]"
-    return "[\n" + ",\n".join(items) + "\n" + closing_indent + "]"
+def _json_array(body: str, closing_indent: str) -> str:
+    """A JSON array of items already formatted, indented and joined by ",\\n"."""
+    return "[\n" + body + "\n" + closing_indent + "]" if body else "[]"
 
 
 def _analyze_json(assumptions: AnalysisAssumptions, net: NetworkMetrics,
@@ -203,18 +202,19 @@ def _analyze_json(assumptions: AnalysisAssumptions, net: NetworkMetrics,
     ``ids``.  The output is byte for byte what ``json.dumps(doc,
     sort_keys=True, indent=2)`` gives for the document with the
     assumptions, one object per node and the fields of ``net``, after every
-    float went through ``round(v, digits)``.
+    float went through ``round(v, digits)``.  One template holds every node.
     """
-    text = [_json_floats(columns[name], digits) for name in _JSON_COLUMNS]
-    text.insert(3, list(map(str, ids)))
-    nodes = list(map(_ANALYZE_JSON_NODE.__mod__, zip(*text)))
+    values = [_json_floats(columns[name], digits) for name in _JSON_COLUMNS]
+    values.insert(3, ids)
+    nodes = ",\n".join(repeat(_ANALYZE_JSON_NODE, len(ids))) % tuple(
+        chain.from_iterable(zip(*values)))
 
     override = assumptions.blocking_probability_override
     override = "null" if override is None else _json_floats([override], digits)[0]
     rho_one = "true" if assumptions.rho_one else "false"
     network = _json_floats([net.external_rate, net.mean_jobs, net.mean_response_time,
                             net.total_jobs], digits)
-    members = _json_array(["      %d" % i for i in net.nodes], "    ")
+    members = _json_array(",\n".join(["      %d" % i for i in net.nodes]), "    ")
     return _ANALYZE_JSON % (override, rho_one, *network[:3], members, network[3],
                             _json_array(nodes, "  "))
 
@@ -235,8 +235,8 @@ def _analyze_output(analysis: NetworkAnalysis, fmt: str, digits: int | None,
     if fmt == "json":
         return _analyze_json(analysis.assumptions, net, ids, columns, digits)
 
-    text = [list(map(str, ids))] + [[_fmt(v, digits) for v in columns[name]]
-                                    for name in _TEXT_COLUMNS]
+    form = repeat(".6g" if digits is None else f".{digits}f")  # _fmt of each float
+    text = [list(map(str, ids))] + [list(map(format, columns[n], form)) for n in _TEXT_COLUMNS]
     rows = list(zip(*text))
     if fmt == "csv":
         lines = ["node," + ",".join(_TEXT_COLUMNS)]

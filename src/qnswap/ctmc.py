@@ -13,9 +13,9 @@ Pb because its target is full, clearing at the unblock rate.  The finite
 M/M/1/K queue supplies the probability that a neighbor is full, which is
 where Pb comes from in the first place.
 
-Both are closed forms.  The test suite checks them against a general
-balance-equation solver and a trajectory sampler, reference implementations
-kept in ``tests/oracle.py``.
+Both are closed forms that take scalars or arrays, elementwise.  The tests
+check them against a balance-equation solver, a trajectory sampler and a
+scalar P_full, reference implementations kept in ``tests/oracle.py``.
 """
 
 from __future__ import annotations
@@ -93,27 +93,41 @@ def blocking_node_closed_form(
     return NodeMarginal(*probs)
 
 
-def mm1k_full_probability(rho: float, capacity: int) -> float:
+def mm1k_full_probability(rho: float | np.ndarray,
+                          capacity: int | np.ndarray) -> float | np.ndarray:
     """Probability that an M/M/1/K queue with utilization rho is full.
 
         rho^K * (1 - rho) / (1 - rho^(K+1)),  ->  1/(K+1) as rho -> 1
 
-    The limit branch is taken when ``|rho - 1| <= 1e-9``; an infinite rho
-    is the queue that is always full (1.0).
+    The limit branch is taken when ``|rho - 1| <= 1e-9``, the overflow-free form
+    in ``1/rho`` above 1; an infinite rho is always full (1.0).  Elementwise, as
+    ``blocking_node_closed_form``, with a scalar call's bits: K + 1 exact, Python's pow.
 
     Raises:
         InputError: a capacity that is a bool, no int, or below 1; rho that
             ``model._finite`` rejects, NaN reported as out of range; an
             infinite rho passes.
     """
-    if isinstance(capacity, bool) or not isinstance(capacity, int) or capacity < 1:
-        raise InputError(f"capacity must be a positive integer, got {_shown(capacity)}")
-    if rho != math.inf:
-        rho = _finite(rho, "utilization", UTILIZATION)
-    if abs(rho - 1.0) <= RHO_ONE_TOL:
-        return 1.0 / (capacity + 1)
-    if rho > 1.0:
-        # Reciprocal form; algebraically identical, no overflow in rho**K.
-        r = 1.0 / rho
-        return (1.0 - r) / (1.0 - r ** (capacity + 1))
-    return rho ** capacity * (1.0 - rho) / (1.0 - rho ** (capacity + 1))
+    exact = isinstance(capacity, np.ndarray) and capacity.dtype.kind == "i"  # K + 1 in uint64
+    k = capacity if exact else np.asarray(capacity, dtype=object)
+    x = np.asarray(_finite_column(rho))  # NaN marks each rho _finite rejects
+    x[np.asarray(rho, dtype=object) == math.inf] = math.inf  # no fault: always full
+    plain = exact or set(map(type, k.flat)) <= {int}  # another type flags every element
+    ok = (k >= 1 if plain else np.zeros(k.shape, bool)) & (x >= 0.0)
+    for j in [] if ok.all() else (~ok).ravel().nonzero()[0].tolist():  # in order
+        r, c = (np.broadcast_to(np.asarray(a, dtype=object), ok.shape).ravel()[j]
+                for a in (rho, capacity))
+        if isinstance(c, bool) or not isinstance(c, int) or c < 1:
+            raise InputError(f"capacity must be a positive integer, got {_shown(c)}")
+        if r != math.inf:
+            _finite(r, "utilization", UTILIZATION)
+    x, k = np.broadcast_arrays(x, k) if x.shape != k.shape else (x, k)
+    full = np.asarray(1.0 / ((k.astype(np.uint64) if exact else k) + 1), dtype=float)  # the limit
+    far = abs(x - 1.0) > RHO_ONE_TOL
+    if far.any():  # head: rho^K, or 1.0 above 1, where the form in 1/rho has none
+        ks, x = k[far].tolist(), x[far]
+        head = np.array(list(map(pow, np.minimum(x, 1.0).tolist(), ks)))
+        r = np.minimum(x, 1.0 / np.maximum(x, 1.0))  # rho, or 1/rho above 1
+        tail = np.array(list(map(pow, r.tolist(), [c + 1 for c in ks])))
+        full[far] = head * (1.0 - r) / (1.0 - tail)
+    return float(full) if full.ndim == 0 else full

@@ -33,17 +33,19 @@ per node field, in id order) and ``NetworkSpec.routing_triplets`` (rows,
 columns and probabilities of the positive routing entries, over node
 positions).
 
-Validation runs column by column.  Every number goes through one value
-rule, ``_finite`` (its column form for a whole field).  The parser reads each
-section as one list per field and checks whole lists: the set of key layouts
-of the objects, the set of value types of a field, the value rule per rate
-field, and repeated keys by set size.  A ``NetworkSpec`` builds its columns
-once and runs each structural rule as one array expression over them, in a
-fixed rule order.  A failing column only flags items: the flagged items go,
-in document order (parser) or id order (spec), through the per-item check
-that owns the error text, and the first one it rejects raises.  So an error
-names the same item with the same message as a check run one item at a
-time, and a valid document costs a few passes per column.
+Validation runs column by column; the parser and library callers share the
+one ``NetworkSpec`` check.  Every number goes through one value rule,
+``_finite`` (its column form for a whole field).  The parser reads each
+section as one list per field and checks whole lists: the objects' keys, the
+set of value types of a field, the value rule per rate field, and repeated
+keys by set size.  A ``NetworkSpec`` flattens each mapping's keys into one
+int64 array, tests their order with one array comparison, finds node
+positions by ``searchsorted`` on the sorted id column, and runs each
+structural rule as one array expression, in a fixed rule order.  A failing
+column only flags items: the flagged items go, in document order (parser) or
+id order (spec), through the per-item check that owns the error text, and
+the first one it rejects raises.  So an error names the same item with the
+same message as a check run one item at a time.
 """
 
 from __future__ import annotations
@@ -181,38 +183,43 @@ def _node_keys(keys: list, pair: bool) -> list | None:
     return nodes if nodes == keys and {bool, np.bool_}.isdisjoint(map(type, ids)) else None
 
 
-def _canonical(entries: Mapping, what: str, pair: bool) -> dict:
-    """A fresh copy of a rate mapping, or with ``pair`` of the routing, with
-    int keys in order and float values.  InputError names the first entry whose
-    key is no node id (``pair``: no pair of them) or value ``_finite`` rejects."""
+def _canonical(entries: Mapping, what: str, pair: bool) -> tuple[dict, np.ndarray, np.ndarray]:
+    """A fresh copy of a rate mapping (``pair``: the routing) with int keys in
+    order and float values, its keys as int64 (``pair``: from and to alternating;
+    0 past int64) and its values as arrays.  InputError names the first entry
+    whose key is no node id (no pair of them) or value ``_finite`` rejects."""
     keys, values = list(entries), list(entries.values())
-    # Entries already keyed by ints in order, with float values, as the
-    # parser builds them, need no rebuilding.
-    if ((not pair or set(map(type, keys)) <= {tuple} and set(map(len, keys)) <= {2})
-            and set(map(type, chain.from_iterable(keys) if pair else keys)) <= {int}
-            and set(map(type, values)) <= {float} and keys == sorted(keys)):
-        return dict(entries)
+    pairs = not pair or set(map(type, keys)) <= {tuple} and set(map(len, keys)) <= {2}
+    ids = list(chain.from_iterable(keys)) if pair and pairs else keys
+    # Entries keyed by ints in order, with float values, as the parser builds
+    # them, need no rebuilding; one lexicographic array test checks the order.
+    if pairs and set(map(type, ids)) <= {int} and set(map(type, values)) <= {float}:
+        with suppress(OverflowError):  # a key past int64 takes the rebuild below
+            at = np.array(ids, dtype=np.int64)
+            first = at[0::2] if pair else at
+            later = first[1:] > first[:-1]
+            if pair:  # where the from ids are equal, the to ids decide
+                later |= (first[1:] == first[:-1]) & (at[3::2] > at[1:-1:2])
+            if later.all():
+                return dict(entries), at, np.fromiter(values, float, len(values))
     nodes = _node_keys(keys, pair)
-    if nodes is None or np.isnan(_finite_column(values, text=True)).any():
+    if nodes is None or not set(map(type, values)) <= {float}:
         shape = "a (from, to) pair of integer node ids" if pair else "an integer node id"
         for key, value in zip(keys, values):
             if nodes is None and _node_keys([key], pair) is None:
                 raise InputError(f"{what} {_shown(key)}: key must be {shape}")
             if not isinstance(value, float):  # a float, even NaN, is left to the rate checks
                 _finite(value, f"{what} {_shown(key)}", text=True)
-    return dict(sorted(zip(nodes, map(float, values)), key=itemgetter(0)))
+    table = dict(sorted(zip(nodes, map(float, values)), key=itemgetter(0)))
+    at = [i if abs(i) <= INT64_MAX else 0 for i in (chain.from_iterable(table) if pair else table)]
+    return table, np.array(at, dtype=np.int64), np.array(list(table.values()))
 
 
-def _positions(index: dict[int, int],
-               rates: Mapping[int, float]) -> tuple[np.ndarray, np.ndarray]:
-    """Node positions (-1 for an unknown id) and ``_finite_column`` values of a rate map."""
-    at = np.fromiter(map(index.get, rates, repeat(-1)), dtype=np.intp, count=len(rates))
-    return at, np.array(_finite_column(list(rates.values())))
-
-
-def _read_only(*arrays: np.ndarray) -> None:
-    for a in arrays:
-        a.flags.writeable = False
+def _positions(ids: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """The position of each key in the sorted id column, -1 for a key no node has."""
+    at = np.minimum(ids.searchsorted(keys), len(ids) - 1)
+    at[ids[at] != keys] = -1
+    return at
 
 
 def _adjacency(n: int, src: np.ndarray, dst: np.ndarray) -> list[list[int]]:
@@ -299,13 +306,14 @@ class NetworkSpec:
                     raise InputError(f"node id {_shown(i)} must be below 2**63")
         object.__setattr__(self, "nodes",
                            tuple(sorted(self.nodes, key=attrgetter("id"))))
-        object.__setattr__(self, "routing", MappingProxyType(
-            _canonical(self.routing, "routing entry", pair=True)))
-        object.__setattr__(self, "external_arrivals", MappingProxyType(
-            _canonical(self.external_arrivals, "external arrival", pair=False)))
-        if self.known_arrival_rates is not None:
-            object.__setattr__(self, "known_arrival_rates", MappingProxyType(
-                _canonical(self.known_arrival_rates, "known arrival rate", pair=False)))
+        entries, ends, probs = _canonical(self.routing, "routing entry", True)
+        external, ext_ids, lam0 = _canonical(self.external_arrivals, "external arrival", False)
+        known = self.known_arrival_rates
+        if known is not None:
+            known, known_ids, known_rates = _canonical(known, "known arrival rate", False)
+            object.__setattr__(self, "known_arrival_rates", MappingProxyType(known))
+        object.__setattr__(self, "routing", MappingProxyType(entries))
+        object.__setattr__(self, "external_arrivals", MappingProxyType(external))
 
         if not self.nodes:
             raise InputError("network has no nodes")
@@ -316,8 +324,9 @@ class NetworkSpec:
         # capacity.  A capacity past int64 is flagged as 0.
         kind = np.array([KIND_CODES[k] if type(k) is NodeKind else -1 for k in kinds],
                         dtype=np.int8)
-        cap = np.array([c if isinstance(c, int) and type(c) is not bool and 0 < c <= INT64_MAX
-                        else 0 for c in caps], dtype=np.int64)
+        fits = set(map(type, caps)) <= {int} and 0 < min(caps) and max(caps) <= INT64_MAX
+        cap = np.array(caps if fits else [c if isinstance(c, int) and type(c) is not bool
+                                          and 0 < c <= INT64_MAX else 0 for c in caps], np.int64)
         id_col = np.array(ids, dtype=np.int64)
         repeated = np.concatenate(([False], id_col[1:] == id_col[:-1]))
         mu, mu_b = np.array(_finite_column(mu)), np.array(_finite_column(mu_b))
@@ -345,12 +354,8 @@ class NetworkSpec:
                 raise InputError(f"node {i} needs a positive unblock rate")
 
         index = dict(zip(ids, range(n)))
-        entries = self.routing
-        m = len(entries)
-        sources, targets = zip(*entries) if m else ((), ())
-        rows = np.fromiter(map(index.get, sources, repeat(-1)), dtype=np.intp, count=m)
-        cols = np.fromiter(map(index.get, targets, repeat(-1)), dtype=np.intp, count=m)
-        probs = np.fromiter(entries.values(), dtype=float, count=m)
+        ends = _positions(id_col, ends)
+        rows, cols = ends[0::2], ends[1::2]
         flagged = ((rows < 0) | (cols < 0) | ~((probs >= 0.0) & (probs <= 1.0))
                    | ((probs > 0.0) & sink[rows]))
         for i, j in compress(entries, flagged.tolist()):
@@ -367,14 +372,14 @@ class NetworkSpec:
         for i, total in compress(zip(ids, row_sum.tolist()),
                                  (row_sum > 1.0 + ROW_SUM_TOL).tolist()):
             raise InputError(f"routing probabilities out of node {_shown(i)} sum to {total!r} > 1")
-        exit_probability = np.clip(1.0 - row_sum, 0.0, 1.0)
+        exit_probability = np.maximum(1.0 - row_sum, 0.0)  # no row sum is negative
         # A zero entry routes nothing: the tables keep the positive entries only.
         used = probs > 0.0
         rows, cols, probs = rows[used], cols[used], probs[used]
 
-        external = self.external_arrivals
-        at, lam0 = _positions(index, external)
-        for i in compress(external, ((at < 0) | ~(lam0 >= 0.0) | sink[at]).tolist()):
+        at = _positions(id_col, ext_ids)
+        for i in compress(external, ((at < 0) | ~(np.isfinite(lam0) & (lam0 >= 0.0))
+                                     | sink[at]).tolist()):
             if i not in index:
                 raise InputError(f"external arrival references unknown node {_shown(i)}")
             _finite(external[i], f"external arrival rate at node {_shown(i)}", NONNEGATIVE)
@@ -383,16 +388,16 @@ class NetworkSpec:
         external_rate = np.zeros(n)
         external_rate[at] = lam0
 
-        known = self.known_arrival_rates
         known_rate = np.full(n, math.nan)  # pins are finite: NaN marks a free node
         if known is not None:
-            known_at, known_rates = _positions(index, known)
-            for i in compress(known, ((known_at < 0) | ~(known_rates >= 0.0)).tolist()):
+            known_at = _positions(id_col, known_ids)
+            faulty = (known_at < 0) | ~(np.isfinite(known_rates) & (known_rates >= 0.0))
+            for i in compress(known, faulty.tolist()):
                 if i not in index:
                     raise InputError(f"known arrival rate references unknown node {_shown(i)}")
                 _finite(known[i], f"known arrival rate at node {_shown(i)}", NONNEGATIVE)
             known_rate[known_at] = known_rates
-            missing = [i for i in compress(ids, inner.tolist()) if i not in known]
+            missing = id_col[inner & np.isnan(known_rate)].tolist()
             if missing:
                 raise InputError(
                     "known arrival rates must cover every intermediate node;"
@@ -413,7 +418,8 @@ class NetworkSpec:
 
         columns = NodeColumns(id_col, kind, cap, mu, mu_b, exit_probability,
                               external_rate, known_rate)
-        _read_only(*columns, rows, cols, probs)
+        for a in (*columns, rows, cols, probs):
+            a.flags.writeable = False
         object.__setattr__(self, "columns", columns)
         object.__setattr__(self, "routing_triplets", (rows, cols, probs))
 
@@ -535,32 +541,24 @@ def _raise_first_fault(items: list, path: str, check) -> NoReturn:
     raise AssertionError(f"{path}: the column check rejected items that pass one by one")
 
 
-def _ints(column: list) -> bool:
-    """Whether ``_as_int`` accepts every value (JSON gives exact types)."""
-    return set(map(type, column)) <= {int}
-
-
-def _rates(column: list) -> list[float] | None:
-    """``_as_rate`` of every value, or None if it rejects one."""
-    if not set(map(type, column)) <= {int, float, str}:
-        return None
-    values = _finite_column(column, text=True)
-    return None if math.isnan(sum(values)) else values  # the column holds no inf
-
-
 def _node_columns(items: list) -> tuple[list, ...] | None:
     """The NodeSpec fields of the node objects, one list each, or None if
     some object fails a document rule."""
-    layouts = set(map(tuple, items)) if set(map(type, items)) <= {dict} else None
-    if layouts is None or not all(set(_NODE_REQUIRED) <= set(keys) <= set(_NODE_KEYS)
-                                  for keys in layouts):
+    if not (set(map(type, items)) <= {dict} and set().union(*items) <= set(_NODE_KEYS)):
         return None
-    ids, kinds, capacity, mu = (list(map(itemgetter(k), items)) for k in _NODE_REQUIRED)
-    servers = [obj.get("servers", 1) for obj in items]
-    mu, mu_b = _rates(mu), _rates([obj.get("mu_b", 0.0) for obj in items])
+    try:  # with no unknown key, having the required ones is the whole key rule
+        ids, kinds, capacity, mu = (list(map(itemgetter(k), items)) for k in _NODE_REQUIRED)
+    except KeyError:
+        return None
+    servers = list(map(dict.get, items, repeat("servers"), repeat(1)))
+    mu_b = list(map(dict.get, items, repeat("mu_b"), repeat(0.0)))
+    # Rates are typed first: a column of equal-length lists would read as 2-D.
     if not (set(map(type, kinds)) <= {str} and set(kinds) <= _KINDS.keys()
-            and _ints(ids) and _ints(servers) and set(servers) <= {1}
-            and _ints(capacity) and mu is not None and mu_b is not None):
+            and set(map(type, chain(ids, servers, capacity))) <= {int} and set(servers) <= {1}
+            and set(map(type, chain(mu, mu_b))) <= {int, float, str}):
+        return None
+    mu, mu_b = _finite_column(mu, text=True), _finite_column(mu_b, text=True)
+    if math.isnan(sum(mu)) or math.isnan(sum(mu_b)):  # each column holds no inf
         return None
     return ids, list(map(_KINDS.__getitem__, kinds)), capacity, mu, mu_b
 
@@ -571,14 +569,14 @@ def _keyed_rates(items: list, keys: tuple[str, ...]) -> dict | None:
     if not (set(map(type, items)) <= {dict} and set(map(len, items)) <= {len(keys)}):
         return None
     try:  # with exactly len(keys) keys each, having all of them rules out others
-        fields = [list(map(itemgetter(k), items)) for k in keys]
+        *ids, rates = (list(map(itemgetter(k), items)) for k in keys)
     except KeyError:
         return None
-    rates = _rates(fields.pop())
-    if rates is None or not all(map(_ints, fields)):
+    if not (set(map(type, chain(*ids))) <= {int} and set(map(type, rates)) <= {int, float, str}):
         return None
-    table = dict(zip(zip(*fields) if len(fields) > 1 else fields[0], rates))
-    return table if len(table) == len(items) else None
+    rates = _finite_column(rates, text=True)  # typed first, as the node rates
+    table = dict(zip(zip(*ids) if len(ids) > 1 else ids[0], rates))
+    return table if len(table) == len(items) and not math.isnan(sum(rates)) else None
 
 
 def _section(doc: dict, name: str, keys: tuple[str, ...], duplicate: str) -> dict:
@@ -622,7 +620,8 @@ def parse_network(text: str) -> NetworkSpec:
         _raise_first_fault(items, "$.nodes", _check_node_item)
 
     return NetworkSpec(
-        nodes=tuple(map(NodeSpec, *columns)),
+        # NodeSpec._make without its Python frame: every row has the five fields
+        nodes=tuple(map(tuple.__new__, repeat(NodeSpec), zip(*columns))),
         routing=_section(doc, *_ROUTING),
         external_arrivals=_section(doc, *_EXTERNAL),
         known_arrival_rates=_section(doc, *_KNOWN) if "known_arrival_rates" in doc else None,

@@ -11,10 +11,10 @@ come from the solved rates, and an explicit override can replace the
 computed value wholesale.
 
 The analysis is one pass of array operations over the intermediate nodes in
-id order, with one column per per-node field: P_full once per routing
-target, the blocking probabilities as one ``np.bincount`` over the routing
-triplets, the closed form elementwise, and ``rho``/``kbar``/``tbar`` from
-the marginals.
+id order, with one column per per-node field: P_full as one elementwise call
+over the routing targets, the blocking probabilities as one ``np.bincount``
+over the routing triplets, the closed form elementwise, and
+``rho``/``kbar``/``tbar`` from the marginals.
 """
 
 from __future__ import annotations
@@ -105,17 +105,16 @@ def analyze_network(
         rows, cols, probs = spec.routing_triplets
         used = inner[rows]
         rows, cols, probs = rows[used], cols[used], probs[used]
-        targets = np.flatnonzero(np.bincount(cols, minlength=len(inner)))
-        rho = (np.ones(len(targets)) if assumptions.rho_one
+        targets = np.bincount(cols, minlength=len(inner)) > 0
+        rho = (np.ones(np.count_nonzero(targets)) if assumptions.rho_one
                else lam_all[targets] / col.service_rate[targets])
         full = np.zeros(len(inner))
-        full[targets] = list(map(mm1k_full_probability, rho.tolist(),
-                                 col.capacity[targets].tolist()))
+        full[targets] = mm1k_full_probability(rho, col.capacity[targets])
         # bincount adds in triplet order, (from, to), so each sum runs over
         # the targets in id order
         pb = np.bincount(rows, weights=probs * full[cols], minlength=len(inner))[inner]
 
-    zero = np.flatnonzero(lam <= 0)
+    zero = (lam <= 0).nonzero()[0]
     good = int(zero[0]) if zero.size else len(ids)  # nodes before the first zero rate
     marginal = blocking_node_closed_form(lam[:good], mu[:good], mu_b[:good], pb[:good])
     if good < len(ids):

@@ -317,6 +317,11 @@ def _replicate(ids: list, cap: list, mu: list, rate: list, tgt: list, cum: list,
                                 f" among nodes {[ids[m] for m in stuck]} is blocked,"
                                 " waiting for room only these nodes can free")
                         continue  # nothing freed, nothing to cascade
+                dt = time - last[d]  # close d, which gains k's job
+                occ[d][cnt[d]] += dt
+                if blk[d]:
+                    blocked_t[d] += dt
+                last[d] = time
             else:
                 q = queue[k]
                 job = q.popleft()
@@ -335,7 +340,7 @@ def _replicate(ids: list, cap: list, mu: list, rate: list, tgt: list, cum: list,
 
             # Move k's job to d (when d >= 0); k now has a free slot, which
             # goes to the job that blocked on k first, and so on from the
-            # slot that job frees.  k is already closed, ck its count.
+            # slot that job frees.  k and d are already closed; ck is k's count.
             while True:
                 if d >= 0:
                     q = queue[k]
@@ -346,12 +351,7 @@ def _replicate(ids: list, cap: list, mu: list, rate: list, tgt: list, cum: list,
                         ev = (time + exp() / mu[k], seq, k)
                         seq += 1
                         break
-                    dt = time - last[d]
                     c = cnt[d]
-                    occ[d][c] += dt
-                    if blk[d]:
-                        blocked_t[d] += dt
-                    last[d] = time
                     cnt[d] = c + 1
                     cnt[k] = ck - 1
                     queue[d].append(job)

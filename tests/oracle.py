@@ -10,7 +10,9 @@ Nothing in ``qnswap`` calls these; they exist to cross-check it:
 - an item-by-item document parser and spec check against the column
   checks of ``parse_network`` and ``NetworkSpec``;
 - per-node scalar references, read from ``spec.nodes`` and
-  ``spec.routing``, for the spec's columns and the analysis columns;
+  ``spec.routing``, for the spec's columns and the analysis columns,
+  with the M/M/1/K full probability as one scalar formula per call
+  against its elementwise form in ``qnswap.ctmc``;
 - the reference ``analyze`` and network documents, built as plain dicts
   and lists, that the fixed-schema JSON writers (the CLI's and
   ``serialize_network``) must print byte for byte as ``json.dumps`` does.
@@ -46,7 +48,7 @@ from qnswap import (
     solve_traffic,
     traffic,
 )
-from qnswap.model import ROW_SUM_TOL
+from qnswap.model import ROW_SUM_TOL, _finite, _shown
 
 STEADY_RESIDUAL_TOL = 1e-10
 
@@ -265,6 +267,26 @@ def blocking_node_chain(
         (SERVING, BLOCKED, mu * pb),
         (BLOCKED, EMPTY, mu_b),
     ])
+
+
+def scalar_mm1k_full_probability(rho: float, capacity: int) -> float:
+    """P_full of an M/M/1/K queue for one utilization and one capacity.
+
+    The reference for the elementwise ``qnswap.ctmc.mm1k_full_probability``:
+    the same checks and error texts, and the formula in Python floats and
+    ints, so K + 1 cannot overflow and each power is Python's.
+    """
+    if isinstance(capacity, bool) or not isinstance(capacity, int) or capacity < 1:
+        raise InputError(f"capacity must be a positive integer, got {_shown(capacity)}")
+    if rho != math.inf:
+        rho = _finite(rho, "utilization", ctmc.UTILIZATION)
+    if abs(rho - 1.0) <= ctmc.RHO_ONE_TOL:
+        return 1.0 / (capacity + 1)
+    if rho > 1.0:
+        # Reciprocal form; algebraically identical, no overflow in rho**K.
+        r = 1.0 / rho
+        return (1.0 - r) / (1.0 - r ** (capacity + 1))
+    return rho ** capacity * (1.0 - rho) / (1.0 - rho ** (capacity + 1))
 
 
 def _mm1k_level(rho: float, capacity: int, n: int) -> float:
@@ -559,7 +581,7 @@ def reference_columns(spec, assumptions):
                 if i == node.id and p > 0.0:
                     target = by_id[j]
                     rho = 1.0 if assumptions.rho_one else rate[j] / target.service_rate
-                    pb += p * mm1k_full_probability(rho, target.capacity)
+                    pb += p * scalar_mm1k_full_probability(rho, target.capacity)
         pi = blocking_node_closed_form(lam, node.service_rate, node.unblock_rate, pb)
         kbar = pi.pi10 + pi.pi01
         for k, v in zip(cols, (node.id, lam, pb, *pi, 1.0 - pi.pi00, kbar, kbar / lam)):

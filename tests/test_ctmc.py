@@ -5,7 +5,9 @@ two independent routes to the same distribution; they are compared here and
 must never be merged into one code path.
 """
 
+import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from oracle import (
     closed_class_count,
     is_irreducible,
     mm1k_distribution,
+    scalar_mm1k_full_probability,
     steady_state,
 )
 
@@ -295,6 +298,54 @@ class TestFiniteQueueFormulas:
     def test_bad_capacity_rejected(self, capacity):
         with pytest.raises(InputError):
             mm1k_distribution(0.5, capacity)
+
+
+# Utilizations at each branch: idle, below one, inside the limit band, just
+# outside it, above one, past any power and infinite.  Capacities up to
+# 2**63 - 1, where K + 1 overflows int64, and 2**53 + 1, which float() rounds.
+P_FULL_RHO = (0.0, 0.5, 1 - 5e-10, 1 + 5e-10, 1 - 2e-9, 1 + 2e-9, 2.0, 1e300, math.inf)
+P_FULL_CAPACITY = (1, 8, 5000, 2**53 + 1, 2**63 - 1)
+
+
+class TestFullProbabilityArrays:
+    def test_elements_match_scalar_reference_bit_for_bit(self):
+        rho, cap = zip(*itertools.product(P_FULL_RHO, P_FULL_CAPACITY))
+        want = [scalar_mm1k_full_probability(r, c).hex() for r, c in zip(rho, cap)]
+        got = mm1k_full_probability(np.array(rho), np.array(cap, dtype=np.int64))
+        assert [x.hex() for x in got.tolist()] == want
+        scalars = [mm1k_full_probability(r, c) for r, c in zip(rho, cap)]
+        assert {type(x) for x in scalars} == {float}
+        assert [x.hex() for x in scalars] == want
+
+    def test_broadcasts_a_scalar_against_an_array(self):
+        got = mm1k_full_probability(list(P_FULL_RHO), 8)
+        assert got.tolist() == [scalar_mm1k_full_probability(r, 8) for r in P_FULL_RHO]
+        got = mm1k_full_probability(2.0, np.array(P_FULL_CAPACITY))
+        assert got.tolist() == [scalar_mm1k_full_probability(2.0, c) for c in P_FULL_CAPACITY]
+
+    @pytest.mark.parametrize("rho, capacity", [
+        (-0.1, 3), (math.nan, 1), (-math.inf, 1), (True, 2), ("0.5", 2), (None, 2),
+        (10**400, 1), (0.5, 0), (0.5, -1), (0.5, True), (0.5, 2.5), (0.5, np.int64(3)),
+        (math.nan, 0),
+    ])
+    def test_scalar_call_raises_the_reference_text(self, rho, capacity):
+        with pytest.raises(InputError) as want:
+            scalar_mm1k_full_probability(rho, capacity)
+        with pytest.raises(InputError, match=f"^{re.escape(str(want.value))}$"):
+            mm1k_full_probability(rho, capacity)
+
+    @pytest.mark.parametrize("rho, capacity, message", [
+        ([0.5, -1.0, math.nan], [1, 2, 3], "utilization must be nonnegative, got -1.0"),
+        ([0.5, math.inf, "x"], [1, 2, 3], "utilization: value 'x' is not a number"),
+        ([0.5, 0.5, -1.0], [1, True, 2], "capacity must be a positive integer, got True"),
+        ([-1.0, 0.5], [1, 0], "utilization must be nonnegative, got -1.0"),
+        ([0.5, -1.0], [0, 1], "capacity must be a positive integer, got 0"),
+        ([[0.5], [-2.0]], [1, 2.5], "capacity must be a positive integer, got 2.5"),
+    ], ids=["rho", "word_after_inf", "bool_capacity", "rho_first", "capacity_first",
+            "broadcast"])
+    def test_array_call_names_the_first_bad_element(self, rho, capacity, message):
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            mm1k_full_probability(rho, capacity)
 
 
 class TestMarginalDistribution:

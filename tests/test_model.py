@@ -367,17 +367,20 @@ class TestCanonicalForm:
         ("routing", {1: 0.5}, r"routing entry 1: key must be a \(from, to\) pair"),
         ("routing", {(1, 2, 3): 0.5}, r"routing entry \(1, 2, 3\): key"),
         ("routing", {(1, 2): "abc"}, r"routing entry \(1, 2\): value 'abc' is not a number"),
+        ("routing", {(1, 2): [0.5]}, r"routing entry \(1, 2\): value \[0\.5\] is not a number"),
         ("external_arrivals", {1.7: 0.5}, r"external arrival 1\.7: key must be an integer node id"),
         ("external_arrivals", {True: 0.5}, r"external arrival True: key"),
         ("external_arrivals", {1: 1.0, None: 0.5}, r"external arrival None: key"),
         ("external_arrivals", {1: 1.0, "2": 0.5}, r"external arrival '2': key"),
         ("external_arrivals", {1: None}, r"external arrival 1: value None is not a number"),
+        ("external_arrivals", {1: [1.0]}, r"external arrival 1: value \[1\.0\] is not a number"),
         ("known_arrival_rates", {2.5: 0.5}, r"known arrival rate 2\.5: key"),
         ("known_arrival_rates", {math.nan: 0.5}, r"known arrival rate nan: key"),
         ("known_arrival_rates", {2: "abc"}, r"known arrival rate 2: value 'abc' is not"),
     ], ids=["fraction_from", "fraction_to", "bool", "mixed_types", "none", "not_a_pair",
-            "triple", "value", "ext_fraction", "ext_bool", "ext_none", "ext_string",
-            "ext_value", "known_fraction", "known_nan", "known_value"])
+            "triple", "value", "value_list", "ext_fraction", "ext_bool", "ext_none",
+            "ext_string", "ext_value", "ext_value_list", "known_fraction", "known_nan",
+            "known_value"])
     def test_bad_mapping_entry_is_an_input_error(self, field, given, message):
         # these used to be truncated onto another node (1.9 -> 1) or to
         # escape as a bare TypeError or ValueError

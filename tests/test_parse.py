@@ -8,8 +8,10 @@ on accepted documents build the same spec.
 """
 
 import copy
+import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -20,6 +22,7 @@ import pytest
 from qnswap import SchemaError, cli, model, munoz15_fixture, parse_network, serialize_network
 from conftest import grid_document
 from oracle import scalar_parse_network
+from test_cli import LATTICE40_SHA256
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -162,6 +165,14 @@ def _closed_two_node(doc):
             "external_arrivals": [{"node": 1, "lambda0": 1.0}]}
 
 
+def _huge_opposite_rates(doc):
+    """Finite rates whose mu and mu_b columns sum to +inf and -inf."""
+    return {"nodes": [{"id": i, "kind": kind, "capacity": 2, "mu": 1e308, "mu_b": -1e308}
+                      for i, kind in ((1, "source"), (2, "sink"))],
+            "routing": [{"from": 1, "to": 2, "p": 1.0}],
+            "external_arrivals": [{"node": 1, "lambda0": 1.0}]}
+
+
 def _omit(section, key, kind=None):
     def fault(doc):
         for item in doc[section]:
@@ -189,7 +200,22 @@ DOC_FAULTS = {
         known_arrival_rates=[{"node": doc["nodes"][0]["id"], "lambda": 0.5}])),
     "no_positive_external": _every("external_arrivals", "lambda0", "0.0"),
     "no_exit": _closed_two_node,
+    # every value of a rate column a list of one number: a column that numpy
+    # would read as two-dimensional
+    "mu_list_everywhere": _every("nodes", "mu", [1.0]),
+    "p_list_everywhere": _every("routing", "p", [0.5]),
+    "lambda0_list_everywhere": _every("external_arrivals", "lambda0", [1.0]),
+    "rates_cancel_across_columns": _huge_opposite_rates,
 }
+
+
+def _shuffled(doc):
+    """Nodes and routing entries in a fixed random order."""
+    rng = random.Random(21)
+    rng.shuffle(doc["nodes"])
+    rng.shuffle(doc["routing"])
+    return doc
+
 
 # Valid variations: the two parsers must build the same spec.
 ACCEPTED = {
@@ -199,8 +225,14 @@ ACCEPTED = {
     "servers_omitted": _omit("nodes", "servers"),
     "nodes_reversed": _top(lambda doc: doc["nodes"].reverse()),
     "routing_reversed": _top(lambda doc: doc["routing"].reverse()),
+    "targets_reversed": _top(lambda doc: doc["routing"].sort(key=lambda e: (e["from"], -e["to"]))),
     "source_without_unblock": _omit("nodes", "mu_b", kind="source"),
+    "shuffled": _shuffled,
 }
+# The 40x40 grid also runs shuffled: an order test that passes unsorted keys
+# would show there, on the most entries.
+ACCEPTED_CASES = [(name, base) for name in sorted(ACCEPTED) for base in sorted(BASES)]
+ACCEPTED_CASES.append(("shuffled", "lattice40"))
 
 
 def _item_doc(base, faults):
@@ -251,6 +283,13 @@ def test_document_fault_matches_oracle(base, name):
     assert isinstance(got[0], str), "the fault must be rejected"
 
 
+def test_opposite_infinite_column_sums_name_the_first_bad_rate():
+    text = json.dumps(_huge_opposite_rates(None))
+    with pytest.raises(model.InputError,
+                       match=r"^node 1 unblock rate must be nonnegative, got -1e\+308$"):
+        parse_network(text)
+
+
 # Two faults each from the parser's and the spec's rules, in every section.
 PAIRED = ("node_missing_id_and_mu", "kind_unhashable", "mu_word", "id_duplicate",
           "intermediate_capacity_two", "receiving_without_service",
@@ -271,12 +310,18 @@ def test_two_faults_in_either_order_match_oracle(base):
     assert checked >= 100
 
 
-@pytest.mark.parametrize("base", sorted(BASES))
-@pytest.mark.parametrize("name", sorted(ACCEPTED))
-def test_accepted_document_gives_oracle_spec(base, name):
-    doc = ACCEPTED[name](copy.deepcopy(BASES[base]))
-    got = _check_same(json.dumps(doc))
+@pytest.mark.parametrize("name, base", ACCEPTED_CASES)
+def test_accepted_document_gives_oracle_spec(base, name, tmp_path, capsys):
+    doc = copy.deepcopy(BASES[base]) if base in BASES else json.loads(grid_document(40))
+    text = json.dumps(ACCEPTED[name](doc))
+    got = _check_same(text)
     assert not isinstance(got[0], str), got
+    if base == "lattice40":  # the order of a document changes no output byte
+        path = tmp_path / "net.json"
+        path.write_text(text, encoding="utf-8")
+        assert cli.run(["analyze", "--network", str(path), "--format", "json"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == LATTICE40_SHA256[()]
 
 
 def test_missing_keys_are_named_in_schema_order():
