@@ -13,9 +13,10 @@ Pb because its target is full, clearing at the unblock rate.  The finite
 M/M/1/K queue supplies the probability that a neighbor is full, which is
 where Pb comes from in the first place.
 
-Both are closed forms that take scalars or arrays, elementwise.  The tests
-check them against a balance-equation solver, a trajectory sampler and a
-scalar P_full, reference implementations kept in ``tests/oracle.py``.
+Both are closed forms that take scalars or arrays, elementwise.  Each public
+function checks around an unchecked kernel, the one copy of its formula, that
+``pfqn`` calls on checked columns.  Tests compare them with a balance-equation
+solver, a trajectory sampler and a scalar P_full in ``tests/oracle.py``.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .errors import InputError, NumericsError
 from .model import NONNEGATIVE, PROBABILITY, _finite, _finite_column, _shown
 
 RHO_ONE_TOL = 1e-9
+SUM_TOL = 1e-12  # largest |pi00 + pi10 + pi01 - 1| of a marginal
 # NaN fails this test, so the rule names it as out of range
 UTILIZATION = (lambda x: x >= 0.0, " must be nonnegative, got {}")
 
@@ -39,6 +41,14 @@ class NodeMarginal(NamedTuple):
     pi00: float  # empty
     pi10: float  # serving
     pi01: float  # blocked
+
+
+def _closed_form(lam, mu, mu_b, pb) -> tuple:
+    """(pi00, pi10, pi01) of the blocking node for float arguments, elementwise."""
+    serving_weight = lam / mu
+    blocked_weight = lam * pb / mu_b
+    denom = 1.0 + serving_weight + blocked_weight
+    return 1.0 / denom, serving_weight / denom, blocked_weight / denom
 
 
 def blocking_node_closed_form(
@@ -67,16 +77,13 @@ def blocking_node_closed_form(
     # Bad inputs and overflow leave zero divisions, inf and NaN here; every
     # such element fails ``ok`` and is reported below.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        serving_weight = lam / mu
-        blocked_weight = lam * pb / mu_b
-        denom = 1.0 + serving_weight + blocked_weight
-        probs = (1.0 / denom, serving_weight / denom, blocked_weight / denom)
+        probs = _closed_form(lam, mu, mu_b, pb)
         # true exactly where the element checks below pass; the comparisons
         # are False for NaN, so NaN fails them too
         inputs_ok = (0.0 < lam) & (0.0 < mu) & (0.0 < mu_b) & (0.0 <= pb) & (pb <= 1.0)
         # With good inputs each weight over denom lies in [0, 1] unless it is
         # NaN (inf / inf after an overflow), which fails the sum test.
-        ok = inputs_ok & (abs(probs[0] + probs[1] + probs[2] - 1.0) <= 1e-12)
+        ok = inputs_ok & (abs(probs[0] + probs[1] + probs[2] - 1.0) <= SUM_TOL)
     if not ok.all():
         k = int(np.argmin(ok.ravel()))
         if not inputs_ok.ravel()[k]:  # the element as given, in order, names the fault
@@ -91,6 +98,19 @@ def blocking_node_closed_form(
     if ok.ndim == 0:
         return NodeMarginal(*(float(p) for p in probs))
     return NodeMarginal(*probs)
+
+
+def _mm1k_full(x: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """P_full for float rho ``x`` (inf: full) and int64 or Python int capacities ``k``."""
+    full = np.asarray(1.0 / ((k.astype(np.uint64) if k.dtype.kind == "i" else k) + 1), float)
+    far = abs(x - 1.0) > RHO_ONE_TOL  # elsewhere, full holds the limit
+    if far.any():  # head: rho^K, or 1.0 above 1, where the form in 1/rho has none
+        ks, x = k[far].tolist(), x[far]
+        head = np.array(list(map(pow, np.minimum(x, 1.0).tolist(), ks)))
+        r = np.minimum(x, 1.0 / np.maximum(x, 1.0))  # rho, or 1/rho above 1
+        tail = np.array(list(map(pow, r.tolist(), [c + 1 for c in ks])))
+        full[far] = head * (1.0 - r) / (1.0 - tail)
+    return full
 
 
 def mm1k_full_probability(rho: float | np.ndarray,
@@ -121,13 +141,5 @@ def mm1k_full_probability(rho: float | np.ndarray,
             raise InputError(f"capacity must be a positive integer, got {_shown(c)}")
         if r != math.inf:
             _finite(r, "utilization", UTILIZATION)
-    x, k = np.broadcast_arrays(x, k) if x.shape != k.shape else (x, k)
-    full = np.asarray(1.0 / ((k.astype(np.uint64) if exact else k) + 1), dtype=float)  # the limit
-    far = abs(x - 1.0) > RHO_ONE_TOL
-    if far.any():  # head: rho^K, or 1.0 above 1, where the form in 1/rho has none
-        ks, x = k[far].tolist(), x[far]
-        head = np.array(list(map(pow, np.minimum(x, 1.0).tolist(), ks)))
-        r = np.minimum(x, 1.0 / np.maximum(x, 1.0))  # rho, or 1/rho above 1
-        tail = np.array(list(map(pow, r.tolist(), [c + 1 for c in ks])))
-        full[far] = head * (1.0 - r) / (1.0 - tail)
+    full = _mm1k_full(*(np.broadcast_arrays(x, k) if x.shape != k.shape else (x, k)))
     return float(full) if full.ndim == 0 else full

@@ -14,7 +14,8 @@ The analysis is one pass of array operations over the intermediate nodes in
 id order, with one column per per-node field: P_full as one elementwise call
 over the routing targets, the blocking probabilities as one ``np.bincount``
 over the routing triplets, the closed form elementwise, and
-``rho``/``kbar``/``tbar`` from the marginals.
+``rho``/``kbar``/``tbar`` from the marginals.  The closed forms run as unchecked
+``ctmc`` kernels; a result that fails goes to the checked function for its error.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ctmc import blocking_node_closed_form, mm1k_full_probability
+from .ctmc import SUM_TOL, _closed_form, _mm1k_full, blocking_node_closed_form
 from .errors import InputError
 from .metrics import NetworkMetrics, network_metrics
 from .model import KIND_CODES, PROBABILITY, NetworkSpec, NodeKind, _finite
@@ -109,26 +110,29 @@ def analyze_network(
         rho = (np.ones(np.count_nonzero(targets)) if assumptions.rho_one
                else lam_all[targets] / col.service_rate[targets])
         full = np.zeros(len(inner))
-        full[targets] = mm1k_full_probability(rho, col.capacity[targets])
+        full[targets] = _mm1k_full(rho, col.capacity[targets])
         # bincount adds in triplet order, (from, to), so each sum runs over
         # the targets in id order
         pb = np.bincount(rows, weights=probs * full[cols], minlength=len(inner))[inner]
 
     zero = (lam <= 0).nonzero()[0]
     good = int(zero[0]) if zero.size else len(ids)  # nodes before the first zero rate
-    marginal = blocking_node_closed_form(lam[:good], mu[:good], mu_b[:good], pb[:good])
+    args = lam[:good], mu[:good], mu_b[:good], pb[:good]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        pi00, pi10, pi01 = _closed_form(*args)
+        # a routing row may sum to 1 + ROW_SUM_TOL, so pb may exceed 1
+        if not ((abs(pi00 + pi10 + pi01 - 1.0) <= SUM_TOL) & (pb[:good] <= 1.0)).all():
+            pi00, pi10, pi01 = blocking_node_closed_form(*args)  # raises its error
     if good < len(ids):
         raise InputError(
             f"node {ids[good]} has zero arrival rate; per-job metrics undefined")
-    kbar = marginal.pi10 + marginal.pi01
+    kbar = pi10 + pi01
     return NetworkAnalysis(
         nodes=ids,
         arrival_rate=lam,
         blocking_probability=pb,
-        pi00=marginal.pi00,
-        pi10=marginal.pi10,
-        pi01=marginal.pi01,
-        rho=1.0 - marginal.pi00,
+        pi00=pi00, pi10=pi10, pi01=pi01,
+        rho=1.0 - pi00,
         kbar=kbar,
         tbar=kbar / lam,
         assumptions=assumptions,

@@ -30,8 +30,9 @@ The system is singular when some unpinned node has no routing path that
 leaves the network or reaches a pinned node: jobs that enter such a closed
 subnetwork never leave.  An exit probability within ``ROW_SUM_TOL`` of zero
 counts as no exit, since it is rounding in the routing row, not a real leak.
-The solver finds those nodes before solving, with one search from the
-draining nodes over the reversed routing graph, so the error names them.
+The solver finds those nodes before solving, so the error names them: one
+search over the free nodes' reversed entries, which the level search reuses,
+from the free nodes that exit or route into a pinned node, unless all do.
 """
 
 from __future__ import annotations
@@ -55,16 +56,18 @@ def _inflow(rows, cols, probs, lam, n: int) -> np.ndarray:
     return np.bincount(cols, weights=probs * lam[rows], minlength=n)
 
 
-def _solve_levels(src, dst, probs, rhs) -> np.ndarray:
+def _solve_levels(src, dst, probs, rhs, back) -> np.ndarray:
     """Solve ``x_j - sum_i p_ij x_i = rhs_j`` over ``len(rhs)`` nodes by level blocks.
 
-    The routing entries (src -> dst, probs) all link two of those nodes.
+    The routing entries (src -> dst, probs; reversed lists ``back``) link those nodes.
     Ordered by ``_bfs_levels`` depth over both entry directions, the matrix
     is block-tridiagonal; see the module docstring for the levels, the
     elimination and why it needs no pivoting across blocks.
     """
     n = len(rhs)
-    both = _adjacency(n, np.concatenate((src, dst)), np.concatenate((dst, src)))
+    both = _adjacency(n, src, dst)
+    for ahead, behind in zip(both, back):
+        ahead += behind
     level = np.array(_bfs_levels(both, range(n)), dtype=np.intp)
     order = np.argsort(level, kind="stable")
     pos = np.empty(n, dtype=np.intp)
@@ -108,20 +111,6 @@ def _solve_levels(src, dst, probs, rhs) -> np.ndarray:
     return x
 
 
-def _undrained(spec: NetworkSpec, pinned: np.ndarray) -> list[int]:
-    """Unpinned nodes with no routing path out of the network or to a pinned node.
-
-    A node drains if its exit probability exceeds ``ROW_SUM_TOL``, if it is
-    pinned (``pinned`` flags node positions), or if it routes
-    with positive probability to a node that drains.  One ``_bfs_levels``
-    search from the draining nodes over the reversed entries, O(nodes + edges).
-    """
-    rows, cols, _ = spec.routing_triplets
-    drains = pinned | (spec.columns.exit_probability > ROW_SUM_TOL)
-    level = _bfs_levels(_adjacency(len(pinned), cols, rows), np.flatnonzero(drains).tolist())
-    return [i for i, depth in zip(spec.columns.id.tolist(), level) if depth < 0]
-
-
 def _check_residual(lam, lam0, rows, cols, probs, pinned) -> None:
     """Raise unless ``lam`` balances every unpinned node.
 
@@ -130,8 +119,8 @@ def _check_residual(lam, lam0, rows, cols, probs, pinned) -> None:
     """
     residual = (lam - (lam0 + _inflow(rows, cols, probs, lam, len(lam))))[~pinned]
     if residual.size:
-        scale = max(float(np.max(lam0)), float(np.max(lam[pinned], initial=0.0)))
-        worst = float(np.max(np.abs(residual)))
+        scale = max(float(lam0.max()), float(lam[pinned].max(initial=0.0)))
+        worst = float(abs(residual).max())
         if not worst <= RESIDUAL_TOL * scale:  # also rejects NaN
             raise NumericsError(
                 f"traffic solution residual {worst:.3e} exceeds {RESIDUAL_TOL:.0e}"
@@ -161,12 +150,6 @@ def solve_traffic(spec: NetworkSpec) -> np.ndarray:
     rows, cols, probs = spec.routing_triplets
     n = len(lam0)
     pinned = ~np.isnan(known)
-
-    closed = _undrained(spec, pinned)
-    if closed:
-        raise NumericsError(
-            f"traffic equations are singular: nodes {closed} have no routing"
-            " path to an exit or a pinned rate")
     lam = np.where(pinned, known, 0.0)
     # Pinned rates are inputs: they reach the free nodes as right-hand side.
     free = np.flatnonzero(~pinned)
@@ -175,9 +158,20 @@ def solve_traffic(spec: NetworkSpec) -> np.ndarray:
     if linked.any():
         local = np.empty(n, dtype=np.intp)
         local[free] = np.arange(len(free))
+        src, dst = local[rows[linked]], local[cols[linked]]
+        back = _adjacency(len(free), dst, src)
+        # roots: free nodes that exit or route into a pinned node
+        drains = spec.columns.exit_probability[free] > ROW_SUM_TOL
+        drains[local[rows[~pinned[rows] & pinned[cols]]]] = True
+        if not drains.all():
+            level = _bfs_levels(back, np.flatnonzero(drains).tolist())
+            closed = [i for i, depth in zip(spec.columns.id[free].tolist(), level) if depth < 0]
+            if closed:
+                raise NumericsError(
+                    f"traffic equations are singular: nodes {closed} have no routing"
+                    " path to an exit or a pinned rate")
         try:
-            lam[free] = _solve_levels(local[rows[linked]], local[cols[linked]],
-                                      probs[linked], rhs)
+            lam[free] = _solve_levels(src, dst, probs[linked], rhs, back)
         except np.linalg.LinAlgError as e:
             raise NumericsError(f"traffic equations are singular: {e}") from e
     else:

@@ -13,6 +13,7 @@ from qnswap import (
     NetworkSpec,
     NodeKind,
     NodeSpec,
+    NumericsError,
     analyze_network,
     build_lattice_network,
     mm1k_full_probability,
@@ -181,6 +182,41 @@ class TestAnalyzeNetwork:
         )
         with pytest.raises(InputError, match="node 1 has zero arrival rate"):
             analyze_network(spec)
+
+    def test_blocking_probability_above_one_refused(self):
+        # the row of node 1 sums to 1 + ROW_SUM_TOL / 2, which the spec accepts;
+        # its sinks, at mu = 1e-300, are full, so pb is the row sum
+        spec = NetworkSpec(
+            nodes=(
+                NodeSpec(id=1, kind=NodeKind.INTERMEDIATE, capacity=1,
+                         service_rate=1.0, unblock_rate=0.2),
+                NodeSpec(id=2, kind=NodeKind.SINK, capacity=1, service_rate=1e-300),
+                NodeSpec(id=3, kind=NodeKind.SINK, capacity=1, service_rate=1e-300),
+            ),
+            routing={(1, 2): 0.5 + 2.5e-10, (1, 3): 0.5 + 2.5e-10},
+            external_arrivals={1: 1.0},
+        )
+        with pytest.raises(InputError) as caught:
+            analyze_network(spec, AnalysisAssumptions(rho_one=False))
+        assert str(caught.value) == (
+            "blocking probability: probability 1.0000000005 outside [0, 1]")
+
+    def test_overflowing_marginal_refused(self):
+        # finite rates, but lambda / mu overflows at node 1
+        spec = NetworkSpec(
+            nodes=(
+                NodeSpec(id=1, kind=NodeKind.INTERMEDIATE, capacity=1,
+                         service_rate=1e-200, unblock_rate=0.2),
+                NodeSpec(id=2, kind=NodeKind.SINK, capacity=8, service_rate=1.0),
+            ),
+            routing={(1, 2): 1.0},
+            external_arrivals={1: 0.1},
+            known_arrival_rates={1: 1e200},
+        )
+        with pytest.raises(NumericsError) as caught:
+            analyze_network(spec)
+        assert str(caught.value) == (
+            "blocking-node marginal (0.0, nan, 0.0) is not a distribution")
 
     def test_arrival_rate_column_is_the_solved_traffic(self, fixture_spec):
         # the pins of munoz15 cover every intermediate node

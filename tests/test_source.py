@@ -183,7 +183,10 @@ def test_graph_walks_share_one_search():
     from qnswap import traffic
 
     assert not hasattr(traffic, "_levels")
-    callers = {"traffic.py": {"_solve_levels", "_undrained"},
+    # the drain check searches the free-node graph inside solve_traffic, on
+    # the reversed lists that the level search reuses
+    assert not hasattr(traffic, "_undrained")
+    callers = {"traffic.py": {"_solve_levels", "solve_traffic"},
                "layout.py": {"shortest_hops", "_check_connected"}}
     for module, functions in callers.items():
         tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
@@ -196,6 +199,42 @@ def test_graph_walks_share_one_search():
         assert functions == set(), f"{module}: {functions} not found"
     layout_source = (SRC / "layout.py").read_text(encoding="utf-8")
     assert "deque" not in layout_source
+
+
+def _calls(function: ast.FunctionDef, guarded: bool) -> set[ast.Call]:
+    """The plain-name calls in a function (``guarded``: only those in the body
+    of an ``if`` statement)."""
+    roots = ([s for node in ast.walk(function) if isinstance(node, ast.If) for s in node.body]
+             if guarded else [function])
+    return {n for root in roots for n in ast.walk(root)
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+
+
+def test_analysis_checks_once_at_the_spec():
+    # NetworkSpec has checked the columns that analyze_network hands to the
+    # unchecked ctmc kernels; the checked public functions run only on the
+    # failure path, to raise their error, and each formula has one copy
+    checked = {"blocking_node_closed_form": "_closed_form",
+               "mm1k_full_probability": "_mm1k_full"}
+    trees = {m: ast.parse((SRC / m).read_text(encoding="utf-8")) for m in ("ctmc.py", "pfqn.py")}
+    functions = {f"{m}:{node.name}": node for m, tree in trees.items() for node in tree.body
+                 if isinstance(node, ast.FunctionDef)}
+    for public, kernel in checked.items():
+        called = {n.func.id for n in _calls(functions[f"ctmc.py:{public}"], guarded=False)}
+        assert kernel in called, public
+    analyze = functions["pfqn.py:analyze_network"]
+    calls = _calls(analyze, guarded=False)
+    assert set(checked.values()) <= {n.func.id for n in calls}
+    unguarded = {n.func.id for n in calls - _calls(analyze, guarded=True)}
+    assert unguarded & set(checked) == set()
+    assert [name for name in functions if name.startswith("pfqn.py:_")] == []
+    # no copy of either formula: the M/M/1/K form takes powers, the marginal
+    # weighs the serving and blocked states against their sum
+    for node in ast.walk(trees["pfqn.py"]):
+        assert not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow))
+        assert not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "pow")
+    names = {n.id for n in ast.walk(trees["pfqn.py"]) if isinstance(n, ast.Name)}
+    assert names & {"RHO_ONE_TOL", "serving_weight", "blocked_weight", "denom"} == set()
 
 
 def test_network_writer_uses_no_json_encoder():

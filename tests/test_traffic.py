@@ -210,6 +210,28 @@ def test_routing_into_a_pinned_node_drains():
     assert rates[2] == pytest.approx(1.5, rel=1e-12)
 
 
+def test_free_cycle_fed_by_a_pinned_node_is_singular():
+    # pinned node 2 feeds the free cycle 3 <-> 4, which has no exit; free
+    # node 1 routes into node 2 and node 5 exits, so only the cycle is named
+    spec = sources(range(1, 6), {(1, 2): 1.0, (2, 3): 0.5, (2, 5): 0.5,
+                                 (3, 4): 1.0, (4, 3): 1.0},
+                   {1: 1.0}, known={2: 1.0})
+    with pytest.raises(NumericsError) as caught:
+        solve_traffic(spec)
+    assert str(caught.value) == ("traffic equations are singular: nodes [3, 4] have no"
+                                 " routing path to an exit or a pinned rate")
+
+
+def test_free_node_draining_through_a_free_node_solves():
+    # node 1 routes only to free node 2, which routes only into pinned node 3:
+    # lam1 = 1 + 0.5 * 0.8 = lam2 and lam4 = 0.5 * 0.8
+    spec = sources(range(1, 5), {(1, 2): 1.0, (2, 3): 1.0, (3, 1): 0.5, (3, 4): 0.5},
+                   {1: 1.0}, known={3: 0.8})
+    rates = solve_traffic(spec)
+    assert rates.tolist() == pytest.approx([1.4, 1.4, 0.8, 0.4], rel=1e-12)
+    np.testing.assert_allclose(rates, dense_reference(spec), rtol=1e-12, atol=0.0)
+
+
 def grid_layout(side: int):
     sites = [f"s{r}_{c}" for r in range(side) for c in range(side)]
     edges = ([[f"s{r}_{c}", f"s{r}_{c + 1}"] for r in range(side) for c in range(side - 1)]
