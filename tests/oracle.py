@@ -671,28 +671,67 @@ def _scalar_rate(value, path: str) -> float:
     return x
 
 
-def _scalar_check_rate(rate: float, name: str) -> None:
+def _scalar_number(value, name: str, text: bool) -> float:
+    """``value`` as a float, one value at a time: a bool, a value that is no
+    number (a string or bytes is one only with ``text``) and an int too large
+    for a float raise.  NaN and inf pass, for the caller to name."""
+    if isinstance(value, (bool, np.bool_)) or not text and isinstance(value, (str, bytes)):
+        raise InputError(f"{name}: value {_shown(value)} is not a number")
     try:
-        float(rate)
+        return float(value)
     except OverflowError:
         raise InputError(
             f"{name} must be finite, got an integer too large for a float") from None
-    if rate < 0:
-        raise InputError(f"{name} must be nonnegative, got {rate!r}")
-    if not math.isfinite(rate):
-        raise InputError(f"{name} must be finite, got {rate!r}")
+    except (TypeError, ValueError):
+        raise InputError(f"{name}: value {_shown(value)} is not a number") from None
 
 
-def _scalar_value(value, name: str) -> float:
-    """A mapping value as a spec's canonical copy holds it.  The value fault
-    mirrored here is an int too large for a float; NaN and inf pass, for the
-    rate and probability checks to name."""
+def _scalar_check_rate(rate, name: str) -> None:
+    x = _scalar_number(rate, name, text=False)
+    if x < 0:
+        raise InputError(f"{name} must be nonnegative, got {_shown(rate)}")
+    if not math.isfinite(x):
+        raise InputError(f"{name} must be finite, got {_shown(rate)}")
+
+
+def _scalar_node_key(key, pair: bool):
+    """A mapping key as a node id (``pair``: a (from, to) pair of them), or
+    None where it is none: a bool, or a value ``int()`` rejects or changes."""
+    ends = key if pair else (key,)
     try:
-        x = float(value)
-    except OverflowError:
-        raise InputError(
-            f"{name} must be finite, got an integer too large for a float") from None
-    return x
+        node = tuple(map(int, ends))
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if len(node) != len(ends) or len(node) != 1 + pair or node != tuple(ends):
+        return None
+    if any(isinstance(end, (bool, np.bool_)) for end in ends):
+        return None
+    return node if pair else node[0]
+
+
+def _scalar_mapping(entries, what: str, pair: bool) -> dict:
+    """A rate mapping (``pair``: the routing) with node-id keys in order and
+    float values.  The first entry, in the given order, whose key is no node
+    id or whose value is no number raises; a float, even NaN, passes."""
+    shape = "a (from, to) pair of integer node ids" if pair else "an integer node id"
+    table = {}
+    for key, value in entries.items():
+        node, name = _scalar_node_key(key, pair), f"{what} {_shown(key)}"
+        if node is None:
+            raise InputError(f"{name}: key must be {shape}")
+        if not isinstance(value, float) and not math.isfinite(
+                _scalar_number(value, name, text=True)):
+            raise InputError(f"{name} must be finite, got {_shown(value)}")
+        table[node] = float(value)
+    return dict(sorted(table.items()))
+
+
+def _left_sum(values) -> float:
+    """A plain left-to-right sum; ``sum`` of floats compensates from Python 3.12."""
+    total = 0.0
+    for x in values:
+        total += x
+    return total
 
 
 def scalar_parse_network(text: str) -> tuple:
@@ -796,13 +835,10 @@ def _scalar_spec(nodes, entries, external, known) -> tuple:
         if n.id >= 2**63:
             raise InputError(f"node id {n.id!r} must be below 2**63")
     nodes = tuple(sorted(nodes, key=lambda n: n.id))
-    entries = dict(sorted(((int(i), int(j)), _scalar_value(p, f"routing entry {(i, j)!r}"))
-                          for (i, j), p in entries.items()))
-    external = dict(sorted((int(k), _scalar_value(v, f"external arrival {k!r}"))
-                           for k, v in external.items()))
+    entries = _scalar_mapping(entries, "routing entry", True)
+    external = _scalar_mapping(external, "external arrival", False)
     if known is not None:
-        known = dict(sorted((int(k), _scalar_value(v, f"known arrival rate {k!r}"))
-                            for k, v in known.items()))
+        known = _scalar_mapping(known, "known arrival rate", False)
 
     if not nodes:
         raise InputError("network has no nodes")
@@ -840,7 +876,7 @@ def _scalar_spec(nodes, entries, external, known) -> tuple:
         rows.setdefault(i, []).append(p)
 
     for i in by_id:
-        total = sum(rows.get(i, []))
+        total = _left_sum(rows.get(i, []))
         if total > 1.0 + ROW_SUM_TOL:
             raise InputError(f"routing probabilities out of node {i} sum to {total!r} > 1")
 
@@ -870,7 +906,7 @@ def _scalar_spec(nodes, entries, external, known) -> tuple:
 
     if not any(r > 0 for r in external.values()):
         raise InputError("no node has a positive external arrival rate")
-    if not any(1.0 - sum(rows.get(i, [])) > 0 for i in by_id):
+    if not any(1.0 - _left_sum(rows.get(i, [])) > 0 for i in by_id):
         raise InputError("no node has a positive exit probability")
     return nodes, entries, external, known
 
