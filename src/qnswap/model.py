@@ -38,14 +38,14 @@ one ``NetworkSpec`` check.  Every number goes through one value rule,
 ``_finite`` (its column form for a whole field).  The parser reads each
 section as one list per field and checks whole lists: the objects' keys, the
 set of value types of a field, the value rule per rate field, and repeated
-keys by set size.  A ``NetworkSpec`` flattens each mapping's keys into one
-int64 array, tests their order with one array comparison, finds node
-positions by ``searchsorted`` on the sorted id column, and runs each
-structural rule as one array expression, in a fixed rule order.  A failing
-column only flags items: the flagged items go, in document order (parser) or
-id order (spec), through the per-item check that owns the error text, and
-the first one it rejects raises.  So an error names the same item with the
-same message as a check run one item at a time.
+keys by set size.  A ``NetworkSpec`` checks its three mappings in one pass:
+one int64 array of all their keys, one ``searchsorted`` for the keys' node
+positions, one float array of all their values and one mask for the values;
+each structural rule is one array expression, in a fixed rule order.  A
+failing column only flags items: the flagged items go, in document order
+(parser) or id order (spec), through the per-item check that owns the error
+text, and the first one it rejects raises.  So an error names the same item
+with the same message as a check run one item at a time.
 """
 
 from __future__ import annotations
@@ -183,42 +183,50 @@ def _node_keys(keys: list, pair: bool) -> list | None:
     return nodes if nodes == keys and {bool, np.bool_}.isdisjoint(map(type, ids)) else None
 
 
-def _canonical(entries: Mapping, what: str, pair: bool) -> tuple[dict, np.ndarray, np.ndarray]:
+def _typed(entries: Mapping, what: str, pair: bool) -> dict:
     """A fresh copy of a rate mapping (``pair``: the routing) with int keys in
-    order and float values, its keys as int64 (``pair``: from and to alternating;
-    0 past int64) and its values as arrays.  InputError names the first entry
-    whose key is no node id (no pair of them) or value ``_finite`` rejects."""
+    order and float values.  InputError names the first entry whose key is no
+    node id (no pair of them) or whose value ``_finite`` rejects."""
     keys, values = list(entries), list(entries.values())
-    pairs = not pair or set(map(type, keys)) <= {tuple} and set(map(len, keys)) <= {2}
-    ids = list(chain.from_iterable(keys)) if pair and pairs else keys
-    # Entries keyed by ints in order, with float values, as the parser builds
-    # them, need no rebuilding; one lexicographic array test checks the order.
-    if pairs and set(map(type, ids)) <= {int} and set(map(type, values)) <= {float}:
-        with suppress(OverflowError):  # a key past int64 takes the rebuild below
-            at = np.array(ids, dtype=np.int64)
-            first = at[0::2] if pair else at
-            later = first[1:] > first[:-1]
-            if pair:  # where the from ids are equal, the to ids decide
-                later |= (first[1:] == first[:-1]) & (at[3::2] > at[1:-1:2])
-            if later.all():
-                return dict(entries), at, np.fromiter(values, float, len(values))
     nodes = _node_keys(keys, pair)
-    if nodes is None or not set(map(type, values)) <= {float}:
-        shape = "a (from, to) pair of integer node ids" if pair else "an integer node id"
-        for key, value in zip(keys, values):
-            if nodes is None and _node_keys([key], pair) is None:
-                raise InputError(f"{what} {_shown(key)}: key must be {shape}")
-            if not isinstance(value, float):  # a float, even NaN, is left to the rate checks
-                _finite(value, f"{what} {_shown(key)}", text=True)
-    table = dict(sorted(zip(nodes, map(float, values)), key=itemgetter(0)))
-    at = [i if abs(i) <= INT64_MAX else 0 for i in (chain.from_iterable(table) if pair else table)]
-    return table, np.array(at, dtype=np.int64), np.array(list(table.values()))
+    shape = "a (from, to) pair of integer node ids" if pair else "an integer node id"
+    for key, value in zip(keys, values):
+        if nodes is None and _node_keys([key], pair) is None:
+            raise InputError(f"{what} {_shown(key)}: key must be {shape}")
+        if not isinstance(value, float):  # a float, even NaN, is left to the rate checks
+            _finite(value, f"{what} {_shown(key)}", text=True)
+    return dict(sorted(zip(nodes, map(float, values)), key=itemgetter(0)))
+
+
+def _canonical(mappings: list[Mapping]) -> tuple[list[dict], np.ndarray, np.ndarray]:
+    """``_typed`` copies of the routing and the rate mappings, all their keys
+    as one int64 array (the routing's from and to alternating, then the rate
+    keys; 0 past int64) and all their values as one float array."""
+    values = list(chain.from_iterable(entries.values() for entries in mappings))
+    routing = list(mappings[0])
+    pairs = set(map(type, routing)) <= {tuple} and set(map(len, routing)) <= {2}
+    ids = list(chain(chain.from_iterable(routing) if pairs else (), *mappings[1:]))
+    # Int keys in order with float values, as the parser builds them, are copied as
+    # given: one type test for all mappings, then each mapping's order test.
+    if pairs and set(map(type, ids)) <= {int} and set(map(type, values)) <= {float}:
+        with suppress(OverflowError):  # a key past int64 takes _typed
+            keys = np.array(ids, dtype=np.int64)
+            first, second = keys[0:2 * len(routing):2], keys[1:2 * len(routing):2]
+            if (not np.count_nonzero((first[1:] < first[:-1]) | (first[1:] == first[:-1])
+                                     & (second[1:] <= second[:-1]))
+                    and list(map(list, mappings[1:])) == list(map(sorted, mappings[1:]))):
+                return list(map(dict, mappings)), keys, np.array(values, dtype=float)
+    tables = [_typed(entries, what, pair) for entries, (what, pair) in zip(mappings, (
+        ("routing entry", True), ("external arrival", False), ("known arrival rate", False)))]
+    ids = chain(chain.from_iterable(tables[0]), *tables[1:])
+    keys = np.array([i if abs(i) <= INT64_MAX else 0 for i in ids], dtype=np.int64)
+    return tables, keys, np.array(list(chain.from_iterable(map(dict.values, tables))), float)
 
 
 def _positions(ids: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """The position of each key in the sorted id column, -1 for a key no node has."""
-    at = np.minimum(ids.searchsorted(keys), len(ids) - 1)
-    at[ids[at] != keys] = -1
+    at = ids.searchsorted(keys)
+    at[ids.take(at, mode="clip") != keys] = -1  # clip: a key past the last id
     return at
 
 
@@ -271,7 +279,8 @@ class NetworkSpec:
     ``routing_triplets``, arrays (row, column, probability) of the positive
     entries of ``routing``, in (from, to) order, whose rows and columns are
     node positions in ``columns``.  A zero entry routes nothing, so only
-    ``routing`` keeps it.
+    ``routing`` keeps it.  The three mappings are checked in one pass (module
+    docstring).
 
     Raises:
         InputError: a mapping key that is no node id (in ``routing``, no
@@ -295,50 +304,41 @@ class NetworkSpec:
         init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # Ids are checked before sorting: mixed id types cannot be ordered.
-        ids = [n.id for n in self.nodes]
+        nodes = self.nodes
+        with suppress(TypeError):  # ids that cannot be ordered fail the id check below
+            nodes = tuple(sorted(nodes, key=attrgetter("id")))
+        ids, kinds, caps, mu, mu_b = zip(*nodes) if nodes else ((),) * 5
         if not (set(map(type, ids)) <= {int} and min(ids, default=1) > 0
                 and max(ids, default=1) <= INT64_MAX):
-            for i in ids:
+            for i in (node.id for node in self.nodes):  # the first bad id as given
                 if isinstance(i, bool) or not isinstance(i, int) or i <= 0:
                     raise InputError(f"node id {_shown(i)} must be a positive integer")
                 if i > INT64_MAX:
                     raise InputError(f"node id {_shown(i)} must be below 2**63")
-        object.__setattr__(self, "nodes",
-                           tuple(sorted(self.nodes, key=attrgetter("id"))))
-        entries, ends, probs = _canonical(self.routing, "routing entry", True)
-        external, ext_ids, lam0 = _canonical(self.external_arrivals, "external arrival", False)
-        known = self.known_arrival_rates
-        if known is not None:
-            known, known_ids, known_rates = _canonical(known, "known arrival rate", False)
-            object.__setattr__(self, "known_arrival_rates", MappingProxyType(known))
-        object.__setattr__(self, "routing", MappingProxyType(entries))
-        object.__setattr__(self, "external_arrivals", MappingProxyType(external))
-
-        if not self.nodes:
+        known = self.known_arrival_rates  # None: no node is pinned
+        (routing, external, pins), keys, values = _canonical(
+            [self.routing, self.external_arrivals, {} if known is None else known])
+        if not nodes:
             raise InputError("network has no nodes")
-        nodes, n = self.nodes, len(self.nodes)
-
-        ids, kinds, caps, mu, mu_b = map(list, zip(*nodes))
+        n = len(nodes)
         # Kind and capacity tests are by type: a plain string is no kind, a bool no
         # capacity.  A capacity past int64 is flagged as 0.
-        kind = np.array([KIND_CODES[k] if type(k) is NodeKind else -1 for k in kinds],
-                        dtype=np.int8)
+        kind = np.array([KIND_CODES[k] if type(k) is NodeKind else -1 for k in kinds], np.int8)
         fits = set(map(type, caps)) <= {int} and 0 < min(caps) and max(caps) <= INT64_MAX
         cap = np.array(caps if fits else [c if isinstance(c, int) and type(c) is not bool
                                           and 0 < c <= INT64_MAX else 0 for c in caps], np.int64)
         id_col = np.array(ids, dtype=np.int64)
-        repeated = np.concatenate(([False], id_col[1:] == id_col[:-1]))
-        mu, mu_b = np.array(_finite_column(mu)), np.array(_finite_column(mu_b))
+        rates = _finite_column([*mu, *mu_b])  # NaN marks a rate _finite rejects
+        mu, mu_b = np.array(rates).reshape(2, n)
         inner = kind == KIND_CODES[NodeKind.INTERMEDIATE]
         sink = kind == KIND_CODES[NodeKind.SINK]
-        # NaN marks a rate _finite rejects; it fails every comparison
-        flagged = (repeated | (kind < 0) | (cap < 1) | ~(mu >= 0.0) | ~(mu_b >= 0.0)
+        flagged = ((kind < 0) | (cap < 1) | ~(np.minimum(mu, mu_b) >= 0.0)  # NaN fails
                    | (inner & ((cap != 1) | (mu_b <= 0.0))))
+        flagged[1:] |= id_col[1:] == id_col[:-1]  # a repeated id
         # The per-node rules, in order: the first flagged node raises at its first fault.
-        for node, duplicate in compress(zip(nodes, repeated.tolist()), flagged.tolist()):
+        for node, before in compress(zip(nodes, chain([None], ids)), flagged.tolist()):
             i, capacity = _shown(node.id), node.capacity
-            if duplicate:
+            if node.id == before:
                 raise InputError(f"duplicate node id {i}")
             if type(node.kind) is not NodeKind:
                 raise InputError(f"node {i}: kind {node.kind!r} is not a NodeKind")
@@ -353,75 +353,71 @@ class NetworkSpec:
             if node.kind is NodeKind.INTERMEDIATE and node.unblock_rate <= 0:
                 raise InputError(f"node {i} needs a positive unblock rate")
 
-        index = dict(zip(ids, range(n)))
-        ends = _positions(id_col, ends)
-        rows, cols = ends[0::2], ends[1::2]
-        flagged = ((rows < 0) | (cols < 0) | ~((probs >= 0.0) & (probs <= 1.0))
-                   | ((probs > 0.0) & sink[rows]))
-        for i, j in compress(entries, flagged.tolist()):
+        # Every mapping entry at once: its node (a routing entry's from node), its value
+        # and a routing entry's to node; an entry at a sink is flagged for its check.
+        r, e = len(routing), len(external)
+        at = _positions(id_col, keys)
+        rows, cols, probs = at[0:2 * r:2], at[1:2 * r:2], values[:r]
+        owner = np.concatenate((rows, at[2 * r:]))
+        flagged = ~((values >= 0.0) & np.isfinite(values)) | (owner < 0) | sink[owner]
+        flagged[:r] |= (cols < 0) | (probs > 1.0)
+        flags = flagged.tolist()
+        index = dict(zip(ids, range(n))) if True in flags else {}
+        for i, j in compress(routing, flags):  # the per-entry rules, mapping by mapping
             pair = f"{_shown(i)}->{_shown(j)}"
             for end in (i, j):
                 if end not in index:
                     raise InputError(f"routing entry {pair} references unknown node {_shown(end)}")
-            if _finite(entries[i, j], f"routing {pair}", PROBABILITY) > 0.0 and sink[index[i]]:
+            if _finite(routing[i, j], f"routing {pair}", PROBABILITY) > 0.0 and sink[index[i]]:
                 raise InputError(f"sink node {_shown(i)} cannot route onward")
-
         # bincount adds in triplet order, so each row sums left to right over
         # its targets in id order; tolist gives the Python float the message prints
         row_sum = np.bincount(rows, weights=probs, minlength=n)
-        for i, total in compress(zip(ids, row_sum.tolist()),
-                                 (row_sum > 1.0 + ROW_SUM_TOL).tolist()):
+        sums = row_sum.tolist()
+        if max(sums) > 1.0 + ROW_SUM_TOL:
+            i, total = next((i, t) for i, t in zip(ids, sums) if t > 1.0 + ROW_SUM_TOL)
             raise InputError(f"routing probabilities out of node {_shown(i)} sum to {total!r} > 1")
-        exit_probability = np.maximum(1.0 - row_sum, 0.0)  # no row sum is negative
-        # A zero entry routes nothing: the tables keep the positive entries only.
-        used = probs > 0.0
-        rows, cols, probs = rows[used], cols[used], probs[used]
-
-        at = _positions(id_col, ext_ids)
-        for i in compress(external, ((at < 0) | ~(np.isfinite(lam0) & (lam0 >= 0.0))
-                                     | sink[at]).tolist()):
+        for i in compress(external, flags[r:r + e]):
             if i not in index:
                 raise InputError(f"external arrival references unknown node {_shown(i)}")
             _finite(external[i], f"external arrival rate at node {_shown(i)}", NONNEGATIVE)
             if sink[index[i]]:
                 raise InputError(f"external arrivals cannot target sink node {_shown(i)}")
+        for i in compress(pins, flags[r + e:]):
+            if i not in index:
+                raise InputError(f"known arrival rate references unknown node {_shown(i)}")
+            _finite(pins[i], f"known arrival rate at node {_shown(i)}", NONNEGATIVE)
         external_rate = np.zeros(n)
-        external_rate[at] = lam0
-
+        external_rate[owner[r:r + e]] = values[r:r + e]
         known_rate = np.full(n, math.nan)  # pins are finite: NaN marks a free node
         if known is not None:
-            known_at = _positions(id_col, known_ids)
-            faulty = (known_at < 0) | ~(np.isfinite(known_rates) & (known_rates >= 0.0))
-            for i in compress(known, faulty.tolist()):
-                if i not in index:
-                    raise InputError(f"known arrival rate references unknown node {_shown(i)}")
-                _finite(known[i], f"known arrival rate at node {_shown(i)}", NONNEGATIVE)
-            known_rate[known_at] = known_rates
+            known_rate[owner[r + e:]] = values[r + e:]
             missing = id_col[inner & np.isnan(known_rate)].tolist()
             if missing:
-                raise InputError(
-                    "known arrival rates must cover every intermediate node;"
-                    f" missing [{', '.join(map(_shown, missing))}]"
-                )
+                raise InputError("known arrival rates must cover every intermediate node;"
+                                 f" missing [{', '.join(map(_shown, missing))}]")
 
-        # A node that can ever hold a job must be able to serve it.
-        receives = np.bincount(cols, minlength=n) > 0
-        receives[at[lam0 > 0.0]] = True
-        for node in compress(nodes, (receives & (mu <= 0.0)).tolist()):
-            raise InputError(f"node {_shown(node.id)} receives jobs"
-                             " but has no positive service rate")
-
-        if not any(r > 0 for r in external.values()):
+        used = probs > 0.0  # a zero entry routes nothing: the tables keep the positive ones
+        if np.count_nonzero(used) < r:
+            rows, cols, probs = rows[used], cols[used], probs[used]
+        if 0.0 in rates[:n]:  # a node that can ever hold a job must be able to serve it
+            receives = (np.bincount(cols, minlength=n) > 0) | (external_rate > 0.0)
+            for node in compress(nodes, (receives & (mu <= 0.0)).tolist()):
+                raise InputError(f"node {_shown(node.id)} receives jobs"
+                                 " but has no positive service rate")
+        if not max(external.values(), default=0.0) > 0.0:
             raise InputError("no node has a positive external arrival rate")
-        if not (exit_probability > 0.0).any():
+        if min(sums) >= 1.0:  # 1 - row sum is the exit probability
             raise InputError("no node has a positive exit probability")
 
-        columns = NodeColumns(id_col, kind, cap, mu, mu_b, exit_probability,
+        columns = NodeColumns(id_col, kind, cap, mu, mu_b, np.maximum(1.0 - row_sum, 0.0),
                               external_rate, known_rate)
         for a in (*columns, rows, cols, probs):
-            a.flags.writeable = False
-        object.__setattr__(self, "columns", columns)
-        object.__setattr__(self, "routing_triplets", (rows, cols, probs))
+            a.setflags(write=False)
+        vars(self).update(  # a frozen dataclass: its fields are set past __setattr__
+            nodes=nodes, routing=MappingProxyType(routing), columns=columns,
+            external_arrivals=MappingProxyType(external), routing_triplets=(rows, cols, probs),
+            known_arrival_rates=known if known is None else MappingProxyType(pins))
 
     def __reduce__(self):
         # a mapping proxy cannot be pickled: rebuild from plain-dict copies
@@ -447,10 +443,10 @@ _KNOWN = ("known_arrival_rates", ("node", "lambda"),
           "duplicate known arrival rate for node {}")
 
 
-def _load_json(text: str, **options):
-    """``json.loads``, raising ParseError for any text it cannot decode."""
+def _load_json(text: str, decode=json.loads):
+    """``decode(text)``, raising ParseError for any text it cannot decode."""
     try:
-        return json.loads(text, **options)
+        return decode(text)
     except json.JSONDecodeError as e:
         raise ParseError(e.msg, line=e.lineno) from None
     except RecursionError:  # nested deeper than the decoder recurses
@@ -461,6 +457,9 @@ def _load_json(text: str, **options):
 
 def _no_nonfinite(token: str):
     raise ParseError(f"non-finite number {token!r} is not allowed")
+
+
+_NETWORK_JSON = json.JSONDecoder(parse_constant=_no_nonfinite)  # json.loads builds one per call
 
 
 def _check_keys(obj: dict, path: str, allowed: tuple[str, ...],
@@ -551,16 +550,16 @@ def _node_columns(items: list) -> tuple[list, ...] | None:
     except KeyError:
         return None
     servers = list(map(dict.get, items, repeat("servers"), repeat(1)))
-    mu_b = list(map(dict.get, items, repeat("mu_b"), repeat(0.0)))
+    rates = [*mu, *map(dict.get, items, repeat("mu_b"), repeat(0.0))]
     # Rates are typed first: a column of equal-length lists would read as 2-D.
     if not (set(map(type, kinds)) <= {str} and set(kinds) <= _KINDS.keys()
             and set(map(type, chain(ids, servers, capacity))) <= {int} and set(servers) <= {1}
-            and set(map(type, chain(mu, mu_b))) <= {int, float, str}):
+            and set(map(type, rates)) <= {int, float, str}):
         return None
-    mu, mu_b = _finite_column(mu, text=True), _finite_column(mu_b, text=True)
-    if math.isnan(sum(mu)) or math.isnan(sum(mu_b)):  # each column holds no inf
+    rates = _finite_column(rates, text=True)  # mu, then mu_b
+    if math.isnan(sum(rates)):  # the column holds no inf
         return None
-    return ids, list(map(_KINDS.__getitem__, kinds)), capacity, mu, mu_b
+    return ids, list(map(_KINDS.__getitem__, kinds)), capacity, rates[:len(ids)], rates[len(ids):]
 
 
 def _keyed_rates(items: list, keys: tuple[str, ...]) -> dict | None:
@@ -569,14 +568,14 @@ def _keyed_rates(items: list, keys: tuple[str, ...]) -> dict | None:
     if not (set(map(type, items)) <= {dict} and set(map(len, items)) <= {len(keys)}):
         return None
     try:  # with exactly len(keys) keys each, having all of them rules out others
-        *ids, rates = (list(map(itemgetter(k), items)) for k in keys)
+        ids, rates = (list(map(itemgetter(*k), items)) for k in (keys[:-1], keys[-1:]))
     except KeyError:
         return None
-    if not (set(map(type, chain(*ids))) <= {int} and set(map(type, rates)) <= {int, float, str}):
+    if not (set(map(type, chain.from_iterable(ids) if len(keys) > 2 else ids)) <= {int}
+            and set(map(type, rates)) <= {int, float, str}):
         return None
-    rates = _finite_column(rates, text=True)  # typed first, as the node rates
-    table = dict(zip(zip(*ids) if len(ids) > 1 else ids[0], rates))
-    return table if len(table) == len(items) and not math.isnan(sum(rates)) else None
+    table = dict(zip(ids, _finite_column(rates, text=True)))  # typed first, as the node rates
+    return table if len(table) == len(items) and not math.isnan(sum(table.values())) else None
 
 
 def _section(doc: dict, name: str, keys: tuple[str, ...], duplicate: str) -> dict:
@@ -609,7 +608,7 @@ def parse_network(text: str) -> NetworkSpec:
         InputError: any structural invariant fails, including a ``servers``
             value other than 1.
     """
-    doc = _as_object(_load_json(text, parse_constant=_no_nonfinite), "$")
+    doc = _as_object(_load_json(text, _NETWORK_JSON.decode), "$")
     _check_keys(doc, "$", _TOP_KEYS, _TOP_KEYS[:3])
 
     items = _as_array(doc["nodes"], "$.nodes")

@@ -58,13 +58,13 @@ from array import array
 from bisect import bisect_right, insort
 from collections import deque
 from dataclasses import asdict, dataclass
-from itertools import chain
+from itertools import accumulate, chain
 from numbers import Real
 
 import numpy as np
 
 from .errors import InputError, NumericsError
-from .model import NetworkSpec, _finite, _shown
+from .model import NetworkSpec, _adjacency, _finite, _shown
 
 # Range rule for ``model._finite``; NaN fails it.
 HORIZON = (lambda x: 0.0 < x < math.inf, " must be positive and finite, got {}")
@@ -401,12 +401,10 @@ def simulate_blocking_network(spec: NetworkSpec, config: SimConfig) -> SimResult
     caps = columns.capacity.tolist()
     mu = columns.service_rate.tolist()
     rate = columns.external_rate.tolist()
-    # Routing rows keep their targets in id order; add.accumulate sums
-    # left to right, so the cumulative probabilities are exact prefix sums.
+    # targets in id order; accumulate sums left to right: exact prefix sums
     rows, cols, probs = spec.routing_triplets
-    bounds = np.searchsorted(rows, np.arange(n + 1)).tolist()
-    tgt = [cols[a:b].tolist() for a, b in zip(bounds, bounds[1:])]
-    cum = [np.add.accumulate(probs[a:b]).tolist() for a, b in zip(bounds, bounds[1:])]
+    tgt = _adjacency(n, rows, cols)
+    cum = [list(accumulate(p)) for p in _adjacency(n, rows, probs)]
 
     stop = config.horizon
     t_warm = WARMUP_FRACTION * stop

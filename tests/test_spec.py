@@ -145,7 +145,8 @@ def _bad_rate(rng, case, name):
 
 def _row_above_one(rng, case):
     i = rng.choice(case["src"])
-    used = sum(p for (a, _), p in case["routing"].items() if a == i and type(p) is float)
+    used = sum(p for key, p in case["routing"].items()
+               if type(key) is tuple and key[:1] == (i,) and type(p) is float)
     j = rng.choice(case["sink"] or case["src"])
     if (i, j) not in case["routing"]:
         case["routing"][(i, j)] = min(1.0, 1.0 - used + rng.choice([2e-9, 0.3]))
