@@ -199,9 +199,9 @@ def _typed(entries: Mapping, what: str, pair: bool) -> dict:
 
 
 def _canonical(mappings: list[Mapping]) -> tuple[list[dict], np.ndarray, np.ndarray]:
-    """``_typed`` copies of the routing and the rate mappings, all their keys
-    as one int64 array (the routing's from and to alternating, then the rate
-    keys; 0 past int64) and all their values as one float array."""
+    """The routing and rate mappings as ``_typed`` copies (and faults) would be,
+    all their keys as one int64 array (the routing's from and to alternating,
+    then the rate keys; 0 past int64) and all their values as one float array."""
     values = list(chain.from_iterable(entries.values() for entries in mappings))
     routing = list(mappings[0])
     pairs = set(map(type, routing)) <= {tuple} and set(map(len, routing)) <= {2}
@@ -546,7 +546,7 @@ def _node_columns(items: list) -> tuple[list, ...] | None:
     if not (set(map(type, items)) <= {dict} and set().union(*items) <= set(_NODE_KEYS)):
         return None
     try:  # with no unknown key, having the required ones is the whole key rule
-        ids, kinds, capacity, mu = (list(map(itemgetter(k), items)) for k in _NODE_REQUIRED)
+        ids, kinds, capacity, mu = [list(map(itemgetter(k), items)) for k in _NODE_REQUIRED]
     except KeyError:
         return None
     servers = list(map(dict.get, items, repeat("servers"), repeat(1)))
@@ -568,7 +568,8 @@ def _keyed_rates(items: list, keys: tuple[str, ...]) -> dict | None:
     if not (set(map(type, items)) <= {dict} and set(map(len, items)) <= {len(keys)}):
         return None
     try:  # with exactly len(keys) keys each, having all of them rules out others
-        ids, rates = (list(map(itemgetter(*k), items)) for k in (keys[:-1], keys[-1:]))
+        ids = list(map(itemgetter(*keys[:-1]), items))  # (from, to) pairs, or node ids
+        rates = list(map(itemgetter(keys[-1]), items))
     except KeyError:
         return None
     if not (set(map(type, chain.from_iterable(ids) if len(keys) > 2 else ids)) <= {int}
