@@ -398,8 +398,7 @@ class NetworkSpec:
                                  f" missing [{', '.join(map(_shown, missing))}]")
 
         used = probs > 0.0  # a zero entry routes nothing: the tables keep the positive ones
-        if np.count_nonzero(used) < r:
-            rows, cols, probs = rows[used], cols[used], probs[used]
+        rows, cols, probs = rows[used], cols[used], probs[used]  # contiguous copies
         if 0.0 in rates[:n]:  # a node that can ever hold a job must be able to serve it
             receives = (np.bincount(cols, minlength=n) > 0) | (external_rate > 0.0)
             for node in compress(nodes, (receives & (mu <= 0.0)).tolist()):
