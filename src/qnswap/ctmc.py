@@ -104,7 +104,7 @@ def _mm1k_full(x: np.ndarray, k: np.ndarray) -> np.ndarray:
     """P_full for float rho ``x`` (inf: full) and int64 or Python int capacities ``k``."""
     full = np.asarray(1.0 / ((k.astype(np.uint64) if k.dtype.kind == "i" else k) + 1), float)
     far = abs(x - 1.0) > RHO_ONE_TOL  # elsewhere, full holds the limit
-    if far.any():  # head: rho^K, or 1.0 above 1, where the form in 1/rho has none
+    if np.count_nonzero(far):  # head: rho^K, or 1.0 above 1, where the form in 1/rho has none
         ks, x = k[far].tolist(), x[far]
         head = np.array(list(map(pow, np.minimum(x, 1.0).tolist(), ks)))
         r = np.minimum(x, 1.0 / np.maximum(x, 1.0))  # rho, or 1/rho above 1

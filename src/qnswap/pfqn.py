@@ -121,7 +121,8 @@ def analyze_network(
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         pi00, pi10, pi01 = _closed_form(*args)
         # a routing row may sum to 1 + ROW_SUM_TOL, so pb may exceed 1
-        if not ((abs(pi00 + pi10 + pi01 - 1.0) <= SUM_TOL) & (pb[:good] <= 1.0)).all():
+        ok = (abs(pi00 + pi10 + pi01 - 1.0) <= SUM_TOL) & (pb[:good] <= 1.0)
+        if np.count_nonzero(ok) < good:
             pi00, pi10, pi01 = blocking_node_closed_form(*args)  # raises its error
     if good < len(ids):
         raise InputError(

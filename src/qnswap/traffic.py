@@ -155,7 +155,7 @@ def solve_traffic(spec: NetworkSpec) -> np.ndarray:
     free = np.flatnonzero(~pinned)
     rhs = (lam0 + _inflow(rows, cols, probs, lam, n))[free]
     linked = ~pinned[rows] & ~pinned[cols]
-    if linked.any():
+    if np.count_nonzero(linked):
         local = np.empty(n, dtype=np.intp)
         local[free] = np.arange(len(free))
         src, dst = local[rows[linked]], local[cols[linked]]
@@ -163,7 +163,7 @@ def solve_traffic(spec: NetworkSpec) -> np.ndarray:
         # roots: free nodes that exit or route into a pinned node
         drains = spec.columns.exit_probability[free] > ROW_SUM_TOL
         drains[local[rows[~pinned[rows] & pinned[cols]]]] = True
-        if not drains.all():
+        if np.count_nonzero(drains) < len(free):
             level = _bfs_levels(back, np.flatnonzero(drains).tolist())
             closed = [i for i, depth in zip(spec.columns.id[free].tolist(), level) if depth < 0]
             if closed:
