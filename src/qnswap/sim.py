@@ -401,7 +401,7 @@ def simulate_blocking_network(spec: NetworkSpec, config: SimConfig) -> SimResult
     caps = columns.capacity.tolist()
     mu = columns.service_rate.tolist()
     rate = columns.external_rate.tolist()
-    # targets in id order; accumulate sums left to right: exact prefix sums
+    # each row's targets in id order; accumulate adds left to right: exact prefix sums
     rows, cols, probs = spec.routing_triplets
     tgt = _adjacency(n, rows, cols)
     cum = [list(accumulate(p)) for p in _adjacency(n, rows, probs)]
