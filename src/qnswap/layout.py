@@ -34,21 +34,17 @@ DEFAULT_BOUNDARY_CAPACITY = 8
 
 @dataclass(frozen=True)
 class QueueSite:
-    """Role and buffer size of a boundary site.
-
-    ``capacity`` may be left None to pick up the builder default.
-    """
+    """Role and buffer size of a boundary site."""
 
     role: NodeKind
-    capacity: int | None = None
+    capacity: int
 
     def __post_init__(self):
         # by identity: a plain string equals its NodeKind, but the builder
         # picks sources and sinks by identity
         if self.role is not NodeKind.SOURCE and self.role is not NodeKind.SINK:
             raise SchemaError("queues.role", f"must be source or sink, got {self.role!r}")
-        if self.capacity is not None and (
-                not isinstance(self.capacity, int) or isinstance(self.capacity, bool)
+        if (not isinstance(self.capacity, int) or isinstance(self.capacity, bool)
                 or self.capacity < 1):
             raise SchemaError("queues.capacity", "must be a positive integer")
 
@@ -159,7 +155,6 @@ def build_lattice_network(
     service_rate: float = 1.0,
     unblock_rate: float = 0.15,
     arrival_rate: float | Mapping[str, float] = 0.1,
-    boundary_capacity: int = DEFAULT_BOUNDARY_CAPACITY,
 ) -> NetworkSpec:
     """Generate a network with uniform nearest-neighbor routing.
 
@@ -179,7 +174,6 @@ def build_lattice_network(
         arrival_rate: external rate per source, either one number for all
             or a mapping keyed by site name with exactly the source sites
             as keys (SchemaError otherwise).
-        boundary_capacity: buffer size for queue sites that do not fix one.
 
     Returns:
         The generated NetworkSpec.
@@ -198,24 +192,18 @@ def build_lattice_network(
              for s in interior]
     for s in sources + sinks:
         q = layout.queue_sites[s]
-        cap = q.capacity if q.capacity is not None else boundary_capacity
-        nodes.append(NodeSpec(ids[s], q.role, cap, service_rate, 0.0))
+        nodes.append(NodeSpec(ids[s], q.role, q.capacity, service_rate, 0.0))
 
     entries: dict[tuple[int, int], float] = {}
     # Rows in id order, each row's targets by id: the spec takes the keys as they are.
-    for s in interior:
+    # A source keeps only its interior neighbours; sink rows stay empty (exit probability 1).
+    inner = set(interior)
+    for s in interior + sources:
         nbrs = layout.neighbors(s)
-        share = 1.0 / len(nbrs)
-        for t in sorted(map(ids.__getitem__, nbrs)):
-            entries[(ids[s], t)] = share
-    interior_set = set(interior)
-    for s in sources:
-        targets = [t for t in layout.neighbors(s) if t in interior_set]
-        if targets:
-            share = 1.0 / len(targets)
-            for t in sorted(map(ids.__getitem__, targets)):
-                entries[(ids[s], t)] = share
-    # sink rows stay empty: exit probability 1
+        targets = sorted(map(ids.__getitem__, nbrs if s in inner else inner.intersection(nbrs)))
+        i, share = ids[s], 1.0 / (len(targets) or 1)  # a source may touch no interior site
+        for t in targets:
+            entries[(i, t)] = share
 
     if isinstance(arrival_rate, Mapping):
         missing = [s for s in sources if s not in arrival_rate]

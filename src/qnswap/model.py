@@ -55,9 +55,9 @@ import math
 from contextlib import suppress
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import partial
+from functools import partial, reduce
 from itertools import chain, compress, repeat
-from operator import attrgetter, itemgetter
+from operator import add, attrgetter, itemgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, NoReturn
 
@@ -112,6 +112,11 @@ class NodeColumns(NamedTuple):
     exit_probability: np.ndarray  # 1 - routing row sum, clipped to [0, 1]
     external_rate: np.ndarray  # lambda0, 0.0 where a node has none
     known_rate: np.ndarray  # the pinned arrival rate, NaN where a node is not pinned
+
+
+def _sum_in_order(values):
+    """``values`` added left to right, as ``sum`` did until Python 3.12 compensated floats."""
+    return reduce(add, values, 0)
 
 
 def _shown(value) -> str:

@@ -10,12 +10,14 @@ capacity-one neighbor is full half the time; otherwise target utilizations
 come from the solved rates, and an explicit override can replace the
 computed value wholesale.
 
-The analysis is one pass of array operations over the intermediate nodes in
-id order, with one column per per-node field: P_full as one elementwise call
-over the routing targets, the blocking probabilities as one ``np.bincount``
-over the routing triplets, the closed form elementwise, and
-``rho``/``kbar``/``tbar`` from the marginals.  The closed forms run as unchecked
-``ctmc`` kernels; a result that fails goes to the checked function for its error.
+The analysis is one pass of array operations over every station in id
+order: the utilization, P_full as one elementwise call and the blocking
+probabilities as one ``np.bincount`` over the routing triplets.  The closed
+form then runs elementwise over the intermediate nodes, and
+``rho``/``kbar``/``tbar`` come from the marginals.  The closed forms run as
+unchecked ``ctmc`` kernels under one fault check: the first intermediate node
+that fails it raises, a zero arrival rate here, any other fault through the
+checked function.
 """
 
 from __future__ import annotations
@@ -83,50 +85,43 @@ def analyze_network(
 ) -> NetworkAnalysis:
     """Run the full analytic pipeline on a network (see module docstring).
 
-    Solves the traffic equations, then computes the per-node columns.
-    Boundary (source/sink) nodes get no marginal; they only shape the
-    blocking probabilities and the traffic solution.
+    Solves the traffic equations, then computes P_full and the blocking
+    probabilities for every station and the marginal columns for the
+    intermediates.  Boundary (source/sink) nodes get no marginal; they only
+    shape the blocking probabilities and the traffic solution.
 
     Raises:
         InputError: an intermediate node whose solved arrival rate or whose
-            service rate is not positive; the first such node in id order
-            is named.
+            service rate is not positive, or whose blocking probability
+            exceeds 1.
         NumericsError: a node's marginal is not a distribution.
+        Of several such nodes, the first in id order raises.
     """
     lam_all = solve_traffic(spec)
     col = spec.columns
     inner = col.kind == KIND_CODES[NodeKind.INTERMEDIATE]
     ids = col.id[inner]
     lam, mu, mu_b = lam_all[inner], col.service_rate[inner], col.unblock_rate[inner]
-
     override = assumptions.blocking_probability_override
-    if override is not None:
-        pb = np.full(len(ids), override, dtype=float)
-    else:
-        rows, cols, probs = spec.routing_triplets
-        used = inner[rows]
-        rows, cols, probs = rows[used], cols[used], probs[used]
-        targets = np.bincount(cols, minlength=len(inner)) > 0
-        rho = (np.ones(np.count_nonzero(targets)) if assumptions.rho_one
-               else lam_all[targets] / col.service_rate[targets])
-        full = np.zeros(len(inner))
-        full[targets] = _mm1k_full(rho, col.capacity[targets])
-        # bincount adds in triplet order, (from, to), so each sum runs over
-        # the targets in id order
-        pb = np.bincount(rows, weights=probs * full[cols], minlength=len(inner))[inner]
-
-    zero = (lam <= 0).nonzero()[0]
-    good = int(zero[0]) if zero.size else len(ids)  # nodes before the first zero rate
-    args = lam[:good], mu[:good], mu_b[:good], pb[:good]
+    # zero rates and overflow leave inf and NaN, which fail ``ok`` where they are read
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        pi00, pi10, pi01 = _closed_form(*args)
+        if override is not None:
+            pb = np.full(len(ids), override, dtype=float)
+        else:
+            rho = np.ones(len(lam_all)) if assumptions.rho_one else lam_all / col.service_rate
+            full = _mm1k_full(rho, col.capacity)
+            rows, cols, probs = spec.routing_triplets
+            # bincount adds in triplet order, (from, to), so each sum runs over
+            # the targets in id order
+            pb = np.bincount(rows, weights=probs * full[cols], minlength=len(lam_all))[inner]
+        pi00, pi10, pi01 = _closed_form(lam, mu, mu_b, pb)
         # a routing row may sum to 1 + ROW_SUM_TOL, so pb may exceed 1
-        ok = (abs(pi00 + pi10 + pi01 - 1.0) <= SUM_TOL) & (pb[:good] <= 1.0)
-        if np.count_nonzero(ok) < good:
-            pi00, pi10, pi01 = blocking_node_closed_form(*args)  # raises its error
-    if good < len(ids):
-        raise InputError(
-            f"node {ids[good]} has zero arrival rate; per-job metrics undefined")
+        ok = (lam > 0.0) & (abs(pi00 + pi10 + pi01 - 1.0) <= SUM_TOL) & (pb <= 1.0)
+    if np.count_nonzero(ok) < len(ids):
+        k = int(np.argmin(ok))  # the first failing node
+        if lam[k] <= 0.0:
+            raise InputError(f"node {ids[k]} has zero arrival rate; per-job metrics undefined")
+        blocking_node_closed_form(lam, mu, mu_b, pb)  # raises node k's error
     kbar = pi10 + pi01
     return NetworkAnalysis(
         nodes=ids,

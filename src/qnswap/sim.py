@@ -64,7 +64,7 @@ from numbers import Real
 import numpy as np
 
 from .errors import InputError, NumericsError
-from .model import NetworkSpec, _adjacency, _finite, _shown
+from .model import NetworkSpec, _adjacency, _finite, _shown, _sum_in_order
 
 # Range rule for ``model._finite``; NaN fails it.
 HORIZON = (lambda x: 0.0 < x < math.inf, " must be positive and finite, got {}")
@@ -413,22 +413,22 @@ def simulate_blocking_network(spec: NetworkSpec, config: SimConfig) -> SimResult
     (events, windows, occ_time, blocked_t, arrivals, completed, dropped, in_flight,
      arrivals_w, dropped_w, resp_n, resp_sum, resp_sq, hop_sum) = zip(*runs)
 
-    window = sum(windows)  # positive: the warm-up is a fraction of a positive horizon
+    window = _sum_in_order(windows)  # positive: the warm-up is a fraction of a positive horizon
     nodes = []
     mean_jobs_total = 0.0
     for k, (i, cap) in enumerate(zip(ids, caps)):
-        fractions = tuple(sum(occ[k][n_jobs] for occ in occ_time) / window
+        fractions = tuple(_sum_in_order(occ[k][n_jobs] for occ in occ_time) / window
                           for n_jobs in range(cap + 1))
-        mean_jobs = sum(n_jobs * f for n_jobs, f in enumerate(fractions))
+        mean_jobs = _sum_in_order(n_jobs * f for n_jobs, f in enumerate(fractions))
         mean_jobs_total += mean_jobs
         nodes.append(NodeStats(
             node=i,
             occupancy=fractions,
-            blocked_fraction=sum(b[k] for b in blocked_t) / window,
+            blocked_fraction=_sum_in_order(b[k] for b in blocked_t) / window,
             mean_jobs=mean_jobs,
         ))
 
-    resp_n, resp_sum, resp_sq = sum(resp_n), sum(resp_sum), sum(resp_sq)
+    resp_n, resp_sum, resp_sq = sum(resp_n), _sum_in_order(resp_sum), _sum_in_order(resp_sq)
     response_mean = resp_sum / resp_n if resp_n else None
     response_stderr = None
     if resp_n > 1:

@@ -40,7 +40,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NumericsError
-from .model import ROW_SUM_TOL, NetworkSpec, _adjacency, _bfs_levels
+from .model import ROW_SUM_TOL, NetworkSpec, _adjacency, _bfs_levels, _sum_in_order
 
 # Largest accepted residual, relative to the largest input rate.
 RESIDUAL_TOL = 1e-10
@@ -48,7 +48,7 @@ RESIDUAL_TOL = 1e-10
 
 def total_external_rate(spec: NetworkSpec) -> float:
     """Sum of all external arrival rates, added left to right in id order."""
-    return float(sum(spec.columns.external_rate.tolist()))
+    return float(_sum_in_order(spec.columns.external_rate.tolist()))
 
 
 def _inflow(rows, cols, probs, lam, n: int) -> np.ndarray:

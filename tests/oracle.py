@@ -13,6 +13,8 @@ Nothing in ``qnswap`` calls these; they exist to cross-check it:
   ``spec.routing``, for the spec's columns and the analysis columns,
   with the M/M/1/K full probability as one scalar formula per call
   against its elementwise form in ``qnswap.ctmc``;
+- the builtin ``sum`` of Python 3.12 and later, which compensates floats,
+  for the tests that the package's float totals do not depend on it;
 - the reference ``analyze`` and network documents, built as plain dicts
   and lists, that the fixed-schema JSON writers (the CLI's and
   ``serialize_network``) must print byte for byte as ``json.dumps`` does.
@@ -731,6 +733,41 @@ def _left_sum(values) -> float:
     total = 0.0
     for x in values:
         total += x
+    return total
+
+
+def sum_312(iterable, /, start=0):
+    """The builtin ``sum`` of CPython 3.12 and later, on ints and floats.
+
+    Once the total is a float, float items are added with Neumaier's
+    compensation and the correction is added at the end, so a float total
+    can differ in its last bits from the left-to-right ``sum`` of 3.10 and
+    3.11.  An int item of 64 bits or fewer is added as a float, without
+    compensation; any other item ends the fast path, as in CPython.
+    """
+    items, end = iter(iterable), object()
+    total = start
+    while type(total) is int:  # the int fast path, until the first other item
+        item = next(items, end)
+        if item is end:
+            return total
+        total = total + item
+    if type(total) is float:
+        c = 0.0
+        for item in items:
+            if type(item) is float:
+                t = total + item
+                c += (total - t) + item if abs(total) >= abs(item) else (item - t) + total
+                total = t
+            elif isinstance(item, int) and -2**63 <= item < 2**63:
+                total += float(item)
+            else:
+                total = (total + c if c and math.isfinite(c) else total) + item
+                break
+        else:
+            return total + c if c and math.isfinite(c) else total
+    for item in items:
+        total = total + item
     return total
 
 

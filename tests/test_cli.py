@@ -281,6 +281,18 @@ class TestSimulate:
         assert "blocked" in measures
         assert "mean_jobs" in measures
 
+    @pytest.mark.parametrize("fmt, lines", [
+        ("table", ["mean jobs: 0  response mean:   stderr:   mean hops: "]),
+        ("csv", ["network,response_mean,", "network,response_stderr,", "network,mean_hops,",
+                 "network,drop_fraction,"]),
+    ])
+    def test_undefined_means_print_as_empty_fields(self, capsys, fixture_file, fmt, lines):
+        # no job arrives in a one-unit run, so the per-job means are undefined
+        code, out, err = run_cli(capsys, "simulate", "--network", fixture_file, "--seed", "3",
+                                 "--horizon", "1", "--format", fmt)
+        assert (code, err) == (0, "")
+        assert set(lines) <= set(out.splitlines())
+
     def test_infinite_horizon_is_an_input_error(self, capsys, fixture_file):
         code, out, err = run_cli(
             capsys, "simulate", "--network", fixture_file, "--horizon", "inf")

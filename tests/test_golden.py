@@ -25,6 +25,7 @@ only for a deliberate change of output, and record that change.
 A case runs on the munoz15 document unless its arguments name a network.
 """
 
+import builtins
 import json
 from pathlib import Path
 
@@ -40,6 +41,7 @@ from qnswap import (
 )
 
 from conftest import funnel_spec, heavy_hex_layout, self_loop_spec
+from oracle import sum_312
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -192,3 +194,16 @@ def test_funnel_runs_match_golden_bytes():
         assert min(node["blocked_fraction"] for node in run["nodes"][:3]) > 0.1
         assert run["dropped"] > 0
     assert document.encode("utf-8") == (GOLDEN / "sim_funnel.json").read_bytes()
+
+
+@pytest.mark.parametrize("document, name", [
+    (sim_document, "sim_time_units.json"), (self_loop_document, "sim_self_loop.json"),
+    (heavy_hex_document, "sim_heavy_hex.json"), (funnel_document, "sim_funnel.json"),
+], ids=["time_units", "self_loop", "heavy_hex", "funnel"])
+def test_simulator_bytes_hold_under_a_compensated_sum(document, name, monkeypatch):
+    # from Python 3.12 the builtin sum compensates floats; the simulator adds
+    # its totals left to right, so its bytes do not depend on the Python version
+    monkeypatch.setattr(builtins, "sum", sum_312)
+    text = document()
+    monkeypatch.undo()
+    assert text.encode("utf-8") == (GOLDEN / name).read_bytes()

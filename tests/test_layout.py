@@ -81,12 +81,27 @@ class TestParseLayout:
          "$.queues[0].x: unknown key"),
         ("queues", [{"capacity": 4}], "$.queues[0]: missing required key 'site'"),
         ("queues", [{"site": "s", "capacity": 4}], "$.queues[0]: missing required key 'role'"),
+        ("queues", [{"site": 5, "role": "source", "capacity": 4}],
+         "$.queues[0].site: must be a site name"),
+        ("queues", [{"site": "nowhere", "role": "source", "capacity": 4}],
+         "queues: unknown site 'nowhere'"),
+        ("sites", "s", "$.sites: must be an array of site names"),
+        ("sites", ["s", "a", 3], "$.sites: must be an array of site names"),
     ])
     def test_shape_errors_name_the_path(self, section, value, message):
         doc = json.loads(GRID)
         doc[section] = value
         with pytest.raises(SchemaError) as caught:
             parse_layout(json.dumps(doc))
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("text, message", [
+        ("[]", "$: top level must be an object"),
+        ('{"sites": [], "edges": [], "queues": []}', "sites: layout has no sites"),
+    ], ids=["top_not_object", "no_sites"])
+    def test_document_errors(self, text, message):
+        with pytest.raises(SchemaError) as caught:
+            parse_layout(text)
         assert str(caught.value) == message
 
     # The edge list is checked as columns; a failing list still names its
@@ -179,6 +194,12 @@ class TestLayoutGraph:
             LayoutGraph(("s", "a", "t"), (("s", "a"), ("a", "t")),
                         {"s": QueueSite(role, 4), "t": QueueSite(NodeKind.SINK, 4)})
 
+    @pytest.mark.parametrize("capacity", [True, 0, None], ids=["bool", "zero", "none"])
+    def test_queue_capacity_must_be_a_positive_integer(self, capacity):
+        # every queue site fixes its own buffer size; True is no capacity 1
+        with pytest.raises(SchemaError, match="^queues.capacity: must be a positive integer$"):
+            QueueSite(NodeKind.SOURCE, capacity)
+
     def test_edges_are_undirected_and_deduped(self):
         lay = LayoutGraph(("a", "b"), (("b", "a"), ("a", "b")), {})
         assert lay.edges == (("a", "b"),)
@@ -257,22 +278,6 @@ class TestLatticeBuilder:
         doc["queues"] = [q for q in doc["queues"] if q["role"] != "sink"]
         with pytest.raises(InputError, match="layout declares no sink site"):
             build_lattice_network(parse_layout(json.dumps(doc)))
-
-    def test_default_boundary_capacity(self):
-        lay = LayoutGraph(
-            ("s", "a", "t"), (("s", "a"), ("a", "t")),
-            {"s": QueueSite(NodeKind.SOURCE, None), "t": QueueSite(NodeKind.SINK, None)})
-        net = build_lattice_network(lay, boundary_capacity=5)
-        assert net.columns.capacity.tolist() == [1, 5, 5]
-
-    def test_bool_boundary_capacity_rejected(self):
-        # True used to pass as capacity 1 and serialize as "capacity": true
-        lay = LayoutGraph(
-            ("s", "a", "t"), (("s", "a"), ("a", "t")),
-            {"s": QueueSite(NodeKind.SOURCE, None), "t": QueueSite(NodeKind.SINK, None)})
-        with pytest.raises(InputError, match="^node 2: capacity must be a positive integer$"):
-            build_lattice_network(lay, boundary_capacity=True)
-
 
 class TestFixture:
     def test_constant_across_calls(self, fixture_spec):

@@ -330,6 +330,14 @@ def test_missing_keys_are_named_in_schema_order():
         parse_network(text)
 
 
+def test_unknown_key_in_place_of_a_required_one_is_named():
+    # a routing object with its three keys, one of them unknown: the column
+    # pass misses "p", and the object-by-object pass names the stray key
+    doc = copy.deepcopy(BASES["munoz15"])
+    doc["routing"][0]["x"] = doc["routing"][0].pop("p")
+    assert _check_same(json.dumps(doc)) == ("SchemaError", "$.routing[0].x: unknown key")
+
+
 def test_missing_key_report_does_not_depend_on_hash_seed():
     # Which of several missing keys was named used to follow set iteration,
     # which string hashing randomizes per process.

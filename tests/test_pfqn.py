@@ -3,6 +3,7 @@
 import itertools
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -200,6 +201,43 @@ class TestAnalyzeNetwork:
             analyze_network(spec, AnalysisAssumptions(rho_one=False))
         assert str(caught.value) == (
             "blocking probability: probability 1.0000000005 outside [0, 1]")
+
+    @pytest.mark.parametrize("idle_first, message", [
+        (True, "node 1 has zero arrival rate; per-job metrics undefined"),
+        (False, "blocking probability: probability 1.0000000005 outside [0, 1]"),
+    ], ids=["zero_rate_first", "blocking_first"])
+    def test_first_failing_node_in_id_order_raises(self, idle_first, message):
+        # one intermediate node gets no traffic; the other's row sums to
+        # 1 + ROW_SUM_TOL / 2 over sinks that are full, so its pb is above 1
+        idle, busy = (1, 2) if idle_first else (2, 1)
+        spec = NetworkSpec(
+            nodes=tuple(NodeSpec(id=i, kind=NodeKind.INTERMEDIATE, capacity=1,
+                                 service_rate=1.0, unblock_rate=0.2) for i in (1, 2))
+            + tuple(NodeSpec(id=i, kind=NodeKind.SINK, capacity=1, service_rate=1e-300)
+                    for i in (3, 4)),
+            routing={(idle, 3): 1.0, (busy, 3): 0.5 + 2.5e-10, (busy, 4): 0.5 + 2.5e-10},
+            external_arrivals={busy: 1.0},
+        )
+        with pytest.raises(InputError) as caught:
+            analyze_network(spec, AnalysisAssumptions(rho_one=False))
+        assert str(caught.value) == message
+
+    def test_overflowing_target_utilization_is_full_without_a_warning(self):
+        # lambda / mu at the sink is 1e10 / 1e-300, past the largest float:
+        # the utilization is infinite, so the sink is always full
+        spec = NetworkSpec(
+            nodes=(
+                NodeSpec(id=1, kind=NodeKind.INTERMEDIATE, capacity=1,
+                         service_rate=1.0, unblock_rate=0.2),
+                NodeSpec(id=2, kind=NodeKind.SINK, capacity=8, service_rate=1e-300),
+            ),
+            routing={(1, 2): 1.0},
+            external_arrivals={1: 1e10},
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            analysis = analyze_network(spec, AnalysisAssumptions(rho_one=False))
+        assert analysis.blocking_probability.tolist() == [1.0]
 
     def test_overflowing_marginal_refused(self):
         # finite rates, but lambda / mu overflows at node 1

@@ -1,5 +1,6 @@
 """Traffic equations: direct solve against the fixed-point oracle."""
 
+import builtins
 import json
 import re
 import tracemalloc
@@ -19,7 +20,7 @@ from qnswap import (
     total_external_rate,
 )
 from conftest import random_open_network
-from oracle import fixed_point_traffic
+from oracle import fixed_point_traffic, sum_312
 import _expected
 
 
@@ -116,6 +117,18 @@ def test_pinned_rate_feeds_downstream_nodes():
 
 def test_total_external_rate_of_fixture(fixture_spec):
     assert total_external_rate(fixture_spec) == _expected.EXTERNAL_RATE
+
+
+def test_total_external_rate_adds_left_to_right_on_every_python(monkeypatch):
+    # the builtin sum compensates floats from Python 3.12, where it gives 0.6
+    spec = NetworkSpec(
+        nodes=tuple(NodeSpec(id=i, kind=NodeKind.SOURCE, capacity=2, service_rate=1.0)
+                    for i in (1, 2, 3)),
+        routing={},
+        external_arrivals={1: 0.1, 2: 0.2, 3: 0.3},
+    )
+    monkeypatch.setattr(builtins, "sum", sum_312)
+    assert total_external_rate(spec) == 0.6000000000000001
 
 
 def closed_cycle_spec():
