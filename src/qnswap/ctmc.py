@@ -84,7 +84,7 @@ def blocking_node_closed_form(
         # With good inputs each weight over denom lies in [0, 1] unless it is
         # NaN (inf / inf after an overflow), which fails the sum test.
         ok = inputs_ok & (abs(probs[0] + probs[1] + probs[2] - 1.0) <= SUM_TOL)
-    if not ok.all():
+    if np.count_nonzero(ok) < ok.size:
         k = int(np.argmin(ok.ravel()))
         if not inputs_ok.ravel()[k]:  # the element as given, in order, names the fault
             *rates, pb = (np.broadcast_to(np.asarray(a, dtype=object), ok.shape).ravel()[k]
@@ -134,7 +134,7 @@ def mm1k_full_probability(rho: float | np.ndarray,
     x[np.asarray(rho, dtype=object) == math.inf] = math.inf  # no fault: always full
     plain = exact or set(map(type, k.flat)) <= {int}  # another type flags every element
     ok = (k >= 1 if plain else np.zeros(k.shape, bool)) & (x >= 0.0)
-    for j in [] if ok.all() else (~ok).ravel().nonzero()[0].tolist():  # in order
+    for j in [] if np.count_nonzero(ok) == ok.size else np.flatnonzero(~ok).tolist():  # in order
         r, c = (np.broadcast_to(np.asarray(a, dtype=object), ok.shape).ravel()[j]
                 for a in (rho, capacity))
         if isinstance(c, bool) or not isinstance(c, int) or c < 1:

@@ -26,8 +26,8 @@ from typing import Mapping
 import numpy as np
 
 from .errors import InputError, SchemaError
-from .model import (NetworkSpec, NodeKind, NodeSpec, _adjacency, _as_array, _as_object,
-                    _bfs_levels, _check_keys, _load_json, _node_keys, _shown)
+from .model import (NetworkSpec, NodeKind, NodeSpec, _as_array, _as_object, _bfs_levels,
+                    _check_keys, _csr, _load_json, _node_keys, _shown)
 
 DEFAULT_BOUNDARY_CAPACITY = 8
 
@@ -85,30 +85,30 @@ class LayoutGraph:
         for s in self.queue_sites:
             if s not in known:
                 raise SchemaError("queues", f"unknown site {s!r}")
-        # The edges are sorted, so each index list holds a site's smaller
+        # The edges are sorted, so each site's indices are its smaller
         # neighbours and then its larger ones, both in order.
-        object.__setattr__(self, "_neighbors", {
-            s: tuple(map(sites.__getitem__, nbrs))
-            for s, nbrs in zip(sites, _check_connected(self))})
+        targets, begins, ends = _check_connected(self)
+        object.__setattr__(self, "_neighbors", {s: tuple(map(sites.__getitem__, targets[a:b]))
+                                                for s, a, b in zip(sites, begins, ends)})
 
     def neighbors(self, site: str) -> tuple[str, ...]:
         """Sorted adjacent sites; () for an isolated or unknown site."""
         return self._neighbors.get(site, ())
 
 
-def _check_connected(layout: LayoutGraph) -> list[list[int]]:
-    """Each site's neighbours as index lists, in edge order; InputError if some are cut off."""
+def _check_connected(layout: LayoutGraph) -> tuple[list[int], list[int], list[int]]:
+    """Each site's neighbours as ``model._csr`` groups, in edge order; InputError if cut off."""
     if not layout.sites:
         raise SchemaError("sites", "layout has no sites")
     index = dict(zip(layout.sites, range(len(layout.sites))))
     # edge ends as a0, b0, a1, b1, ...; reversing each pair gives the other direction
     ends = np.fromiter(map(index.__getitem__, chain.from_iterable(layout.edges)),
                        dtype=np.intp, count=2 * len(layout.edges))
-    adjacency = _adjacency(len(index), ends, ends.reshape(-1, 2)[:, ::-1].ravel())
-    missing = [s for s, depth in zip(layout.sites, _bfs_levels(adjacency, [0])) if depth < 0]
+    graph = _csr(len(index), ends, ends.reshape(-1, 2)[:, ::-1].ravel())
+    missing = [s for s, depth in zip(layout.sites, _bfs_levels(*graph, [0])) if depth < 0]
     if missing:
         raise InputError(f"layout is not connected; unreachable sites: {missing}")
-    return adjacency
+    return graph
 
 
 # Keys of a layout document and of its queue objects, every one required;
@@ -125,6 +125,8 @@ def parse_layout(text: str) -> LayoutGraph:
     _check_keys(doc, "$", _LAYOUT_KEYS, _LAYOUT_KEYS)
     if not isinstance(doc["sites"], list) or not set(map(type, doc["sites"])) <= {str}:
         raise SchemaError("$.sites", "must be an array of site names")
+    if not doc["sites"]:
+        raise SchemaError("$.sites", "layout has no sites")
     # As columns (JSON gives exact types); a failing list names its first bad edge.
     edges = _as_array(doc["edges"], "$.edges")
     if not (set(map(type, edges)) <= {list} and set(map(len, edges)) <= {2}
@@ -132,12 +134,14 @@ def parse_layout(text: str) -> LayoutGraph:
         k = next(k for k, e in enumerate(edges)
                  if not (type(e) is list and len(e) == 2 and set(map(type, e)) <= {str}))
         raise SchemaError(f"$.edges[{k}]", "must be a pair of site names")
-    queues = {}
+    queues, known = {}, set(doc["sites"])
     for k, q in enumerate(_as_array(doc["queues"], "$.queues")):
         path = f"$.queues[{k}]"
         _check_keys(_as_object(q, path), path, _QUEUE_KEYS, _QUEUE_KEYS)
         if not isinstance(q["site"], str):
             raise SchemaError(f"{path}.site", "must be a site name")
+        if q["site"] not in known:
+            raise SchemaError(f"{path}.site", f"unknown site {q['site']!r}")
         if q["role"] not in ("source", "sink"):
             raise SchemaError(f"{path}.role", f"must be source or sink, got {q['role']!r}")
         cap = q["capacity"]
@@ -278,7 +282,7 @@ def shortest_hops(spec: NetworkSpec, src: int, dst: int) -> int:
         if _node_keys([i], pair=False) is None or i not in ids:  # a bool is no node id
             raise InputError(f"lookup references unknown node {_shown(i)}")
     rows, cols, _ = spec.routing_triplets
-    hops = _bfs_levels(_adjacency(len(ids), rows, cols), [ids.index(src)])[ids.index(dst)]
+    hops = _bfs_levels(*_csr(len(ids), rows, cols), [ids.index(src)])[ids.index(dst)]
     if hops < 0:
         raise InputError(f"no routing path from node {src} to node {dst}")
     return hops

@@ -38,14 +38,16 @@ one ``NetworkSpec`` check.  Every number goes through one value rule,
 ``_finite`` (its column form for a whole field).  The parser reads each
 section as one list per field and checks whole lists: the objects' keys, the
 set of value types of a field, the value rule per rate field, and repeated
-keys by set size.  A ``NetworkSpec`` checks its three mappings in one pass:
-one int64 array of all their keys, one ``searchsorted`` for the keys' node
-positions, one float array of all their values and one mask for the values;
-each structural rule is one array expression, in a fixed rule order.  A
-failing column only flags items: the flagged items go, in document order
-(parser) or id order (spec), through the per-item check that owns the error
-text, and the first one it rejects raises.  So an error names the same item
-with the same message as a check run one item at a time.
+keys by dict size; it hands the spec the typed key and rate columns, which
+library mappings reach through ``_canonical``.  A ``NetworkSpec`` checks its
+three mappings in one pass over int64 key rows: a mapping out of order is
+sorted by one ``lexsort``, one ``searchsorted`` finds the keys' node
+positions and one mask checks the values; each structural rule is one array
+expression, in a fixed rule order.  A failing column only flags items: the
+flagged items go, in document order (parser) or id order (spec), through the
+per-item check that owns the error text, and the first one it rejects
+raises.  So an error names the same item with the same message as a check
+run one item at a time.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ from contextlib import suppress
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial, reduce
-from itertools import chain, compress, repeat
+from itertools import accumulate, chain, compress, repeat
 from operator import add, attrgetter, itemgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, NoReturn
@@ -204,28 +206,40 @@ def _typed(entries: Mapping, what: str, pair: bool) -> dict:
 
 
 def _canonical(mappings: list[Mapping]) -> tuple[list[dict], np.ndarray, np.ndarray]:
-    """The routing and rate mappings as ``_typed`` copies (and faults) would be,
-    all their keys as one int64 array (the routing's from and to alternating,
-    then the rate keys; 0 past int64) and all their values as one float array."""
+    """The routing and rate mappings as ``_typed`` copies (and faults) would be, as
+    ``_in_key_order`` gives them (a key past int64 reads 0)."""
     values = list(chain.from_iterable(entries.values() for entries in mappings))
     routing = list(mappings[0])
     pairs = set(map(type, routing)) <= {tuple} and set(map(len, routing)) <= {2}
     ids = list(chain(chain.from_iterable(routing) if pairs else (), *mappings[1:]))
-    # Int keys in order with float values, as the parser builds them, are copied as
-    # given: one type test for all mappings, then each mapping's order test.
+    # Int keys with float values, as the builder makes them, are copied and put in order.
     if pairs and set(map(type, ids)) <= {int} and set(map(type, values)) <= {float}:
         with suppress(OverflowError):  # a key past int64 takes _typed
-            keys = np.array(ids, dtype=np.int64)
-            first, second = keys[0:2 * len(routing):2], keys[1:2 * len(routing):2]
-            if (not np.count_nonzero((first[1:] < first[:-1]) | (first[1:] == first[:-1])
-                                     & (second[1:] <= second[:-1]))
-                    and list(map(list, mappings[1:])) == list(map(sorted, mappings[1:]))):
-                return list(map(dict, mappings)), keys, np.array(values, dtype=float)
+            flat, r = np.array(ids, dtype=np.int64), len(routing)
+            keys = np.zeros((len(values), 2), np.int64)
+            keys[:r], keys[r:, 0] = flat[:2 * r].reshape(r, 2), flat[2 * r:]
+            return _in_key_order(list(map(dict, mappings)), keys, np.array(values, dtype=float))
     tables = [_typed(entries, what, pair) for entries, (what, pair) in zip(mappings, (
         ("routing entry", True), ("external arrival", False), ("known arrival rate", False)))]
-    ids = chain(chain.from_iterable(tables[0]), *tables[1:])
-    keys = np.array([i if abs(i) <= INT64_MAX else 0 for i in ids], dtype=np.int64)
-    return tables, keys, np.array(list(chain.from_iterable(map(dict.values, tables))), float)
+    rows = chain(tables[0], zip(chain(*tables[1:]), repeat(0)))
+    keys = np.array([[i if abs(i) <= INT64_MAX else 0 for i in row] for row in rows], np.int64)
+    return tables, keys.reshape(-1, 2), np.array(list(chain(*map(dict.values, tables))), float)
+
+
+def _in_key_order(tables: list[dict], keys: np.ndarray, values: np.ndarray) -> tuple:
+    """Mappings with int keys and float values, their int64 key rows, a (from, to)
+    row per routing entry and a (node, 0) row per rate entry, and their values;
+    a mapping out of key order is sorted by one ``lexsort`` of its rows."""
+    ends = list(accumulate(map(len, tables), initial=0))
+    for j, lo, hi in zip(range(len(tables)), ends, ends[1:]):
+        k = keys[lo:hi]
+        down, same = k[1:] < k[:-1], k[1:] == k[:-1]  # each row against the one before
+        if np.count_nonzero(down[:, 0] | same[:, 0] & down[:, 1]):
+            order = np.lexsort(k.T[::-1])
+            keys[lo:hi], values[lo:hi] = k[order], values[lo:hi][order]
+            entries = list(tables[j].items())
+            tables[j] = dict(map(entries.__getitem__, order.tolist()))
+    return tables, keys, values
 
 
 def _positions(ids: np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -235,21 +249,29 @@ def _positions(ids: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return at
 
 
+def _csr(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[list[int], list[int], list[int]]:
+    """The edges ``src[e] -> dst[e]`` grouped by source: node u's targets, in
+    edge order, are ``targets[begins[u]:ends[u]]`` for u in 0..n-1."""
+    ends = np.cumsum(np.bincount(src, minlength=n)).tolist()
+    return dst[np.argsort(src, kind="stable")].tolist(), [0] + ends[:-1], ends
+
+
 def _adjacency(n: int, src: np.ndarray, dst: np.ndarray) -> list[list[int]]:
     """Out-neighbour lists of nodes 0..n-1 for the edges ``src[e] -> dst[e]``, in edge order."""
-    ends = np.cumsum(np.bincount(src, minlength=n)).tolist()
-    targets = dst[np.argsort(src, kind="stable")].tolist()
-    return [targets[a:b] for a, b in zip([0] + ends[:-1], ends)]
+    targets, begins, ends = _csr(n, src, dst)
+    return list(map(targets.__getitem__, map(slice, begins, ends)))
 
 
-def _bfs_levels(adjacency: list[list[int]], roots: Iterable[int]) -> list[int]:
-    """Breadth-first depth of every node; -1 where no root reaches it.
+def _bfs_levels(targets: list[int], begins: list[int], ends: list[int],
+                roots: Iterable[int]) -> list[int]:
+    """Breadth-first depth of every node over the edges u -> ``targets[begins[u]:ends[u]]``
+    (``_csr``); -1 where no root reaches it.  The search keeps no list per node.
 
     Roots are taken in order.  A root an earlier search already reached is
     skipped; every other root starts a new search, at depth 0, of the nodes
     not yet reached.
     """
-    level = [-1] * len(adjacency)
+    level = [-1] * len(begins)
     for root in roots:
         if level[root] >= 0:
             continue
@@ -259,7 +281,7 @@ def _bfs_levels(adjacency: list[list[int]], roots: Iterable[int]) -> list[int]:
             depth += 1
             reached = []
             for u in frontier:
-                for v in adjacency[u]:
+                for v in targets[begins[u]:ends[u]]:
                     if level[v] < 0:
                         level[v] = depth
                         reached.append(v)
@@ -309,20 +331,26 @@ class NetworkSpec:
         init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        nodes = self.nodes
+        self._check(self.nodes, [self.routing, self.external_arrivals, self.known_arrival_rates])
+
+    def _check(self, given: tuple, mappings: list, typed: tuple | None = None) -> None:
+        """Check the nodes and the three mappings and set every field: the one column
+        check behind the constructor and the parser.  ``typed`` is the mappings'
+        ``_in_key_order`` form where the parser has it; else ``_canonical`` makes it."""
+        nodes = given
         with suppress(TypeError):  # ids that cannot be ordered fail the id check below
             nodes = tuple(sorted(nodes, key=attrgetter("id")))
         ids, kinds, caps, mu, mu_b = zip(*nodes) if nodes else ((),) * 5
         if not (set(map(type, ids)) <= {int} and min(ids, default=1) > 0
                 and max(ids, default=1) <= INT64_MAX):
-            for i in (node.id for node in self.nodes):  # the first bad id as given
+            for i in (node.id for node in given):  # the first bad id as given
                 if isinstance(i, bool) or not isinstance(i, int) or i <= 0:
                     raise InputError(f"node id {_shown(i)} must be a positive integer")
                 if i > INT64_MAX:
                     raise InputError(f"node id {_shown(i)} must be below 2**63")
-        known = self.known_arrival_rates  # None: no node is pinned
-        (routing, external, pins), keys, values = _canonical(
-            [self.routing, self.external_arrivals, {} if known is None else known])
+        known = mappings[2]  # None: no node is pinned
+        (routing, external, pins), keys, values = typed or _canonical(
+            [*mappings[:2], {} if known is None else known])
         if not nodes:
             raise InputError("network has no nodes")
         n = len(nodes)
@@ -362,8 +390,7 @@ class NetworkSpec:
         # and a routing entry's to node; an entry at a sink is flagged for its check.
         r, e = len(routing), len(external)
         at = _positions(id_col, keys)
-        rows, cols, probs = at[0:2 * r:2], at[1:2 * r:2], values[:r]
-        owner = np.concatenate((rows, at[2 * r:]))
+        owner, rows, cols, probs = at[:, 0], at[:r, 0], at[:r, 1], values[:r]
         flagged = ~((values >= 0.0) & np.isfinite(values)) | (owner < 0) | sink[owner]
         flagged[:r] |= (cols < 0) | (probs > 1.0)
         flags = flagged.tolist()
@@ -566,31 +593,23 @@ def _node_columns(items: list) -> tuple[list, ...] | None:
     return ids, list(map(_KINDS.__getitem__, kinds)), capacity, rates[:len(ids)], rates[len(ids):]
 
 
-def _keyed_rates(items: list, keys: tuple[str, ...]) -> dict | None:
-    """A routing or arrival section as {key: rate}, or None if some object
-    fails a document rule or repeats a key."""
-    if not (set(map(type, items)) <= {dict} and set(map(len, items)) <= {len(keys)}):
-        return None
-    try:  # with exactly len(keys) keys each, having all of them rules out others
-        ids = list(map(itemgetter(*keys[:-1]), items))  # (from, to) pairs, or node ids
-        rates = list(map(itemgetter(keys[-1]), items))
-    except KeyError:
-        return None
-    if not (set(map(type, chain.from_iterable(ids) if len(keys) > 2 else ids)) <= {int}
-            and set(map(type, rates)) <= {int, float, str}):
-        return None
-    table = dict(zip(ids, _finite_column(rates, text=True)))  # typed first, as the node rates
-    return table if len(table) == len(items) and not math.isnan(sum(table.values())) else None
-
-
-def _section(doc: dict, name: str, keys: tuple[str, ...], duplicate: str) -> dict:
+def _section(doc: dict, name: str, keys: tuple[str, ...], duplicate: str) -> tuple:
+    """A routing or arrival section as ({key: rate}, one int list per key field,
+    the rates as floats); a section that fails a document rule or repeats a
+    key raises at its first bad item."""
     path = f"$.{name}"
     items = _as_array(doc[name], path)
-    table = _keyed_rates(items, keys)
-    if table is None:
-        _raise_first_fault(items, path,
-                           partial(_check_keyed_item, keys=keys, duplicate=duplicate))
-    return table
+    columns = None
+    if set(map(type, items)) <= {dict} and set(map(len, items)) <= {len(keys)}:
+        with suppress(KeyError):  # with exactly len(keys) keys each, having all rules out others
+            *ids, rates = columns = [list(map(itemgetter(k), items)) for k in keys]
+    if columns and (set(map(type, chain(*ids))) <= {int}
+                    and set(map(type, rates)) <= {int, float, str}):
+        rates = _finite_column(rates, text=True)  # typed first, as the node rates
+        table = dict(zip(zip(*ids) if len(ids) > 1 else ids[0], rates))  # (from, to) pairs, or ids
+        if len(table) == len(items) and not math.isnan(sum(rates)):
+            return table, ids, rates
+    _raise_first_fault(items, path, partial(_check_keyed_item, keys=keys, duplicate=duplicate))
 
 
 def parse_network(text: str) -> NetworkSpec:
@@ -623,13 +642,19 @@ def parse_network(text: str) -> NetworkSpec:
     if columns is None:
         _raise_first_fault(items, "$.nodes", _check_node_item)
 
-    return NetworkSpec(
-        # NodeSpec._make without its Python frame: every row has the five fields
-        nodes=tuple(map(tuple.__new__, repeat(NodeSpec), zip(*columns))),
-        routing=_section(doc, *_ROUTING),
-        external_arrivals=_section(doc, *_EXTERNAL),
-        known_arrival_rates=_section(doc, *_KNOWN) if "known_arrival_rates" in doc else None,
-    )
+    # NodeSpec._make without its Python frame: every row has the five fields
+    nodes = tuple(map(tuple.__new__, repeat(NodeSpec), zip(*columns)))
+    pinned = "known_arrival_rates" in doc
+    (routing, (froms, tos), probs), (external, (sources,), lam0), (known, (pins,), lam) = (
+        _section(doc, *_ROUTING), _section(doc, *_EXTERNAL),
+        _section(doc, *_KNOWN) if pinned else ({}, [[]], []))
+    keys, typed = np.zeros((len(froms) + len(sources) + len(pins), 2), np.int64), None
+    with suppress(OverflowError):  # an id past int64 is left to _canonical
+        keys[:, 0], keys[:len(froms), 1] = froms + sources + pins, tos
+        typed = _in_key_order([routing, external, known], keys, np.array(probs + lam0 + lam))
+    spec = object.__new__(NetworkSpec)  # its column check takes the typed sections
+    spec._check(nodes, [routing, external, known if pinned else None], typed)
+    return spec
 
 
 # The document as json.dumps(doc, indent=2) lays it out: one template per

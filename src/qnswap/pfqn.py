@@ -91,15 +91,17 @@ def analyze_network(
     shape the blocking probabilities and the traffic solution.
 
     Raises:
-        InputError: an intermediate node whose solved arrival rate or whose
-            service rate is not positive, or whose blocking probability
-            exceeds 1.
+        InputError: the network has no intermediate node, or an intermediate
+            node's solved arrival rate or service rate is not positive or its
+            blocking probability exceeds 1.
         NumericsError: a node's marginal is not a distribution.
         Of several such nodes, the first in id order raises.
     """
     lam_all = solve_traffic(spec)
     col = spec.columns
     inner = col.kind == KIND_CODES[NodeKind.INTERMEDIATE]
+    if not np.count_nonzero(inner):
+        raise InputError("network has no intermediate node to analyze")
     ids = col.id[inner]
     lam, mu, mu_b = lam_all[inner], col.service_rate[inner], col.unblock_rate[inner]
     override = assumptions.blocking_probability_override

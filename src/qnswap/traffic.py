@@ -17,30 +17,34 @@ excluded from the residual check.  The free nodes get levels, their BFS
 depth within their component of the routing graph (edges taken as
 undirected; ``model._bfs_levels``, the search shared with ``layout``), so
 every routing entry links levels at most one apart and ``I - P^T`` over the
-free nodes is block-tridiagonal.  Block Gaussian elimination runs down the
-levels, each diagonal block solved by LAPACK (``np.linalg.solve``, partial
-pivoting), and back-substitution runs up.  No pivoting across blocks is
-needed: the free block of ``I - P^T`` is a nonsingular M-matrix (each
-column sums to at least that node's exit probability, and every free node
-drains), and Schur complements of such a matrix are nonsingular M-matrices
-too.  When no routing entry links two free nodes the free system is the
-identity and the rates are the right-hand side.
+free nodes is block-tridiagonal.  One ``np.bincount`` scatters every level's
+strip (its equations over the unknowns of its own and the adjacent levels,
+then the right-hand side) into one buffer.  Block Gaussian elimination runs
+down the levels, one Schur update and one LAPACK solve of the diagonal block
+each (``np.linalg.solve``, partial pivoting), and back-substitution runs up.
+No pivoting across blocks is needed: the free block of ``I - P^T`` is a
+nonsingular M-matrix (each column sums to at least that node's exit
+probability, and every free node drains), and Schur complements of such a
+matrix are nonsingular M-matrices too.  When no routing entry links two free
+nodes the free system is the identity and the rates are the right-hand side.
 
 The system is singular when some unpinned node has no routing path that
 leaves the network or reaches a pinned node: jobs that enter such a closed
 subnetwork never leave.  An exit probability within ``ROW_SUM_TOL`` of zero
 counts as no exit, since it is rounding in the routing row, not a real leak.
 The solver finds those nodes before solving, so the error names them: one
-search over the free nodes' reversed entries, which the level search reuses,
-from the free nodes that exit or route into a pinned node, unless all do.
+search over the free nodes' reversed entries, from the free nodes that exit
+or route into a pinned node, unless all do.
 """
 
 from __future__ import annotations
 
+from operator import add
+
 import numpy as np
 
 from .errors import NumericsError
-from .model import ROW_SUM_TOL, NetworkSpec, _adjacency, _bfs_levels, _sum_in_order
+from .model import ROW_SUM_TOL, NetworkSpec, _bfs_levels, _csr, _sum_in_order
 
 # Largest accepted residual, relative to the largest input rate.
 RESIDUAL_TOL = 1e-10
@@ -56,59 +60,52 @@ def _inflow(rows, cols, probs, lam, n: int) -> np.ndarray:
     return np.bincount(cols, weights=probs * lam[rows], minlength=n)
 
 
-def _solve_levels(src, dst, probs, rhs, back) -> np.ndarray:
+def _solve_levels(src, dst, probs, rhs, both) -> np.ndarray:
     """Solve ``x_j - sum_i p_ij x_i = rhs_j`` over ``len(rhs)`` nodes by level blocks.
 
-    The routing entries (src -> dst, probs; reversed lists ``back``) link those nodes.
-    Ordered by ``_bfs_levels`` depth over both entry directions, the matrix
-    is block-tridiagonal; see the module docstring for the levels, the
-    elimination and why it needs no pivoting across blocks.
+    The routing entries (src -> dst, probs; ``both``, each node's neighbours in
+    either direction as ``model._csr`` groups) link those nodes.  Ordered by
+    ``_bfs_levels`` depth over ``both``, the matrix is block-tridiagonal; see the
+    module docstring for the levels, the strips, the elimination and why it needs
+    no pivoting across blocks.
     """
     n = len(rhs)
-    both = _adjacency(n, src, dst)
-    for ahead, behind in zip(both, back):
-        ahead += behind
-    level = np.array(_bfs_levels(both, range(n)), dtype=np.intp)
+    level = np.array(_bfs_levels(*both, range(n)), dtype=np.intp)
     order = np.argsort(level, kind="stable")
-    pos = np.empty(n, dtype=np.intp)
-    pos[order] = np.arange(n)
+    pos = np.argsort(order)  # each node's place in level order
     starts = np.searchsorted(level[order], np.arange(level[order[-1]] + 2))
-    n_levels = len(starts) - 1
+    size = np.diff(starts)
 
-    # Triplets of I - P^T in level order: equation of dst, unknown of src.
-    diag = np.arange(n)
-    eq = pos[np.concatenate((diag, dst))]
-    var = pos[np.concatenate((diag, src))]
-    val = np.concatenate((np.ones(n), -probs))
-    by_eq = np.argsort(eq, kind="stable")
-    eq, var, val = eq[by_eq], var[by_eq], val[by_eq]
-    cut = np.searchsorted(eq, starts)
+    # Level lv's strip: a row per equation of the level, holding the coefficients
+    # of the unknowns of levels lv - 1 to lv + 1, then the right-hand side.
+    lv = np.arange(len(size))
+    lo = starts[np.maximum(lv - 1, 0)]
+    width = starts[np.minimum(lv + 2, len(size))] - lo + 1
+    offset = np.concatenate(([0], np.cumsum(size * width)))
+    at = np.repeat(lv, size)  # the level of each equation, in level order
+    row = offset[at] + (np.arange(n) - starts[at]) * width[at]
+    # Triplets of I - P^T in level order (equation of dst, unknown of src), then
+    # the right-hand side; bincount adds each entry's terms in that order.
+    eq, var = np.concatenate((pos, pos[dst])), np.concatenate((pos, pos[src]))
+    strips = np.bincount(np.concatenate((row[eq] + var - lo[at[eq]], row + width[at] - 1)),
+                         weights=np.concatenate((np.ones(n), -probs, rhs[order])),
+                         minlength=offset[-1])
 
-    coupling, partial = [], []
-    for lv in range(n_levels):
-        lo = starts[max(lv - 1, 0)]
-        s0, s1 = starts[lv], starts[lv + 1]
-        hi = starts[min(lv + 2, n_levels)]
-        size, width = s1 - s0, hi - lo
-        k = slice(cut[lv], cut[lv + 1])
-        strip = np.bincount((eq[k] - s0) * width + (var[k] - lo), weights=val[k],
-                            minlength=size * width).reshape(size, width)
-        lower = strip[:, :s0 - lo]
-        block = strip[:, s0 - lo:s1 - lo]
-        b = rhs[order[s0:s1]]
-        if lv > 0:
-            block = block - lower @ coupling[-1]
-            b = b - lower @ partial[-1]
-        sol = np.linalg.solve(block, np.column_stack((strip[:, s1 - lo:], b)))
-        coupling.append(sol[:, :-1])
-        partial.append(sol[:, -1])
+    solved = []  # per level: its unknowns' coupling to the next level, then the partial solution
+    for s0, s1, first, w, o in zip(starts.tolist(), starts[1:].tolist(), lo.tolist(),
+                                   width.tolist(), offset.tolist()):
+        strip = strips[o:o + (s1 - s0) * w].reshape(s1 - s0, w)
+        block = strip[:, s0 - first:s1 - first]
+        if solved:  # Schur update: eliminate the previous level's unknowns
+            lower = strip[:, :s0 - first]
+            block -= lower @ solved[-1][:, :-1]
+            strip[:, -1] -= lower @ solved[-1][:, -1]
+        solved.append(np.linalg.solve(block, strip[:, s1 - first:]))
 
-    x = np.empty(n)
-    x_next = np.zeros(0)
-    for lv in range(n_levels - 1, -1, -1):
-        x_next = partial[lv] - coupling[lv] @ x_next
-        x[order[starts[lv]:starts[lv + 1]]] = x_next
-    return x
+    x = [np.zeros(0)]  # back-substitution, last level first
+    for sol in reversed(solved):
+        x.insert(0, sol[:, -1] - sol[:, :-1] @ x[0])
+    return np.concatenate(x)[pos]
 
 
 def _check_residual(lam, lam0, rows, cols, probs, pinned) -> None:
@@ -118,14 +115,13 @@ def _check_residual(lam, lam0, rows, cols, probs, pinned) -> None:
     or pinned rate (``lam`` holds the pinned rates); a NaN residual fails too.
     """
     residual = (lam - (lam0 + _inflow(rows, cols, probs, lam, len(lam))))[~pinned]
-    if residual.size:
-        scale = max(float(lam0.max()), float(lam[pinned].max(initial=0.0)))
-        worst = float(abs(residual).max())
-        if not worst <= RESIDUAL_TOL * scale:  # also rejects NaN
-            raise NumericsError(
-                f"traffic solution residual {worst:.3e} exceeds {RESIDUAL_TOL:.0e}"
-                f" x largest input rate {scale:.3e}"
-            )
+    scale = max(np.maximum.reduce(lam0), np.maximum.reduce(lam[pinned], initial=0.0))
+    worst = np.maximum.reduce(abs(residual), initial=0.0)  # NaN stays NaN
+    if not worst <= RESIDUAL_TOL * scale:  # also rejects NaN
+        raise NumericsError(
+            f"traffic solution residual {worst:.3e} exceeds {RESIDUAL_TOL:.0e}"
+            f" x largest input rate {scale:.3e}"
+        )
 
 
 def solve_traffic(spec: NetworkSpec) -> np.ndarray:
@@ -156,22 +152,23 @@ def solve_traffic(spec: NetworkSpec) -> np.ndarray:
     rhs = (lam0 + _inflow(rows, cols, probs, lam, n))[free]
     linked = ~pinned[rows] & ~pinned[cols]
     if np.count_nonzero(linked):
-        local = np.empty(n, dtype=np.intp)
-        local[free] = np.arange(len(free))
+        local = np.cumsum(~pinned) - 1  # a free node's place among the free nodes
         src, dst = local[rows[linked]], local[cols[linked]]
-        back = _adjacency(len(free), dst, src)
+        # each free node's targets, then its sources, in entry order
+        both = _csr(len(free), np.concatenate((src, dst)), np.concatenate((dst, src)))
         # roots: free nodes that exit or route into a pinned node
         drains = spec.columns.exit_probability[free] > ROW_SUM_TOL
         drains[local[rows[~pinned[rows] & pinned[cols]]]] = True
-        if np.count_nonzero(drains) < len(free):
-            level = _bfs_levels(back, np.flatnonzero(drains).tolist())
+        if np.count_nonzero(drains) < len(free):  # search the sources back from the roots
+            sources = list(map(add, both[1], np.bincount(src, minlength=len(free)).tolist()))
+            level = _bfs_levels(both[0], sources, both[2], np.flatnonzero(drains).tolist())
             closed = [i for i, depth in zip(spec.columns.id[free].tolist(), level) if depth < 0]
             if closed:
                 raise NumericsError(
                     f"traffic equations are singular: nodes {closed} have no routing"
                     " path to an exit or a pinned rate")
         try:
-            lam[free] = _solve_levels(src, dst, probs[linked], rhs, back)
+            lam[free] = _solve_levels(src, dst, probs[linked], rhs, both)
         except np.linalg.LinAlgError as e:
             raise NumericsError(f"traffic equations are singular: {e}") from e
     else:

@@ -117,6 +117,22 @@ class TestAnalyze:
         assert out == ""
         assert json.loads(err)["message"] == "--subset '14' selects no intermediate node"
 
+    def test_network_without_intermediate_is_an_input_error(self, capsys, tmp_path):
+        # no --subset is given: the error names the network, not a subset
+        doc = {
+            "nodes": [{"id": 1, "kind": "source", "capacity": 8, "mu": 1},
+                      {"id": 2, "kind": "sink", "capacity": 8, "mu": 1}],
+            "routing": [{"from": 1, "to": 2, "p": 1}],
+            "external_arrivals": [{"node": 1, "lambda0": 0.1}],
+        }
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run_cli(capsys, "analyze", "--network", str(path))
+        assert code == 2
+        assert out == ""
+        assert json.loads(err) == {"error": "InputError",
+                                   "message": "network has no intermediate node to analyze"}
+
     def test_nan_pb_is_an_input_error(self, capsys, fixture_file):
         code, out, err = run_cli(
             capsys, "analyze", "--network", fixture_file, "--pb", "nan",

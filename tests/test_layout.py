@@ -84,7 +84,7 @@ class TestParseLayout:
         ("queues", [{"site": 5, "role": "source", "capacity": 4}],
          "$.queues[0].site: must be a site name"),
         ("queues", [{"site": "nowhere", "role": "source", "capacity": 4}],
-         "queues: unknown site 'nowhere'"),
+         "$.queues[0].site: unknown site 'nowhere'"),
         ("sites", "s", "$.sites: must be an array of site names"),
         ("sites", ["s", "a", 3], "$.sites: must be an array of site names"),
     ])
@@ -97,7 +97,7 @@ class TestParseLayout:
 
     @pytest.mark.parametrize("text, message", [
         ("[]", "$: top level must be an object"),
-        ('{"sites": [], "edges": [], "queues": []}', "sites: layout has no sites"),
+        ('{"sites": [], "edges": [], "queues": []}', "$.sites: layout has no sites"),
     ], ids=["top_not_object", "no_sites"])
     def test_document_errors(self, text, message):
         with pytest.raises(SchemaError) as caught:
@@ -167,6 +167,13 @@ class TestLayoutGraph:
             LayoutGraph(("a",), (("a", "b"),), {})
         with pytest.raises(SchemaError, match="^edges: unknown site 'w'$"):
             LayoutGraph(("a", "b", "c"), (("c", "x"), ("b", "w")), {})
+
+    def test_site_faults_name_the_field(self):
+        # parse_layout names the document path; a library caller reads the field
+        with pytest.raises(SchemaError, match="^queues: unknown site 'b'$"):
+            LayoutGraph(("a",), (), {"b": QueueSite(NodeKind.SOURCE, 1)})
+        with pytest.raises(SchemaError, match="^sites: layout has no sites$"):
+            LayoutGraph((), (), {})
 
     @pytest.mark.parametrize("text", [grid_layout(6), heavy_hex_layout(4, 9)],
                              ids=["grid6", "heavyhex"])

@@ -21,7 +21,7 @@ from qnswap import (
     parse_network,
     serialize_network,
 )
-from qnswap.model import KIND_CODES, _adjacency, _bfs_levels
+from qnswap.model import KIND_CODES, _adjacency, _bfs_levels, _csr
 from conftest import grid_document, random_open_network, single_queue_spec
 from oracle import _scalar_spec, network_document, row_sums
 
@@ -569,7 +569,7 @@ class TestBfsLevels:
     @staticmethod
     def levels(n, edges, roots):
         src, dst = np.array(edges, dtype=np.intp).reshape(-1, 2).T
-        return _bfs_levels(_adjacency(n, src, dst), roots)
+        return _bfs_levels(*_csr(n, src, dst), roots)
 
     def test_adjacency_keeps_edge_order(self):
         assert _adjacency(3, np.array([0, 2, 0]), np.array([2, 1, 1])) == [[2, 1], [], [1]]

@@ -19,8 +19,9 @@ from pathlib import Path
 
 import pytest
 
-from qnswap import SchemaError, cli, model, munoz15_fixture, parse_network, serialize_network
-from conftest import grid_document
+from qnswap import (SchemaError, build_lattice_network, cli, model, munoz15_fixture,
+                    parse_layout, parse_network, serialize_network)
+from conftest import grid_document, grid_layout
 from oracle import scalar_parse_network
 from test_cli import LATTICE40_SHA256
 
@@ -375,6 +376,21 @@ def test_parse_makes_no_per_item_checks(monkeypatch):
         counts.append(dict(calls))
     assert counts[0] == counts[1]
     assert sum(counts[0].values()) <= 1
+
+
+def test_parser_and_builder_specs_take_the_typed_path(monkeypatch):
+    # The parser hands NetworkSpec int keys and float values it has already
+    # typed, and the builder builds them; entry-by-entry conversion in
+    # model._typed would cost about three times as much on the 40x40 chip.
+    def converted(entries, what, pair):
+        raise AssertionError(f"{what} mapping converted entry by entry")
+
+    monkeypatch.setattr(model, "_typed", converted)
+    grid = json.loads(grid_document(40))
+    for doc in (BASES["munoz15"], BASES["lattice6"], grid, _shuffled(copy.deepcopy(grid))):
+        parse_network(json.dumps(doc))
+    build_lattice_network(parse_layout(grid_layout(6)))
+    munoz15_fixture()  # its routing is written out of (from, to) order
 
 
 def test_cli_calls_parse_and_analyze_through_module_names():

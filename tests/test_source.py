@@ -184,7 +184,7 @@ def test_graph_walks_share_one_search():
 
     assert not hasattr(traffic, "_levels")
     # the drain check searches the free-node graph inside solve_traffic, on
-    # the reversed lists that the level search reuses
+    # its reversed entries
     assert not hasattr(traffic, "_undrained")
     callers = {"traffic.py": {"_solve_levels", "solve_traffic"},
                "layout.py": {"shortest_hops", "_check_connected"}}
