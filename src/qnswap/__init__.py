@@ -1,9 +1,9 @@
 """Open blocking queueing networks: analytic pipeline and simulation oracle.
 
-The package predicts the mean time a routed job spends per hop in a network
-of capacity-one blocking nodes (plus finite boundary queues) from
-independent per-node marginals (product form), and ships a discrete-event
-simulator to check the analytic answers against.
+The package computes each node's mean job count in a network of capacity-one
+blocking nodes (plus finite boundary queues) from independent per-node
+marginals (product form), and their mean divided by the external arrival rate,
+and ships a discrete-event simulator to check the analytic answers against.
 """
 
 from .ctmc import NodeMarginal, blocking_node_closed_form, mm1k_full_probability
@@ -24,9 +24,7 @@ from .layout import (
 )
 from .metrics import (
     NetworkMetrics,
-    SwapDepthReport,
     network_metrics,
-    swap_depth_report,
 )
 from .model import (
     NetworkSpec,
@@ -68,7 +66,6 @@ __all__ = [
     "SchemaError",
     "SimConfig",
     "SimResult",
-    "SwapDepthReport",
     "analyze_network",
     "blocking_node_closed_form",
     "build_lattice_network",
@@ -81,6 +78,5 @@ __all__ = [
     "shortest_hops",
     "simulate_blocking_network",
     "solve_traffic",
-    "swap_depth_report",
     "total_external_rate",
 ]

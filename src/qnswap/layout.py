@@ -19,7 +19,7 @@ Layout document shape::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, repeat
 from operator import eq
 from typing import Mapping
 
@@ -54,8 +54,8 @@ class LayoutGraph:
     """Connected undirected site graph with queue-site annotations.
 
     Raises:
-        SchemaError: no sites, a self-edge, a duplicate site, or an edge or
-            queue naming an unknown site.
+        SchemaError: a site, edge or queue of the wrong type, no sites, a
+            self-edge, a duplicate site, or an edge or queue naming an unknown site.
         InputError: some sites cannot be reached from the first.
     """
 
@@ -65,26 +65,37 @@ class LayoutGraph:
     _neighbors: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # Each edge rule is one pass over the whole list; only a failing
-        # list is searched for the first bad edge, which names the fault.
-        sites, ends = tuple(self.sites), list(chain.from_iterable(self.edges))
+        # Each rule is one pass over the whole list; only a failing list is
+        # searched for the first bad entry, which names the fault.
+        sites, edges, queues = tuple(self.sites), tuple(self.edges), self.queue_sites
+        if not all(map(isinstance, sites, repeat(str))):
+            s = next(s for s in sites if not isinstance(s, str))
+            raise SchemaError("sites", f"{_shown(s)} is no site name")
+        if not (set(map(type, edges)) <= {tuple, list} and set(map(len, edges)) <= {2}
+                and all(map(isinstance, chain.from_iterable(edges), repeat(str)))):
+            e = next(e for e in edges if type(e) not in (tuple, list) or len(e) != 2
+                     or not all(map(isinstance, e, repeat(str))))
+            raise SchemaError("edges", f"{_shown(e)} is not a pair of site names")
+        if not (isinstance(queues, Mapping)
+                and all(map(isinstance, queues.values(), repeat(QueueSite)))):
+            raise SchemaError("queues", f"{_shown(queues)} does not map sites to QueueSites")
+        ends = list(chain.from_iterable(edges))
         object.__setattr__(self, "sites", sites)
         if any(map(eq, ends[::2], ends[1::2])):
-            a = next(a for a, b in self.edges if a == b)
+            a = next(a for a, b in edges if a == b)
             raise SchemaError("edges", f"self-edge on site {a!r}")
         object.__setattr__(self, "edges", tuple(sorted(
-            {(a, b) if a <= b else (b, a) for a, b in self.edges})))
-        object.__setattr__(self, "queue_sites",
-                           dict(sorted(self.queue_sites.items())))
+            {(a, b) if a <= b else (b, a) for a, b in edges})))
         known = set(sites)
         if len(known) != len(sites):
             raise SchemaError("sites", "site names must be unique")
         if not known.issuperset(ends):
             s = next(s for s in chain.from_iterable(self.edges) if s not in known)
             raise SchemaError("edges", f"unknown site {s!r}")
-        for s in self.queue_sites:
+        for s in queues:
             if s not in known:
-                raise SchemaError("queues", f"unknown site {s!r}")
+                raise SchemaError("queues", f"unknown site {_shown(s)}")
+        object.__setattr__(self, "queue_sites", dict(sorted(queues.items())))
         # The edges are sorted, so each site's indices are its smaller
         # neighbours and then its larger ones, both in order.
         targets, begins, ends = _check_connected(self)

@@ -1,27 +1,23 @@
 """Network performance metrics.
 
-The per-node columns come from :func:`qnswap.pfqn.analyze_network`:
-utilization of a capacity-one blocking node is the probability of not being
-empty, its mean job count is serving + blocked mass, and mean response time
-follows from Little's law.  The network-level mean job count is the
-*average* of the per-node means over the chosen subset (matching the
-per-hop reading of the response-time prediction), while the conventional
-population sum is carried separately as ``total_jobs``.
+The per-node columns come from :func:`qnswap.pfqn.analyze_network`: a
+capacity-one blocking node's utilization is ``1 - pi00``, its mean job count
+``kbar = pi10 + pi01``, and Little's law gives ``tbar = kbar / lambda =
+pi00 * (1/mu + Pb/mu_b)``, which is no time per visit (below ``1/mu`` on all 11
+munoz15 intermediates).  The network's ``mean_response_time`` is the mean
+``kbar`` over the chosen nodes divided by the external rate lambda0, and no
+source-to-sink time (ROADMAP.md, items 3 and 5); ``total_jobs`` is their sum.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable, Sequence
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError
-from .model import _finite, _node_keys, _shown
-
-# Range rule for ``model._finite``; NaN and inf fail it.
-AT_LEAST_ONE = (lambda x: 1.0 <= x < math.inf, " must be at least 1 and finite, got {}")
+from .model import _node_keys, _shown
 
 
 @dataclass(frozen=True)
@@ -31,19 +27,6 @@ class NetworkMetrics:
     external_rate: float
     total_jobs: float
     nodes: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class SwapDepthReport:
-    predicted_response_time: float
-    observed_depth: float
-    absolute_gap: float
-    relative_gap: float
-    hop_bounds: tuple[int, int]
-    within_hop_bounds: bool
-
-    def to_jsonable(self) -> dict:
-        return {**asdict(self), "hop_bounds": list(self.hop_bounds)}
 
 
 def network_metrics(nodes: Sequence[int], mean_jobs: Sequence[float],
@@ -79,35 +62,4 @@ def network_metrics(nodes: Sequence[int], mean_jobs: Sequence[float],
         external_rate=external_rate,
         total_jobs=total,
         nodes=tuple(nodes[chosen].tolist()),
-    )
-
-
-def swap_depth_report(net: NetworkMetrics, observed_depth: float,
-                      hop_bounds: Sequence[int]) -> SwapDepthReport:
-    """Compare the predicted mean response time against an observed depth.
-
-    ``hop_bounds`` is the (shortest, longest) route length pair; the report
-    flags whether the prediction lands inside it.
-
-    Raises:
-        InputError: hop bounds that are no pair of integers by the node-id rule
-            of ``model._node_keys`` (a bool is none) or are out of order, or a
-            depth below 1 or that ``model._finite`` rejects.
-    """
-    bounds = _node_keys(list(hop_bounds), pair=False) if isinstance(hop_bounds, Iterable) else None
-    if bounds is None or len(bounds) != 2:
-        raise InputError(f"hop bounds must be a pair of integers, got {_shown(hop_bounds)}")
-    lo, hi = bounds
-    if lo > hi:
-        raise InputError(f"hop bounds out of order: {lo} > {hi}")
-    depth = _finite(observed_depth, "observed depth", AT_LEAST_ONE)
-    predicted = net.mean_response_time
-    gap = depth - predicted
-    return SwapDepthReport(
-        predicted_response_time=predicted,
-        observed_depth=depth,
-        absolute_gap=gap,
-        relative_gap=gap / depth,
-        hop_bounds=(lo, hi),
-        within_hop_bounds=lo <= predicted <= hi,
     )

@@ -17,7 +17,7 @@ form then runs elementwise over the intermediate nodes, and
 ``rho``/``kbar``/``tbar`` come from the marginals.  The closed forms run as
 unchecked ``ctmc`` kernels under one fault check: the first intermediate node
 that fails it raises, a zero arrival rate here, any other fault through the
-checked function.
+checked function; every message names the node.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ctmc import SUM_TOL, _closed_form, _mm1k_full, blocking_node_closed_form
-from .errors import InputError
+from .errors import InputError, NumericsError
 from .metrics import NetworkMetrics, network_metrics
 from .model import KIND_CODES, PROBABILITY, NetworkSpec, NodeKind, _finite
 from .traffic import solve_traffic, total_external_rate
@@ -95,7 +95,7 @@ def analyze_network(
             node's solved arrival rate or service rate is not positive or its
             blocking probability exceeds 1.
         NumericsError: a node's marginal is not a distribution.
-        Of several such nodes, the first in id order raises.
+        Of several such nodes, the first in id order raises, named in the message.
     """
     lam_all = solve_traffic(spec)
     col = spec.columns
@@ -123,7 +123,10 @@ def analyze_network(
         k = int(np.argmin(ok))  # the first failing node
         if lam[k] <= 0.0:
             raise InputError(f"node {ids[k]} has zero arrival rate; per-job metrics undefined")
-        blocking_node_closed_form(lam, mu, mu_b, pb)  # raises node k's error
+        try:
+            blocking_node_closed_form(lam, mu, mu_b, pb)  # raises node k's error
+        except (InputError, NumericsError) as fault:
+            raise type(fault)(f"node {ids[k]}: {fault}") from None
     kbar = pi10 + pi01
     return NetworkAnalysis(
         nodes=ids,

@@ -163,7 +163,7 @@ class TestAnalyze:
         assert code == 2
         assert out == ""
         assert json.loads(err) == {"error": "InputError",
-                                   "message": "service rate must be positive"}
+                                   "message": "node 1: service rate must be positive"}
 
     def test_stdin_network(self, capsys, monkeypatch):
         text = serialize_network(munoz15_fixture())

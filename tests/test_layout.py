@@ -175,6 +175,26 @@ class TestLayoutGraph:
         with pytest.raises(SchemaError, match="^sites: layout has no sites$"):
             LayoutGraph((), (), {})
 
+    @pytest.mark.parametrize("sites, edges, queues, message", [
+        (("a", "b", "c"), (("a", "b", "c"),), {},
+         r"edges: \('a', 'b', 'c'\) is not a pair of site names"),
+        (("a", "b"), (("a", "b"), "ab"), {}, r"edges: 'ab' is not a pair of site names"),
+        (("a", "b"), (("a", 1),), {}, r"edges: \('a', 1\) is not a pair of site names"),
+        (("a", 1), (), {}, r"sites: 1 is no site name"),
+        (("a",), (), {"a": "source"},
+         r"queues: \{'a': 'source'\} does not map sites to QueueSites"),
+        (("a",), (), [("a", QueueSite(NodeKind.SOURCE, 1))],
+         r"queues: \[\('a', QueueSite\(.*\.\.\. does not map sites to QueueSites"),
+        (("a",), (), {"a": QueueSite(NodeKind.SOURCE, 1), 1: QueueSite(NodeKind.SINK, 1)},
+         r"queues: unknown site 1"),
+    ], ids=["triple", "string_edge", "int_end", "int_site", "plain_role", "queue_list",
+            "int_queue_site"])
+    def test_wrong_types_name_the_field(self, sites, edges, queues, message):
+        # these leaked a bare ValueError or TypeError from the edge sort, or
+        # were accepted and broke build_lattice_network with an AttributeError
+        with pytest.raises(SchemaError, match=f"^{message}$"):
+            LayoutGraph(sites, edges, queues)
+
     @pytest.mark.parametrize("text", [grid_layout(6), heavy_hex_layout(4, 9)],
                              ids=["grid6", "heavyhex"])
     def test_neighbors_are_sorted_site_names(self, text):

@@ -1,8 +1,5 @@
 """Per-node columns of the analysis and network performance measures."""
 
-import dataclasses
-import math
-
 import numpy as np
 import pytest
 
@@ -14,7 +11,6 @@ from qnswap import (
     NodeSpec,
     analyze_network,
     network_metrics,
-    swap_depth_report,
 )
 
 
@@ -126,53 +122,3 @@ class TestNetworkMetrics:
         assert net.total_jobs == 1e16
         assert np.sum(kbar) != 1e16
 
-
-class TestSwapDepthReport:
-    def net(self):
-        return network_metrics(NODES, KBAR, external_rate=0.5)
-
-    def test_gap_arithmetic(self):
-        rep = swap_depth_report(self.net(), observed_depth=5.0, hop_bounds=(3, 5))
-        assert rep.predicted_response_time == pytest.approx(1.2, abs=1e-14)
-        assert rep.absolute_gap == pytest.approx(3.8, abs=1e-14)
-        assert rep.relative_gap == pytest.approx(3.8 / 5.0, abs=1e-14)
-        # the prediction (1.2) sits below the shortest route length
-        assert not rep.within_hop_bounds
-
-    def test_prediction_inside_route_length_bracket(self):
-        rep = swap_depth_report(self.net(), observed_depth=5.0, hop_bounds=(1, 2))
-        assert rep.within_hop_bounds
-
-    def test_jsonable_round_trip_keys(self):
-        rep = swap_depth_report(self.net(), 5.0, (3, 5))
-        blob = rep.to_jsonable()
-        assert set(blob) == {
-            "predicted_response_time", "observed_depth", "absolute_gap",
-            "relative_gap", "hop_bounds", "within_hop_bounds",
-        }
-        assert blob == {**dataclasses.asdict(rep), "hop_bounds": [3, 5]}
-        assert type(blob["hop_bounds"]) is list
-
-    def test_bad_inputs_rejected(self):
-        with pytest.raises(InputError, match="observed depth"):
-            swap_depth_report(self.net(), observed_depth=0.5, hop_bounds=(3, 5))
-        with pytest.raises(InputError, match="out of order"):
-            swap_depth_report(self.net(), observed_depth=4.0, hop_bounds=(5, 3))
-        # these leaked a bare ValueError and TypeError, or read True as 1
-        for bounds in ((3,), ("a", 1), (True, 5)):
-            with pytest.raises(InputError, match=r"^hop bounds must be a pair of integers, got \("):
-                swap_depth_report(self.net(), observed_depth=4.0, hop_bounds=bounds)
-
-    @pytest.mark.parametrize("depth, fault", [
-        (math.nan, "must be at least 1 and finite, got nan"),
-        (math.inf, "must be at least 1 and finite, got inf"),
-        (10**400, "must be finite, got an integer too large for a float"),
-    ], ids=["nan", "inf", "int_too_large"])
-    def test_non_finite_depth_rejected(self, depth, fault):
-        # nan < 1 is False, so a NaN depth used to give NaN gaps; an int too
-        # large for a float passed the test and leaked OverflowError.  The
-        # depth goes through model._finite, which names that int as every
-        # other site does.
-        with pytest.raises(InputError) as caught:
-            swap_depth_report(self.net(), observed_depth=depth, hop_bounds=(3, 5))
-        assert str(caught.value) == f"observed depth {fault}"

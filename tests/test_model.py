@@ -377,13 +377,23 @@ class TestCanonicalForm:
         ("known_arrival_rates", {2.5: 0.5}, r"known arrival rate 2\.5: key"),
         ("known_arrival_rates", {math.nan: 0.5}, r"known arrival rate nan: key"),
         ("known_arrival_rates", {2: "abc"}, r"known arrival rate 2: value 'abc' is not"),
+        ("external_arrivals", {1: 1.0, 5: 1.0, 2**64: 1.0},
+         r"external arrival references unknown node 5$"),
+        ("external_arrivals", {1: 1.0, 2**64: 1.0, 5: 1.0},
+         r"external arrival references unknown node 5$"),
+        ("routing", {(1, 2): 0.5, (7, 2): 0.1, (2**64, 2): 0.1},
+         r"routing entry 7->2 references unknown node 7$"),
+        ("routing", {(1, 2): 0.5, (2**64, 2): 0.1, (7, 2): 0.1},
+         r"routing entry 7->2 references unknown node 7$"),
     ], ids=["fraction_from", "fraction_to", "bool", "mixed_types", "none", "not_a_pair",
             "triple", "value", "value_list", "ext_fraction", "ext_bool", "ext_none",
             "ext_string", "ext_value", "ext_value_list", "known_fraction", "known_nan",
-            "known_value"])
+            "known_value", "ext_past_int64_last", "ext_past_int64_first",
+            "routing_past_int64_last", "routing_past_int64_first"])
     def test_bad_mapping_entry_is_an_input_error(self, field, given, message):
         # these used to be truncated onto another node (1.9 -> 1) or to
-        # escape as a bare TypeError or ValueError
+        # escape as a bare TypeError or ValueError; a key past int64 is an
+        # unknown node in id order, not one read as 0 and named first
         mappings = {"routing": {(1, 2): 0.5}, "external_arrivals": {1: 1.0},
                     "known_arrival_rates": None, field: given}
         with pytest.raises(InputError, match=f"^{message}"):

@@ -200,11 +200,11 @@ class TestAnalyzeNetwork:
         with pytest.raises(InputError) as caught:
             analyze_network(spec, AnalysisAssumptions(rho_one=False))
         assert str(caught.value) == (
-            "blocking probability: probability 1.0000000005 outside [0, 1]")
+            "node 1: blocking probability: probability 1.0000000005 outside [0, 1]")
 
     @pytest.mark.parametrize("idle_first, message", [
         (True, "node 1 has zero arrival rate; per-job metrics undefined"),
-        (False, "blocking probability: probability 1.0000000005 outside [0, 1]"),
+        (False, "node 1: blocking probability: probability 1.0000000005 outside [0, 1]"),
     ], ids=["zero_rate_first", "blocking_first"])
     def test_first_failing_node_in_id_order_raises(self, idle_first, message):
         # one intermediate node gets no traffic; the other's row sums to
@@ -254,7 +254,7 @@ class TestAnalyzeNetwork:
         with pytest.raises(NumericsError) as caught:
             analyze_network(spec)
         assert str(caught.value) == (
-            "blocking-node marginal (0.0, nan, 0.0) is not a distribution")
+            "node 1: blocking-node marginal (0.0, nan, 0.0) is not a distribution")
 
     def test_arrival_rate_column_is_the_solved_traffic(self, fixture_spec):
         # the pins of munoz15 cover every intermediate node

@@ -58,6 +58,19 @@ def test_per_node_pipeline_is_gone():
     assert deleted & set(qnswap.__all__) == set()
 
 
+def test_swap_depth_report_is_gone_and_the_name_budget_holds():
+    # the report compared the per-node mean with route lengths, which
+    # measures neither a circuit's depth nor a time per visit; a new public
+    # name has to pay for itself under the ceiling of 30
+    import qnswap
+    import qnswap.metrics
+
+    for name in ("swap_depth_report", "SwapDepthReport"):
+        assert name not in qnswap.__all__
+        assert not hasattr(qnswap.metrics, name)
+    assert len(qnswap.__all__) <= 30
+
+
 # Reference implementations that live in tests/oracle.py; the package keeps
 # one traffic method, one simulator entry point and one M/M/1/K formula.
 ORACLE_ONLY = {
