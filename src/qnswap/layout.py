@@ -18,10 +18,10 @@ Layout document shape::
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 from operator import eq
-from typing import Mapping
 
 import numpy as np
 
@@ -67,6 +67,9 @@ class LayoutGraph:
     def __post_init__(self):
         # Each rule is one pass over the whole list; only a failing list is
         # searched for the first bad entry, which names the fault.
+        for name, value in (("sites", self.sites), ("edges", self.edges)):
+            if not isinstance(value, Iterable):
+                raise SchemaError(name, f"{_shown(value)} is not iterable")
         sites, edges, queues = tuple(self.sites), tuple(self.edges), self.queue_sites
         if not all(map(isinstance, sites, repeat(str))):
             s = next(s for s in sites if not isinstance(s, str))

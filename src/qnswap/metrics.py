@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .model import _node_keys, _shown
+from .model import _finite, _node_keys, _shown
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,7 @@ def network_metrics(nodes: Sequence[int], mean_jobs: Sequence[float],
     right in node-id order, so the result does not depend on the order of
     the columns.  Raises InputError when the subset holds a value that is no
     node id (a bool or a non-integer; an unknown id is skipped) or selects
-    no node, or when ``external_rate`` is not positive.
+    no node, or when ``external_rate`` is no finite positive number.
     """
     nodes = np.asarray(nodes, dtype=np.intp)
     chosen = np.argsort(nodes, kind="stable")
@@ -51,6 +51,7 @@ def network_metrics(nodes: Sequence[int], mean_jobs: Sequence[float],
         chosen = chosen[[i in wanted for i in nodes[chosen].tolist()]]
     if not chosen.size:
         raise InputError("metric subset contains no nodes")
+    external_rate = _finite(external_rate, "external rate")
     if external_rate <= 0:
         raise InputError("subset has zero arrival rate; per-job metrics undefined")
     # accumulate adds in order; np.sum adds pairwise, which changes the last digits

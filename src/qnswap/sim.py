@@ -44,9 +44,11 @@ the simulated time and the nodes, instead of returning numbers from a
 network that has stopped.
 
 Determinism: every replication draws from its own stream derived from
-``SeedSequence(seed).spawn``-style keys, events are ordered by
-``(time, insertion sequence)``, and all iteration orders are fixed, so a
-given (spec, config) pair reproduces results bit for bit.
+``SeedSequence(seed).spawn``-style keys, all iteration orders are fixed,
+and events are keyed by ``(time, code)``: a node has at most one pending
+completion and a source one pending arrival, so the code is unique, and at
+equal times arrivals run before completions, each in node id order.  A
+given (spec, config) pair thus reproduces results bit for bit.
 """
 
 from __future__ import annotations
@@ -216,9 +218,11 @@ def _replicate(ids: list, cap: list, mu: list, rate: list, tgt: list, cum: list,
     node's count or blocked flag changes, its time since ``last`` is first
     added to its statistics ("closing" it).
 
-    An event is ``(time, seq, code)`` with ``code`` ``~k`` for an arrival at
-    node k and ``k`` for a completion.  A handler holds back the last event
-    it schedules in ``ev``, and the next event comes from one
+    An event is ``(time, code)`` with ``code`` ``k - n`` for an arrival at
+    node k and ``k`` for a completion.  Node k has at most one pending event
+    of each kind, so the key is unique; at equal times the negative arrival
+    codes run first, each kind in node order.  A handler holds back the last
+    event it schedules in ``ev``, and the next event comes from one
     ``heappushpop`` of it, or from a ``heappop`` when there is none.
 
     Draw order is part of the contract: an arrival starts service before
@@ -246,11 +250,9 @@ def _replicate(ids: list, cap: list, mu: list, rate: list, tgt: list, cum: list,
     uni = chain.from_iterable(uni_chunks).__next__
     heap: list = []
     push, pop, pushpop, bisect = heapq.heappush, heapq.heappop, heapq.heappushpop, bisect_right
-    seq = 0
     for k, r in enumerate(rate):
         if r > 0:
-            push(heap, (exp() / r, seq, ~k))
-            seq += 1
+            push(heap, (exp() / r, k - n))
 
     arrivals = completed = dropped = 0
     resp_n = hop_sum = 0
@@ -265,13 +267,12 @@ def _replicate(ids: list, cap: list, mu: list, rate: list, tgt: list, cum: list,
             last = [t_warm] * n
             arrivals_0, dropped_0 = arrivals, dropped
         for events in range(events, sys.maxsize):  # events handled so far
-            time, s, code = pushpop(heap, ev) if ev else pop(heap)
+            time, code = ev = pushpop(heap, ev) if ev else pop(heap)
             if time > t_lim:
-                ev = (time, s, code)
-                break
+                break  # ev holds the event for the next pass
 
             if code < 0:  # an arrival at k
-                k = ~code
+                k = code + n
                 arrivals += 1
                 c = cnt[k]
                 if c < cap[k]:
@@ -283,12 +284,10 @@ def _replicate(ids: list, cap: list, mu: list, rate: list, tgt: list, cum: list,
                     cnt[k] = c + 1
                     queue[k].append([time, 0, win])
                     if not c:
-                        push(heap, (time + exp() / mu[k], seq, k))
-                        seq += 1
+                        push(heap, (time + exp() / mu[k], k))
                 else:
                     dropped += 1
-                ev = (time + exp() / rate[k], seq, code)
-                seq += 1
+                ev = (time + exp() / rate[k], code)
                 continue
 
             # a completion at k; close k first: every outcome changes it
@@ -334,8 +333,7 @@ def _replicate(ids: list, cap: list, mu: list, rate: list, tgt: list, cum: list,
                     resp_sq += r * r
                     hop_sum += job[1]
                 if q:
-                    ev = (time + exp() / mu[k], seq, k)
-                    seq += 1
+                    ev = (time + exp() / mu[k], k)
                 d = -1
 
             # Move k's job to d (when d >= 0); k now has a free slot, which
@@ -348,8 +346,7 @@ def _replicate(ids: list, cap: list, mu: list, rate: list, tgt: list, cum: list,
                     job[1] += 1
                     if d == k:  # a self-loop re-queues behind its own buffer, frees no slot
                         q.append(job)
-                        ev = (time + exp() / mu[k], seq, k)
-                        seq += 1
+                        ev = (time + exp() / mu[k], k)
                         break
                     c = cnt[d]
                     cnt[d] = c + 1
@@ -358,13 +355,11 @@ def _replicate(ids: list, cap: list, mu: list, rate: list, tgt: list, cum: list,
                     if not c:
                         if ev:
                             push(heap, ev)
-                        ev = (time + exp() / mu[d], seq, d)
-                        seq += 1
+                        ev = (time + exp() / mu[d], d)
                     if q:
                         if ev:
                             push(heap, ev)
-                        ev = (time + exp() / mu[k], seq, k)
-                        seq += 1
+                        ev = (time + exp() / mu[k], k)
                 if not waiting[k]:
                     break  # no blocked job can move
                 entry = waiting[k][0]

@@ -187,11 +187,15 @@ class TestLayoutGraph:
          r"queues: \[\('a', QueueSite\(.*\.\.\. does not map sites to QueueSites"),
         (("a",), (), {"a": QueueSite(NodeKind.SOURCE, 1), 1: QueueSite(NodeKind.SINK, 1)},
          r"queues: unknown site 1"),
+        (None, (), {}, r"sites: None is not iterable"),
+        (("a",), None, {}, r"edges: None is not iterable"),
+        (("a",), 5, {}, r"edges: 5 is not iterable"),
     ], ids=["triple", "string_edge", "int_end", "int_site", "plain_role", "queue_list",
-            "int_queue_site"])
+            "int_queue_site", "none_sites", "none_edges", "int_edges"])
     def test_wrong_types_name_the_field(self, sites, edges, queues, message):
-        # these leaked a bare ValueError or TypeError from the edge sort, or
-        # were accepted and broke build_lattice_network with an AttributeError
+        # these leaked a bare ValueError or TypeError from the edge sort or
+        # from tuple(), or were accepted and broke build_lattice_network
+        # with an AttributeError
         with pytest.raises(SchemaError, match=f"^{message}$"):
             LayoutGraph(sites, edges, queues)
 

@@ -115,6 +115,27 @@ class TestNetworkMetrics:
         with pytest.raises(InputError, match="subset has zero arrival rate"):
             network_metrics(NODES, KBAR, external_rate=0.0)
 
+    @pytest.mark.parametrize("rate, message", [
+        (0, "subset has zero arrival rate; per-job metrics undefined"),
+        (-0.5, "subset has zero arrival rate; per-job metrics undefined"),
+        (np.nan, "external rate must be finite, got nan"),
+        (np.inf, "external rate must be finite, got inf"),
+        (-np.inf, "external rate must be finite, got -inf"),
+        (True, "external rate: value True is not a number"),
+        ("0.5", "external rate: value '0.5' is not a number"),
+        (None, "external rate: value None is not a number"),
+    ], ids=["int_zero", "negative", "nan", "inf", "minus_inf", "bool", "string", "none"])
+    def test_external_rate_follows_the_value_rule(self, rate, message):
+        # NaN gave a nan response time, inf gave 0.0, True counted as 1 and a
+        # string leaked a bare TypeError from the comparison
+        with pytest.raises(InputError, match=f"^{message}$"):
+            network_metrics(NODES, KBAR, external_rate=rate)
+
+    def test_external_rate_is_a_float(self):
+        net = network_metrics(NODES, KBAR, external_rate=np.float64(2))
+        assert type(net.external_rate) is float
+        assert net.mean_response_time == pytest.approx(0.3, abs=1e-15)
+
     def test_sum_runs_left_to_right(self):
         # each +1 rounds away one at a time; np.sum's pairwise order keeps them
         kbar = [1e16] + [1.0] * 16

@@ -260,6 +260,63 @@ class TestBlockingNetwork:
         json.dumps(blob)  # raises on numpy scalars or other foreign types
 
 
+class ConstantDraws:
+    """A replication stream whose exponential draws are ``head``, then 1s; uniforms are 1/2."""
+
+    def __init__(self, head=()):
+        self.head = head
+
+    def exponential(self, size):
+        draws = np.ones(size)
+        draws[:len(self.head)], self.head = self.head, ()
+        return draws
+
+    def random(self, size):
+        return np.full(size, 0.5)
+
+
+class TestTieOrder:
+    """Events at equal times run arrivals first, then completions, each in id order."""
+
+    def test_two_sources_into_one_slot(self, monkeypatch):
+        # Sources 1 and 2 (rate 1, service 1, room 1) both send every job to
+        # sink 3 (room 1, service 1/2).  With every draw constant, both
+        # sources take a job at each odd time.  At each even time both
+        # arrivals find a full source and drop; then source 1 completes
+        # first and fills the sink, and source 2 blocks until the sink
+        # frees at +0.5.  A completion run before the arrival at its own
+        # source would free the slot, and that arrival would not drop.
+        monkeypatch.setattr(sim, "_rep_rng", lambda seed, rep: ConstantDraws())
+        spec = NetworkSpec(
+            nodes=(NodeSpec(id=1, kind=NodeKind.SOURCE, capacity=1, service_rate=1.0),
+                   NodeSpec(id=2, kind=NodeKind.SOURCE, capacity=1, service_rate=1.0),
+                   NodeSpec(id=3, kind=NodeKind.SINK, capacity=1, service_rate=2.0)),
+            routing={(1, 3): 1.0, (2, 3): 1.0},
+            external_arrivals={1: 1.0, 2: 1.0},
+        )
+        res = simulate_blocking_network(spec, SimConfig(seed=0, horizon=20.0))
+        # arrivals at t = 1..20; the pair taken at t = 19 is still held at t = 20
+        assert (res.arrivals, res.dropped, res.completed, res.in_flight) == (40, 20, 18, 2)
+        # the window [4, 20] holds 8 blocks of node 2, each 0.5 long
+        assert [ns.blocked_fraction for ns in res.nodes] == [0.0, 0.25, 0.0]
+        assert res.drop_fraction == 18 / 34  # both arrivals at t = 4, 6, ..., 20 of 4..20
+
+    def test_tied_arrivals_draw_in_id_order(self, monkeypatch):
+        # both first arrivals come at t = 1; the first handled draws the
+        # third and fourth numbers (service 0.25, next arrival at 101)
+        monkeypatch.setattr(sim, "_rep_rng",
+                            lambda seed, rep: ConstantDraws((1.0, 1.0, 0.25, 100.0, 0.5, 100.0)))
+        spec = NetworkSpec(
+            nodes=tuple(NodeSpec(id=i, kind=NodeKind.SOURCE, capacity=1, service_rate=1.0)
+                        for i in (1, 2)),
+            routing={},
+            external_arrivals={1: 1.0, 2: 1.0},
+        )
+        res = simulate_blocking_network(spec, SimConfig(seed=0, horizon=2.0))
+        assert [ns.occupancy[1] for ns in res.nodes] == [0.25 / res.duration,
+                                                         0.5 / res.duration]
+
+
 class TestDeadlock:
     """A set of full stations whose blocked servers wait only on each other."""
 
