@@ -68,6 +68,8 @@ class LayoutGraph:
         # Each rule is one pass over the whole list; only a failing list is
         # searched for the first bad entry, which names the fault.
         for name, value in (("sites", self.sites), ("edges", self.edges)):
+            if isinstance(value, (str, bytes)):  # iterable, but one site per character
+                raise SchemaError(name, f"{_shown(value)} is text, not a list")
             if not isinstance(value, Iterable):
                 raise SchemaError(name, f"{_shown(value)} is not iterable")
         sites, edges, queues = tuple(self.sites), tuple(self.edges), self.queue_sites

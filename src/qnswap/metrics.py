@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .model import _finite, _node_keys, _shown
+from .model import _finite, _finite_column, _node_keys, _shown
 
 
 @dataclass(frozen=True)
@@ -36,11 +36,32 @@ def network_metrics(nodes: Sequence[int], mean_jobs: Sequence[float],
 
     ``nodes`` and ``mean_jobs`` are matching columns.  The sum runs left to
     right in node-id order, so the result does not depend on the order of
-    the columns.  Raises InputError when the subset holds a value that is no
-    node id (a bool or a non-integer; an unknown id is skipped) or selects
-    no node, or when ``external_rate`` is no finite positive number.
+    the columns.  Raises InputError when a node is no node id (a bool or a
+    non-integer), a mean job count is no finite number or the columns differ
+    in length; when the subset holds a value that is no node id (an unknown
+    id is skipped) or selects no node; or when ``external_rate`` is no finite
+    positive number.
     """
-    nodes = np.asarray(nodes, dtype=np.intp)
+    # analyze_network's int64 and float columns are checked as arrays
+    if not (isinstance(nodes, np.ndarray) and nodes.dtype.kind == "i" and nodes.ndim == 1):
+        nodes = nodes.tolist() if isinstance(nodes, np.ndarray) else list(nodes)
+        keys = _node_keys(nodes, pair=False)
+        if keys is None:
+            raise InputError(f"metric nodes {_shown(nodes)} hold a value that is no node id")
+        nodes = np.array(keys, dtype=object)  # Python ints: any id sorts exactly
+    if isinstance(mean_jobs, np.ndarray) and mean_jobs.dtype.kind == "f" and mean_jobs.ndim == 1:
+        jobs = mean_jobs
+    else:
+        mean_jobs = mean_jobs.tolist() if isinstance(mean_jobs, np.ndarray) else list(mean_jobs)
+        jobs = np.array(_finite_column(mean_jobs))  # NaN marks a value _finite rejects
+    if len(nodes) != len(jobs):
+        raise InputError(f"metric columns differ in length: {len(nodes)} node ids, "
+                         f"{len(jobs)} mean job counts")
+    finite = np.isfinite(jobs)
+    if np.count_nonzero(finite) < len(jobs):
+        k = int(np.argmin(finite))
+        value = mean_jobs[k] if type(mean_jobs) is list else float(jobs[k])
+        _finite(value, f"mean jobs of node {_shown(int(nodes[k]))}")  # raises
     chosen = np.argsort(nodes, kind="stable")
     if subset is not None:
         subset = list(subset)
@@ -55,7 +76,7 @@ def network_metrics(nodes: Sequence[int], mean_jobs: Sequence[float],
     if external_rate <= 0:
         raise InputError("subset has zero arrival rate; per-job metrics undefined")
     # accumulate adds in order; np.sum adds pairwise, which changes the last digits
-    total = float(np.add.accumulate(np.asarray(mean_jobs, dtype=float)[chosen])[-1])
+    total = float(np.add.accumulate(jobs[chosen])[-1])
     mean = total / chosen.size
     return NetworkMetrics(
         mean_jobs=mean,

@@ -158,25 +158,22 @@ def _finite(value, name: str, within: tuple | None = None, text: bool = False) -
     return x
 
 
-def _finite_column(values, text: bool = False) -> list[float] | np.ndarray:
-    """``_finite`` over a column: floats (a list for a list, else an array), NaN
-    wherever it rejects a value.  A numeric array, or a list of finite floats (with
-    ``text``, also decimal strings), takes a few passes; any other, a call per value."""
-    if type(values) is list and set(map(type, values)) <= ({float, str} if text else {float}):
+def _finite_column(values: list, text: bool = False) -> list[float]:
+    """``_finite`` over a list: its floats, NaN wherever it rejects a value.  A
+    list of finite floats (with ``text``, also decimal strings) takes a few
+    passes; any other, a call per value."""
+    if set(map(type, values)) <= ({float, str} if text else {float}):
         try:  # float() of a float or a string cannot overflow
             floats = list(map(float, values)) if text else values
         except ValueError:  # a string that is no number: the calls below flag it
             floats = [math.nan]
         if math.isfinite(sum(floats)):  # no NaN or inf: nothing to flag
             return floats
-    if isinstance(values, np.ndarray) and values.dtype.kind in "fiu":
-        return np.where(np.isfinite(values), values, math.nan)
-    objects = np.asarray(values, dtype=object)
-    column = np.full(objects.shape, math.nan)
-    for k, value in enumerate(objects.flat):
+    column = [math.nan] * len(values)
+    for k, value in enumerate(values):
         with suppress(InputError):  # a value the rule rejects stays NaN
-            column.flat[k] = _finite(value, "", text=text)
-    return column.tolist() if type(values) is list else column
+            column[k] = _finite(value, "", text=text)
+    return column
 
 
 def _node_keys(keys: list, pair: bool) -> list | None:

@@ -17,7 +17,7 @@ form then runs elementwise over the intermediate nodes, and
 ``rho``/``kbar``/``tbar`` come from the marginals.  The closed forms run as
 unchecked ``ctmc`` kernels under one fault check: the first intermediate node
 that fails it raises, a zero arrival rate here, any other fault through the
-checked function; every message names the node.
+checked function on that node's values; every message names the node.
 """
 
 from __future__ import annotations
@@ -124,7 +124,7 @@ def analyze_network(
         if lam[k] <= 0.0:
             raise InputError(f"node {ids[k]} has zero arrival rate; per-job metrics undefined")
         try:
-            blocking_node_closed_form(lam, mu, mu_b, pb)  # raises node k's error
+            blocking_node_closed_form(*(float(c[k]) for c in (lam, mu, mu_b, pb)))  # raises
         except (InputError, NumericsError) as fault:
             raise type(fault)(f"node {ids[k]}: {fault}") from None
     kbar = pi10 + pi01

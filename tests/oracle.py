@@ -12,7 +12,7 @@ Nothing in ``qnswap`` calls these; they exist to cross-check it:
 - per-node scalar references, read from ``spec.nodes`` and
   ``spec.routing``, for the spec's columns and the analysis columns,
   with the M/M/1/K full probability as one scalar formula per call
-  against its elementwise form in ``qnswap.ctmc``;
+  against the elementwise kernel in ``qnswap.ctmc``;
 - the builtin ``sum`` of Python 3.12 and later, which compensates floats,
   for the tests that the package's float totals do not depend on it;
 - the reference ``analyze`` and network documents, built as plain dicts
@@ -274,7 +274,8 @@ def blocking_node_chain(
 def scalar_mm1k_full_probability(rho: float, capacity: int) -> float:
     """P_full of an M/M/1/K queue for one utilization and one capacity.
 
-    The reference for the elementwise ``qnswap.ctmc.mm1k_full_probability``:
+    The reference for ``qnswap.ctmc.mm1k_full_probability`` and, element by
+    element, for the kernel ``ctmc._mm1k_full`` that ``analyze_network`` runs:
     the same checks and error texts, and the formula in Python floats and
     ints, so K + 1 cannot overflow and each power is Python's.
     """

@@ -232,6 +232,8 @@ class TestAnalyzeJsonWriter:
         fields = ("blocking_probability", "pi00", "pi10", "pi01", "rho", "kbar", "tbar")
         edge = {name: np.resize(np.roll(EDGE_FLOATS, k), n)
                 for k, name in enumerate(fields)}
+        if subset is not None:  # network_metrics aggregates finite mean job counts only
+            edge["kbar"] = np.resize(edge["kbar"][np.isfinite(edge["kbar"])], n)
         analysis = dataclasses.replace(
             analysis, **edge, arrival_rate=np.resize(EDGE_FLOATS, n),
             network=dataclasses.replace(analysis.network, mean_jobs=1e16,

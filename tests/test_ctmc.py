@@ -16,6 +16,7 @@ from qnswap import (
     InputError,
     NumericsError,
     blocking_node_closed_form,
+    ctmc,
     mm1k_full_probability,
 )
 from oracle import (
@@ -211,21 +212,13 @@ class TestBlockingClosedForm:
         assert [type(p) for p in pi] == [float, float, float]
 
     def test_array_call_matches_scalar_calls(self):
-        lam = np.array([0.94, 0.7, 1.6])
-        pi = blocking_node_closed_form(lam, 1.0, np.array([0.136, 0.2, 0.173]), 0.5)
+        # analyze_network runs the kernel on its columns; each element has the
+        # bits of a public scalar call
+        lam, mu_b = np.array([0.94, 0.7, 1.6]), np.array([0.136, 0.2, 0.173])
+        pi = ctmc._closed_form(lam, np.ones(3), mu_b, np.full(3, 0.5))
         for k in range(3):
-            want = blocking_node_closed_form(float(lam[k]), 1.0, [0.136, 0.2, 0.173][k], 0.5)
+            want = blocking_node_closed_form(float(lam[k]), 1.0, float(mu_b[k]), 0.5)
             assert [float(p[k]) for p in pi] == list(want)
-
-    def test_array_call_reports_first_bad_element(self):
-        # element 1 fails two checks; the scalar order picks the service rate
-        with pytest.raises(InputError, match=r"^service rate must be nonnegative, got -1\.0$"):
-            blocking_node_closed_form([0.7, 0.7, -1.0], [1.0, -1.0, 1.0], 0.2, [0.5, 2.0, 0.5])
-        # an overflow before the first bad input is reported first, and after it not
-        with pytest.raises(NumericsError, match="is not a distribution"):
-            blocking_node_closed_form([1e200, -1.0], [1e-200, 1.0], 1.0, 0.5)
-        with pytest.raises(InputError, match="arrival rate must be nonnegative"):
-            blocking_node_closed_form([-1.0, 1e200], [1.0, 1e-200], 1.0, 0.5)
 
 
 def geometric_occupancy(rho: float, capacity: int) -> list[float]:
@@ -309,19 +302,14 @@ P_FULL_CAPACITY = (1, 8, 5000, 2**53 + 1, 2**63 - 1)
 
 class TestFullProbabilityArrays:
     def test_elements_match_scalar_reference_bit_for_bit(self):
+        # the kernel as analyze_network runs it: int64 capacities, K + 1 in uint64
         rho, cap = zip(*itertools.product(P_FULL_RHO, P_FULL_CAPACITY))
         want = [scalar_mm1k_full_probability(r, c).hex() for r, c in zip(rho, cap)]
-        got = mm1k_full_probability(np.array(rho), np.array(cap, dtype=np.int64))
+        got = ctmc._mm1k_full(np.array(rho), np.array(cap, dtype=np.int64))
         assert [x.hex() for x in got.tolist()] == want
         scalars = [mm1k_full_probability(r, c) for r, c in zip(rho, cap)]
         assert {type(x) for x in scalars} == {float}
         assert [x.hex() for x in scalars] == want
-
-    def test_broadcasts_a_scalar_against_an_array(self):
-        got = mm1k_full_probability(list(P_FULL_RHO), 8)
-        assert got.tolist() == [scalar_mm1k_full_probability(r, 8) for r in P_FULL_RHO]
-        got = mm1k_full_probability(2.0, np.array(P_FULL_CAPACITY))
-        assert got.tolist() == [scalar_mm1k_full_probability(2.0, c) for c in P_FULL_CAPACITY]
 
     @pytest.mark.parametrize("rho, capacity", [
         (-0.1, 3), (math.nan, 1), (-math.inf, 1), (True, 2), ("0.5", 2), (None, 2),
@@ -334,18 +322,21 @@ class TestFullProbabilityArrays:
         with pytest.raises(InputError, match=f"^{re.escape(str(want.value))}$"):
             mm1k_full_probability(rho, capacity)
 
-    @pytest.mark.parametrize("rho, capacity, message", [
-        ([0.5, -1.0, math.nan], [1, 2, 3], "utilization must be nonnegative, got -1.0"),
-        ([0.5, math.inf, "x"], [1, 2, 3], "utilization: value 'x' is not a number"),
-        ([0.5, 0.5, -1.0], [1, True, 2], "capacity must be a positive integer, got True"),
-        ([-1.0, 0.5], [1, 0], "utilization must be nonnegative, got -1.0"),
-        ([0.5, -1.0], [0, 1], "capacity must be a positive integer, got 0"),
-        ([[0.5], [-2.0]], [1, 2.5], "capacity must be a positive integer, got 2.5"),
-    ], ids=["rho", "word_after_inf", "bool_capacity", "rho_first", "capacity_first",
-            "broadcast"])
-    def test_array_call_names_the_first_bad_element(self, rho, capacity, message):
-        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
-            mm1k_full_probability(rho, capacity)
+
+def test_public_forms_take_one_station():
+    # an array is no number: the columns go to the kernels, not the public forms
+    column = r"array\(\[0\.5, 0\.7\]\)"
+    names = ["arrival rate", "service rate", "unblock rate", "blocking probability"]
+    for position, name in enumerate(names):
+        args = [0.7, 1.0, 0.2, 0.5]
+        args[position] = np.array([0.5, 0.7])
+        with pytest.raises(InputError, match=f"^{name}: value {column} is not a number$"):
+            blocking_node_closed_form(*args)
+    with pytest.raises(InputError, match=f"^utilization: value {column} is not a number$"):
+        mm1k_full_probability(np.array([0.5, 0.7]), 2)
+    with pytest.raises(InputError,
+                       match=r"^capacity must be a positive integer, got array\(\[1, 2\]\)$"):
+        mm1k_full_probability(0.5, np.array([1, 2]))
 
 
 class TestMarginalDistribution:

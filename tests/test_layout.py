@@ -190,12 +190,17 @@ class TestLayoutGraph:
         (None, (), {}, r"sites: None is not iterable"),
         (("a",), None, {}, r"edges: None is not iterable"),
         (("a",), 5, {}, r"edges: 5 is not iterable"),
+        ("ab", (("a", "b"),), {}, r"sites: 'ab' is text, not a list"),
+        (b"ab", (), {}, r"sites: b'ab' is text, not a list"),
+        (("a", "b"), "ab", {}, r"edges: 'ab' is text, not a list"),
+        (("a", "b"), b"ab", {}, r"edges: b'ab' is text, not a list"),
     ], ids=["triple", "string_edge", "int_end", "int_site", "plain_role", "queue_list",
-            "int_queue_site", "none_sites", "none_edges", "int_edges"])
+            "int_queue_site", "none_sites", "none_edges", "int_edges", "string_sites",
+            "bytes_sites", "string_edges", "bytes_edges"])
     def test_wrong_types_name_the_field(self, sites, edges, queues, message):
         # these leaked a bare ValueError or TypeError from the edge sort or
         # from tuple(), or were accepted and broke build_lattice_network
-        # with an AttributeError
+        # with an AttributeError; a string of sites was split into characters
         with pytest.raises(SchemaError, match=f"^{message}$"):
             LayoutGraph(sites, edges, queues)
 

@@ -131,6 +131,22 @@ class TestNetworkMetrics:
         with pytest.raises(InputError, match=f"^{message}$"):
             network_metrics(NODES, KBAR, external_rate=rate)
 
+    @pytest.mark.parametrize("nodes, kbar, message", [
+        ([1.5, 2.7], KBAR, r"metric nodes \[1\.5, 2\.7\] hold a value that is no node id"),
+        ([True, 2], KBAR, r"metric nodes \[True, 2\] hold a value that is no node id"),
+        (NODES, [0.8, np.nan], "mean jobs of node 2 must be finite, got nan"),
+        (NODES, [0.8, "0.4"], r"mean jobs of node 2: value '0\.4' is not a number"),
+        (np.array(NODES), np.array([np.inf, 0.4]), "mean jobs of node 1 must be finite, got inf"),
+        (NODES, [0.8], "metric columns differ in length: 2 node ids, 1 mean job counts"),
+        ([1], KBAR, "metric columns differ in length: 1 node ids, 2 mean job counts"),
+    ], ids=["float_id", "bool_id", "nan_jobs", "string_jobs", "inf_in_array", "short_jobs",
+            "long_jobs"])
+    def test_columns_follow_the_key_and_value_rules(self, nodes, kbar, message):
+        # the ids were cast to intp (1.5 read as 1, True as 1), NaN gave a nan
+        # mean, a short kbar leaked a bare IndexError and a long one lost its tail
+        with pytest.raises(InputError, match=f"^{message}$"):
+            network_metrics(nodes, kbar, external_rate=0.5)
+
     def test_external_rate_is_a_float(self):
         net = network_metrics(NODES, KBAR, external_rate=np.float64(2))
         assert type(net.external_rate) is float

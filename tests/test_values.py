@@ -55,6 +55,7 @@ def _spec(mu=1.0, mu_b=0.2, external=0.5, known=None, p=1.0):
 
 
 def _closed_form(position, element):
+    # element: the value inside a list, which the one-station form rejects whole
     def call(value):
         args = [0.7, 1.0, 0.2, 0.5]
         args[position] = [args[position], value] if element else value
@@ -104,7 +105,7 @@ def test_reproductions_name_the_fault():
     with pytest.raises(InputError, match="^external arrival 1 must be finite, got an integer"):
         NetworkSpec((NodeSpec(1, NodeKind.SOURCE, 2, 1.0),), {}, {1: 10**400})
     with pytest.raises(InputError, match="^arrival rate must be finite, got an integer"):
-        blocking_node_closed_form([0.5, 10**400], 1.0, 0.2, 0.5)
+        blocking_node_closed_form(10**400, 1.0, 0.2, 0.5)
     with pytest.raises(InputError, match="^simulation horizon must be finite, got an integer"):
         SimConfig(seed=0, horizon=10**400)
     with pytest.raises(InputError, match="^utilization must be finite, got an integer"):
@@ -123,14 +124,6 @@ def test_node_id_too_long_to_print_is_an_input_error():
              NodeSpec(big, NodeKind.INTERMEDIATE, 1, 1.0, 1.0))
     with pytest.raises(InputError, match=r"^node id an unprintable int must be below 2\*\*63$"):
         NetworkSpec(nodes, {(1, big): 1.0, (big, 2): 1.0}, {1: 0.5}, known_arrival_rates={1: 0.5})
-
-
-def test_closed_form_names_the_element_that_failed():
-    # the whole argument used to go through the scalar checks
-    with pytest.raises(InputError, match=r"^service rate: value 'abc' is not a number$"):
-        blocking_node_closed_form([0.7, 0.7], [1.0, "abc"], 0.2, [0.5, 2.0])
-    with pytest.raises(InputError, match=r"^blocking probability: probability 2\.0 outside"):
-        blocking_node_closed_form([0.7, 0.7], [1.0, 10**400], 0.2, [2.0, 0.5])
 
 
 @pytest.mark.parametrize("value, shown", [
@@ -156,9 +149,7 @@ def test_shown_survives_a_failing_repr():
     (np.array([0.5, math.inf, -1.0]), False),
     (np.array([1, 2], dtype=np.int64), False),
     (np.array([True, False]), False),
-    (0.25, False),
-    ([[0.5, None], [2, "1e999"]], True),
-], ids=["text", "faults", "float_array", "int_array", "bool_array", "scalar", "nested"])
+], ids=["text", "faults", "float_array", "int_array", "bool_array"])
 def test_column_form_agrees_with_the_scalar_rule(values, text):
     column = np.asarray(_finite_column(values, text=text))
     objects = np.asarray(values, dtype=object)
@@ -172,7 +163,7 @@ def test_column_form_agrees_with_the_scalar_rule(values, text):
 
 
 def test_column_form_of_a_list_is_a_list():
-    # the parser keeps Python floats; the spec and the closed form take arrays
+    # the parser and the spec keep Python floats, so a column comes back as a list
     assert _finite_column(["0.5", 2], text=True) == [0.5, 2.0]
     column = _finite_column([0.5, None])
     assert type(column) is list and column[0] == 0.5 and math.isnan(column[1])
