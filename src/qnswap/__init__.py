@@ -22,10 +22,6 @@ from .layout import (
     parse_layout,
     shortest_hops,
 )
-from .metrics import (
-    NetworkMetrics,
-    network_metrics,
-)
 from .model import (
     NetworkSpec,
     NodeKind,
@@ -36,6 +32,7 @@ from .model import (
 from .pfqn import (
     AnalysisAssumptions,
     NetworkAnalysis,
+    NetworkMetrics,
     analyze_network,
 )
 from .sim import (
@@ -71,7 +68,6 @@ __all__ = [
     "build_lattice_network",
     "mm1k_full_probability",
     "munoz15_fixture",
-    "network_metrics",
     "parse_layout",
     "parse_network",
     "serialize_network",

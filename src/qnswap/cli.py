@@ -25,9 +25,8 @@ from itertools import chain, compress, repeat
 
 from .errors import InputError, NumericsError
 from .layout import munoz15_fixture
-from .metrics import NetworkMetrics, network_metrics
 from .model import KIND_CODES, NetworkSpec, NodeKind, parse_network, serialize_network
-from .pfqn import AnalysisAssumptions, NetworkAnalysis, analyze_network
+from .pfqn import AnalysisAssumptions, NetworkAnalysis, NetworkMetrics, analyze_network
 from .sim import WARMUP_FRACTION, SimConfig, SimResult, simulate_blocking_network
 from .traffic import total_external_rate
 
@@ -226,7 +225,7 @@ def _analyze_output(analysis: NetworkAnalysis, fmt: str, digits: int | None,
     ids = analysis.nodes.tolist()
     columns = {name: getattr(analysis, name).tolist() for name in _JSON_COLUMNS}
     if subset is not None:
-        net = network_metrics(analysis.nodes, analysis.kbar, net.external_rate, subset)
+        net = analysis.network_over(subset)
         keep = set(subset)
         mask = [i in keep for i in ids]
         ids = list(compress(ids, mask))

@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InputError, NumericsError
-from .model import NONNEGATIVE, PROBABILITY, _finite, _shown
+from .model import INT64_MAX, NONNEGATIVE, PROBABILITY, _finite, _shown
 
 RHO_ONE_TOL = 1e-9
 SUM_TOL = 1e-12  # largest |pi00 + pi10 + pi01 - 1| of a marginal
@@ -99,12 +99,15 @@ def mm1k_full_probability(rho: float, capacity: int) -> float:
     and each power is Python's.
 
     Raises:
-        InputError: a capacity that is a bool, no int, or below 1; rho that
+        InputError: a capacity that is a bool, no int, below 1 or past
+            2**63 - 1, the range of a ``NetworkSpec`` capacity; rho that
             ``model._finite`` rejects, NaN reported as out of range; an
             infinite rho passes.
     """
     if isinstance(capacity, bool) or not isinstance(capacity, int) or capacity < 1:
         raise InputError(f"capacity must be a positive integer, got {_shown(capacity)}")
+    if capacity > INT64_MAX:
+        raise InputError("capacity must be below 2**63")
     always_full = not getattr(rho, "ndim", 0) and rho == math.inf  # no fault
     x = math.inf if always_full else _finite(rho, "utilization", UTILIZATION)
     return float(_mm1k_full(np.array(x), np.array(capacity, dtype=object)))  # K + 1 as an int

@@ -18,18 +18,25 @@ form then runs elementwise over the intermediate nodes, and
 unchecked ``ctmc`` kernels under one fault check: the first intermediate node
 that fails it raises, a zero arrival rate here, any other fault through the
 checked function on that node's values; every message names the node.
+
+A capacity-one blocking node's utilization is ``1 - pi00``, its mean job count
+``kbar = pi10 + pi01``, and Little's law gives ``tbar = kbar / lambda =
+pi00 * (1/mu + Pb/mu_b)``, which is no time per visit (below ``1/mu`` on all 11
+munoz15 intermediates).  The network's ``mean_response_time`` is the mean
+``kbar`` over the chosen nodes divided by the external rate lambda0, and no
+source-to-sink time (ROADMAP.md, items 3 and 5); ``total_jobs`` is their sum.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .ctmc import SUM_TOL, _closed_form, _mm1k_full, blocking_node_closed_form
 from .errors import InputError, NumericsError
-from .metrics import NetworkMetrics, network_metrics
-from .model import KIND_CODES, PROBABILITY, NetworkSpec, NodeKind, _finite
+from .model import KIND_CODES, PROBABILITY, NetworkSpec, NodeKind, _finite, _node_keys, _shown
 from .traffic import solve_traffic, total_external_rate
 
 
@@ -57,6 +64,27 @@ class AnalysisAssumptions:
 DEFAULT_ASSUMPTIONS = AnalysisAssumptions()
 
 
+@dataclass(frozen=True)
+class NetworkMetrics:
+    """The network aggregates over a set of analyzed nodes (see module docstring)."""
+
+    mean_jobs: float
+    mean_response_time: float
+    external_rate: float
+    total_jobs: float
+    nodes: tuple[int, ...]
+
+    @classmethod
+    def _over(cls, nodes: np.ndarray, kbar: np.ndarray,
+              external_rate: float) -> NetworkMetrics:
+        """The aggregates of id-ordered ``nodes`` and ``kbar`` columns."""
+        # accumulate adds in order; np.sum adds pairwise, which changes the last digits
+        total = float(np.add.accumulate(kbar)[-1])
+        mean = total / len(kbar)
+        return cls(mean_jobs=mean, mean_response_time=mean / external_rate,
+                   external_rate=external_rate, total_jobs=total, nodes=tuple(nodes.tolist()))
+
+
 @dataclass(frozen=True, eq=False)
 class NetworkAnalysis:
     """Everything the analytic pipeline produces for one network.
@@ -78,6 +106,23 @@ class NetworkAnalysis:
     assumptions: AnalysisAssumptions
     network: NetworkMetrics
 
+    def network_over(self, subset: Iterable[int]) -> NetworkMetrics:
+        """The network aggregates over the analyzed nodes whose ids are in ``subset``.
+
+        An id of no analyzed node is skipped.  Raises InputError when the subset
+        holds a value that is no node id (a bool or a non-integer) or selects no node.
+        """
+        subset = list(subset)
+        wanted = _node_keys(subset, pair=False)
+        if wanted is None:
+            raise InputError(f"metric subset {_shown(subset)} holds a value that is no node id")
+        wanted = set(wanted)
+        chosen = [i in wanted for i in self.nodes.tolist()]
+        if not any(chosen):
+            raise InputError("metric subset contains no nodes")
+        return NetworkMetrics._over(self.nodes[chosen], self.kbar[chosen],
+                                    self.network.external_rate)
+
 
 def analyze_network(
     spec: NetworkSpec,
@@ -93,7 +138,7 @@ def analyze_network(
     Raises:
         InputError: the network has no intermediate node, or an intermediate
             node's solved arrival rate or service rate is not positive or its
-            blocking probability exceeds 1.
+            blocking probability exceeds 1, or the external rates sum to inf.
         NumericsError: a node's marginal is not a distribution.
         Of several such nodes, the first in id order raises, named in the message.
     """
@@ -137,5 +182,6 @@ def analyze_network(
         kbar=kbar,
         tbar=kbar / lam,
         assumptions=assumptions,
-        network=network_metrics(ids, kbar, total_external_rate(spec)),
+        network=NetworkMetrics._over(ids, kbar,
+                                     _finite(total_external_rate(spec), "external rate")),
     )

@@ -281,6 +281,8 @@ def scalar_mm1k_full_probability(rho: float, capacity: int) -> float:
     """
     if isinstance(capacity, bool) or not isinstance(capacity, int) or capacity < 1:
         raise InputError(f"capacity must be a positive integer, got {_shown(capacity)}")
+    if capacity >= 2**63:
+        raise InputError("capacity must be below 2**63")
     if rho != math.inf:
         rho = _finite(rho, "utilization", ctmc.UTILIZATION)
     if abs(rho - 1.0) <= ctmc.RHO_ONE_TOL:

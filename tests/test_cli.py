@@ -17,7 +17,6 @@ from qnswap import (
     analyze_network,
     cli,
     munoz15_fixture,
-    network_metrics,
     parse_network,
     serialize_network,
 )
@@ -133,6 +132,24 @@ class TestAnalyze:
         assert json.loads(err) == {"error": "InputError",
                                    "message": "network has no intermediate node to analyze"}
 
+    def test_overflowed_external_total_is_an_input_error(self, capsys, monkeypatch):
+        # two finite source rates whose sum is inf; the sources route nothing
+        # and the intermediate node is pinned, so only the aggregate reads it
+        doc = {
+            "nodes": [{"id": 1, "kind": "intermediate", "capacity": 1, "mu": 1, "mu_b": 0.2},
+                      {"id": 2, "kind": "source", "capacity": 8, "mu": 1},
+                      {"id": 3, "kind": "source", "capacity": 8, "mu": 1},
+                      {"id": 4, "kind": "sink", "capacity": 8, "mu": 1}],
+            "routing": [{"from": 1, "to": 4, "p": 1}],
+            "external_arrivals": [{"node": 2, "lambda0": 1e308}, {"node": 3, "lambda0": 1e308}],
+            "known_arrival_rates": [{"node": 1, "lambda": 0.5}],
+        }
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+        code, out, err = run_cli(capsys, "analyze", "--network", "-")
+        assert (code, out) == (2, "")
+        assert err == ('{"error": "InputError", '
+                       '"message": "external rate must be finite, got inf"}\n')
+
     def test_nan_pb_is_an_input_error(self, capsys, fixture_file):
         code, out, err = run_cli(
             capsys, "analyze", "--network", fixture_file, "--pb", "nan",
@@ -232,15 +249,13 @@ class TestAnalyzeJsonWriter:
         fields = ("blocking_probability", "pi00", "pi10", "pi01", "rho", "kbar", "tbar")
         edge = {name: np.resize(np.roll(EDGE_FLOATS, k), n)
                 for k, name in enumerate(fields)}
-        if subset is not None:  # network_metrics aggregates finite mean job counts only
-            edge["kbar"] = np.resize(edge["kbar"][np.isfinite(edge["kbar"])], n)
         analysis = dataclasses.replace(
             analysis, **edge, arrival_rate=np.resize(EDGE_FLOATS, n),
             network=dataclasses.replace(analysis.network, mean_jobs=1e16,
                                         mean_response_time=-0.0, total_jobs=5e-324))
         net = analysis.network
         if subset is not None:
-            net = network_metrics(analysis.nodes, analysis.kbar, net.external_rate, subset)
+            net = analysis.network_over(subset)
         doc = analyze_document(analysis, net)
         if subset is not None:
             doc["nodes"] = [row for row in doc["nodes"] if row["node"] in subset]

@@ -314,7 +314,7 @@ class TestFullProbabilityArrays:
     @pytest.mark.parametrize("rho, capacity", [
         (-0.1, 3), (math.nan, 1), (-math.inf, 1), (True, 2), ("0.5", 2), (None, 2),
         (10**400, 1), (0.5, 0), (0.5, -1), (0.5, True), (0.5, 2.5), (0.5, np.int64(3)),
-        (math.nan, 0),
+        (math.nan, 0), (0.5, 2**63), (0.5, 10**400),
     ])
     def test_scalar_call_raises_the_reference_text(self, rho, capacity):
         with pytest.raises(InputError) as want:

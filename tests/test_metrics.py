@@ -1,5 +1,7 @@
 """Per-node columns of the analysis and network performance measures."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,6 @@ from qnswap import (
     NodeKind,
     NodeSpec,
     analyze_network,
-    network_metrics,
 )
 
 
@@ -71,91 +72,94 @@ def test_zero_arrival_rate_rejected():
         analyze_network(spec)
 
 
+def analysis_with(kbar, external_rate):
+    """An analysis of nodes 1..len(kbar) whose ``kbar`` column and external
+    rate are replaced by the given ones."""
+    n = len(kbar)
+    a = analyze_network(pinned_nodes_spec([0.5] * n, [1.0] * n, [0.2] * n, [0.5] * n))
+    return dataclasses.replace(a, kbar=np.array(kbar, dtype=float), network=dataclasses.replace(
+        a.network, external_rate=external_rate))
+
+
 NODES = [1, 2]
 KBAR = [0.8, 0.4]
 
 
 class TestNetworkMetrics:
     def test_mean_and_total(self):
-        net = network_metrics(NODES, KBAR, external_rate=0.5)
+        net = analysis_with(KBAR, 0.5).network_over(NODES)
         assert net.mean_jobs == pytest.approx(0.6, abs=1e-14)
         assert net.total_jobs == pytest.approx(1.2, abs=1e-14)
         assert net.mean_response_time == pytest.approx(1.2, abs=1e-14)
         assert net.nodes == (1, 2)
 
+    def test_analysis_aggregates_every_node(self):
+        # 200 nodes and lambda0 = 1: the subset of every node is the same sum
+        _, a = random_nodes_analysis(33)
+        net = a.network
+        assert net.nodes == tuple(range(1, 201))
+        assert net.total_jobs == pytest.approx(a.kbar.sum(), abs=1e-12)
+        assert net.mean_jobs == net.total_jobs / 200
+        assert (net.external_rate, net.mean_response_time) == (1.0, net.mean_jobs)
+        assert a.network_over(range(1, 201)) == net
+
     def test_littles_law_at_network_level(self):
-        net = network_metrics(NODES, KBAR, external_rate=0.5)
+        net = analysis_with(KBAR, 0.5).network_over(NODES)
         assert abs(net.mean_response_time * net.external_rate - net.mean_jobs) <= 1e-12
 
     def test_permutation_invariance(self):
-        fwd = network_metrics(NODES, KBAR, external_rate=0.5)
-        rev = network_metrics(NODES[::-1], KBAR[::-1], external_rate=0.5)
-        assert fwd == rev
+        # the sum runs in node-id order, whatever the order of the subset
+        analysis = analysis_with([0.1, 0.2, 0.7], 0.5)
+        assert analysis.network_over([3, 1, 2]) == analysis.network_over([1, 2, 3])
+
+    def test_external_rate_is_a_float(self):
+        # the writers print each aggregate by its repr, which a numpy scalar changes
+        analysis = analysis_with(KBAR, 0.5)
+        for net in (analyze_network(pinned_nodes_spec([0.5], [1.0], [0.2], [0.5])).network,
+                    analysis.network_over([2])):
+            fields = (net.mean_jobs, net.mean_response_time, net.external_rate, net.total_jobs)
+            assert {type(x) for x in fields} == {float}
+            assert {type(i) for i in net.nodes} == {int}
 
     def test_subset_selection(self):
-        net = network_metrics(NODES, KBAR, external_rate=0.5, subset=[2])
+        net = analysis_with(KBAR, 0.5).network_over([2])
         assert net.mean_jobs == pytest.approx(0.4, abs=1e-14)
         assert net.nodes == (2,)
 
     def test_subset_ignores_unknown_ids(self):
-        net = network_metrics(NODES, KBAR, external_rate=0.5, subset=[1, 99])
+        net = analysis_with(KBAR, 0.5).network_over([1, 99])
         assert net.nodes == (1,)
 
     def test_bool_subset_entry_rejected(self):
         # True == 1, so [True] used to select node 1; NetworkSpec rejects a bool id
         with pytest.raises(InputError,
                            match=r"^metric subset \[True\] holds a value that is no node id$"):
-            network_metrics(NODES, KBAR, external_rate=0.5, subset=[True])
+            analysis_with(KBAR, 0.5).network_over([True])
 
     def test_empty_subset_rejected(self):
-        with pytest.raises(InputError, match="metric subset contains no nodes"):
-            network_metrics(NODES, KBAR, external_rate=0.5, subset=[])
+        with pytest.raises(InputError, match="^metric subset contains no nodes$"):
+            analysis_with(KBAR, 0.5).network_over([])
 
-    def test_zero_external_rate_rejected(self):
-        with pytest.raises(InputError, match="subset has zero arrival rate"):
-            network_metrics(NODES, KBAR, external_rate=0.0)
-
-    @pytest.mark.parametrize("rate, message", [
-        (0, "subset has zero arrival rate; per-job metrics undefined"),
-        (-0.5, "subset has zero arrival rate; per-job metrics undefined"),
-        (np.nan, "external rate must be finite, got nan"),
-        (np.inf, "external rate must be finite, got inf"),
-        (-np.inf, "external rate must be finite, got -inf"),
-        (True, "external rate: value True is not a number"),
-        ("0.5", "external rate: value '0.5' is not a number"),
-        (None, "external rate: value None is not a number"),
-    ], ids=["int_zero", "negative", "nan", "inf", "minus_inf", "bool", "string", "none"])
-    def test_external_rate_follows_the_value_rule(self, rate, message):
-        # NaN gave a nan response time, inf gave 0.0, True counted as 1 and a
-        # string leaked a bare TypeError from the comparison
-        with pytest.raises(InputError, match=f"^{message}$"):
-            network_metrics(NODES, KBAR, external_rate=rate)
-
-    @pytest.mark.parametrize("nodes, kbar, message", [
-        ([1.5, 2.7], KBAR, r"metric nodes \[1\.5, 2\.7\] hold a value that is no node id"),
-        ([True, 2], KBAR, r"metric nodes \[True, 2\] hold a value that is no node id"),
-        (NODES, [0.8, np.nan], "mean jobs of node 2 must be finite, got nan"),
-        (NODES, [0.8, "0.4"], r"mean jobs of node 2: value '0\.4' is not a number"),
-        (np.array(NODES), np.array([np.inf, 0.4]), "mean jobs of node 1 must be finite, got inf"),
-        (NODES, [0.8], "metric columns differ in length: 2 node ids, 1 mean job counts"),
-        ([1], KBAR, "metric columns differ in length: 1 node ids, 2 mean job counts"),
-    ], ids=["float_id", "bool_id", "nan_jobs", "string_jobs", "inf_in_array", "short_jobs",
-            "long_jobs"])
-    def test_columns_follow_the_key_and_value_rules(self, nodes, kbar, message):
-        # the ids were cast to intp (1.5 read as 1, True as 1), NaN gave a nan
-        # mean, a short kbar leaked a bare IndexError and a long one lost its tail
-        with pytest.raises(InputError, match=f"^{message}$"):
-            network_metrics(nodes, kbar, external_rate=0.5)
-
-    def test_external_rate_is_a_float(self):
-        net = network_metrics(NODES, KBAR, external_rate=np.float64(2))
-        assert type(net.external_rate) is float
-        assert net.mean_response_time == pytest.approx(0.3, abs=1e-15)
+    def test_overflowed_external_total_is_an_input_error(self):
+        # each source's rate is finite; their sum is not.  The sources route
+        # nothing and the one intermediate node is pinned, so the traffic
+        # solve never adds them
+        spec = NetworkSpec(
+            nodes=(NodeSpec(id=1, kind=NodeKind.INTERMEDIATE, capacity=1,
+                            service_rate=1.0, unblock_rate=0.2),
+                   NodeSpec(id=2, kind=NodeKind.SOURCE, capacity=8, service_rate=1.0),
+                   NodeSpec(id=3, kind=NodeKind.SOURCE, capacity=8, service_rate=1.0),
+                   NodeSpec(id=4, kind=NodeKind.SINK, capacity=8, service_rate=1.0)),
+            routing={(1, 4): 1.0},
+            external_arrivals={2: 1e308, 3: 1e308},
+            known_arrival_rates={1: 0.5},
+        )
+        with pytest.raises(InputError, match="^external rate must be finite, got inf$"):
+            analyze_network(spec)
 
     def test_sum_runs_left_to_right(self):
         # each +1 rounds away one at a time; np.sum's pairwise order keeps them
         kbar = [1e16] + [1.0] * 16
-        net = network_metrics(range(1, 18), kbar, external_rate=1.0)
+        net = analysis_with(kbar, 1.0).network_over(range(1, 18))
         assert net.total_jobs == 1e16
         assert np.sum(kbar) != 1e16
-

@@ -61,14 +61,31 @@ def test_per_node_pipeline_is_gone():
 def test_swap_depth_report_is_gone_and_the_name_budget_holds():
     # the report compared the per-node mean with route lengths, which
     # measures neither a circuit's depth nor a time per visit; a new public
-    # name has to pay for itself under the ceiling of 30
+    # name has to pay for itself under the ceiling of 29
     import qnswap
-    import qnswap.metrics
+    import qnswap.pfqn
 
     for name in ("swap_depth_report", "SwapDepthReport"):
         assert name not in qnswap.__all__
-        assert not hasattr(qnswap.metrics, name)
-    assert len(qnswap.__all__) <= 30
+        assert not hasattr(qnswap.pfqn, name)
+    assert len(qnswap.__all__) <= 29
+
+
+def test_network_aggregate_comes_from_the_analysis():
+    # network_metrics took caller columns that only the analysis produced;
+    # NetworkMetrics lives in pfqn, built by analyze_network and network_over
+    import qnswap
+
+    with pytest.raises(ModuleNotFoundError):
+        import qnswap.metrics  # noqa: F401
+    assert "network_metrics" not in qnswap.__all__
+    assert qnswap.NetworkMetrics.__module__ == "qnswap.pfqn"
+
+
+def test_source_line_budget():
+    # the package gives back its growth: the same output bytes from fewer lines
+    lines = sum(len(path.read_text(encoding="utf-8").splitlines()) for path in MODULES)
+    assert lines <= 2450
 
 
 # Reference implementations that live in tests/oracle.py; the package keeps
