@@ -20,7 +20,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
 from itertools import chain, compress, repeat
 
 from .errors import InputError, NumericsError
@@ -259,7 +258,7 @@ def _simulate_output(result: SimResult, config: SimConfig, fmt: str,
                      digits: int | None) -> str:
     if fmt == "json":
         # the document keeps the simulator's fixed unit and warm-up as keys
-        doc = {"config": {**asdict(config), "unit": "time", "warmup_fraction": WARMUP_FRACTION},
+        doc = {"config": {**vars(config), "unit": "time", "warmup_fraction": WARMUP_FRACTION},
                "result": result.to_jsonable()}
         return json.dumps(_round_floats(doc, digits), sort_keys=True, indent=2) + "\n"
 
@@ -270,15 +269,10 @@ def _simulate_output(result: SimResult, config: SimConfig, fmt: str,
                 lines.append(f"{ns.node},p{n_jobs},{_fmt(frac, digits)}")
             lines.append(f"{ns.node},blocked,{_fmt(ns.blocked_fraction, digits)}")
             lines.append(f"{ns.node},mean_jobs,{_fmt(ns.mean_jobs, digits)}")
-        lines.append(f"network,mean_jobs,{_fmt(result.mean_jobs, digits)}")
-        lines.append(f"network,response_mean,{_fmt(result.response_mean, digits)}")
-        lines.append(f"network,response_stderr,{_fmt(result.response_stderr, digits)}")
-        lines.append(f"network,mean_hops,{_fmt(result.mean_hops, digits)}")
-        lines.append(f"network,drop_fraction,{_fmt(result.drop_fraction, digits)}")
-        lines.append(f"network,arrivals,{result.arrivals}")
-        lines.append(f"network,completed,{result.completed}")
-        lines.append(f"network,dropped,{result.dropped}")
-        lines.append(f"network,in_flight,{result.in_flight}")
+        for name in ("mean_jobs", "response_mean", "response_stderr", "mean_hops", "drop_fraction"):
+            lines.append(f"network,{name},{_fmt(getattr(result, name), digits)}")
+        for name in ("arrivals", "completed", "dropped", "in_flight"):
+            lines.append(f"network,{name},{getattr(result, name)}")
         return "\n".join(lines) + "\n"
 
     cells = [[str(ns.node), _fmt(ns.mean_jobs, digits),

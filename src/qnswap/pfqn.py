@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,8 +65,7 @@ class AnalysisAssumptions:
 DEFAULT_ASSUMPTIONS = AnalysisAssumptions()
 
 
-@dataclass(frozen=True)
-class NetworkMetrics:
+class NetworkMetrics(NamedTuple):
     """The network aggregates over a set of analyzed nodes (see module docstring)."""
 
     mean_jobs: float

@@ -59,9 +59,10 @@ import sys
 from array import array
 from bisect import bisect_right, insort
 from collections import deque
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import accumulate, chain
 from numbers import Real
+from typing import NamedTuple
 
 import numpy as np
 
@@ -103,8 +104,7 @@ class SimConfig:
                 f"replications must be a positive integer, got {_shown(self.replications)}")
 
 
-@dataclass(frozen=True)
-class NodeStats:
+class NodeStats(NamedTuple):
     """Windowed per-node statistics from a network run."""
 
     node: int
@@ -113,8 +113,7 @@ class NodeStats:
     mean_jobs: float
 
 
-@dataclass(frozen=True)
-class SimResult:
+class SimResult(NamedTuple):
     """Merged statistics of one network simulation.
 
     ``duration`` is the total measured (post-warmup) time across
@@ -137,7 +136,8 @@ class SimResult:
     mean_hops: float | None
 
     def to_jsonable(self) -> dict:
-        return {"mode": "network", **asdict(self)}  # "mode" is part of the document format
+        # "mode" is part of the document format
+        return {"mode": "network", **self._asdict(), "nodes": [ns._asdict() for ns in self.nodes]}
 
 
 def _rep_rng(seed: int, rep: int) -> np.random.Generator:

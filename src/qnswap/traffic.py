@@ -138,9 +138,9 @@ def solve_traffic(spec: NetworkSpec) -> np.ndarray:
     Raises:
         NumericsError: some nodes have no path to an exit or a pinned node
             (a closed subnetwork), so the linear system has no unique
-            solution ("traffic equations are singular"); or the solution is
-            not finite, or its residual exceeds ``RESIDUAL_TOL`` times the
-            largest external or pinned rate.
+            solution ("traffic equations are singular"); or a solved rate
+            overflows (the first such node is named), or the residual exceeds
+            ``RESIDUAL_TOL`` times the largest external or pinned rate.
     """
     lam0, known = spec.columns.external_rate, spec.columns.known_rate
     rows, cols, probs = spec.routing_triplets
@@ -168,7 +168,8 @@ def solve_traffic(spec: NetworkSpec) -> np.ndarray:
                     f"traffic equations are singular: nodes {closed} have no routing"
                     " path to an exit or a pinned rate")
         try:
-            lam[free] = _solve_levels(src, dst, probs[linked], rhs, both)
+            with np.errstate(all="ignore"):  # an overflow leaves rates that are not finite
+                lam[free] = _solve_levels(src, dst, probs[linked], rhs, both)
         except np.linalg.LinAlgError as e:
             raise NumericsError(f"traffic equations are singular: {e}") from e
     else:
@@ -177,6 +178,10 @@ def solve_traffic(spec: NetworkSpec) -> np.ndarray:
 
     # Rounding in the solve can leave rates a hair below zero.
     lam = np.where((lam < 0) & (lam > -1e-12), 0.0, lam)
+    bad = np.flatnonzero(~np.isfinite(lam))  # every input is finite, so only an overflow
+    if len(bad):
+        raise NumericsError(f"node {spec.columns.id[bad[0]]}: solved arrival rate {lam[bad[0]]}"
+                            " is not finite; the traffic solution overflows")
     _check_residual(lam, lam0, rows, cols, probs, pinned)
     lam.flags.writeable = False
     return lam

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import re
+import warnings
 from decimal import Decimal
 from pathlib import Path
 
@@ -150,6 +151,28 @@ class TestAnalyze:
         assert err == ('{"error": "InputError", '
                        '"message": "external rate must be finite, got inf"}\n')
 
+    def test_overflowed_traffic_solution_is_a_numerics_error(self, capsys, monkeypatch):
+        # two sources at 1e308 route into one sink, whose rate overflows to
+        # inf; the level solve then leaves NaN at node 1, the first in id order
+        doc = {
+            "nodes": [{"id": 1, "kind": "intermediate", "capacity": 1, "mu": 1, "mu_b": 0.2},
+                      {"id": 2, "kind": "source", "capacity": 8, "mu": 1},
+                      {"id": 3, "kind": "source", "capacity": 8, "mu": 1},
+                      {"id": 4, "kind": "sink", "capacity": 8, "mu": 1},
+                      {"id": 5, "kind": "source", "capacity": 8, "mu": 1}],
+            "routing": [{"from": 1, "to": 4, "p": 1}, {"from": 2, "to": 4, "p": 1},
+                        {"from": 3, "to": 4, "p": 1}, {"from": 5, "to": 1, "p": 1}],
+            "external_arrivals": [{"node": 2, "lambda0": 1e308}, {"node": 3, "lambda0": 1e308},
+                                  {"node": 5, "lambda0": 0.1}],
+        }
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's overflow warnings would print to stderr
+            code, out, err = run_cli(capsys, "analyze", "--network", "-")
+        assert (code, out) == (3, "")
+        assert err == ('{"error": "NumericsError", "message": "node 1: solved arrival rate nan'
+                       ' is not finite; the traffic solution overflows"}\n')
+
     def test_nan_pb_is_an_input_error(self, capsys, fixture_file):
         code, out, err = run_cli(
             capsys, "analyze", "--network", fixture_file, "--pb", "nan",
@@ -251,8 +274,8 @@ class TestAnalyzeJsonWriter:
                 for k, name in enumerate(fields)}
         analysis = dataclasses.replace(
             analysis, **edge, arrival_rate=np.resize(EDGE_FLOATS, n),
-            network=dataclasses.replace(analysis.network, mean_jobs=1e16,
-                                        mean_response_time=-0.0, total_jobs=5e-324))
+            network=analysis.network._replace(mean_jobs=1e16, mean_response_time=-0.0,
+                                              total_jobs=5e-324))
         net = analysis.network
         if subset is not None:
             net = analysis.network_over(subset)

@@ -77,8 +77,8 @@ def analysis_with(kbar, external_rate):
     rate are replaced by the given ones."""
     n = len(kbar)
     a = analyze_network(pinned_nodes_spec([0.5] * n, [1.0] * n, [0.2] * n, [0.5] * n))
-    return dataclasses.replace(a, kbar=np.array(kbar, dtype=float), network=dataclasses.replace(
-        a.network, external_rate=external_rate))
+    return dataclasses.replace(a, kbar=np.array(kbar, dtype=float),
+                               network=a.network._replace(external_rate=external_rate))
 
 
 NODES = [1, 2]

@@ -5,6 +5,7 @@ same trajectories; tolerances are set from the estimator spread, not wished
 for.
 """
 
+import json
 import math
 from dataclasses import fields
 
@@ -254,10 +255,27 @@ class TestBlockingNetwork:
             assert [a is b for a, b in zip(calls[0], args)] == [True] * 6 + [False] + [True] * 2
 
     def test_jsonable_is_plain_data(self, fixture_spec):
-        import json
         blob = simulate_blocking_network(
             fixture_spec, SimConfig(seed=7, horizon=500.0)).to_jsonable()
         json.dumps(blob)  # raises on numpy scalars or other foreign types
+
+    @pytest.mark.parametrize("replications", [1, 2])
+    def test_jsonable_is_the_field_by_field_document(self, fixture_spec, replications):
+        # the document dataclasses.asdict made of the records: every field,
+        # each node as a dict of its own fields, tuples left as tuples
+        res = simulate_blocking_network(
+            fixture_spec, SimConfig(seed=7, horizon=500.0, replications=replications))
+        nodes = [{"node": ns.node, "occupancy": ns.occupancy,
+                  "blocked_fraction": ns.blocked_fraction, "mean_jobs": ns.mean_jobs}
+                 for ns in res.nodes]
+        want = {"mode": "network", "events": res.events, "duration": res.duration,
+                "replications": res.replications, "nodes": nodes, "mean_jobs": res.mean_jobs,
+                "arrivals": res.arrivals, "completed": res.completed, "dropped": res.dropped,
+                "in_flight": res.in_flight, "drop_fraction": res.drop_fraction,
+                "response_mean": res.response_mean, "response_stderr": res.response_stderr,
+                "mean_hops": res.mean_hops}
+        assert (json.dumps(res.to_jsonable(), sort_keys=True)
+                == json.dumps(want, sort_keys=True))
 
 
 class ConstantDraws:

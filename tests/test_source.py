@@ -82,6 +82,26 @@ def test_network_aggregate_comes_from_the_analysis():
     assert qnswap.NetworkMetrics.__module__ == "qnswap.pfqn"
 
 
+def test_plain_records_are_named_tuples():
+    # a frozen dataclass execs its generated methods on every fresh import; a
+    # dataclass stays only where it checks its fields or holds numpy columns
+    import qnswap
+    from qnswap import NetworkMetrics, NodeStats, SimResult
+
+    public = {name for name in qnswap.__all__ if dataclasses.is_dataclass(getattr(qnswap, name))}
+    assert public == {"NetworkSpec", "LayoutGraph", "QueueSite", "AnalysisAssumptions",
+                      "SimConfig", "NetworkAnalysis"}
+    assert {cls: (issubclass(cls, tuple), cls._fields)
+            for cls in (NodeStats, SimResult, NetworkMetrics)} == {
+        NodeStats: (True, ("node", "occupancy", "blocked_fraction", "mean_jobs")),
+        SimResult: (True, ("events", "duration", "replications", "nodes", "mean_jobs",
+                           "arrivals", "completed", "dropped", "in_flight", "drop_fraction",
+                           "response_mean", "response_stderr", "mean_hops")),
+        NetworkMetrics: (True, ("mean_jobs", "mean_response_time", "external_rate",
+                                "total_jobs", "nodes")),
+    }
+
+
 def test_source_line_budget():
     # the package gives back its growth: the same output bytes from fewer lines
     lines = sum(len(path.read_text(encoding="utf-8").splitlines()) for path in MODULES)

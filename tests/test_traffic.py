@@ -4,6 +4,7 @@ import builtins
 import json
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -243,6 +244,19 @@ def test_free_node_draining_through_a_free_node_solves():
     rates = solve_traffic(spec)
     assert rates.tolist() == pytest.approx([1.4, 1.4, 0.8, 0.4], rel=1e-12)
     np.testing.assert_allclose(rates, dense_reference(spec), rtol=1e-12, atol=0.0)
+
+
+def test_overflowed_rate_names_the_first_node():
+    # pinned nodes 1 and 2 feed free node 3 at 1e308 each; no entry links two
+    # free nodes, so its rate is its right-hand side, which overflows to inf
+    spec = sources(range(1, 5), {(1, 3): 1.0, (2, 3): 1.0}, {4: 1.0},
+                   known={1: 1e308, 2: 1e308})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericsError) as caught:
+            solve_traffic(spec)
+    assert str(caught.value) == ("node 3: solved arrival rate inf is not finite;"
+                                 " the traffic solution overflows")
 
 
 def grid_layout(side: int):
