@@ -33,21 +33,22 @@ per node field, in id order) and ``NetworkSpec.routing_triplets`` (rows,
 columns and probabilities of the positive routing entries, over node
 positions).
 
-Validation runs column by column; the parser and library callers share the
-one ``NetworkSpec`` check.  Every number goes through one value rule,
-``_finite`` (its column form for a whole field).  The parser reads each
-section as one list per field and checks whole lists: the objects' keys, the
-set of value types of a field, the value rule per rate field, and repeated
-keys by dict size; it hands the spec the typed key and rate columns, which
-library mappings reach through ``_canonical``.  A ``NetworkSpec`` checks its
-three mappings in one pass over int64 key rows: a mapping out of order is
-sorted by one ``lexsort``, one ``searchsorted`` finds the keys' node
-positions and one mask checks the values; each structural rule is one array
-expression, in a fixed rule order.  A failing column only flags items: the
-flagged items go, in document order (parser) or id order (spec), through the
-per-item check that owns the error text, and the first one it rejects
-raises.  So an error names the same item with the same message as a check
-run one item at a time.
+Validation runs column by column, and the ``NetworkSpec`` constructor is the
+one check every spec takes, parsed or built.  Every number goes through one
+value rule, ``_finite`` (its column form for a whole field).  The parser reads
+each section as one list per field and checks whole lists: the objects' keys,
+the set of value types of a field, the value rule per rate field, and
+repeated keys by dict size; it builds the spec from mappings with int keys
+and float values, as the builder does.  ``_canonical`` copies such mappings
+to int64 key rows (any other mapping goes entry by entry through ``_typed``),
+and the spec checks its three mappings in one pass over those rows: a mapping
+out of order is sorted by one ``lexsort``, one ``searchsorted`` finds the
+keys' node positions and one mask checks the values; each structural rule is
+one array expression, in a fixed rule order.  A failing column only flags
+items: the flagged items go, in document order (parser) or id order (spec),
+through the per-item check that owns the error text, and the first one it
+rejects raises.  So an error names the same item with the same message as a
+check run one item at a time.
 """
 
 from __future__ import annotations
@@ -203,40 +204,37 @@ def _typed(entries: Mapping, what: str, pair: bool) -> dict:
 
 
 def _canonical(mappings: list[Mapping]) -> tuple[list[dict], np.ndarray, np.ndarray]:
-    """The routing and rate mappings as ``_typed`` copies (and faults) would be, as
-    ``_in_key_order`` gives them (a key past int64 reads 0)."""
+    """Copies of the routing and rate mappings, int keys in order and float values
+    (``_typed``'s faults for any other key or value); their int64 key rows, a
+    (from, to) row per routing entry and a (node, 0) row per rate entry (a key
+    past int64 reads 0); and their values."""
     values = list(chain.from_iterable(entries.values() for entries in mappings))
     routing = list(mappings[0])
     pairs = set(map(type, routing)) <= {tuple} and set(map(len, routing)) <= {2}
     ids = list(chain(chain.from_iterable(routing) if pairs else (), *mappings[1:]))
-    # Int keys with float values, as the builder makes them, are copied and put in order.
+    # Int keys with float values, as the parser and the builder make them, are
+    # copied; a mapping out of key order is sorted by one lexsort of its rows.
     if pairs and set(map(type, ids)) <= {int} and set(map(type, values)) <= {float}:
         with suppress(OverflowError):  # a key past int64 takes _typed
             flat, r = np.array(ids, dtype=np.int64), len(routing)
-            keys = np.zeros((len(values), 2), np.int64)
+            keys, rates = np.zeros((len(values), 2), np.int64), np.array(values, dtype=float)
             keys[:r], keys[r:, 0] = flat[:2 * r].reshape(r, 2), flat[2 * r:]
-            return _in_key_order(list(map(dict, mappings)), keys, np.array(values, dtype=float))
+            tables = list(map(dict, mappings))
+            ends = list(accumulate(map(len, tables), initial=0))
+            for j, lo, hi in zip(range(len(tables)), ends, ends[1:]):
+                k = keys[lo:hi]
+                down, same = k[1:] < k[:-1], k[1:] == k[:-1]  # each row against the one before
+                if np.count_nonzero(down[:, 0] | same[:, 0] & down[:, 1]):
+                    order = np.lexsort(k.T[::-1])
+                    keys[lo:hi], rates[lo:hi] = k[order], rates[lo:hi][order]
+                    entries = list(tables[j].items())
+                    tables[j] = dict(map(entries.__getitem__, order.tolist()))
+            return tables, keys, rates
     tables = [_typed(entries, what, pair) for entries, (what, pair) in zip(mappings, (
         ("routing entry", True), ("external arrival", False), ("known arrival rate", False)))]
     rows = chain(tables[0], zip(chain(*tables[1:]), repeat(0)))
     keys = np.array([[i if abs(i) <= INT64_MAX else 0 for i in row] for row in rows], np.int64)
     return tables, keys.reshape(-1, 2), np.array(list(chain(*map(dict.values, tables))), float)
-
-
-def _in_key_order(tables: list[dict], keys: np.ndarray, values: np.ndarray) -> tuple:
-    """Mappings with int keys and float values, their int64 key rows, a (from, to)
-    row per routing entry and a (node, 0) row per rate entry, and their values;
-    a mapping out of key order is sorted by one ``lexsort`` of its rows."""
-    ends = list(accumulate(map(len, tables), initial=0))
-    for j, lo, hi in zip(range(len(tables)), ends, ends[1:]):
-        k = keys[lo:hi]
-        down, same = k[1:] < k[:-1], k[1:] == k[:-1]  # each row against the one before
-        if np.count_nonzero(down[:, 0] | same[:, 0] & down[:, 1]):
-            order = np.lexsort(k.T[::-1])
-            keys[lo:hi], values[lo:hi] = k[order], values[lo:hi][order]
-            entries = list(tables[j].items())
-            tables[j] = dict(map(entries.__getitem__, order.tolist()))
-    return tables, keys, values
 
 
 def _positions(ids: np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -251,12 +249,6 @@ def _csr(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[list[int], list[int]
     edge order, are ``targets[begins[u]:ends[u]]`` for u in 0..n-1."""
     ends = np.cumsum(np.bincount(src, minlength=n)).tolist()
     return dst[np.argsort(src, kind="stable")].tolist(), [0] + ends[:-1], ends
-
-
-def _adjacency(n: int, src: np.ndarray, dst: np.ndarray) -> list[list[int]]:
-    """Out-neighbour lists of nodes 0..n-1 for the edges ``src[e] -> dst[e]``, in edge order."""
-    targets, begins, ends = _csr(n, src, dst)
-    return list(map(targets.__getitem__, map(slice, begins, ends)))
 
 
 def _bfs_levels(targets: list[int], begins: list[int], ends: list[int],
@@ -328,13 +320,7 @@ class NetworkSpec:
         init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self._check(self.nodes, [self.routing, self.external_arrivals, self.known_arrival_rates])
-
-    def _check(self, given: tuple, mappings: list, typed: tuple | None = None) -> None:
-        """Check the nodes and the three mappings and set every field: the one column
-        check behind the constructor and the parser.  ``typed`` is the mappings'
-        ``_in_key_order`` form where the parser has it; else ``_canonical`` makes it."""
-        nodes = given
+        nodes = given = self.nodes
         with suppress(TypeError):  # ids that cannot be ordered fail the id check below
             nodes = tuple(sorted(nodes, key=attrgetter("id")))
         ids, kinds, caps, mu, mu_b = zip(*nodes) if nodes else ((),) * 5
@@ -345,9 +331,9 @@ class NetworkSpec:
                     raise InputError(f"node id {_shown(i)} must be a positive integer")
                 if i > INT64_MAX:
                     raise InputError(f"node id {_shown(i)} must be below 2**63")
-        known = mappings[2]  # None: no node is pinned
-        (routing, external, pins), keys, values = typed or _canonical(
-            [*mappings[:2], {} if known is None else known])
+        known = self.known_arrival_rates  # None: no node is pinned
+        (routing, external, pins), keys, values = _canonical(
+            [self.routing, self.external_arrivals, {} if known is None else known])
         if not nodes:
             raise InputError("network has no nodes")
         n = len(nodes)
@@ -590,10 +576,10 @@ def _node_columns(items: list) -> tuple[list, ...] | None:
     return ids, list(map(_KINDS.__getitem__, kinds)), capacity, rates[:len(ids)], rates[len(ids):]
 
 
-def _section(doc: dict, name: str, keys: tuple[str, ...], duplicate: str) -> tuple:
-    """A routing or arrival section as ({key: rate}, one int list per key field,
-    the rates as floats); a section that fails a document rule or repeats a
-    key raises at its first bad item."""
+def _section(doc: dict, name: str, keys: tuple[str, ...], duplicate: str) -> dict:
+    """A routing or arrival section as {key: rate}, int keys ((from, to) pairs for
+    the routing) and float rates; a section that fails a document rule or repeats
+    a key raises at its first bad item."""
     path = f"$.{name}"
     items = _as_array(doc[name], path)
     columns = None
@@ -605,7 +591,7 @@ def _section(doc: dict, name: str, keys: tuple[str, ...], duplicate: str) -> tup
         rates = _finite_column(rates, text=True)  # typed first, as the node rates
         table = dict(zip(zip(*ids) if len(ids) > 1 else ids[0], rates))  # (from, to) pairs, or ids
         if len(table) == len(items) and not math.isnan(sum(rates)):
-            return table, ids, rates
+            return table
     _raise_first_fault(items, path, partial(_check_keyed_item, keys=keys, duplicate=duplicate))
 
 
@@ -641,17 +627,9 @@ def parse_network(text: str) -> NetworkSpec:
 
     # NodeSpec._make without its Python frame: every row has the five fields
     nodes = tuple(map(tuple.__new__, repeat(NodeSpec), zip(*columns)))
-    pinned = "known_arrival_rates" in doc
-    (routing, (froms, tos), probs), (external, (sources,), lam0), (known, (pins,), lam) = (
-        _section(doc, *_ROUTING), _section(doc, *_EXTERNAL),
-        _section(doc, *_KNOWN) if pinned else ({}, [[]], []))
-    keys, typed = np.zeros((len(froms) + len(sources) + len(pins), 2), np.int64), None
-    with suppress(OverflowError):  # an id past int64 is left to _canonical
-        keys[:, 0], keys[:len(froms), 1] = froms + sources + pins, tos
-        typed = _in_key_order([routing, external, known], keys, np.array(probs + lam0 + lam))
-    spec = object.__new__(NetworkSpec)  # its column check takes the typed sections
-    spec._check(nodes, [routing, external, known if pinned else None], typed)
-    return spec
+    routing, external = _section(doc, *_ROUTING), _section(doc, *_EXTERNAL)
+    known = _section(doc, *_KNOWN) if "known_arrival_rates" in doc else None
+    return NetworkSpec(nodes, routing, external, known)
 
 
 # The document as json.dumps(doc, indent=2) lays it out: one template per

@@ -67,7 +67,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InputError, NumericsError
-from .model import NetworkSpec, _adjacency, _finite, _shown, _sum_in_order
+from .model import NetworkSpec, _csr, _finite, _shown, _sum_in_order
 
 # Range rule for ``model._finite``; NaN fails it.
 HORIZON = (lambda x: 0.0 < x < math.inf, " must be positive and finite, got {}")
@@ -396,10 +396,11 @@ def simulate_blocking_network(spec: NetworkSpec, config: SimConfig) -> SimResult
     caps = columns.capacity.tolist()
     mu = columns.service_rate.tolist()
     rate = columns.external_rate.tolist()
-    # each row's targets in id order; accumulate adds left to right: exact prefix sums
+    # triplets run in (row, id) order: _csr groups slice them; accumulate adds left to right
     rows, cols, probs = spec.routing_triplets
-    tgt = _adjacency(n, rows, cols)
-    cum = [list(accumulate(p)) for p in _adjacency(n, rows, probs)]
+    targets, begins, ends = _csr(n, rows, cols)
+    tgt = [targets[a:b] for a, b in zip(begins, ends)]
+    cum = [list(accumulate(probs[a:b].tolist())) for a, b in zip(begins, ends)]
 
     stop = config.horizon
     t_warm = WARMUP_FRACTION * stop

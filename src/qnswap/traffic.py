@@ -138,9 +138,9 @@ def solve_traffic(spec: NetworkSpec) -> np.ndarray:
     Raises:
         NumericsError: some nodes have no path to an exit or a pinned node
             (a closed subnetwork), so the linear system has no unique
-            solution ("traffic equations are singular"); or a solved rate
-            overflows (the first such node is named), or the residual exceeds
-            ``RESIDUAL_TOL`` times the largest external or pinned rate.
+            solution ("traffic equations are singular"); a solved rate that
+            overflows (the first inf is named, else the first NaN); or a
+            residual over ``RESIDUAL_TOL`` times the largest external or pinned rate.
     """
     lam0, known = spec.columns.external_rate, spec.columns.known_rate
     rows, cols, probs = spec.routing_triplets
@@ -179,8 +179,9 @@ def solve_traffic(spec: NetworkSpec) -> np.ndarray:
     # Rounding in the solve can leave rates a hair below zero.
     lam = np.where((lam < 0) & (lam > -1e-12), 0.0, lam)
     bad = np.flatnonzero(~np.isfinite(lam))  # every input is finite, so only an overflow
-    if len(bad):
-        raise NumericsError(f"node {spec.columns.id[bad[0]]}: solved arrival rate {lam[bad[0]]}"
+    if len(bad):  # a NaN is 0 * inf from the back-substitution: name the first inf
+        k = bad[np.argmax(np.isinf(lam[bad]))]  # argmax: the first True, else bad[0]
+        raise NumericsError(f"node {spec.columns.id[k]}: solved arrival rate {lam[k]}"
                             " is not finite; the traffic solution overflows")
     _check_residual(lam, lam0, rows, cols, probs, pinned)
     lam.flags.writeable = False

@@ -153,7 +153,8 @@ class TestAnalyze:
 
     def test_overflowed_traffic_solution_is_a_numerics_error(self, capsys, monkeypatch):
         # two sources at 1e308 route into one sink, whose rate overflows to
-        # inf; the level solve then leaves NaN at node 1, the first in id order
+        # inf; the back-substitution leaves NaN (0 * inf) at node 1, but the
+        # error names node 4, the first node whose rate is infinite
         doc = {
             "nodes": [{"id": 1, "kind": "intermediate", "capacity": 1, "mu": 1, "mu_b": 0.2},
                       {"id": 2, "kind": "source", "capacity": 8, "mu": 1},
@@ -170,7 +171,7 @@ class TestAnalyze:
             warnings.simplefilter("error")  # numpy's overflow warnings would print to stderr
             code, out, err = run_cli(capsys, "analyze", "--network", "-")
         assert (code, out) == (3, "")
-        assert err == ('{"error": "NumericsError", "message": "node 1: solved arrival rate nan'
+        assert err == ('{"error": "NumericsError", "message": "node 4: solved arrival rate inf'
                        ' is not finite; the traffic solution overflows"}\n')
 
     def test_nan_pb_is_an_input_error(self, capsys, fixture_file):

@@ -21,7 +21,7 @@ from qnswap import (
     parse_network,
     serialize_network,
 )
-from qnswap.model import KIND_CODES, _adjacency, _bfs_levels, _csr
+from qnswap.model import KIND_CODES, _bfs_levels, _csr
 from conftest import grid_document, random_open_network, single_queue_spec
 from oracle import _scalar_spec, network_document, row_sums
 
@@ -582,7 +582,9 @@ class TestBfsLevels:
         return _bfs_levels(*_csr(n, src, dst), roots)
 
     def test_adjacency_keeps_edge_order(self):
-        assert _adjacency(3, np.array([0, 2, 0]), np.array([2, 1, 1])) == [[2, 1], [], [1]]
+        # node u's targets are targets[begins[u]:ends[u]]: [2, 1], [] and [1]
+        targets, begins, ends = _csr(3, np.array([0, 2, 0]), np.array([2, 1, 1]))
+        assert (targets, begins, ends) == ([2, 1, 1], [0, 2, 2], [2, 2, 3])
 
     def test_unreached_nodes_are_minus_one(self):
         # edges are directed: 2 -> 0 does not make 2 reachable from 0

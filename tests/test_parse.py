@@ -379,9 +379,10 @@ def test_parse_makes_no_per_item_checks(monkeypatch):
 
 
 def test_parser_and_builder_specs_take_the_typed_path(monkeypatch):
-    # The parser hands NetworkSpec int keys and float values it has already
-    # typed, and the builder builds them; entry-by-entry conversion in
-    # model._typed would cost about three times as much on the 40x40 chip.
+    # The parser and the builder both give the NetworkSpec constructor
+    # mappings with int keys and float values, which _canonical copies in one
+    # pass; entry-by-entry conversion in model._typed would cost about three
+    # times as much on the 40x40 chip.
     def converted(entries, what, pair):
         raise AssertionError(f"{what} mapping converted entry by entry")
 

@@ -58,6 +58,21 @@ def test_per_node_pipeline_is_gone():
     assert deleted & set(qnswap.__all__) == set()
 
 
+def test_every_spec_is_built_by_its_constructor():
+    # the parser once made a spec with object.__new__ and ran NetworkSpec._check
+    # on key rows of its own; now every spec takes the one constructor check
+    from qnswap import model
+
+    for path in MODULES:
+        calls = [node.lineno for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                 if isinstance(node, ast.Attribute) and node.attr == "__new__"
+                 and isinstance(node.value, ast.Name) and node.value.id == "object"]
+        assert calls == [], f"{path.name}: object.__new__ on line(s) {calls}"
+    assert not hasattr(model.NetworkSpec, "_check")
+    for name in ("_in_key_order", "_adjacency"):
+        assert not hasattr(model, name)
+
+
 def test_swap_depth_report_is_gone_and_the_name_budget_holds():
     # the report compared the per-node mean with route lengths, which
     # measures neither a circuit's depth nor a time per visit; a new public
