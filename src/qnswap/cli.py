@@ -22,6 +22,8 @@ import os
 import sys
 from itertools import chain, compress, repeat
 
+import numpy as np
+
 from .errors import InputError, NumericsError
 from .layout import munoz15_fixture
 from .model import KIND_CODES, NetworkSpec, NodeKind, parse_network, serialize_network
@@ -222,7 +224,7 @@ def _analyze_output(analysis: NetworkAnalysis, fmt: str, digits: int | None,
     """The analyze output; ``subset`` selects the nodes printed and aggregated."""
     net = analysis.network
     ids = analysis.nodes.tolist()
-    columns = {name: getattr(analysis, name).tolist() for name in _JSON_COLUMNS}
+    columns = dict(zip(_JSON_COLUMNS, np.array([*map(vars(analysis).get, _JSON_COLUMNS)]).tolist()))
     if subset is not None:
         net = analysis.network_over(subset)
         keep = set(subset)

@@ -159,22 +159,22 @@ def _finite(value, name: str, within: tuple | None = None, text: bool = False) -
     return x
 
 
-def _finite_column(values: list, text: bool = False) -> list[float]:
-    """``_finite`` over a list: its floats, NaN wherever it rejects a value.  A
-    list of finite floats (with ``text``, also decimal strings) takes a few
-    passes; any other, a call per value."""
+def _finite_column(values: list, text: bool = False) -> tuple[list[float], bool]:
+    """``_finite`` over a list: its floats, NaN wherever it rejects a value, and
+    whether it rejected none.  A list of finite floats (with ``text``, also
+    decimal strings) takes a few passes; any other, a call per value."""
     if set(map(type, values)) <= ({float, str} if text else {float}):
         try:  # float() of a float or a string cannot overflow
             floats = list(map(float, values)) if text else values
         except ValueError:  # a string that is no number: the calls below flag it
             floats = [math.nan]
         if math.isfinite(sum(floats)):  # no NaN or inf: nothing to flag
-            return floats
+            return floats, True
     column = [math.nan] * len(values)
     for k, value in enumerate(values):
         with suppress(InputError):  # a value the rule rejects stays NaN
             column[k] = _finite(value, "", text=text)
-    return column
+    return column, not math.isnan(sum(column))  # finite values sum to no NaN
 
 
 def _node_keys(keys: list, pair: bool) -> list | None:
@@ -212,8 +212,9 @@ def _canonical(mappings: list[Mapping]) -> tuple[list[dict], np.ndarray, np.ndar
     routing = list(mappings[0])
     pairs = set(map(type, routing)) <= {tuple} and set(map(len, routing)) <= {2}
     ids = list(chain(chain.from_iterable(routing) if pairs else (), *mappings[1:]))
-    # Int keys with float values, as the parser and the builder make them, are
-    # copied; a mapping out of key order is sorted by one lexsort of its rows.
+    # Int keys with float values, as the parser and the builder make them, are copied;
+    # one test over all rows finds a row below the one before (a mapping's first row
+    # aside), and only a mapping that holds one is sorted, by a lexsort of its rows.
     if pairs and set(map(type, ids)) <= {int} and set(map(type, values)) <= {float}:
         with suppress(OverflowError):  # a key past int64 takes _typed
             flat, r = np.array(ids, dtype=np.int64), len(routing)
@@ -221,14 +222,16 @@ def _canonical(mappings: list[Mapping]) -> tuple[list[dict], np.ndarray, np.ndar
             keys[:r], keys[r:, 0] = flat[:2 * r].reshape(r, 2), flat[2 * r:]
             tables = list(map(dict, mappings))
             ends = list(accumulate(map(len, tables), initial=0))
-            for j, lo, hi in zip(range(len(tables)), ends, ends[1:]):
-                k = keys[lo:hi]
-                down, same = k[1:] < k[:-1], k[1:] == k[:-1]  # each row against the one before
-                if np.count_nonzero(down[:, 0] | same[:, 0] & down[:, 1]):
-                    order = np.lexsort(k.T[::-1])
-                    keys[lo:hi], rates[lo:hi] = k[order], rates[lo:hi][order]
-                    entries = list(tables[j].items())
-                    tables[j] = dict(map(entries.__getitem__, order.tolist()))
+            down, same = keys[1:] < keys[:-1], keys[1:] == keys[:-1]
+            out = down[:, 0] | same[:, 0] & down[:, 1]
+            out[[e - 1 for e in ends[1:-1] if 0 < e < len(values)]] = False
+            if np.count_nonzero(out):
+                for j, lo, hi in zip(range(len(tables)), ends, ends[1:]):
+                    if lo < hi and np.count_nonzero(out[lo:hi - 1]):
+                        order = np.lexsort(keys[lo:hi].T[::-1])
+                        keys[lo:hi], rates[lo:hi] = keys[lo:hi][order], rates[lo:hi][order]
+                        entries = list(tables[j].items())
+                        tables[j] = dict(map(entries.__getitem__, order.tolist()))
             return tables, keys, rates
     tables = [_typed(entries, what, pair) for entries, (what, pair) in zip(mappings, (
         ("routing entry", True), ("external arrival", False), ("known arrival rate", False)))]
@@ -341,11 +344,13 @@ class NetworkSpec:
         # capacity.  A capacity past int64 is flagged as 0.
         kind = np.array([KIND_CODES[k] if type(k) is NodeKind else -1 for k in kinds], np.int8)
         fits = set(map(type, caps)) <= {int} and 0 < min(caps) and max(caps) <= INT64_MAX
-        cap = np.array(caps if fits else [c if isinstance(c, int) and type(c) is not bool
-                                          and 0 < c <= INT64_MAX else 0 for c in caps], np.int64)
-        id_col = np.array(ids, dtype=np.int64)
-        rates = _finite_column([*mu, *mu_b])  # NaN marks a rate _finite rejects
-        mu, mu_b = np.array(rates).reshape(2, n)
+        id_col, cap = ints = np.array((ids, caps if fits else [
+            c if isinstance(c, int) and type(c) is not bool and 0 < c <= INT64_MAX else 0
+            for c in caps]), np.int64)
+        rates = _finite_column([*mu, *mu_b])[0]  # NaN marks a rate _finite rejects
+        floats = np.zeros((5, n))  # mu, mu_b, exit probability, external rate, known rate
+        floats[:2], floats[4] = (rates[:n], rates[n:]), math.nan  # NaN: a node not pinned
+        mu, mu_b, leave, external_rate, known_rate = floats
         inner = kind == KIND_CODES[NodeKind.INTERMEDIATE]
         sink = kind == KIND_CODES[NodeKind.SINK]
         flagged = ((kind < 0) | (cap < 1) | ~(np.minimum(mu, mu_b) >= 0.0)  # NaN fails
@@ -402,9 +407,7 @@ class NetworkSpec:
             if i not in index:
                 raise InputError(f"known arrival rate references unknown node {_shown(i)}")
             _finite(pins[i], f"known arrival rate at node {_shown(i)}", NONNEGATIVE)
-        external_rate = np.zeros(n)
         external_rate[owner[r:r + e]] = values[r:r + e]
-        known_rate = np.full(n, math.nan)  # pins are finite: NaN marks a free node
         if known is not None:
             known_rate[owner[r + e:]] = values[r + e:]
             missing = id_col[inner & np.isnan(known_rate)].tolist()
@@ -424,10 +427,10 @@ class NetworkSpec:
         if min(sums) >= 1.0:  # 1 - row sum is the exit probability
             raise InputError("no node has a positive exit probability")
 
-        columns = NodeColumns(id_col, kind, cap, mu, mu_b, np.maximum(1.0 - row_sum, 0.0),
-                              external_rate, known_rate)
-        for a in (*columns, rows, cols, probs):
+        np.maximum(1.0 - row_sum, 0.0, out=leave)
+        for a in (ints, kind, floats, rows, cols, probs):  # a view taken after this is read-only
             a.setflags(write=False)
+        columns = NodeColumns(ints[0], kind, ints[1], *floats)
         vars(self).update(  # a frozen dataclass: its fields are set past __setattr__
             nodes=nodes, routing=MappingProxyType(routing), columns=columns,
             external_arrivals=MappingProxyType(external), routing_triplets=(rows, cols, probs),
@@ -564,14 +567,10 @@ def _node_columns(items: list) -> tuple[list, ...] | None:
     except KeyError:
         return None
     servers = list(map(dict.get, items, repeat("servers"), repeat(1)))
-    rates = [*mu, *map(dict.get, items, repeat("mu_b"), repeat(0.0))]
-    # Rates are typed first: a column of equal-length lists would read as 2-D.
-    if not (set(map(type, kinds)) <= {str} and set(kinds) <= _KINDS.keys()
-            and set(map(type, chain(ids, servers, capacity))) <= {int} and set(servers) <= {1}
-            and set(map(type, rates)) <= {int, float, str}):
-        return None
-    rates = _finite_column(rates, text=True)  # mu, then mu_b
-    if math.isnan(sum(rates)):  # the column holds no inf
+    # mu, then mu_b; _finite with text takes exactly the JSON values the document rule does
+    rates, clean = _finite_column([*mu, *map(dict.get, items, repeat("mu_b"), repeat(0.0))], True)
+    if not (clean and set(map(type, kinds)) <= {str} and set(kinds) <= _KINDS.keys()
+            and set(map(type, chain(ids, servers, capacity))) <= {int} and set(servers) <= {1}):
         return None
     return ids, list(map(_KINDS.__getitem__, kinds)), capacity, rates[:len(ids)], rates[len(ids):]
 
@@ -586,11 +585,10 @@ def _section(doc: dict, name: str, keys: tuple[str, ...], duplicate: str) -> dic
     if set(map(type, items)) <= {dict} and set(map(len, items)) <= {len(keys)}:
         with suppress(KeyError):  # with exactly len(keys) keys each, having all rules out others
             *ids, rates = columns = [list(map(itemgetter(k), items)) for k in keys]
-    if columns and (set(map(type, chain(*ids))) <= {int}
-                    and set(map(type, rates)) <= {int, float, str}):
-        rates = _finite_column(rates, text=True)  # typed first, as the node rates
+    if columns and set(map(type, chain(*ids))) <= {int}:
+        rates, clean = _finite_column(rates, text=True)  # the document's rate rule, as for nodes
         table = dict(zip(zip(*ids) if len(ids) > 1 else ids[0], rates))  # (from, to) pairs, or ids
-        if len(table) == len(items) and not math.isnan(sum(rates)):
+        if clean and len(table) == len(items):
             return table
     _raise_first_fault(items, path, partial(_check_keyed_item, keys=keys, duplicate=duplicate))
 

@@ -16,15 +16,18 @@ probabilities as one ``np.bincount`` over the routing triplets.  The closed
 form then runs elementwise over the intermediate nodes, and
 ``rho``/``kbar``/``tbar`` come from the marginals.  The closed forms run as
 unchecked ``ctmc`` kernels under one fault check: the first intermediate node
-that fails it raises, a zero arrival rate here, any other fault through the
-checked function on that node's values; every message names the node.
+that fails it raises through the checked function on that node's values, and
+the message names the node.
 
 A capacity-one blocking node's utilization is ``1 - pi00``, its mean job count
 ``kbar = pi10 + pi01``, and Little's law gives ``tbar = kbar / lambda =
 pi00 * (1/mu + Pb/mu_b)``, which is no time per visit (below ``1/mu`` on all 11
-munoz15 intermediates).  The network's ``mean_response_time`` is the mean
-``kbar`` over the chosen nodes divided by the external rate lambda0, and no
-source-to-sink time (ROADMAP.md, items 3 and 5); ``total_jobs`` is their sum.
+munoz15 intermediates).  A node no job reaches (lambda = 0) is idle, no fault:
+pi00 = 1, ``rho`` = ``kbar`` = 0 and ``tbar`` = ``1/mu + Pb/mu_b`` (the above at
+pi00 = 1, and the lambda -> 0 limit of ``kbar / lambda``).  The network's
+``mean_response_time`` is the mean ``kbar`` over the chosen nodes divided by the
+external rate lambda0, and no source-to-sink time (ROADMAP.md, items 3 and 5);
+``total_jobs`` is their sum.
 """
 
 from __future__ import annotations
@@ -137,8 +140,8 @@ def analyze_network(
 
     Raises:
         InputError: the network has no intermediate node, or an intermediate
-            node's solved arrival rate or service rate is not positive or its
-            blocking probability exceeds 1, or the external rates sum to inf.
+            node's service rate is not positive (an idle node's included) or
+            its blocking probability exceeds 1, or the external rates sum to inf.
         NumericsError: a node's marginal is not a distribution.
         Of several such nodes, the first in id order raises, named in the message.
     """
@@ -150,7 +153,7 @@ def analyze_network(
     ids = col.id[inner]
     lam, mu, mu_b = lam_all[inner], col.service_rate[inner], col.unblock_rate[inner]
     override = assumptions.blocking_probability_override
-    # zero rates and overflow leave inf and NaN, which fail ``ok`` where they are read
+    # overflow and zero rates leave inf and NaN, which ``ok`` flags or ``np.where`` drops
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if override is not None:
             pb = np.full(len(ids), override, dtype=float)
@@ -163,24 +166,20 @@ def analyze_network(
             pb = np.bincount(rows, weights=probs * full[cols], minlength=len(lam_all))[inner]
         pi00, pi10, pi01 = _closed_form(lam, mu, mu_b, pb)
         # a routing row may sum to 1 + ROW_SUM_TOL, so pb may exceed 1
-        ok = (lam > 0.0) & (abs(pi00 + pi10 + pi01 - 1.0) <= SUM_TOL) & (pb <= 1.0)
+        ok = (abs(pi00 + pi10 + pi01 - 1.0) <= SUM_TOL) & (pb <= 1.0)
+        kbar = pi10 + pi01
+        tbar = np.where(lam > 0.0, kbar / lam, 1.0 / mu + pb / mu_b)  # idle: the lambda -> 0 limit
     if np.count_nonzero(ok) < len(ids):
         k = int(np.argmin(ok))  # the first failing node
-        if lam[k] <= 0.0:
-            raise InputError(f"node {ids[k]} has zero arrival rate; per-job metrics undefined")
-        try:
-            blocking_node_closed_form(*(float(c[k]) for c in (lam, mu, mu_b, pb)))  # raises
-        except (InputError, NumericsError) as fault:
+        try:  # an idle node is checked at a unit rate: its zero rate is no fault
+            blocking_node_closed_form(float(lam[k]) or 1.0, *(float(c[k]) for c in (mu, mu_b, pb)))
+        except (InputError, NumericsError) as fault:  # the checked call raises
             raise type(fault)(f"node {ids[k]}: {fault}") from None
-    kbar = pi10 + pi01
     return NetworkAnalysis(
         nodes=ids,
         arrival_rate=lam,
         blocking_probability=pb,
-        pi00=pi00, pi10=pi10, pi01=pi01,
-        rho=1.0 - pi00,
-        kbar=kbar,
-        tbar=kbar / lam,
+        pi00=pi00, pi10=pi10, pi01=pi01, rho=1.0 - pi00, kbar=kbar, tbar=tbar,
         assumptions=assumptions,
         network=NetworkMetrics._over(ids, kbar,
                                      _finite(total_external_rate(spec), "external rate")),

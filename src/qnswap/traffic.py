@@ -27,6 +27,8 @@ nonsingular M-matrix (each column sums to at least that node's exit
 probability, and every free node drains), and Schur complements of such a
 matrix are nonsingular M-matrices too.  When no routing entry links two free
 nodes the free system is the identity and the rates are the right-hand side.
+It takes no residual check: a free node's inflow terms all come from pinned
+nodes, so its residual adds the right-hand side's terms in their order: 0.0.
 
 The system is singular when some unpinned node has no routing path that
 leaves the network or reaches a pinned node: jobs that enter such a closed
@@ -151,7 +153,7 @@ def solve_traffic(spec: NetworkSpec) -> np.ndarray:
     free = np.flatnonzero(~pinned)
     rhs = (lam0 + _inflow(rows, cols, probs, lam, n))[free]
     linked = ~pinned[rows] & ~pinned[cols]
-    if np.count_nonzero(linked):
+    if coupled := np.count_nonzero(linked):  # entries that link two free nodes
         local = np.cumsum(~pinned) - 1  # a free node's place among the free nodes
         src, dst = local[rows[linked]], local[cols[linked]]
         # each free node's targets, then its sources, in entry order
@@ -172,17 +174,16 @@ def solve_traffic(spec: NetworkSpec) -> np.ndarray:
                 lam[free] = _solve_levels(src, dst, probs[linked], rhs, both)
         except np.linalg.LinAlgError as e:
             raise NumericsError(f"traffic equations are singular: {e}") from e
-    else:
-        # no entry links two free nodes: the free system is the identity
+        lam = np.where((lam < 0) & (lam > -1e-12), 0.0, lam)  # rounding: a hair below zero
+    else:  # no entry links two free nodes: the free system is the identity (module docstring)
         lam[free] = rhs
 
-    # Rounding in the solve can leave rates a hair below zero.
-    lam = np.where((lam < 0) & (lam > -1e-12), 0.0, lam)
     bad = np.flatnonzero(~np.isfinite(lam))  # every input is finite, so only an overflow
     if len(bad):  # a NaN is 0 * inf from the back-substitution: name the first inf
         k = bad[np.argmax(np.isinf(lam[bad]))]  # argmax: the first True, else bad[0]
         raise NumericsError(f"node {spec.columns.id[k]}: solved arrival rate {lam[k]}"
                             " is not finite; the traffic solution overflows")
-    _check_residual(lam, lam0, rows, cols, probs, pinned)
+    if coupled:  # the identity branch's residual is 0.0 exactly (module docstring)
+        _check_residual(lam, lam0, rows, cols, probs, pinned)
     lam.flags.writeable = False
     return lam

@@ -16,13 +16,16 @@ from qnswap import (
     AnalysisAssumptions,
     InputError,
     analyze_network,
+    build_lattice_network,
     cli,
     munoz15_fixture,
+    parse_layout,
     parse_network,
     serialize_network,
 )
 from oracle import analyze_document
-from conftest import grid_document, single_queue_spec, two_node_cycle_spec
+from conftest import (grid_document, heavy_hex_layout, single_queue_spec,
+                      two_node_cycle_spec)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -185,7 +188,7 @@ class TestAnalyze:
 
     def test_zero_service_rate_is_an_input_error(self, capsys, tmp_path):
         # node 1 never receives a job, so the spec accepts mu = 0, but its
-        # pinned rate is positive; node 4's zero rate comes later in id order
+        # pinned rate is positive; node 4, pinned at 0, is idle, which is no fault
         doc = {
             "nodes": [
                 {"id": 1, "kind": "intermediate", "capacity": 1, "mu": 0, "mu_b": 0.2},
@@ -205,6 +208,20 @@ class TestAnalyze:
         assert out == ""
         assert json.loads(err) == {"error": "InputError",
                                    "message": "node 1: service rate must be positive"}
+
+    @pytest.mark.parametrize("shape, idle", [((4, 9), 40), ((6, 13), 92)])
+    def test_chip_with_an_idle_site_exits_0(self, capsys, monkeypatch, shape, idle):
+        # the uniform routing never reaches one intermediate site of each chip
+        spec = build_lattice_network(parse_layout(heavy_hex_layout(*shape)), arrival_rate=0.5)
+        monkeypatch.setattr("sys.stdin", io.StringIO(serialize_network(spec)))
+        code, out, err = run_cli(capsys, "analyze", "--network", "-", "--format", "csv")
+        assert (code, err) == (0, "")
+        [row] = [r.split(",") for r in out.splitlines() if r.startswith(f"{idle},")]
+        a = analyze_network(spec)
+        k = a.nodes.tolist().index(idle)
+        c, at = spec.columns, spec.columns.id.tolist().index(idle)
+        tbar = 1.0 / c.service_rate[at] + a.blocking_probability[k] / c.unblock_rate[at]
+        assert row == [str(idle), "1", "0", "0", "0", "0", format(tbar, ".6g")]
 
     def test_stdin_network(self, capsys, monkeypatch):
         text = serialize_network(munoz15_fixture())

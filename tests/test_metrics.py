@@ -65,11 +65,20 @@ def test_utilization_equals_mean_jobs_for_single_slot_nodes():
     assert np.all((0.0 <= a.rho) & (a.rho <= 1.0))
 
 
-def test_zero_arrival_rate_rejected():
-    # the first node with a zero rate is named, not the first node
-    spec = pinned_nodes_spec([0.5, 0.0, 0.0], [1.0] * 3, [0.2] * 3, [0.5] * 3)
-    with pytest.raises(InputError, match="node 2 has zero arrival rate"):
-        analyze_network(spec)
+def test_zero_arrival_rate_is_idle():
+    # nodes 2 and 3 get no traffic: each is idle, with pi00 = 1, kbar = 0 and
+    # tbar = 1/mu + Pb/mu_b, while node 1 keeps the bits of its own analysis
+    spec = pinned_nodes_spec([0.5, 0.0, 0.0], [1.0, 2.0, 4.0], [0.2, 0.4, 0.5], [0.5] * 3)
+    a = analyze_network(spec)
+    alone = analyze_network(pinned_nodes_spec([0.5], [1.0], [0.2], [0.5]))
+    for name in ("arrival_rate", "blocking_probability", "pi00", "pi10", "pi01", "rho",
+                 "kbar", "tbar"):
+        assert getattr(a, name)[:1].tolist() == getattr(alone, name).tolist()
+    assert a.pi00[1:].tolist() == [1.0, 1.0] and a.kbar[1:].tolist() == [0.0, 0.0]
+    assert a.rho[1:].tolist() == [0.0, 0.0]
+    assert a.tbar[1:].tolist() == [1.0 / 2.0 + 0.25 / 0.4, 1.0 / 4.0 + 0.25 / 0.5]
+    assert a.network.total_jobs == alone.network.total_jobs
+    assert a.network.mean_jobs == alone.network.total_jobs / 3
 
 
 def analysis_with(kbar, external_rate):

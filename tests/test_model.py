@@ -21,7 +21,7 @@ from qnswap import (
     parse_network,
     serialize_network,
 )
-from qnswap.model import KIND_CODES, _bfs_levels, _csr
+from qnswap.model import KIND_CODES, _bfs_levels, _canonical, _csr
 from conftest import grid_document, random_open_network, single_queue_spec
 from oracle import _scalar_spec, network_document, row_sums
 
@@ -407,6 +407,57 @@ class TestCanonicalForm:
             assert [type(x) for k, v in mapping.items() for x in (k, v)] == [int, float] * 2
         assert list(spec.external_arrivals.items()) == [(1, 1.0), (2, 0.5)]
         assert list(spec.known_arrival_rates.items()) == [(1, 2.0), (2, 1.0)]
+
+
+def _sorted_one_by_one(mappings):
+    """``_canonical``'s tables, key rows and values, each mapping sorted on its own."""
+    tables = [dict(sorted(m.items())) for m in mappings]
+    rows = [list(k) for k in tables[0]] + [[i, 0] for t in tables[1:] for i in t]
+    return tables, rows, [v for t in tables for v in t.values()]
+
+
+CANONICAL_CASES = {
+    "in_order": ({(1, 2): 0.5, (1, 3): 0.25, (2, 3): 1.0}, {1: 1.0, 4: 0.5}, {2: 0.3, 3: 0.1}),
+    "routing_out_of_order": ({(2, 3): 1.0, (1, 3): 0.25, (1, 2): 0.5}, {1: 1.0}, {2: 0.3}),
+    "routing_same_from_down": ({(1, 3): 0.25, (1, 2): 0.5}, {1: 1.0}, {}),
+    "external_out_of_order": ({(1, 2): 0.5}, {4: 0.5, 1: 1.0, 3: 0.2}, {2: 0.3}),
+    "known_out_of_order": ({(1, 2): 0.5}, {1: 1.0}, {3: 0.1, 2: 0.3}),
+    # each mapping in order, but its first row compares down against the last
+    # row of the mapping before: 9 > 1 at routing -> external, 9 > 2 next
+    "boundaries_down": ({(1, 2): 0.5, (9, 2): 0.1}, {1: 1.0, 9: 0.5}, {2: 0.3, 5: 0.1}),
+    "boundaries_down_one_out": ({(9, 2): 0.1, (1, 2): 0.5}, {1: 1.0, 9: 0.5}, {2: 0.3}),
+    "empty_routing": ({}, {3: 0.5, 1: 1.0}, {}),
+    "empty_first_two": ({}, {}, {5: 0.5, 2: 1.0}),
+    "empty_middle": ({(4, 1): 0.5, (3, 2): 0.5}, {}, {9: 0.1, 1: 0.2}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CANONICAL_CASES))
+def test_canonical_matches_sorting_each_mapping(name):
+    mappings = CANONICAL_CASES[name]
+    tables, keys, values = _canonical(list(mappings))
+    want_tables, want_rows, want_values = _sorted_one_by_one(mappings)
+    assert [list(t.items()) for t in tables] == [list(t.items()) for t in want_tables]
+    assert keys.dtype == np.int64 and keys.tolist() == want_rows
+    assert values.tolist() == want_values
+
+
+def test_canonical_matches_sorting_each_mapping_at_random():
+    rng = np.random.default_rng(5)
+    for _ in range(400):
+        size = rng.integers(0, 6, size=3).tolist()
+        pairs = {(int(i), int(j)) for i, j in rng.integers(1, 8, size=(size[0], 2))}
+        mappings = [dict(zip(pairs, rng.random(len(pairs)).tolist()))]
+        for m in size[1:]:
+            ids = rng.choice(np.arange(1, 10), size=m, replace=False).tolist()
+            mappings.append(dict(zip(ids, rng.random(m).tolist())))
+        for k in range(3):  # leave some mappings in key order
+            if rng.random() < 0.5:
+                mappings[k] = dict(sorted(mappings[k].items()))
+        tables, keys, values = _canonical(mappings)
+        want_tables, want_rows, want_values = _sorted_one_by_one(mappings)
+        assert [list(t.items()) for t in tables] == [list(t.items()) for t in want_tables]
+        assert keys.tolist() == want_rows and values.tolist() == want_values
 
 
 class TestReadOnlyMappings:

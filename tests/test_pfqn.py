@@ -32,6 +32,7 @@ from oracle import (
     reference_columns,
 )
 import _expected
+from conftest import heavy_hex_layout
 
 
 def chain_spec():
@@ -170,19 +171,59 @@ class TestAnalyzeNetwork:
         for pi in zip(analysis.pi00, analysis.pi10, analysis.pi01):
             assert abs(sum(pi) - 1.0) <= 1e-12
 
-    def test_zero_pinned_rate_refused(self):
+    def test_zero_pinned_rate_is_idle(self):
+        # a node pinned at rate 0 is idle: the closed form at lambda = 0, and
+        # the time one job alone spends there, 1/mu + Pb/mu_b
         spec = NetworkSpec(
             nodes=(
                 NodeSpec(id=1, kind=NodeKind.INTERMEDIATE, capacity=1,
-                         service_rate=1.0, unblock_rate=0.2),
+                         service_rate=2.0, unblock_rate=0.2),
                 NodeSpec(id=2, kind=NodeKind.SINK, capacity=8, service_rate=1.0),
             ),
             routing={(1, 2): 1.0},
             external_arrivals={1: 0.1},
             known_arrival_rates={1: 0.0},
         )
-        with pytest.raises(InputError, match="node 1 has zero arrival rate"):
+        a = analyze_network(spec)
+        pb = a.blocking_probability.tolist()
+        assert pb == [mm1k_full_probability(1.0, 8)]
+        assert (a.pi00.tolist(), a.pi10.tolist(), a.pi01.tolist()) == ([1.0], [0.0], [0.0])
+        assert (a.rho.tolist(), a.kbar.tolist()) == ([0.0], [0.0])
+        assert a.tbar.tolist() == [1.0 / 2.0 + pb[0] / 0.2]
+        assert (a.network.mean_jobs, a.network.total_jobs) == (0.0, 0.0)
+
+    def test_idle_node_without_service_is_named(self):
+        # an idle node that no routing reaches may have mu = 0 in the spec; its
+        # tbar would be infinite, so the analysis names the service rate
+        spec = NetworkSpec(
+            nodes=(
+                NodeSpec(id=1, kind=NodeKind.INTERMEDIATE, capacity=1,
+                         service_rate=1.0, unblock_rate=0.2),
+                NodeSpec(id=2, kind=NodeKind.INTERMEDIATE, capacity=1,
+                         service_rate=0.0, unblock_rate=0.2),
+                NodeSpec(id=3, kind=NodeKind.SINK, capacity=8, service_rate=1.0),
+            ),
+            routing={(1, 3): 1.0, (2, 3): 1.0},
+            external_arrivals={1: 0.1},
+        )
+        with pytest.raises(InputError) as caught:
             analyze_network(spec)
+        assert str(caught.value) == "node 2: service rate must be positive"
+
+    @pytest.mark.parametrize("shape", [(4, 9), (6, 13)])
+    def test_heavy_hex_chip_with_an_idle_site(self, shape):
+        # each chip has one intermediate site that the uniform routing never
+        # reaches (node 40, node 92); every other node keeps kbar / lambda
+        spec = build_lattice_network(parse_layout(heavy_hex_layout(*shape)), arrival_rate=0.5)
+        a = analyze_network(spec)
+        idle = a.arrival_rate == 0.0
+        assert a.nodes[idle].tolist() == [{(4, 9): 40, (6, 13): 92}[shape]]
+        mu, mu_b = (c[np.isin(spec.columns.id, a.nodes)] for c in (
+            spec.columns.service_rate, spec.columns.unblock_rate))
+        assert (a.pi00[idle].tolist(), a.kbar[idle].tolist()) == ([1.0], [0.0])
+        assert a.tbar[idle].tolist() == (1.0 / mu + a.blocking_probability / mu_b)[idle].tolist()
+        assert a.tbar[~idle].tolist() == (a.kbar[~idle] / a.arrival_rate[~idle]).tolist()
+        assert np.all(a.pi00[~idle] < 1.0)
 
     def test_blocking_probability_above_one_refused(self):
         # the row of node 1 sums to 1 + ROW_SUM_TOL / 2, which the spec accepts;
@@ -203,12 +244,13 @@ class TestAnalyzeNetwork:
             "node 1: blocking probability: probability 1.0000000005 outside [0, 1]")
 
     @pytest.mark.parametrize("idle_first, message", [
-        (True, "node 1 has zero arrival rate; per-job metrics undefined"),
+        (True, "node 2: blocking probability: probability 1.0000000005 outside [0, 1]"),
         (False, "node 1: blocking probability: probability 1.0000000005 outside [0, 1]"),
     ], ids=["zero_rate_first", "blocking_first"])
     def test_first_failing_node_in_id_order_raises(self, idle_first, message):
-        # one intermediate node gets no traffic; the other's row sums to
-        # 1 + ROW_SUM_TOL / 2 over sinks that are full, so its pb is above 1
+        # one intermediate node gets no traffic, which is no fault (it is idle);
+        # the other's row sums to 1 + ROW_SUM_TOL / 2 over sinks that are full,
+        # so its pb is above 1 and it is named, whichever id it has
         idle, busy = (1, 2) if idle_first else (2, 1)
         spec = NetworkSpec(
             nodes=tuple(NodeSpec(id=i, kind=NodeKind.INTERMEDIATE, capacity=1,

@@ -259,6 +259,32 @@ def test_overflowed_rate_names_the_first_node():
                                  " the traffic solution overflows")
 
 
+IDENTITY_SPECS = {
+    "munoz15": munoz15_fixture,
+    # free source 5 routes only into pinned nodes 1 and 2, which feed free
+    # node 3 and leave; node 4 is free and fed by nothing
+    "free_source_into_pins": lambda: sources(
+        range(1, 6), {(5, 1): 0.3, (5, 2): 0.6, (1, 3): 0.7, (2, 3): 0.1 + 0.2, (2, 4): 0.0},
+        {5: 0.7, 3: 0.1}, known={1: 0.3, 2: 1.1}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(IDENTITY_SPECS))
+def test_identity_branch_rates_balance_exactly(name):
+    # no entry links two free nodes, so each free rate is lam0 + P^T lam once
+    # evaluated, and the residual the solve skips is 0.0 bit for bit; an
+    # overflow there still raises (test_overflowed_rate_names_the_first_node)
+    spec = IDENTITY_SPECS[name]()
+    rows, cols, probs = spec.routing_triplets
+    free = np.isnan(spec.columns.known_rate)
+    assert not np.any(free[rows] & free[cols])
+    lam = solve_traffic(spec)
+    balance = spec.columns.external_rate + np.bincount(cols, weights=probs * lam[rows],
+                                                       minlength=len(lam))
+    assert lam[free].tolist() == balance[free].tolist()
+    assert np.count_nonzero(lam[free])
+
+
 def grid_layout(side: int):
     sites = [f"s{r}_{c}" for r in range(side) for c in range(side)]
     edges = ([[f"s{r}_{c}", f"s{r}_{c + 1}"] for r in range(side) for c in range(side - 1)]

@@ -151,22 +151,25 @@ def test_shown_survives_a_failing_repr():
     (np.array([True, False]), False),
 ], ids=["text", "faults", "float_array", "int_array", "bool_array"])
 def test_column_form_agrees_with_the_scalar_rule(values, text):
-    column = np.asarray(_finite_column(values, text=text))
+    column, clean = _finite_column(values, text=text)
+    column = np.asarray(column)
     objects = np.asarray(values, dtype=object)
     assert column.dtype == np.float64 and column.shape == objects.shape
+    rejected = 0
     for value, got in zip(objects.ravel().tolist(), column.ravel().tolist()):
         try:
             want = _finite(value, "x", text=text)
         except InputError:
-            want = math.nan
+            want, rejected = math.nan, rejected + 1
         assert got == want or math.isnan(got) and math.isnan(want)
+    assert clean is (rejected == 0)
 
 
 def test_column_form_of_a_list_is_a_list():
     # the parser and the spec keep Python floats, so a column comes back as a list
-    assert _finite_column(["0.5", 2], text=True) == [0.5, 2.0]
-    column = _finite_column([0.5, None])
-    assert type(column) is list and column[0] == 0.5 and math.isnan(column[1])
+    assert _finite_column(["0.5", 2], text=True) == ([0.5, 2.0], True)
+    column, clean = _finite_column([0.5, None])
+    assert type(column) is list and column[0] == 0.5 and math.isnan(column[1]) and not clean
 
 
 def test_column_form_leaves_its_input_alone():
