@@ -39,16 +39,16 @@ value rule, ``_finite`` (its column form for a whole field).  The parser reads
 each section as one list per field and checks whole lists: the objects' keys,
 the set of value types of a field, the value rule per rate field, and
 repeated keys by dict size; it builds the spec from mappings with int keys
-and float values, as the builder does.  ``_canonical`` copies such mappings
-to int64 key rows (any other mapping goes entry by entry through ``_typed``),
-and the spec checks its three mappings in one pass over those rows: a mapping
-out of order is sorted by one ``lexsort``, one ``searchsorted`` finds the
-keys' node positions and one mask checks the values; each structural rule is
-one array expression, in a fixed rule order.  A failing column only flags
-items: the flagged items go, in document order (parser) or id order (spec),
-through the per-item check that owns the error text, and the first one it
-rejects raises.  So an error names the same item with the same message as a
-check run one item at a time.
+and float values, as the builder does.  ``_canonical`` copies such a mapping;
+any other costs a conversion, entry by entry, of that mapping only.  The spec
+checks its three mappings in one pass over their int64 key rows: one test
+finds a mapping out of order, which Python sorts on its keys, one
+``searchsorted`` finds the keys' node positions and one mask checks the
+values; each structural rule is one array expression, in a fixed rule
+order.  A failing column only flags items: the flagged items go, in document
+order (parser) or id order (spec), through the per-item check that owns the
+error text, and the first one it rejects raises.  So an error names the same
+item with the same message as a check run one item at a time.
 """
 
 from __future__ import annotations
@@ -188,56 +188,50 @@ def _node_keys(keys: list, pair: bool) -> list | None:
     return nodes if nodes == keys and {bool, np.bool_}.isdisjoint(map(type, ids)) else None
 
 
-def _typed(entries: Mapping, what: str, pair: bool) -> dict:
-    """A fresh copy of a rate mapping (``pair``: the routing) with int keys in
-    order and float values.  InputError names the first entry whose key is no
-    node id (no pair of them) or whose value ``_finite`` rejects."""
-    keys, values = list(entries), list(entries.values())
-    nodes = _node_keys(keys, pair)
-    shape = "a (from, to) pair of integer node ids" if pair else "an integer node id"
-    for key, value in zip(keys, values):
-        if nodes is None and _node_keys([key], pair) is None:
-            raise InputError(f"{what} {_shown(key)}: key must be {shape}")
-        if not isinstance(value, float):  # a float, even NaN, is left to the rate checks
-            _finite(value, f"{what} {_shown(key)}", text=True)
-    return dict(sorted(zip(nodes, map(float, values)), key=itemgetter(0)))
-
-
 def _canonical(mappings: list[Mapping]) -> tuple[list[dict], np.ndarray, np.ndarray]:
-    """Copies of the routing and rate mappings, int keys in order and float values
-    (``_typed``'s faults for any other key or value); their int64 key rows, a
-    (from, to) row per routing entry and a (node, 0) row per rate entry (a key
-    past int64 reads 0); and their values."""
-    values = list(chain.from_iterable(entries.values() for entries in mappings))
-    routing = list(mappings[0])
-    pairs = set(map(type, routing)) <= {tuple} and set(map(len, routing)) <= {2}
-    ids = list(chain(chain.from_iterable(routing) if pairs else (), *mappings[1:]))
-    # Int keys with float values, as the parser and the builder make them, are copied;
-    # one test over all rows finds a row below the one before (a mapping's first row
-    # aside), and only a mapping that holds one is sorted, by a lexsort of its rows.
-    if pairs and set(map(type, ids)) <= {int} and set(map(type, values)) <= {float}:
-        with suppress(OverflowError):  # a key past int64 takes _typed
-            flat, r = np.array(ids, dtype=np.int64), len(routing)
-            keys, rates = np.zeros((len(values), 2), np.int64), np.array(values, dtype=float)
-            keys[:r], keys[r:, 0] = flat[:2 * r].reshape(r, 2), flat[2 * r:]
-            tables = list(map(dict, mappings))
-            ends = list(accumulate(map(len, tables), initial=0))
-            down, same = keys[1:] < keys[:-1], keys[1:] == keys[:-1]
-            out = down[:, 0] | same[:, 0] & down[:, 1]
-            out[[e - 1 for e in ends[1:-1] if 0 < e < len(values)]] = False
-            if np.count_nonzero(out):
-                for j, lo, hi in zip(range(len(tables)), ends, ends[1:]):
-                    if lo < hi and np.count_nonzero(out[lo:hi - 1]):
-                        order = np.lexsort(keys[lo:hi].T[::-1])
-                        keys[lo:hi], rates[lo:hi] = keys[lo:hi][order], rates[lo:hi][order]
-                        entries = list(tables[j].items())
-                        tables[j] = dict(map(entries.__getitem__, order.tolist()))
-            return tables, keys, rates
-    tables = [_typed(entries, what, pair) for entries, (what, pair) in zip(mappings, (
-        ("routing entry", True), ("external arrival", False), ("known arrival rate", False)))]
-    rows = chain(tables[0], zip(chain(*tables[1:]), repeat(0)))
-    keys = np.array([[i if abs(i) <= INT64_MAX else 0 for i in row] for row in rows], np.int64)
-    return tables, keys.reshape(-1, 2), np.array(list(chain(*map(dict.values, tables))), float)
+    """Copies of the routing and rate mappings, int keys in order and float values;
+    their int64 key rows, a (from, to) row per routing entry and a (node, 0) row per
+    rate entry (a key past int64 reads 0); and their values.  A mapping with plain
+    int keys (pairs of them) and float values is copied; any other is converted on
+    its own, and InputError names its first key that is no node id (no pair of them)
+    or value ``_finite`` rejects.  Python sorts a mapping whose rows are out of order
+    on its keys, and every mapping if a key is past int64, which no row can place."""
+    tables, ids, rates = [], [], []
+    for entries, (what, pair) in zip(mappings, (
+            ("routing entry", True), ("external arrival", False), ("known arrival rate", False))):
+        keys, values = list(entries), list(entries.values())
+        shaped = not pair or set(map(type, keys)) <= {tuple} and set(map(len, keys)) <= {2}
+        flat = list(chain.from_iterable(keys)) if pair and shaped else keys
+        if not (shaped and set(map(type, flat)) <= {int} and set(map(type, values)) <= {float}):
+            nodes = _node_keys(keys, pair)
+            shape = "a (from, to) pair of integer node ids" if pair else "an integer node id"
+            for key, value in zip(keys, values):
+                if nodes is None and _node_keys([key], pair) is None:
+                    raise InputError(f"{what} {_shown(key)}: key must be {shape}")
+                if not isinstance(value, float):  # a float, even NaN, is left to the rate checks
+                    _finite(value, f"{what} {_shown(key)}", text=True)
+            values = list(map(float, values))
+            entries, flat = zip(nodes, values), list(chain(*nodes)) if pair else nodes
+        tables.append(dict(entries))
+        ids += flat
+        rates += values
+    r, ends = len(tables[0]), list(accumulate(map(len, tables), initial=0))
+    keys, flat, unsorted = np.zeros((ends[-1], 2), np.int64), None, [True] * 3
+    with suppress(OverflowError):  # a key past int64 leaves flat None and every mapping unsorted
+        flat = np.array(ids, np.int64)
+        keys[:r], keys[r:, 0] = flat[:2 * r].reshape(r, 2), flat[2 * r:]
+        down, same = keys[1:] < keys[:-1], keys[1:] == keys[:-1]
+        out = down[:, 0] | same[:, 0] & down[:, 1]  # a row below the one before it
+        unsorted = [lo < hi and np.count_nonzero(out[lo:hi - 1]) for lo, hi in zip(ends, ends[1:])]
+    if any(unsorted):
+        tables = [dict(sorted(t.items(), key=itemgetter(0))) if u else t
+                  for t, u in zip(tables, unsorted)]
+        ids = chain(chain.from_iterable(tables[0]), *tables[1:])
+        flat = np.array(list(ids) if flat is not None else
+                        [i if abs(i) <= INT64_MAX else 0 for i in ids], np.int64)
+        keys[:r], keys[r:, 0] = flat[:2 * r].reshape(r, 2), flat[2 * r:]
+        rates = list(chain(*map(dict.values, tables)))
+    return tables, keys, np.array(rates, float)
 
 
 def _positions(ids: np.ndarray, keys: np.ndarray) -> np.ndarray:

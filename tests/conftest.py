@@ -13,6 +13,7 @@ from qnswap import (
     parse_layout,
     serialize_network,
 )
+from qnswap import model
 from qnswap.model import KIND_CODES
 
 
@@ -173,3 +174,25 @@ def grid_document(side: int) -> str:
 @pytest.fixture(scope="session")
 def fixture_spec() -> NetworkSpec:
     return munoz15_fixture()
+
+
+@pytest.fixture
+def conversions(monkeypatch) -> list[str]:
+    """What NetworkSpec converts rather than copies, in call order: "routing" or
+    "rates" for each mapping whose keys go through ``model._node_keys``, and the
+    name of each ``model._finite`` call on a mapping value."""
+    calls, node_keys, finite = [], model._node_keys, model._finite
+    names = ("routing entry", "external arrival", "known arrival rate")
+
+    def counted_keys(keys, pair):
+        calls.append("routing" if pair else "rates")
+        return node_keys(keys, pair)
+
+    def counted_finite(value, name, *args, **kwargs):
+        if name.startswith(names):
+            calls.append(name)
+        return finite(value, name, *args, **kwargs)
+
+    monkeypatch.setattr(model, "_node_keys", counted_keys)
+    monkeypatch.setattr(model, "_finite", counted_finite)
+    return calls

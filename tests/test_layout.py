@@ -19,7 +19,6 @@ from qnswap import (
     solve_traffic,
     total_external_rate,
 )
-from qnswap import model
 from conftest import grid_layout, heavy_hex_layout, ids_of_kind
 from oracle import row_sums
 import _expected
@@ -256,16 +255,20 @@ class TestLatticeBuilder:
 
     @pytest.mark.parametrize("text", [grid_layout(6), heavy_hex_layout(4, 9)],
                              ids=["grid6", "heavyhex"])
-    def test_routing_takes_the_canonical_fast_path(self, text, monkeypatch):
-        # the builder emits its routing in (from, to) order, so the spec
-        # keeps the keys as given instead of converting and sorting them
-        def converted(keys, pair):
-            raise AssertionError("NetworkSpec converted the builder's routing keys")
-
-        layout = parse_layout(text)
-        monkeypatch.setattr(model, "_node_keys", converted)
-        net = build_lattice_network(layout)
+    def test_routing_takes_the_canonical_fast_path(self, text, conversions):
+        # the builder emits its routing in (from, to) order with int keys and
+        # float values, so the spec copies its mappings instead of converting them
+        net = build_lattice_network(parse_layout(text))
+        assert conversions == []
         assert list(net.routing) == sorted(net.routing)
+
+    def test_int_arrival_rate_converts_only_the_rate_mapping(self, conversions):
+        # an int rate makes the external arrivals a mapping to convert; the
+        # 6,234 routing entries are still copied, not converted one by one
+        net = build_lattice_network(parse_layout(grid_layout(40)), arrival_rate=1)
+        assert len(net.routing) == 6234
+        assert [c for c in conversions if not c.startswith("external arrival")] == ["rates"]
+        assert set(net.external_arrivals.values()) == {1.0}
 
     def test_interior_rows_are_uniform_over_all_neighbors(self):
         net = build_lattice_network(parse_layout(GRID))

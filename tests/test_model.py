@@ -385,11 +385,19 @@ class TestCanonicalForm:
          r"routing entry 7->2 references unknown node 7$"),
         ("routing", {(1, 2): 0.5, (2**64, 2): 0.1, (7, 2): 0.1},
          r"routing entry 7->2 references unknown node 7$"),
+        # int64 rows would read 2**64 as 0 and pass it as in order before 5
+        ("external_arrivals", {2**64: 1.0, 5: 1.0},
+         r"external arrival references unknown node 5$"),
+        ("external_arrivals", {2**65: 1.0, 2**64: 1.0},
+         r"external arrival references unknown node 18446744073709551616$"),
+        ("external_arrivals", {-2**64: 1.0, 5: 1.0},
+         r"external arrival references unknown node -18446744073709551616$"),
     ], ids=["fraction_from", "fraction_to", "bool", "mixed_types", "none", "not_a_pair",
             "triple", "value", "value_list", "ext_fraction", "ext_bool", "ext_none",
             "ext_string", "ext_value", "ext_value_list", "known_fraction", "known_nan",
             "known_value", "ext_past_int64_last", "ext_past_int64_first",
-            "routing_past_int64_last", "routing_past_int64_first"])
+            "routing_past_int64_last", "routing_past_int64_first", "ext_past_int64_read_as_0",
+            "ext_two_past_int64", "ext_below_int64"])
     def test_bad_mapping_entry_is_an_input_error(self, field, given, message):
         # these used to be truncated onto another node (1.9 -> 1) or to
         # escape as a bare TypeError or ValueError; a key past int64 is an
@@ -442,6 +450,18 @@ def test_canonical_matches_sorting_each_mapping(name):
     assert values.tolist() == want_values
 
 
+def _retyped(rng, mapping, pair):
+    """``mapping`` with about half its keys as np.int64 or integral floats and half
+    its values as ints, np.float64 or decimal strings: the types NetworkSpec converts."""
+    ids = (lambda i: i, np.int64, float)
+    rates = (lambda v: v, lambda v: int(v * 3), np.float64, repr)
+    out = {}
+    for key, value in mapping.items():
+        key = tuple(ids[rng.integers(3)](i) for i in key) if pair else ids[rng.integers(3)](key)
+        out[key] = rates[rng.integers(4)](value)
+    return out
+
+
 def test_canonical_matches_sorting_each_mapping_at_random():
     rng = np.random.default_rng(5)
     for _ in range(400):
@@ -451,13 +471,20 @@ def test_canonical_matches_sorting_each_mapping_at_random():
         for m in size[1:]:
             ids = rng.choice(np.arange(1, 10), size=m, replace=False).tolist()
             mappings.append(dict(zip(ids, rng.random(m).tolist())))
-        for k in range(3):  # leave some mappings in key order
+        for k in range(3):  # leave some mappings in key order, convert some
             if rng.random() < 0.5:
                 mappings[k] = dict(sorted(mappings[k].items()))
+            if rng.random() < 0.3:
+                mappings[k] = _retyped(rng, mappings[k], pair=k == 0)
         tables, keys, values = _canonical(mappings)
-        want_tables, want_rows, want_values = _sorted_one_by_one(mappings)
+        converted = [{(tuple(map(int, k)) if n == 0 else int(k)): float(v) for k, v in m.items()}
+                     for n, m in enumerate(mappings)]
+        want_tables, want_rows, want_values = _sorted_one_by_one(converted)
         assert [list(t.items()) for t in tables] == [list(t.items()) for t in want_tables]
         assert keys.tolist() == want_rows and values.tolist() == want_values
+        ids = [*(i for pair in tables[0] for i in pair), *tables[1], *tables[2]]
+        assert {type(i) for i in ids} <= {int}
+        assert {type(v) for t in tables for v in t.values()} <= {float}
 
 
 class TestReadOnlyMappings:

@@ -378,20 +378,17 @@ def test_parse_makes_no_per_item_checks(monkeypatch):
     assert sum(counts[0].values()) <= 1
 
 
-def test_parser_and_builder_specs_take_the_typed_path(monkeypatch):
+def test_parser_and_builder_specs_take_the_copy_path(conversions):
     # The parser and the builder both give the NetworkSpec constructor
-    # mappings with int keys and float values, which _canonical copies in one
-    # pass; entry-by-entry conversion in model._typed would cost about three
-    # times as much on the 40x40 chip.
-    def converted(entries, what, pair):
-        raise AssertionError(f"{what} mapping converted entry by entry")
-
-    monkeypatch.setattr(model, "_typed", converted)
+    # mappings with int keys and float values, which _canonical copies;
+    # converting them entry by entry would cost about three times as much on
+    # the 40x40 chip.
     grid = json.loads(grid_document(40))
     for doc in (BASES["munoz15"], BASES["lattice6"], grid, _shuffled(copy.deepcopy(grid))):
         parse_network(json.dumps(doc))
     build_lattice_network(parse_layout(grid_layout(6)))
     munoz15_fixture()  # its routing is written out of (from, to) order
+    assert conversions == []
 
 
 def test_cli_calls_parse_and_analyze_through_module_names():

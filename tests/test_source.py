@@ -69,7 +69,7 @@ def test_every_spec_is_built_by_its_constructor():
                  and isinstance(node.value, ast.Name) and node.value.id == "object"]
         assert calls == [], f"{path.name}: object.__new__ on line(s) {calls}"
     assert not hasattr(model.NetworkSpec, "_check")
-    for name in ("_in_key_order", "_adjacency"):
+    for name in ("_in_key_order", "_adjacency", "_typed"):
         assert not hasattr(model, name)
 
 
