@@ -62,7 +62,9 @@ class LayoutGraph:
     sites: tuple[str, ...]
     edges: tuple[tuple[str, str], ...]
     queue_sites: Mapping[str, QueueSite]
-    _neighbors: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
+    # {site: position}, the edge ends as positions (a0, b0, a1, b1, ...) and each
+    # site's neighbours as model._csr groups: the arrays the builder routes from
+    _adjacency: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # Each rule is one pass over the whole list; only a failing list is
@@ -101,19 +103,11 @@ class LayoutGraph:
             if s not in known:
                 raise SchemaError("queues", f"unknown site {_shown(s)}")
         object.__setattr__(self, "queue_sites", dict(sorted(queues.items())))
-        # The edges are sorted, so each site's indices are its smaller
-        # neighbours and then its larger ones, both in order.
-        targets, begins, ends = _check_connected(self)
-        object.__setattr__(self, "_neighbors", {s: tuple(map(sites.__getitem__, targets[a:b]))
-                                                for s, a, b in zip(sites, begins, ends)})
-
-    def neighbors(self, site: str) -> tuple[str, ...]:
-        """Sorted adjacent sites; () for an isolated or unknown site."""
-        return self._neighbors.get(site, ())
+        object.__setattr__(self, "_adjacency", _check_connected(self))
 
 
-def _check_connected(layout: LayoutGraph) -> tuple[list[int], list[int], list[int]]:
-    """Each site's neighbours as ``model._csr`` groups, in edge order; InputError if cut off."""
+def _check_connected(layout: LayoutGraph) -> tuple[dict, np.ndarray, tuple]:
+    """The layout's site-index adjacency (``LayoutGraph._adjacency``); InputError if cut off."""
     if not layout.sites:
         raise SchemaError("sites", "layout has no sites")
     index = dict(zip(layout.sites, range(len(layout.sites))))
@@ -124,7 +118,7 @@ def _check_connected(layout: LayoutGraph) -> tuple[list[int], list[int], list[in
     missing = [s for s, depth in zip(layout.sites, _bfs_levels(*graph, [0])) if depth < 0]
     if missing:
         raise InputError(f"layout is not connected; unreachable sites: {missing}")
-    return graph
+    return index, ends, graph
 
 
 # Keys of a layout document and of its queue objects, every one required;
@@ -198,32 +192,34 @@ def build_lattice_network(
     Returns:
         The generated NetworkSpec.
     """
+    index, ends, _ = layout._adjacency
     interior = [s for s in layout.sites if s not in layout.queue_sites]
-    roles = {s: q.role for s, q in layout.queue_sites.items()}
-    sources = [s for s in layout.sites if roles.get(s) is NodeKind.SOURCE]
-    sinks = [s for s in layout.sites if roles.get(s) is NodeKind.SINK]
+    queues = sorted(layout.queue_sites.items(), key=lambda q: index[q[0]])  # layout order
+    sources = [s for s, q in queues if q.role is NodeKind.SOURCE]
+    sinks = [s for s, q in queues if q.role is NodeKind.SINK]
     if not sources:
         raise InputError("layout declares no source site")
     if not sinks:
         raise InputError("layout declares no sink site")
 
-    ids = {s: k for k, s in enumerate(interior + sources + sinks, start=1)}
-    nodes = [NodeSpec(ids[s], NodeKind.INTERMEDIATE, 1, service_rate, unblock_rate)
-             for s in interior]
-    for s in sources + sinks:
-        q = layout.queue_sites[s]
-        nodes.append(NodeSpec(ids[s], q.role, q.capacity, service_rate, 0.0))
+    m, boundary = len(interior), sources + sinks
+    # NodeSpec._make without its Python frame, as parse_network builds its nodes
+    nodes = list(map(tuple.__new__, repeat(NodeSpec), zip(range(1, m + 1), repeat(
+        NodeKind.INTERMEDIATE), repeat(1), repeat(service_rate), repeat(unblock_rate))))
+    nodes += [NodeSpec(i, q.role, q.capacity, service_rate, 0.0)
+              for i, q in enumerate(map(layout.queue_sites.__getitem__, boundary), start=m + 1)]
 
-    entries: dict[tuple[int, int], float] = {}
-    # Rows in id order, each row's targets by id: the spec takes the keys as they are.
-    # A source keeps only its interior neighbours; sink rows stay empty (exit probability 1).
-    inner = set(interior)
-    for s in interior + sources:
-        nbrs = layout.neighbors(s)
-        targets = sorted(map(ids.__getitem__, nbrs if s in inner else inner.intersection(nbrs)))
-        i, share = ids[s], 1.0 / (len(targets) or 1)  # a source may touch no interior site
-        for t in targets:
-            entries[(i, t)] = share
+    # Every edge both ways as node ids.  An interior row keeps every target, a source
+    # row only interior ones (it may have none), and sinks have no row (exit probability
+    # 1).  Rows in id order, each row's targets by id: the spec takes the keys as they are.
+    node = np.empty(len(index), np.int64)
+    node[list(map(index.__getitem__, interior + boundary))] = np.arange(1, len(index) + 1)
+    edge = node[ends].reshape(-1, 2)
+    src, dst = both = np.concatenate((edge, edge[:, ::-1])).T
+    both = both[:, (src <= m) | (src <= m + len(sources)) & (dst <= m)]
+    rows, cols = both[:, np.lexsort(both[::-1])]
+    shares = 1.0 / np.bincount(rows)[rows]
+    entries = dict(zip(zip(rows.tolist(), cols.tolist()), shares.tolist()))
 
     if isinstance(arrival_rate, Mapping):
         missing = [s for s in sources if s not in arrival_rate]
@@ -232,9 +228,9 @@ def build_lattice_network(
         stray = [s for s in arrival_rate if s not in sources]
         if stray:
             raise SchemaError("arrival_rate", f"rate for site(s) {stray} that are no source")
-        external = {ids[s]: arrival_rate[s] for s in sources}
+        external = {i: arrival_rate[s] for i, s in enumerate(sources, start=m + 1)}
     else:  # the spec's value rule checks each rate
-        external = {ids[s]: arrival_rate for s in sources}
+        external = dict.fromkeys(range(m + 1, m + len(sources) + 1), arrival_rate)
 
     return NetworkSpec(nodes=tuple(nodes), routing=entries, external_arrivals=external)
 

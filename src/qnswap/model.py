@@ -161,13 +161,13 @@ def _finite(value, name: str, within: tuple | None = None, text: bool = False) -
 
 def _finite_column(values: list, text: bool = False) -> tuple[list[float], bool]:
     """``_finite`` over a list: its floats, NaN wherever it rejects a value, and
-    whether it rejected none.  A list of finite floats (with ``text``, also
-    decimal strings) takes a few passes; any other, a call per value."""
-    if set(map(type, values)) <= ({float, str} if text else {float}):
-        try:  # float() of a float or a string cannot overflow
-            floats = list(map(float, values)) if text else values
-        except ValueError:  # a string that is no number: the calls below flag it
-            floats = [math.nan]
+    whether it rejected none.  A list of finite floats and ints (with ``text``,
+    also decimal strings) takes a few passes; any other, a call per value."""
+    if (types := set(map(type, values))) <= ({float, int, str} if text else {float, int}):
+        try:  # the test is by type: a bool is no int here
+            floats = values if types <= {float} else list(map(float, values))
+        except (ValueError, OverflowError):  # a string that is no number or an int
+            floats = [math.nan]  # past the float range: the calls below flag it
         if math.isfinite(sum(floats)):  # no NaN or inf: nothing to flag
             return floats, True
     column = [math.nan] * len(values)
@@ -625,12 +625,12 @@ def parse_network(text: str) -> NetworkSpec:
 
 
 # The document as json.dumps(doc, indent=2) lays it out: one template per
-# object shape, each rate a JSON string holding repr(float(rate)).
+# object shape, each rate a JSON string holding repr(float(rate)) (or str: the same).
 _NODE_JSON = ('    {\n      "id": %d,\n      "kind": "%s",\n      "capacity": %d,\n'
-              '      "mu": "%r",\n      "mu_b": "%r",\n      "servers": 1\n    }')
-_ROUTING_JSON = '    {\n      "from": %d,\n      "to": %d,\n      "p": "%r"\n    }'
-_EXTERNAL_JSON = '    {\n      "node": %d,\n      "lambda0": "%r"\n    }'
-_KNOWN_JSON = '    {\n      "node": %d,\n      "lambda": "%r"\n    }'
+              '      "mu": "%s",\n      "mu_b": "%s",\n      "servers": 1\n    }')
+_ROUTING_JSON = '    {\n      "from": %d,\n      "to": %d,\n      "p": "%s"\n    }'
+_EXTERNAL_JSON = '    {\n      "node": %d,\n      "lambda0": "%s"\n    }'
+_KNOWN_JSON = '    {\n      "node": %d,\n      "lambda": "%s"\n    }'
 
 
 def serialize_network(spec: NetworkSpec) -> str:
@@ -643,11 +643,15 @@ def serialize_network(spec: NetworkSpec) -> str:
     rest from its mappings, already in key order with float values.
     """
     c, kinds, known = spec.columns, [k.value for k in KIND_CODES], spec.known_arrival_rates
+    columns = c.service_rate.tolist(), c.unblock_rate.tolist(), list(spec.routing.values())
+    # one repr per distinct rate; a zero on its own, since -0.0 == 0.0 would share one
+    text = {v: repr(v) for v in set(chain(*columns)) if v}
+    mu, mu_b, p = ([text[v] if v else repr(v) for v in column] for column in columns)
     sections = {
         "nodes": list(map(_NODE_JSON.__mod__, zip(
             c.id.tolist(), map(kinds.__getitem__, c.kind.tolist()), c.capacity.tolist(),
-            c.service_rate.tolist(), c.unblock_rate.tolist()))),
-        "routing": [_ROUTING_JSON % (i, j, p) for (i, j), p in spec.routing.items()],
+            mu, mu_b))),
+        "routing": [_ROUTING_JSON % (i, j, t) for (i, j), t in zip(spec.routing, p)],
         "external_arrivals": list(map(_EXTERNAL_JSON.__mod__, spec.external_arrivals.items())),
     }
     if known is not None:

@@ -17,7 +17,9 @@ Nothing in ``qnswap`` calls these; they exist to cross-check it:
   for the tests that the package's float totals do not depend on it;
 - the reference ``analyze`` and network documents, built as plain dicts
   and lists, that the fixed-schema JSON writers (the CLI's and
-  ``serialize_network``) must print byte for byte as ``json.dumps`` does.
+  ``serialize_network``) must print byte for byte as ``json.dumps`` does;
+- the lattice builder's routing, site by site from the layout's edge list,
+  against the one array pass of ``build_lattice_network``.
 
 They import package internals where that makes them compute the same
 numbers the package would: the fixed-point solver uses the traffic solve's
@@ -595,6 +597,32 @@ def reference_columns(spec, assumptions):
     for k in cols["kbar"]:
         total += k
     return cols, total
+
+
+def lattice_routing(layout) -> dict[tuple[int, int], float]:
+    """The routing ``build_lattice_network`` gives ``layout``, one site at a time.
+
+    Node ids number the interior sites, then the sources, then the sinks, each
+    group in layout order.  Rows run in id order and each row's targets by id:
+    an interior site routes evenly to every neighbour, a source to its
+    interior neighbours only; a sink has no row.
+    """
+    roles = {s: q.role for s, q in layout.queue_sites.items()}
+    interior = [s for s in layout.sites if s not in roles]
+    sources = [s for s in layout.sites if roles.get(s) is NodeKind.SOURCE]
+    sinks = [s for s in layout.sites if roles.get(s) is NodeKind.SINK]
+    ids = {s: k for k, s in enumerate(interior + sources + sinks, start=1)}
+    neighbors: dict[str, list[str]] = {}
+    for a, b in layout.edges:
+        neighbors.setdefault(a, []).append(b)
+        neighbors.setdefault(b, []).append(a)
+    entries = {}
+    for s in interior + sources:
+        nbrs = neighbors.get(s, [])
+        targets = sorted(ids[t] for t in nbrs if s in interior or t in interior)
+        for t in targets:
+            entries[(ids[s], t)] = 1.0 / len(targets)
+    return entries
 
 
 # -- reference analyze document -------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from qnswap import (
     InputError,
     LayoutGraph,
+    NetworkSpec,
     NodeKind,
     ParseError,
     QueueSite,
@@ -15,12 +16,13 @@ from qnswap import (
     build_lattice_network,
     munoz15_fixture,
     parse_layout,
+    serialize_network,
     shortest_hops,
     solve_traffic,
     total_external_rate,
 )
 from conftest import grid_layout, heavy_hex_layout, ids_of_kind
-from oracle import row_sums
+from oracle import lattice_routing, row_sums
 import _expected
 
 
@@ -38,7 +40,7 @@ class TestParseLayout:
     def test_parses_grid(self):
         lay = parse_layout(GRID)
         assert lay.sites == ("s", "a", "b", "c", "d", "t")
-        assert lay.neighbors("a") == ("b", "c", "s")
+        assert [e for e in lay.edges if "a" in e] == [("a", "b"), ("a", "c"), ("a", "s")]
         assert lay.queue_sites["s"].role is NodeKind.SOURCE
 
     def test_bad_json(self):
@@ -206,15 +208,23 @@ class TestLayoutGraph:
     @pytest.mark.parametrize("text", [grid_layout(6), heavy_hex_layout(4, 9)],
                              ids=["grid6", "heavyhex"])
     def test_neighbors_are_sorted_site_names(self, text):
+        # the edges are the document's, each pair in name order, sorted
         lay = parse_layout(text)
-        adjacent = {}
-        for a, b in json.loads(text)["edges"]:
-            adjacent.setdefault(a, set()).add(b)
-            adjacent.setdefault(b, set()).add(a)
-        assert {s: lay.neighbors(s) for s in lay.sites} == {
-            s: tuple(sorted(nbrs)) for s, nbrs in adjacent.items()}
-        assert lay.neighbors("nowhere") == ()
-        assert LayoutGraph(("a",), (), {}).neighbors("a") == ()
+        pairs = {tuple(sorted(e)) for e in json.loads(text)["edges"]}
+        assert lay.edges == tuple(sorted(pairs))
+        # and each interior site's routing row reaches exactly its neighbours; ids
+        # number the interior sites, then the sources, then the sinks
+        roles = [None, NodeKind.SOURCE, NodeKind.SINK]
+        name = dict(enumerate(sorted(lay.sites, key=lambda s: roles.index(
+            getattr(lay.queue_sites.get(s), "role", None))), start=1))
+        rows = {}
+        for i, j in build_lattice_network(lay).routing:
+            rows.setdefault(name[i], []).append(name[j])
+        for s in lay.sites:
+            if s not in lay.queue_sites:
+                adjacent = sorted(b if a == s else a for a, b in lay.edges if s in (a, b))
+                assert sorted(rows[s]) == adjacent
+        assert LayoutGraph(("a",), (), {}).edges == ()
 
     def test_duplicate_site_rejected(self):
         with pytest.raises(SchemaError):
@@ -238,7 +248,6 @@ class TestLayoutGraph:
     def test_edges_are_undirected_and_deduped(self):
         lay = LayoutGraph(("a", "b"), (("b", "a"), ("a", "b")), {})
         assert lay.edges == (("a", "b"),)
-        assert lay.neighbors("b") == ("a",)
 
 
 class TestLatticeBuilder:
@@ -261,6 +270,29 @@ class TestLatticeBuilder:
         net = build_lattice_network(parse_layout(text))
         assert conversions == []
         assert list(net.routing) == sorted(net.routing)
+
+    @pytest.mark.parametrize("layout", [
+        parse_layout(grid_layout(6)), parse_layout(grid_layout(40)),
+        parse_layout(heavy_hex_layout(4, 9)), parse_layout(heavy_hex_layout(5, 21)),
+        LayoutGraph(("t", "s", "a", "b", "c"),
+                    (("s", "a"), ("a", "b"), ("a", "c"), ("b", "c"), ("c", "t")),
+                    {"t": QueueSite(NodeKind.SINK, 4), "s": QueueSite(NodeKind.SOURCE, 4)}),
+        LayoutGraph(("s", "a", "b", "t", "u"), (("s", "a"), ("a", "b"), ("b", "t"), ("u", "t")),
+                    {"s": QueueSite(NodeKind.SOURCE, 4), "u": QueueSite(NodeKind.SOURCE, 2),
+                     "t": QueueSite(NodeKind.SINK, 4)}),
+        LayoutGraph(("r", "s", "a", "b", "t"),
+                    (("r", "s"), ("r", "a"), ("s", "b"), ("a", "b"), ("b", "t")),
+                    {"r": QueueSite(NodeKind.SOURCE, 4), "s": QueueSite(NodeKind.SOURCE, 4),
+                     "t": QueueSite(NodeKind.SINK, 4)}),
+    ], ids=["grid6", "grid40", "heavyhex4x9", "heavyhex5x21", "queues_first",
+            "source_by_sinks_only", "adjacent_sources"])
+    def test_routing_matches_the_per_site_loop(self, layout):
+        # the one array pass gives the entries, in order, that the per-site loop gives
+        net = build_lattice_network(layout)
+        reference = lattice_routing(layout)
+        assert list(net.routing.items()) == list(reference.items())
+        looped = NetworkSpec(net.nodes, reference, net.external_arrivals)
+        assert serialize_network(net) == serialize_network(looped)
 
     def test_int_arrival_rate_converts_only_the_rate_mapping(self, conversions):
         # an int rate makes the external arrivals a mapping to convert; the

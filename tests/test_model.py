@@ -513,17 +513,19 @@ class TestReadOnlyMappings:
 
 
 def _edge_value_spec() -> NetworkSpec:
-    """Rates at the edges of repr and json.dumps: a negative zero, the
-    smallest subnormal, a float past 2**53, an inexact sum, an int mu and an
-    np.float64 mu_b."""
+    """Rates at the edges of repr and json.dumps: zeros of both signs in one
+    column (routing p and node mu_b), the smallest subnormal, a float past
+    2**53, an inexact sum, an int mu, an np.float64 mu_b, and repeated rates."""
     return NetworkSpec(
         nodes=(node(1, mu=3),
                node(2, kind=NodeKind.INTERMEDIATE, capacity=1, mu=5e-324,
                     mu_b=np.float64(0.15)),
-               node(3, kind=NodeKind.SINK, mu=1e16)),
-        routing={(1, 2): 0.1 + 0.2, (1, 3): -0.0, (2, 3): 1.0},
+               node(3, kind=NodeKind.SINK, mu=1e16, mu_b=-0.0),
+               node(4, kind=NodeKind.INTERMEDIATE, capacity=1, mu=3.0, mu_b=0.15)),
+        routing={(1, 2): 0.1 + 0.2, (1, 3): -0.0, (1, 4): 0.5, (2, 3): 1.0, (2, 4): 0.0,
+                 (4, 3): 0.5},
         external_arrivals={1: 1e16},
-        known_arrival_rates={2: 5e-324},
+        known_arrival_rates={2: 5e-324, 4: 0.5},
     )
 
 
@@ -551,10 +553,17 @@ class TestNetworkWriter:
         assert serialize_network(spec) == network_document(spec)
 
     def test_edge_values_round_trip(self):
+        # the writer formats each distinct rate once, but a zero on its own: -0.0 == 0.0
         spec = _edge_value_spec()
         text = serialize_network(spec)
-        assert '"p": "-0.0"' in text and '"mu": "3.0"' in text and '"mu_b": "0.15"' in text
-        assert parse_network(text) == spec
+        doc = json.loads(text)
+        assert [n["mu"] for n in doc["nodes"]] == ["3.0", "5e-324", "1e+16", "3.0"]
+        assert [n["mu_b"] for n in doc["nodes"]] == ["0.0", "0.15", "-0.0", "0.15"]
+        assert [e["p"] for e in doc["routing"]] == [
+            "0.30000000000000004", "-0.0", "0.5", "1.0", "0.0", "0.5"]
+        assert text == network_document(spec)  # json.dumps(doc, indent=2) of the dict
+        again = parse_network(text)
+        assert again == spec and serialize_network(again) == text
 
     def test_lattice40_bytes_unchanged(self):
         text = serialize_network(parse_network(grid_document(40)))

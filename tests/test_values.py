@@ -22,9 +22,11 @@ from qnswap import (
     build_lattice_network,
     mm1k_full_probability,
     parse_layout,
+    parse_network,
 )
+from qnswap import model
 from qnswap.model import _finite, _finite_column, _shown
-from conftest import grid_layout
+from conftest import grid_document, grid_layout
 
 GRID = parse_layout(grid_layout(4))
 
@@ -149,7 +151,8 @@ def test_shown_survives_a_failing_repr():
     (np.array([0.5, math.inf, -1.0]), False),
     (np.array([1, 2], dtype=np.int64), False),
     (np.array([True, False]), False),
-], ids=["text", "faults", "float_array", "int_array", "bool_array"])
+    ([0.5, 1, 10**400], False),
+], ids=["text", "faults", "float_array", "int_array", "bool_array", "int_past_float"])
 def test_column_form_agrees_with_the_scalar_rule(values, text):
     column, clean = _finite_column(values, text=text)
     column = np.asarray(column)
@@ -170,6 +173,20 @@ def test_column_form_of_a_list_is_a_list():
     assert _finite_column(["0.5", 2], text=True) == ([0.5, 2.0], True)
     column, clean = _finite_column([0.5, None])
     assert type(column) is list and column[0] == 0.5 and math.isnan(column[1]) and not clean
+
+
+def test_int_rates_take_the_column_fast_path(monkeypatch):
+    # a document that writes its rates as JSON integers, such as "mu": 1, is
+    # read in a few passes per column, not one value-rule call per rate
+    text = grid_document(40)
+    ints = text.replace('"mu": "1.0"', '"mu": 1')
+    assert ints.count('"mu": 1,') == 1600
+    calls, finite = [], model._finite
+    monkeypatch.setattr(model, "_finite",
+                        lambda *args, **kw: calls.append(args) or finite(*args, **kw))
+    spec = parse_network(ints)
+    assert calls == []
+    assert spec == parse_network(text)
 
 
 def test_column_form_leaves_its_input_alone():
